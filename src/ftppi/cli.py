@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .allocate import AllocationResult, solve_optimal_allocation
 from .core import (
     DEFAULT_SEED,
@@ -60,8 +61,6 @@ from .simulate import (
     run_estimator_comparison,
     world_from_dict,
 )
-
-__version__ = "0.1.0"
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,11 @@ def default_rampup_plan(n: int, stages: int = 5, start: int | None = None) -> Ra
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Measurements and decision taken at one ramp-up stage."""
+    """Measurements and decision taken at one ramp-up stage.
+
+    An ``"error"`` record measured nothing: its residual statistics are
+    NaN here and null in ``as_dict``.
+    """
 
     stage: int
     size: int
@@ -100,11 +104,12 @@ class StageRecord:
     decision: str  # "continue" | "stop" | "error"
 
     def as_dict(self) -> dict:
+        measured = self.decision != "error"
         out: dict = {
             "stage": self.stage,
             "size": self.size,
-            "mean_residual": self.mean_residual,
-            "residual_variance": self.residual_variance,
+            "mean_residual": self.mean_residual if measured else None,
+            "residual_variance": self.residual_variance if measured else None,
             "s_hat": self.s_hat,
             "decision": self.decision,
         }
@@ -280,17 +285,14 @@ def rampup_final_estimate(
     unlabeled: UnlabeledDataset,
     trainer,
     delta: float,
-    seed: RngSeed | int | None = None,
 ) -> MeanEstimateReport:
     """Retrain at the stopped size and rectify with every remaining label.
 
     Uses the trace's stored index sets, so the fine-tuning subset is
     exactly the stop stage's subset and the rectification set is all of
     ``data`` minus that subset and minus the measurement holdout (when
-    one was used).  ``seed`` is reserved for trainers that draw fresh
-    randomness at this step; the subsets themselves are already fixed.
+    one was used).
     """
-    del seed
     if not trace.completed or trace.s_final is None:
         raise PlanError("ramp-up did not complete; no final size to train at")
     if data.n != trace.n:

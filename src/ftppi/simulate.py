@@ -11,7 +11,10 @@ the population residual variance lands exactly on the law at the
 training size s.  The field is a hash of the feature vector, so the
 predictor stays a pure function of x; checkpoints at different s share
 the field and only rescale it, mirroring how successive fine-tunes
-shrink one error pattern rather than redraw it.
+shrink one error pattern rather than redraw it.  Because of that
+sharing, the part of the surrogate that does not depend on s (the mean,
+signal and bias terms plus the unscaled field) is computed once per
+(trainer, read-only feature array) and dies with the array.
 
 These worlds make brute-force Monte-Carlo oracles possible: every
 analytic quantity (residual variance, estimator variance, optimal
@@ -20,7 +23,8 @@ split) is known in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -119,6 +123,11 @@ class BiasProfile:
     def mean(self) -> float:
         return 0.0 if self.kind == "zero" else self.value
 
+    @property
+    def slope(self) -> float:
+        """Coefficient of x1 in the offset, so Cov(offset, x1) for standard normal x1."""
+        return self.value if self.kind == "drifting" else 0.0
+
 
 @dataclass(frozen=True)
 class SyntheticWorld:
@@ -208,22 +217,74 @@ def _generate_labeled(world: SyntheticWorld, n: int, seed: RngSeed) -> LabeledDa
     return LabeledDataset(xs, ys)
 
 
-def _sim_predictor(world: SyntheticWorld, pseudo_var: float, key: int, s_tag: int, label: str) -> Predictor:
+def _is_frozen(xs: np.ndarray) -> bool:
+    """True when nobody can write to ``xs``: it and every array it views are read-only."""
+    arr = xs
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
+def _evict(memo_ref: weakref.ref[_SharedPart], ident: int):
+    def callback(_dead) -> None:
+        memo = memo_ref()
+        if memo is not None:
+            memo._entries.pop(ident, None)
+
+    return callback
+
+
+class _SharedPart:
+    """The part of one trainer's surrogates that does not depend on s.
+
+    For a feature array ``xs`` that is ``base = true_mean + signal_sd * x1
+    + bias.offsets(xs)`` and the unscaled field ``_gauss_field(xs, key)``;
+    a checkpoint at size s predicts ``base + pseudo_sd(s) * field``.  Both
+    are memoized by the identity of a read-only feature array and evicted
+    by a weakref callback when that array dies.  The callback reaches the
+    memo only through a weak reference, so the memo dies with its trainer.
+    Arrays that can still be written to are recomputed on every call.
+    """
+
+    def __init__(self, world: SyntheticWorld, key: int) -> None:
+        self._world = world
+        self._key = key
+        self._entries: dict[int, tuple[weakref.ref, np.ndarray, np.ndarray]] = {}
+
+    def __reduce__(self):  # copies start with an empty memo
+        return (type(self), (self._world, self._key))
+
+    def __call__(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        frozen = _is_frozen(xs)
+        ident = id(xs)
+        if frozen:
+            entry = self._entries.get(ident)
+            if entry is not None and entry[0]() is xs:
+                return entry[1], entry[2]
+        world = self._world
+        base = world.true_mean + world.signal_sd * xs[:, 0] + world.bias.offsets(xs)
+        noise = _gauss_field(xs, self._key)
+        if frozen:
+            base.setflags(write=False)
+            noise.setflags(write=False)
+            alive = weakref.ref(xs, _evict(weakref.ref(self), ident))
+            self._entries[ident] = (alive, base, noise)
+        return base, noise
+
+
+def _sim_predictor(shared: _SharedPart, pseudo_var: float, s_tag: int, label: str) -> Predictor:
     if pseudo_var < -1e-12:
         raise UnsupportedSizeError(
             f"{label}: law leaves no room for the pseudo-noise field "
             f"(needed variance {pseudo_var:.6g} < 0)"
         )
     pseudo_sd = float(np.sqrt(max(pseudo_var, 0.0)))
-    mean, signal_sd, bias = world.true_mean, world.signal_sd, world.bias
 
     def fn(xs: np.ndarray) -> np.ndarray:
-        return (
-            mean
-            + signal_sd * xs[:, 0]
-            + bias.offsets(xs)
-            + pseudo_sd * _gauss_field(xs, key)
-        )
+        base, noise = shared(xs)
+        return base + pseudo_sd * noise
 
     return Predictor(fn, s=s_tag, label=label)
 
@@ -236,11 +297,17 @@ class SimTrainer:
     predictor is a pure function of the feature vector and the trainer
     seed, so it is independent of any rectification or validation data
     by construction.  Residual variance at size s equals the world law
-    exactly.
+    exactly.  All checkpoints of one trainer share the s-independent part
+    of the surrogate, computed once per read-only feature array and
+    dropped when that array dies.
     """
 
     world: SyntheticWorld
     rng: RngSeed
+    _shared: _SharedPart = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_shared", _SharedPart(self.world, _field_key(self.rng)))
 
     def train(self, ft_data: LabeledDataset) -> Predictor:
         return self.train_size(ft_data.n)
@@ -255,9 +322,7 @@ class SimTrainer:
                 f"training size {s!r} below the world's minimum {world.s_min}"
             )
         pseudo_var = world.residual_pseudo_noise_var(int(s))
-        return _sim_predictor(
-            world, pseudo_var, _field_key(self.rng), int(s), f"sim(s={int(s)})"
-        )
+        return _sim_predictor(self._shared, pseudo_var, int(s), f"sim(s={int(s)})")
 
 
 def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
@@ -268,7 +333,8 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
     above 1.
     """
     pseudo_var = eval_variance(world.law, 1) - world.effective_noise_floor - world.bias.variance
-    return _sim_predictor(world, pseudo_var, _field_key(as_seed(seed)), 0, "base")
+    shared = _SharedPart(world, _field_key(as_seed(seed)))
+    return _sim_predictor(shared, pseudo_var, 0, "base")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +418,10 @@ def analytic_estimator_variance(world: SyntheticWorld, n: int, m: int, s: int) -
     """Closed-form variance of the rectified mean at split s in this world."""
     law_var = eval_variance(world.law, s)
     pred_var = (
-        world.signal_sd**2 + world.bias.variance + world.residual_pseudo_noise_var(s)
+        world.signal_sd**2
+        + 2.0 * world.signal_sd * world.bias.slope
+        + world.bias.variance
+        + world.residual_pseudo_noise_var(s)
     )
     return law_var / (n - s) + pred_var / m
 

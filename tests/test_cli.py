@@ -555,6 +555,21 @@ class TestRampup:
         _, other, _ = run_cli(capsys, "rampup", "--world", world_file, *self.ARGS)
         assert other != with_flag
 
+    def test_failed_stage_trace_prints(self, capsys):
+        world = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "drifting_world.json")
+        code, out, err = run_cli(
+            capsys, "rampup", "--world", world, "--n", "5000", "--m", "10000",
+            "--schedule", "10,100,200,400", "--n-v", "500",
+        )
+        assert code == 0, err
+        rec, final_line = [json.loads(line) for line in out.splitlines()]
+        assert rec["stage"] == 1 and rec["size"] == 10 and rec["decision"] == "error"
+        assert rec["mean_residual"] is None and rec["residual_variance"] is None
+        final = final_line["final"]
+        assert final["completed"] is False and final["s_final"] is None
+        assert "estimate" not in final
+        assert "stage 1" in final["error"] and "minimum 50" in final["error"]
+
     def test_bad_schedule_string(self, capsys, world_file):
         code, _, err = run_cli(
             capsys, "rampup", "--world", world_file, "--n", "2000", "--m", "100",

@@ -282,6 +282,17 @@ class TestTrainerFailure:
                 trace, id_dataset(10_000), UnlabeledDataset(np.zeros((5, 1))), trainer, 0.05
             )
 
+    def test_error_record_serializes_null_statistics(self):
+        law = ScalingLaw(10.21, 0.21, 1.98)
+        plan = RampUpPlan(schedule=SCHEDULE, n_v=1000)
+        trace = run_rampup(
+            id_dataset(10_000), plan, FailingTrainer(law, fail_at_size=500), seed=11
+        )
+        measured, failed = trace.records[-2].as_dict(), trace.records[-1].as_dict()
+        assert math.isfinite(measured["residual_variance"])
+        assert failed["decision"] == "error"
+        assert failed["mean_residual"] is None and failed["residual_variance"] is None
+
     def test_failure_before_any_fit_leaves_none(self):
         law = ScalingLaw(10.21, 0.21, 1.98)
         plan = RampUpPlan(schedule=SCHEDULE, n_v=1000)

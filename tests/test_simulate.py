@@ -1,11 +1,19 @@
 """Tests for synthetic worlds, trainers, and the simulation experiments."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from ftppi.core import LabeledDataset, ParameterError, RngSeed, UnsupportedSizeError
+from ftppi import simulate
+from ftppi.core import (
+    LabeledDataset,
+    ParameterError,
+    RngSeed,
+    UnlabeledDataset,
+    UnsupportedSizeError,
+)
 from ftppi.ppi_mean import ppi_mean_estimate
 from ftppi.scaling import ScalingLaw, eval_variance
 from ftppi.simulate import (
@@ -220,6 +228,92 @@ class TestTrainer:
         assert float(np.var(resid, ddof=1)) == pytest.approx(target, rel=0.05)
 
 
+def inline_prediction(world, trainer_seed, s, xs):
+    """The surrogate written out as one expression, without the trainer's memo."""
+    pseudo_sd = float(np.sqrt(max(world.residual_pseudo_noise_var(s), 0.0)))
+    return (
+        world.true_mean
+        + world.signal_sd * xs[:, 0]
+        + world.bias.offsets(xs)
+        + pseudo_sd * simulate._gauss_field(xs, simulate._field_key(trainer_seed))
+    )
+
+
+MEMO_BIASES = [BiasProfile.zero(), BiasProfile.constant(0.3), BiasProfile.drifting(0.2)]
+
+
+class TestSharedPartMemo:
+    @pytest.mark.parametrize("bias", MEMO_BIASES, ids=lambda b: b.kind)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bit_identical_to_inline_expression(self, bias, dim):
+        w = plain_world(feature_dim=dim, bias=bias)
+        labeled, unlabeled = generate_world_data(w, 300, 700, 21)
+        seed = RngSeed(22)
+        trainer = SimTrainer(w, seed)
+        for s in (4, 20, 400, 20):
+            f = trainer.train_size(s)
+            for data in (labeled, unlabeled):
+                assert np.array_equal(f.on(data), inline_prediction(w, seed, s, data.xs))
+        assert len(trainer._shared._entries) == 2  # one entry per dataset, whatever s
+
+        base = base_predictor(w, 23)
+        assert np.array_equal(base.on(labeled), inline_prediction(w, RngSeed(23), 1, labeled.xs))
+
+    def test_writeable_arrays_are_not_memoized(self):
+        w = plain_world(feature_dim=2, bias=BiasProfile.drifting(0.2))
+        seed = RngSeed(24)
+        trainer = SimTrainer(w, seed)
+        f = trainer.train_size(10)
+        xs = np.random.default_rng(25).standard_normal((500, 2))
+        view = xs.view()
+        view.setflags(write=False)  # read-only, but its memory can still change
+        for arr in (xs, view):
+            assert np.array_equal(f.predict(arr), inline_prediction(w, seed, 10, arr))
+        xs += 1.0
+        for arr in (xs, view):
+            assert np.array_equal(f.predict(arr), inline_prediction(w, seed, 10, arr))
+        assert len(trainer._shared._entries) == 0
+
+    def test_entries_die_with_their_arrays(self):
+        w = plain_world()
+        trainer = SimTrainer(w, RngSeed(26))
+        f = trainer.train_size(10)
+        rng = np.random.default_rng(27)
+        kept = []
+        for r in range(60):
+            pool = UnlabeledDataset(rng.standard_normal((2000, 1)))
+            f.on(pool)
+            if r % 20 == 0:
+                kept.append(pool)
+            assert len(trainer._shared._entries) <= len(kept) + 1
+        del pool
+        assert len(trainer._shared._entries) == len(kept)
+        kept.clear()
+        assert len(trainer._shared._entries) == 0
+
+        memo = weakref.ref(trainer._shared)
+        del trainer, f
+        assert memo() is None
+
+    def test_brute_force_computes_pool_field_once_per_replicate(self, monkeypatch):
+        m, replicates = 5000, 3
+        pool_calls = []
+        original = simulate._gauss_field
+
+        def counting(xs, key):
+            if xs.shape[0] == m:
+                pool_calls.append(key)
+            return original(xs, key)
+
+        monkeypatch.setattr(simulate, "_gauss_field", counting)
+        result = brute_force_allocation(
+            plain_world(), 200, m, grid_step=0.25, replicates=replicates, seed=28
+        )
+        assert result.fractions.shape[0] == 3
+        assert len(pool_calls) == replicates
+        assert len(set(pool_calls)) == replicates  # one trainer key per replicate
+
+
 class TestAnalyticVariance:
     def test_matches_monte_carlo(self):
         w = plain_world()
@@ -244,8 +338,21 @@ class TestAnalyticVariance:
         w = plain_world(bias=BiasProfile.drifting(0.2))
         got = analytic_estimator_variance(w, 100, 500, 25)
         v = eval_variance(w.law, 25)
-        pred_var = w.signal_sd**2 + 0.04 + (v - 0.5 - 0.04)
+        # Var f(x) = Var((signal_sd + 0.2) x1) + pseudo-noise variance
+        pred_var = w.signal_sd**2 + 2 * w.signal_sd * 0.2 + 0.04 + (v - 0.5 - 0.04)
         assert got == pytest.approx(v / 75 + pred_var / 500)
+
+    def test_prediction_variance_term_matches_drifting_predictor(self):
+        w = plain_world(
+            true_mean=0.8, var_y=0.25, law=ScalingLaw(2.0, 0.7, 0.1),
+            bias=BiasProfile.drifting(0.1), s_min=50, noise_floor=0.02,
+        )
+        n, s = 2000, 200
+        pool = UnlabeledDataset(RngSeed(5).generator().standard_normal((1_000_000, 1)))
+        preds = SimTrainer(w, RngSeed(6)).train_size(s).on(pool)
+        pred_var = analytic_estimator_variance(w, n, 1, s) - eval_variance(w.law, s) / (n - s)
+        # the drift's covariance with the signal is 0.096 of this 0.336
+        assert float(np.var(preds)) == pytest.approx(pred_var, rel=0.01)
 
 
 class TestBruteForce:
