@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 #: Default master seed used by the CLI and by convenience entry points.
 DEFAULT_SEED = 1729
@@ -199,7 +201,10 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = _check_indices(indices, self.n)
-        return LabeledDataset(self._xs[idx], self._ys[idx])
+        out = LabeledDataset.__new__(LabeledDataset)
+        out._xs = _frozen(self._xs[idx])
+        out._ys = _frozen(self._ys[idx])
+        return out
 
     def __len__(self) -> int:
         return self.n
@@ -228,13 +233,21 @@ class UnlabeledDataset:
 
     def subset(self, indices) -> "UnlabeledDataset":
         idx = _check_indices(indices, self.m)
-        return UnlabeledDataset(self._xs[idx])
+        out = UnlabeledDataset.__new__(UnlabeledDataset)
+        out._xs = _frozen(self._xs[idx])
+        return out
 
     def __len__(self) -> int:
         return self.m
 
     def __repr__(self) -> str:
         return f"UnlabeledDataset(m={self.m}, dim={self.dim})"
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    """Mark a fresh copy of already validated rows read-only, without re-checking it."""
+    rows.setflags(write=False)
+    return rows
 
 
 def _check_indices(indices, size: int) -> np.ndarray:
@@ -364,17 +377,22 @@ def sample_variance(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header cells, data rows and the file line each data row ends on."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
     if not rows:
         raise CsvFormatError(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+    return header, rows[1:], lines[1:]
 
 
 def _parse_cell(path: str, row_no: int, col_name: str, cell: str) -> float:
@@ -386,10 +404,11 @@ def _parse_cell(path: str, row_no: int, col_name: str, cell: str) -> float:
         ) from None
 
 
-def _parse_matrix(path: str, header: list[str], rows: list[list[str]]) -> np.ndarray:
+def _parse_matrix(
+    path: str, header: list[str], rows: list[list[str]], lines: list[int]
+) -> np.ndarray:
     out = np.empty((len(rows), len(header)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        row_no = i + 2  # 1-based, header is row 1
+    for i, (row, row_no) in enumerate(zip(rows, lines)):
         if len(row) != len(header):
             raise CsvFormatError(
                 f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
@@ -397,6 +416,61 @@ def _parse_matrix(path: str, header: list[str], rows: list[list[str]]) -> np.nda
         for j, cell in enumerate(row):
             out[i, j] = _parse_cell(path, row_no, header[j], cell.strip())
     return out
+
+
+def _load_body(fh, n_cols: int) -> np.ndarray | None:
+    """The rest of ``fh`` as a float matrix in one C-level pass, or None.
+
+    None means the body is not a plain numeric table of ``n_cols`` columns
+    with at least one row; the row-by-row parser then decides what it is.
+    """
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" and the like
+            mat = np.loadtxt(
+                fh, dtype=np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
+            )
+    except (ValueError, Warning):
+        return None
+    if mat.shape[0] == 0 or mat.shape[1] != n_cols:
+        return None
+    return mat
+
+
+def _read_csv(
+    path: str, check_header: Callable[[str, list[str]], _T]
+) -> tuple[_T, np.ndarray]:
+    """Read a numeric CSV: ``(check_header(path, header), body matrix)``.
+
+    The header is the first non-empty row, cells stripped; it is checked
+    before any body cell is parsed.  The body goes through ``np.loadtxt``;
+    whatever that rejects is re-read row by row, which returns the same
+    matrix or raises a row- and column-addressed CsvFormatError.  Rows are
+    numbered by file line, so blank lines count.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header = next((row for row in csv.reader(fh) if row), None)
+            if header is None:
+                raise CsvFormatError(f"{path}: file is empty")
+            header = [cell.strip() for cell in header]
+            checked = check_header(path, header)
+            mat = _load_body(fh, len(header))
+    except OSError as exc:
+        raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
+    if mat is None:
+        header, rows, lines = _read_rows(path)
+        if not rows:
+            raise CsvFormatError(f"{path}: no data rows")
+        mat = _parse_matrix(path, header, rows, lines)
+    return checked, mat
+
+
+def _data_line(path: str, index: int) -> int:
+    """File line of data row ``index``; for error messages only."""
+    return _read_rows(path)[2][index]
 
 
 def _expect_feature_header(path: str, names: list[str], offset: int) -> None:
@@ -410,34 +484,30 @@ def _expect_feature_header(path: str, names: list[str], offset: int) -> None:
         raise CsvFormatError(f"{path}: no feature columns found")
 
 
-def read_labeled_csv(path: str) -> LabeledDataset:
-    """Read a labeled dataset from a CSV with header ``y,x1,...,xd``."""
-    header, rows = _read_rows(path)
+def _check_labeled_header(path: str, header: list[str]) -> None:
     if not header or header[0] != "y":
         raise CsvFormatError(f"{path}: first column must be 'y', got {header[:1]}")
     _expect_feature_header(path, header[1:], 1)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    mat = _parse_matrix(path, header, rows)
+
+
+def _check_predictions_header(path: str, header: list[str]) -> None:
+    if header != ["f"]:
+        raise CsvFormatError(f"{path}: expected single column 'f', got {','.join(header)}")
+
+
+def read_labeled_csv(path: str) -> LabeledDataset:
+    """Read a labeled dataset from a CSV with header ``y,x1,...,xd``."""
+    _, mat = _read_csv(path, _check_labeled_header)
     return LabeledDataset(mat[:, 1:], mat[:, 0])
 
 
 def read_unlabeled_csv(path: str) -> UnlabeledDataset:
     """Read an unlabeled dataset from a CSV with header ``x1,...,xd``."""
-    header, rows = _read_rows(path)
-    _expect_feature_header(path, header, 0)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    mat = _parse_matrix(path, header, rows)
+    _, mat = _read_csv(path, lambda p, header: _expect_feature_header(p, header, 0))
     return UnlabeledDataset(mat)
 
 
 def read_predictions_csv(path: str) -> np.ndarray:
     """Read a single prediction column from a CSV with header ``f``."""
-    header, rows = _read_rows(path)
-    if header != ["f"]:
-        raise CsvFormatError(f"{path}: expected single column 'f', got {','.join(header)}")
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    mat = _parse_matrix(path, header, rows)
+    _, mat = _read_csv(path, _check_predictions_header)
     return mat[:, 0]

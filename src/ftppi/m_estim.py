@@ -36,8 +36,8 @@ from .core import (
     Predictor,
     SingularHessianError,
     UnlabeledDataset,
-    _parse_matrix,
-    _read_rows,
+    _data_line,
+    _read_csv,
 )
 from .ppi_mean import normal_quantile, _check_delta
 
@@ -596,31 +596,27 @@ def _parse_option_header(path: str, names: list[str]) -> tuple[int, int]:
     return K, d
 
 
-def read_choice_labeled_csv(path: str) -> tuple[LabeledDataset, int, int]:
-    """Read choice data; returns (dataset, n_options, features per option)."""
-    header, rows = _read_rows(path)
+def _check_choice_header(path: str, header: list[str]) -> tuple[int, int]:
     if not header or header[0] != "choice":
         raise CsvFormatError(f"{path}: first column must be 'choice', got {header[:1]}")
-    K, d = _parse_option_header(path, header[1:])
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    mat = _parse_matrix(path, header, rows)
+    return _parse_option_header(path, header[1:])
+
+
+def read_choice_labeled_csv(path: str) -> tuple[LabeledDataset, int, int]:
+    """Read choice data; returns (dataset, n_options, features per option)."""
+    (K, d), mat = _read_csv(path, _check_choice_header)
     choices = mat[:, 0]
     labs = np.rint(choices)
     bad = np.nonzero((np.abs(choices - labs) > 1e-9) | (labs < 0) | (labs > K))[0]
     if bad.size:
         raise CsvFormatError(
-            f"{path}: row {bad[0] + 2}, column choice: must be an integer in [0, {K}], "
-            f"got {choices[bad[0]]}"
+            f"{path}: row {_data_line(path, bad[0])}, column choice: "
+            f"must be an integer in [0, {K}], got {choices[bad[0]]}"
         )
     return LabeledDataset(mat[:, 1:], choices), K, d
 
 
 def read_choice_unlabeled_csv(path: str) -> tuple[UnlabeledDataset, int, int]:
     """Read option features without choices; returns (dataset, K, d)."""
-    header, rows = _read_rows(path)
-    K, d = _parse_option_header(path, header)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    mat = _parse_matrix(path, header, rows)
+    (K, d), mat = _read_csv(path, _parse_option_header)
     return UnlabeledDataset(mat), K, d

@@ -21,8 +21,8 @@ from .core import (
     InsufficientDataError,
     ParameterError,
     UnderdeterminedFitError,
-    _parse_matrix,
-    _read_rows,
+    _data_line,
+    _read_csv,
 )
 
 #: Search range for the decay exponent during fitting.
@@ -73,13 +73,20 @@ class ScalingObservation:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Fit result: the law, goodness of fit, and per-point residuals."""
+    """Fit result: the law, goodness of fit, and per-point residuals.
+
+    ``boundary`` is set when the fitted alpha sits at an edge of the search
+    range [ALPHA_MIN, ALPHA_MAX]: the best fit may lie outside it, and the
+    law and any split solved from it are then suspect.  A degenerate fit
+    has no fitted alpha and is never flagged as boundary.
+    """
 
     law: ScalingLaw
     r_squared: float
     residuals: np.ndarray
     alpha_ge_one: bool
     degenerate: bool
+    boundary: bool
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,9 @@ def _profile_sse(alpha: float, s: np.ndarray, v: np.ndarray) -> tuple[float, flo
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: A fitted alpha this close to ALPHA_MIN or ALPHA_MAX sits at the edge
+#: (the width at which the golden-section refinement may stop).
+_EDGE_TOL = 1e-6
 
 
 def fit_scaling_law(observations) -> ScalingFit:
@@ -177,6 +187,7 @@ def fit_scaling_law(observations) -> ScalingFit:
             residuals=resid,
             alpha_ge_one=False,
             degenerate=True,
+            boundary=False,
         )
 
     grid = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
@@ -229,6 +240,7 @@ def fit_scaling_law(observations) -> ScalingFit:
         residuals=residuals,
         alpha_ge_one=bool(alpha >= 1.0),
         degenerate=False,
+        boundary=bool(min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) < _EDGE_TOL),
     )
 
 
@@ -258,29 +270,30 @@ def fit_report_dict(fit: ScalingFit) -> dict:
         "b": fit.law.b,
         "r_squared": fit.r_squared,
         "alpha_ge_one_flag": fit.alpha_ge_one,
+        "boundary_flag": fit.boundary,
         "degenerate_flag": fit.degenerate,
     }
 
 
-def read_observations_csv(path: str) -> list[ScalingObservation]:
-    """Read scaling observations from a CSV with header ``s,variance``."""
-    header, rows = _read_rows(path)
+def _check_observations_header(path: str, header: list[str]) -> None:
     if header != ["s", "variance"]:
         raise CsvFormatError(
             f"{path}: expected header 's,variance', got {','.join(header)}"
         )
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    mat = _parse_matrix(path, header, rows)
+
+
+def read_observations_csv(path: str) -> list[ScalingObservation]:
+    """Read scaling observations from a CSV with header ``s,variance``."""
+    _, mat = _read_csv(path, _check_observations_header)
     out = []
     for i in range(mat.shape[0]):
         s_val = mat[i, 0]
-        if s_val != int(s_val):
+        if not np.isfinite(s_val) or s_val != int(s_val):
             raise CsvFormatError(
-                f"{path}: row {i + 2}, column s: expected an integer, got {s_val}"
+                f"{path}: row {_data_line(path, i)}, column s: expected an integer, got {s_val}"
             )
         try:
             out.append(ScalingObservation(s=int(s_val), variance=float(mat[i, 1])))
         except ParameterError as exc:
-            raise CsvFormatError(f"{path}: row {i + 2}: {exc}") from exc
+            raise CsvFormatError(f"{path}: row {_data_line(path, i)}: {exc}") from exc
     return out

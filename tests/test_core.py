@@ -99,6 +99,21 @@ class TestDatasets:
         np.testing.assert_array_equal(sub.xs, data.xs[[2, 5, 7]])
         np.testing.assert_array_equal(sub.ys, data.ys[[2, 5, 7]])
 
+    def test_subset_is_a_readonly_copy(self):
+        idx = [4, 0, 4, 9]
+        data = make_labeled(10)
+        sub = data.subset(idx)
+        pool = UnlabeledDataset(data.xs)
+        pool_sub = pool.subset(idx)
+        pairs = [(sub.xs, data.xs), (sub.ys, data.ys), (pool_sub.xs, pool.xs)]
+        for part, whole in pairs:
+            np.testing.assert_array_equal(part, whole[idx])
+            assert not part.flags.writeable
+            assert not np.shares_memory(part, whole)
+            assert part.base is None
+        assert (type(sub), type(pool_sub)) == (LabeledDataset, UnlabeledDataset)
+        assert (sub.n, sub.dim, pool_sub.m, pool_sub.dim) == (4, 2, 4, 2)
+
     def test_subset_rejects_out_of_range(self):
         data = make_labeled(5)
         with pytest.raises(DomainError):

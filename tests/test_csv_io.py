@@ -1,0 +1,222 @@
+"""CSV ingest: the np.loadtxt fast path against the row-by-row parser.
+
+The row-by-row parser (``_read_rows`` plus ``_parse_matrix``) is the
+oracle: on any file, the fast reader must return the same matrix bit for
+bit, or raise the same exception with the same message.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from ftppi import core
+from ftppi.core import (
+    CsvFormatError,
+    _parse_matrix,
+    _read_csv,
+    _read_rows,
+    read_labeled_csv,
+    read_predictions_csv,
+    read_unlabeled_csv,
+)
+from ftppi.m_estim import read_choice_labeled_csv, read_choice_unlabeled_csv
+from ftppi.scaling import read_observations_csv
+
+NUMBER_FORMATS = (lambda v: "%.6f" % v, repr, lambda v: "%.17g" % v, lambda v: "%.3e" % v)
+
+#: Cells that float() or np.loadtxt (or both) treat specially.
+ODD_CELLS = (
+    "", " ", "nan", "-inf", "Infinity", "1e400", "-0", "1_000", "١٢",
+    "#1", "# note", '"1.5"', '"1,5"', '" 2 "', '""', '"3"4', "0x10", "1d5",
+    "\v4\f", "\xa05", "1 2", "oops",
+)
+
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def numbers(draw):
+    value = draw(st.floats(allow_nan=True, allow_infinity=True))
+    return draw(st.sampled_from(NUMBER_FORMATS))(value)
+
+
+@st.composite
+def csv_texts(draw, prefix="c"):
+    """A header ``c1,...,ck`` plus a body: valid, or valid rows with a few faults."""
+    n_cols = draw(st.integers(1, 3))
+    valid_row = st.lists(numbers(), min_size=n_cols, max_size=n_cols).map(",".join)
+    odd_cell = st.one_of(numbers(), st.sampled_from(ODD_CELLS))
+    faults = st.one_of(
+        st.lists(odd_cell, min_size=max(n_cols - 1, 0), max_size=n_cols + 1).map(",".join),
+        valid_row.map(lambda text: text + ","),  # trailing comma
+        valid_row.map(lambda text: text + " #x"),
+        st.sampled_from(["   ", "\t", "#", "# comment", ","]),
+    )
+    if draw(st.booleans()):
+        line = st.one_of(valid_row, valid_row, st.just(""))
+    else:
+        line = st.one_of(valid_row, valid_row, valid_row, st.just(""), faults)
+    lines = ["" for _ in range(draw(st.integers(0, 2)))]  # blank lines before the header
+    lines.append(",".join(f"{prefix}{j + 1}" for j in range(n_cols)))
+    lines += draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):  # one line end for the file, or one per line
+        end = draw(st.sampled_from(LINE_ENDS))
+        return end.join(lines) + draw(st.sampled_from(["", end]))
+    return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_same(fast, slow):
+    if isinstance(fast, tuple) or isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert fast.shape == slow.shape
+        np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+
+
+def _oracle_matrix(path):
+    header, rows, lines = _read_rows(path)
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return _parse_matrix(path, header, rows, lines)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("csv") / "data.csv")
+
+
+def _write(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+class TestDifferential:
+    @given(text=csv_texts())
+    def test_fast_reader_matches_row_by_row_oracle(self, csv_path, text):
+        _write(csv_path, text)
+        fast = _outcome(lambda: _read_csv(csv_path, lambda path, header: None)[1])
+        _assert_same(fast, _outcome(lambda: _oracle_matrix(csv_path)))
+
+    @given(text=csv_texts(prefix="x"))
+    def test_public_reader_matches_with_fast_path_disabled(self, csv_path, text):
+        _write(csv_path, text)
+        fast = _outcome(lambda: read_unlabeled_csv(csv_path).xs)
+        with mock.patch.object(core, "_load_body", lambda fh, n_cols: None):
+            slow = _outcome(lambda: read_unlabeled_csv(csv_path).xs)
+        _assert_same(fast, slow)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "c1,c2\n1_000,2\n",
+            "c1,c2\n١,2\n",
+            "c1\n\"1.5\"\r\n\r\n-inf\rnan\n",
+            "c1,c2\n\n   \n1,2\n",
+            "c1,c2\n#1,2\n",
+            "c1,c2\n1,2\n# note\n3,4\n",
+            "c1,c2\n1,2 #x\n",
+            "c1,c2\n1,2,\n",
+            "c1,c2\n1,2,3\n",
+            "c1,c2\n\n\n",
+            "\n\nc1,c2\n1,2\n",
+        ],
+    )
+    def test_edge_cases_match_oracle(self, csv_path, text):
+        _write(csv_path, text)
+        fast = _outcome(lambda: _read_csv(csv_path, lambda path, header: None)[1])
+        _assert_same(fast, _outcome(lambda: _oracle_matrix(csv_path)))
+
+
+def _plain(result):
+    """Reader output as comparable bytes, ints and observations."""
+    if isinstance(result, (tuple, list)):
+        return [_plain(item) for item in result]
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, (core.LabeledDataset, core.UnlabeledDataset)):
+        return [result.xs.tobytes(), getattr(result, "ys", result.xs).tobytes()]
+    return result
+
+
+VALID_FILES = [
+    (read_labeled_csv, "y,x1,x2\r\n1.5,2,3\r\n\r\n\"4\",5e-3,-6\r\n"),
+    (read_unlabeled_csv, "x1\n\n0.5\r-0.25\n"),
+    (read_predictions_csv, "f\n1.5\n2.5\n"),
+    (read_choice_labeled_csv, "choice,x_1_1,x_2_1\n1,0.5,1\n0,1.5,0\n"),
+    (read_choice_unlabeled_csv, "x_1_1,x_2_1\n0.5,1.0\n-0.5,0.0\n"),
+    (read_observations_csv, "s,variance\n10,2.5\n20,1.5\n40,1.0\n"),
+]
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("reader,text", VALID_FILES, ids=lambda v: getattr(v, "__name__", ""))
+    def test_valid_file_never_reaches_row_by_row_parser(self, tmp_path, monkeypatch, reader, text):
+        def refuse(*args):
+            raise AssertionError("fell back to the row-by-row parser")
+
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(core, "_load_body", lambda fh, n_cols: None):
+            expected = _plain(reader(str(path)))
+        monkeypatch.setattr(core, "_parse_matrix", refuse)
+        monkeypatch.setattr(core, "_read_rows", refuse)
+        assert _plain(reader(str(path))) == expected
+
+    def test_header_error_wins_over_body_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,feat\n1,oops\n")
+        with pytest.raises(CsvFormatError, match="x1"):
+            read_labeled_csv(str(path))
+
+
+class TestErrorLineNumbers:
+    """Rows in error messages are file lines, so blank lines count."""
+
+    def test_parse_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,x1\n\n1,2\n\n1,oops\n")
+        with pytest.raises(CsvFormatError, match=r"row 5, column x1: could not parse 'oops'"):
+            read_labeled_csv(str(path))
+
+    def test_field_count_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\ny,x1\n\n1,2\n1\n")
+        with pytest.raises(CsvFormatError, match=r"row 5: expected 2 fields, got 1"):
+            read_labeled_csv(str(path))
+
+    def test_choice_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"choice,x_1_1\n\n\n1,0.5\n7,0.1\n")
+        with pytest.raises(CsvFormatError, match=r"row 5, column choice"):
+            read_choice_labeled_csv(str(path))
+
+    def test_observation_errors_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"s,variance\n10,2.5\n\n10.5,1.0\n")
+        with pytest.raises(CsvFormatError, match=r"row 4, column s"):
+            read_observations_csv(str(path))
+        path.write_bytes(b"s,variance\n\n10,2.5\n\n20,-1\n")
+        with pytest.raises(CsvFormatError, match=r"row 5: .*variance"):
+            read_observations_csv(str(path))
+
+    def test_crlf_lines_count_once(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,x1\r\n\r\n1,2\r\n1,oops\r\n")
+        with pytest.raises(CsvFormatError, match=r"row 4, column x1"):
+            read_labeled_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_size_is_addressed(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"s,variance\n10,2.5\n{cell},1.0\n")
+        with pytest.raises(CsvFormatError, match=r"row 3, column s: expected an integer"):
+            read_observations_csv(str(path))

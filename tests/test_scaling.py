@@ -133,6 +133,35 @@ class TestFitNoiseless:
         assert not fit_scaling_law(observations_from_law(law2)).alpha_ge_one
 
 
+class TestBoundaryFlag:
+    SIZES = (10, 20, 40, 80, 160, 320)
+
+    def test_alpha_pinned_at_search_edge_is_flagged(self):
+        law = ScalingLaw(a=50.0, alpha=3.0, b=0.5)
+        fit = fit_scaling_law(observations_from_law(law, self.SIZES))
+        assert fit.law.alpha == ALPHA_MAX
+        assert fit.r_squared == pytest.approx(0.985, abs=1e-3)
+        assert fit.boundary
+        assert fit_report_dict(fit)["boundary_flag"] is True
+
+    def test_alpha_at_lower_edge_is_flagged(self):
+        law = ScalingLaw(a=1.0, alpha=0.005, b=1.0)
+        fit = fit_scaling_law(observations_from_law(law, self.SIZES))
+        assert fit.law.alpha == ALPHA_MIN
+        assert fit.boundary
+
+    def test_interior_alpha_is_not_flagged(self):
+        law = ScalingLaw(a=10.21, alpha=0.21, b=1.98)
+        fit = fit_scaling_law(observations_from_law(law, self.SIZES))
+        assert fit.law.alpha == pytest.approx(0.21, rel=1e-6)
+        assert not fit.boundary
+        assert fit_report_dict(fit)["boundary_flag"] is False
+
+    def test_degenerate_fit_is_not_flagged(self):
+        fit = fit_scaling_law([ScalingObservation(s, 1.0) for s in self.SIZES])
+        assert fit.degenerate and not fit.boundary
+
+
 class TestFitAgainstBruteForceOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_grid_scan(self, seed):
@@ -259,6 +288,7 @@ class TestFitReportDict:
             "b",
             "r_squared",
             "alpha_ge_one_flag",
+            "boundary_flag",
             "degenerate_flag",
         ]
         assert report["a"] == fit.law.a
