@@ -323,6 +323,81 @@ def _scenario_seed(args, scenario: dict) -> RngSeed:
     return RngSeed(_env_seed_default())
 
 
+def _allocation_curve_rows(columns, section, world, n, m, seed) -> list:
+    result = brute_force_allocation(
+        world,
+        n,
+        m,
+        grid_step=float(section.get("grid_step", 0.05)),
+        replicates=int(section.get("replicates", 100)),
+        seed=seed,
+    )
+    return list(zip(result.fractions, result.variances))
+
+
+def _comparison_rows(columns, section, world, n, m, seed) -> list:
+    report = run_estimator_comparison(
+        world, n, m, replicates=int(section.get("replicates", 200)), seed=seed
+    )
+    return [[getattr(row, name) for name in columns] for row in report.rows]
+
+
+def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
+    report = bootstrap_robustness(
+        world,
+        n_datasets=int(section.get("n_datasets", 10)),
+        n_training_seeds=int(section.get("n_training_seeds", 3)),
+        n_fit=int(section.get("n_fit", n)),
+        resamples=int(section.get("resamples", 200)),
+        seed=seed,
+        s_grid=section.get("s_grid"),
+        training_noise=bool(section.get("training_noise", True)),
+        n_alloc=section.get("n_alloc"),
+    )
+    rows = [[name, q.median, q.ci_low, q.ci_high] for name, q in report.quantities.items()]
+    rows.append(["fraction_var_data_sampling", report.data_sampling_part, "", ""])
+    rows.append(["fraction_var_training", report.training_randomness_part, "", ""])
+    rows.append(["fraction_var_total", report.total_variance, "", ""])
+    return rows
+
+
+def _external_rows(columns, section, world, n, m, seed) -> list:
+    report = external_ft_experiment(
+        world,
+        external_strength=float(section.get("strength", 0.5)),
+        n=n,
+        m=m,
+        replicates=int(section.get("replicates", 200)),
+        seed=seed,
+    )
+    return [[getattr(report, name) for name in columns]]
+
+
+#: The sections of a simulate scenario, in run order: each writes
+#: ``<section>.csv`` with these columns from its row builder, seeded by the
+#: scenario seed's child 1, 2, 3 or 4 by position.
+_SIMULATE_SECTIONS = (
+    ("allocation_curve", ("fraction", "variance"), _allocation_curve_rows),
+    ("comparison", ("method", "mean_estimate", "rmse", "mae", "variance"), _comparison_rows),
+    ("bootstrap", ("quantity", "value", "ci_low", "ci_high"), _bootstrap_rows),
+    (
+        "external",
+        (
+            "strength",
+            "fraction_base",
+            "fraction_external",
+            "mc_mean",
+            "mc_se",
+            "true_mean",
+            "empirical_variance",
+            "analytic_variance",
+            "replicates",
+        ),
+        _external_rows,
+    ),
+)
+
+
 def _cmd_simulate(args, config: RunConfig) -> dict:
     scenario = _load_json_file(args.scenario, "scenario")
     if config.out is None:
@@ -336,104 +411,13 @@ def _cmd_simulate(args, config: RunConfig) -> dict:
 
     os.makedirs(config.out, exist_ok=True)
     written: list[str] = []
-
-    section = scenario.get("allocation_curve")
-    if section:
-        result = brute_force_allocation(
-            world,
-            n,
-            m,
-            grid_step=float(section.get("grid_step", 0.05)),
-            replicates=int(section.get("replicates", 100)),
-            seed=seed.child(1),
-        )
-        path = os.path.join(config.out, "allocation_curve.csv")
-        _write_csv_file(
-            path,
-            ["fraction", "variance"],
-            [[f, v] for f, v in zip(result.fractions, result.variances)],
-        )
-        written.append(path)
-
-    section = scenario.get("comparison")
-    if section:
-        report = run_estimator_comparison(
-            world, n, m, replicates=int(section.get("replicates", 200)), seed=seed.child(2)
-        )
-        path = os.path.join(config.out, "comparison.csv")
-        _write_csv_file(
-            path,
-            ["method", "mean_estimate", "rmse", "mae", "variance"],
-            [
-                [row.method, row.mean_estimate, row.rmse, row.mae, row.variance]
-                for row in report.rows
-            ],
-        )
-        written.append(path)
-
-    section = scenario.get("bootstrap")
-    if section:
-        report = bootstrap_robustness(
-            world,
-            n_datasets=int(section.get("n_datasets", 10)),
-            n_training_seeds=int(section.get("n_training_seeds", 3)),
-            n_fit=int(section.get("n_fit", n)),
-            resamples=int(section.get("resamples", 200)),
-            seed=seed.child(3),
-            s_grid=section.get("s_grid"),
-            training_noise=bool(section.get("training_noise", True)),
-            n_alloc=section.get("n_alloc"),
-        )
-        path = os.path.join(config.out, "bootstrap.csv")
-        rows = [
-            [name, q.median, q.ci_low, q.ci_high]
-            for name, q in report.quantities.items()
-        ]
-        rows.append(["fraction_var_data_sampling", report.data_sampling_part, "", ""])
-        rows.append(["fraction_var_training", report.training_randomness_part, "", ""])
-        rows.append(["fraction_var_total", report.total_variance, "", ""])
-        _write_csv_file(path, ["quantity", "value", "ci_low", "ci_high"], rows)
-        written.append(path)
-
-    section = scenario.get("external")
-    if section:
-        report = external_ft_experiment(
-            world,
-            external_strength=float(section.get("strength", 0.5)),
-            n=n,
-            m=m,
-            replicates=int(section.get("replicates", 200)),
-            seed=seed.child(4),
-        )
-        path = os.path.join(config.out, "external.csv")
-        _write_csv_file(
-            path,
-            [
-                "strength",
-                "fraction_base",
-                "fraction_external",
-                "mc_mean",
-                "mc_se",
-                "true_mean",
-                "empirical_variance",
-                "analytic_variance",
-                "replicates",
-            ],
-            [
-                [
-                    report.strength,
-                    report.fraction_base,
-                    report.fraction_external,
-                    report.mc_mean,
-                    report.mc_se,
-                    report.true_mean,
-                    report.empirical_variance,
-                    report.analytic_variance,
-                    report.replicates,
-                ]
-            ],
-        )
-        written.append(path)
+    for tag, (name, columns, build_rows) in enumerate(_SIMULATE_SECTIONS, start=1):
+        section = scenario.get(name)
+        if section:
+            rows = build_rows(columns, section, world, n, m, seed.child(tag))
+            path = os.path.join(config.out, f"{name}.csv")
+            _write_csv_file(path, list(columns), rows)
+            written.append(path)
 
     sys.stdout.write(render_json({"written": written}, indent=None))
     return {}

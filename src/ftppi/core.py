@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, TypeVar
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -117,14 +117,6 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
     return RngSeed(seed)
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """One observation: feature vector x plus scalar outcome y."""
-
-    x: np.ndarray
-    y: float
-
-
 def _as_feature_matrix(xs, what: str) -> np.ndarray:
     try:
         arr = np.asarray(xs, dtype=np.float64)
@@ -168,17 +160,6 @@ class LabeledDataset:
         y_arr.setflags(write=False)
         self._ys = y_arr
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[LabeledSample]) -> "LabeledDataset":
-        if len(samples) == 0:
-            raise InsufficientDataError("from_samples: no samples given")
-        dims = {np.asarray(s.x).reshape(-1).shape[0] for s in samples}
-        if len(dims) != 1:
-            raise DomainError(f"from_samples: inconsistent feature dimensions {sorted(dims)}")
-        xs = np.vstack([np.asarray(s.x, dtype=np.float64).reshape(1, -1) for s in samples])
-        ys = np.array([s.y for s in samples], dtype=np.float64)
-        return cls(xs, ys)
-
     @property
     def xs(self) -> np.ndarray:
         return self._xs
@@ -194,10 +175,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self._xs.shape[1]
-
-    def samples(self) -> Iterator[LabeledSample]:
-        for i in range(self.n):
-            yield LabeledSample(self._xs[i], float(self._ys[i]))
 
     def subset(self, indices) -> "LabeledDataset":
         idx = _check_indices(indices, self.n)
@@ -275,15 +252,6 @@ class Predictor:
         self.s = int(s)
         self.label = label
         self._cache: WeakKeyDictionary = WeakKeyDictionary()
-
-    @classmethod
-    def from_scalar(cls, fn: Callable[[np.ndarray], float], s: int, label: str = "") -> "Predictor":
-        """Wrap a per-row function; mostly a convenience for tests."""
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            return np.array([fn(row) for row in xs], dtype=np.float64)
-
-        return cls(batch, s, label)
 
     @classmethod
     def precomputed(cls, values_by_dataset, s: int = 0, label: str = "precomputed") -> "Predictor":
@@ -389,6 +357,8 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
                     lines.append(reader.line_num)
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]
@@ -452,7 +422,8 @@ def _read_csv(
     """
     try:
         with open(path, newline="") as fh:
-            header = next((row for row in csv.reader(fh) if row), None)
+            reader = csv.reader(fh)
+            header = next((row for row in reader if row), None)
             if header is None:
                 raise CsvFormatError(f"{path}: file is empty")
             header = [cell.strip() for cell in header]
@@ -460,6 +431,8 @@ def _read_csv(
             mat = _load_body(fh, len(header))
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if mat is None:
         header, rows, lines = _read_rows(path)
         if not rows:

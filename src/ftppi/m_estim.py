@@ -19,7 +19,6 @@ labels for these discrete losses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,22 +49,36 @@ MAX_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class LossModel:
-    """A twice-differentiable per-sample loss with vectorized companions.
+    """A twice-differentiable loss, given only by its vectorized callables.
 
-    ``loss``, ``score`` and ``hessian`` act on a single (x, y, theta);
-    the ``batch_*`` callables act on stacked arrays and must agree with
-    the per-sample versions (the test suite checks this with finite
-    differences).
+    The ``batch_*`` callables act on stacked arrays (features ``xs`` with
+    one row per sample, outcomes ``ys``) and are what the solver and the
+    sandwich use.  ``loss``, ``score`` and ``hessian`` evaluate a single
+    (x, y, theta) by running them on a one-row batch.  ``width`` is the
+    feature length a row must have, or None when the loss ignores x.
     """
 
     name: str
     dim: int
-    loss: Callable[[np.ndarray, float, np.ndarray], float]
-    score: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     batch_loss_mean: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     batch_score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     batch_hessian_mean: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    width: int | None = None
+
+    def _one_row(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
+        if self.width is not None and xs.shape[1] != self.width:
+            raise DomainError(f"{self.name}: expected {self.width} features, got {xs.shape[1]}")
+        return xs, np.array([float(y)])
+
+    def loss(self, x, y: float, theta: np.ndarray) -> float:
+        return self.batch_loss_mean(*self._one_row(x, y), theta)
+
+    def score(self, x, y: float, theta: np.ndarray) -> np.ndarray:
+        return self.batch_score(*self._one_row(x, y), theta)[0]
+
+    def hessian(self, x, y: float, theta: np.ndarray) -> np.ndarray:
+        return self.batch_hessian_mean(*self._one_row(x, y), theta)
 
 
 @dataclass(frozen=True)
@@ -101,15 +114,6 @@ class MEstimateReport:
 def mean_loss() -> LossModel:
     """Squared loss whose minimizer is the mean: loss = (y - theta)^2 / 2."""
 
-    def loss(x, y, theta):
-        return 0.5 * (y - theta[0]) ** 2
-
-    def score(x, y, theta):
-        return np.array([theta[0] - y])
-
-    def hessian(x, y, theta):
-        return np.array([[1.0]])
-
     def batch_loss_mean(xs, ys, theta):
         return float(np.mean(0.5 * (ys - theta[0]) ** 2))
 
@@ -119,16 +123,7 @@ def mean_loss() -> LossModel:
     def batch_hessian_mean(xs, ys, theta):
         return np.array([[1.0]])
 
-    return LossModel("mean", 1, loss, score, hessian, batch_loss_mean, batch_score, batch_hessian_mean)
-
-
-def _as_label(value: float, d: int, what: str, base: int) -> int:
-    lab = int(round(float(value)))
-    if abs(float(value) - lab) > 1e-6 or not base <= lab <= base + d - 1:
-        raise DomainError(
-            f"{what}: labels must be integers in [{base}, {base + d - 1}], got {value!r}"
-        )
-    return lab
+    return LossModel("mean", 1, batch_loss_mean, batch_score, batch_hessian_mean)
 
 
 def _one_hot_matrix(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
@@ -159,22 +154,6 @@ def categorical_loss(d: int) -> LossModel:
     d = int(d)
     eye = np.eye(d)
 
-    def one_hot(y):
-        lab = _as_label(y, d, "categorical", base=1)
-        e = np.zeros(d)
-        e[lab - 1] = 1.0
-        return e
-
-    def loss(x, y, theta):
-        diff = one_hot(y) - theta
-        return 0.5 * float(np.dot(diff, diff))
-
-    def score(x, y, theta):
-        return theta - one_hot(y)
-
-    def hessian(x, y, theta):
-        return eye.copy()
-
     def batch_loss_mean(xs, ys, theta):
         diff = _one_hot_matrix(ys, d, "categorical", base=1) - theta[None, :]
         return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
@@ -185,9 +164,7 @@ def categorical_loss(d: int) -> LossModel:
     def batch_hessian_mean(xs, ys, theta):
         return eye.copy()
 
-    return LossModel(
-        "categorical", d, loss, score, hessian, batch_loss_mean, batch_score, batch_hessian_mean
-    )
+    return LossModel("categorical", d, batch_loss_mean, batch_score, batch_hessian_mean)
 
 
 def linear_regression_loss(d: int) -> LossModel:
@@ -195,24 +172,6 @@ def linear_regression_loss(d: int) -> LossModel:
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ParameterError(f"linear_regression_loss: d must be >= 1, got {d!r}")
     d = int(d)
-
-    def check_x(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != d:
-            raise DomainError(f"linear regression: expected {d} features, got {x.shape[0]}")
-        return x
-
-    def loss(x, y, theta):
-        x = check_x(x)
-        return 0.5 * float((y - x @ theta) ** 2)
-
-    def score(x, y, theta):
-        x = check_x(x)
-        return x * (x @ theta - y)
-
-    def hessian(x, y, theta):
-        x = check_x(x)
-        return np.outer(x, x)
 
     def batch_loss_mean(xs, ys, theta):
         r = ys - xs @ theta
@@ -224,9 +183,7 @@ def linear_regression_loss(d: int) -> LossModel:
     def batch_hessian_mean(xs, ys, theta):
         return xs.T @ xs / xs.shape[0]
 
-    return LossModel(
-        "ols", d, loss, score, hessian, batch_loss_mean, batch_score, batch_hessian_mean
-    )
+    return LossModel("ols", d, batch_loss_mean, batch_score, batch_hessian_mean, width=d)
 
 
 def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
@@ -242,44 +199,6 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     if not isinstance(dim_per_option, (int, np.integer)) or dim_per_option < 1:
         raise ParameterError(f"mnl_loss: dim_per_option must be >= 1, got {dim_per_option!r}")
     K, d = int(n_options), int(dim_per_option)
-
-    def options(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != K * d:
-            raise DomainError(
-                f"mnl: expected stacked features of length {K * d}, got {x.shape[0]}"
-            )
-        return x.reshape(K, d)
-
-    def _probs(X, theta):
-        u = X @ theta  # (K,)
-        top = max(0.0, float(np.max(u)))
-        expu = np.exp(u - top)
-        denom = math.exp(-top) + float(np.sum(expu))
-        lse = top + math.log(denom)
-        return expu / (denom), lse  # probs over the K options; outside prob implied
-
-    def loss(x, y, theta):
-        X = options(x)
-        choice = _as_label(y, K + 1, "mnl", base=0)
-        _, lse = _probs(X, theta)
-        picked = float(X[choice - 1] @ theta) if choice > 0 else 0.0
-        return lse - picked
-
-    def score(x, y, theta):
-        X = options(x)
-        choice = _as_label(y, K + 1, "mnl", base=0)
-        p, _ = _probs(X, theta)
-        ind = np.zeros(K)
-        if choice > 0:
-            ind[choice - 1] = 1.0
-        return X.T @ (p - ind)
-
-    def hessian(x, y, theta):
-        X = options(x)
-        p, _ = _probs(X, theta)
-        g = X.T @ p
-        return X.T @ (p[:, None] * X) - np.outer(g, g)
 
     def _batch_probs(xs, theta):
         X = xs.reshape(-1, K, d)
@@ -307,9 +226,7 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
         g = np.einsum("nkd,nk->nd", X, p)
         return full - g.T @ g / X.shape[0]
 
-    return LossModel(
-        "mnl", d, loss, score, hessian, batch_loss_mean, batch_score, batch_hessian_mean
-    )
+    return LossModel("mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d)
 
 
 def builtin_loss(kind: str, **kwargs) -> LossModel:
@@ -337,33 +254,25 @@ def builtin_loss(kind: str, **kwargs) -> LossModel:
 
 
 def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f):
+    """Rectified objective, mean score and mean Hessian, each a function of theta."""
     xl, yl = labeled_ppi.xs, labeled_ppi.ys
     fl = f.on(labeled_ppi)
     xu = unlabeled.xs
     fu = f.on(unlabeled)
 
-    def objective(theta):
-        return (
-            loss.batch_loss_mean(xl, yl, theta)
-            - loss.batch_loss_mean(xl, fl, theta)
-            + loss.batch_loss_mean(xu, fu, theta)
+    def rectified(mean_over):
+        return lambda theta: (
+            mean_over(xl, yl, theta) - mean_over(xl, fl, theta) + mean_over(xu, fu, theta)
         )
 
-    def score(theta):
-        return (
-            loss.batch_score(xl, yl, theta).mean(axis=0)
-            - loss.batch_score(xl, fl, theta).mean(axis=0)
-            + loss.batch_score(xu, fu, theta).mean(axis=0)
-        )
+    def mean_score(xs, ys, theta):
+        return loss.batch_score(xs, ys, theta).mean(axis=0)
 
-    def hess(theta):
-        return (
-            loss.batch_hessian_mean(xl, yl, theta)
-            - loss.batch_hessian_mean(xl, fl, theta)
-            + loss.batch_hessian_mean(xu, fu, theta)
-        )
-
-    return objective, score, hess
+    return (
+        rectified(loss.batch_loss_mean),
+        rectified(mean_score),
+        rectified(loss.batch_hessian_mean),
+    )
 
 
 def solve_ppi_m_estimator(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -75,75 +76,11 @@ class VarianceParts(NamedTuple):
     total: float
 
 
-# Rational approximation for the standard normal quantile (central and
-# tail branches), finished with one Halley step on the erfc-based CDF.
-# Accuracy after refinement is near machine precision, comfortably inside
-# the 1e-8 contract.
-_Q_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_Q_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_Q_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_Q_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_Q_SPLIT = 0.02425
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
     if not (isinstance(p, (float, int, np.floating)) and 0.0 < p < 1.0):
         raise ParameterError(f"normal_quantile: p must lie in (0, 1), got {p!r}")
-    p = float(p)
-    if p < _Q_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_Q_C[0] * q + _Q_C[1]) * q + _Q_C[2]) * q + _Q_C[3]) * q + _Q_C[4]) * q + _Q_C[5]
-        ) / ((((_Q_D[0] * q + _Q_D[1]) * q + _Q_D[2]) * q + _Q_D[3]) * q + 1.0)
-    elif p <= 1.0 - _Q_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_Q_A[0] * r + _Q_A[1]) * r + _Q_A[2]) * r + _Q_A[3]) * r + _Q_A[4]) * r + _Q_A[5])
-            * q
-            / (((((_Q_B[0] * r + _Q_B[1]) * r + _Q_B[2]) * r + _Q_B[3]) * r + _Q_B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(
-            ((((_Q_C[0] * q + _Q_C[1]) * q + _Q_C[2]) * q + _Q_C[3]) * q + _Q_C[4]) * q + _Q_C[5]
-        ) / ((((_Q_D[0] * q + _Q_D[1]) * q + _Q_D[2]) * q + _Q_D[3]) * q + 1.0)
-    # One Halley step against the exact CDF.  For p > 1/2 the CDF error is
-    # evaluated in the complementary tail: 1 - p is exact there (the
-    # subtraction cannot round), while erfc(-x/sqrt(2)) - 2*p would cancel
-    # at the resolution of 1.0 and wreck the refinement for p near 1.
-    if p <= 0.5:
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    else:
-        err = (1.0 - p) - 0.5 * math.erfc(x / math.sqrt(2.0))
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(float(p))
 
 
 def _check_delta(delta: float) -> float:
@@ -191,6 +128,30 @@ def _small_sample_note(n_ppi: int, m: int) -> str:
     return ""
 
 
+def _normal_report(
+    estimate: float,
+    variance_hat: float,
+    delta: float,
+    n_ppi: int,
+    m: int,
+    method: Method,
+    notes: str,
+) -> MeanEstimateReport:
+    """Report with the two-sided normal (1 - delta) interval around ``estimate``."""
+    half = normal_quantile(1.0 - delta / 2.0) * math.sqrt(variance_hat)
+    return MeanEstimateReport(
+        estimate=estimate,
+        variance_hat=variance_hat,
+        ci_low=estimate - half,
+        ci_high=estimate + half,
+        delta=delta,
+        n_ppi=n_ppi,
+        m=m,
+        method=method,
+        notes=notes,
+    )
+
+
 def ppi_mean_ci(
     labeled_ppi: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -202,18 +163,14 @@ def ppi_mean_ci(
     delta = _check_delta(delta)
     estimate = ppi_mean_estimate(labeled_ppi, unlabeled, f)
     parts = ppi_mean_variance_hat(labeled_ppi, unlabeled, f)
-    z = normal_quantile(1.0 - delta / 2.0)
-    half = z * math.sqrt(parts.total)
-    return MeanEstimateReport(
-        estimate=estimate,
-        variance_hat=parts.total,
-        ci_low=estimate - half,
-        ci_high=estimate + half,
-        delta=delta,
-        n_ppi=labeled_ppi.n,
-        m=unlabeled.m,
-        method=method,
-        notes=_small_sample_note(labeled_ppi.n, unlabeled.m),
+    return _normal_report(
+        estimate,
+        parts.total,
+        delta,
+        labeled_ppi.n,
+        unlabeled.m,
+        method,
+        _small_sample_note(labeled_ppi.n, unlabeled.m),
     )
 
 
@@ -243,18 +200,14 @@ def sample_mean_estimate(labeled: LabeledDataset, delta: float) -> MeanEstimateR
         raise InsufficientDataError("sample mean CI needs at least 2 samples")
     estimate = float(np.mean(labeled.ys))
     variance_hat = float(np.var(labeled.ys, ddof=1)) / labeled.n
-    z = normal_quantile(1.0 - delta / 2.0)
-    half = z * math.sqrt(variance_hat)
-    return MeanEstimateReport(
-        estimate=estimate,
-        variance_hat=variance_hat,
-        ci_low=estimate - half,
-        ci_high=estimate + half,
-        delta=delta,
-        n_ppi=labeled.n,
-        m=0,
-        method=Method.SAMPLE_MEAN,
-        notes=_small_sample_note(labeled.n, 0),
+    return _normal_report(
+        estimate,
+        variance_hat,
+        delta,
+        labeled.n,
+        0,
+        Method.SAMPLE_MEAN,
+        _small_sample_note(labeled.n, 0),
     )
 
 
@@ -275,18 +228,14 @@ def ft_only_report(unlabeled: UnlabeledDataset, f: Predictor, delta: float) -> M
     preds = f.on(unlabeled)
     estimate = float(np.mean(preds))
     variance_hat = float(np.var(preds, ddof=1)) / unlabeled.m
-    z = normal_quantile(1.0 - delta / 2.0)
-    half = z * math.sqrt(variance_hat)
     note = "interval ignores prediction bias"
     small = _small_sample_note(SMALL_SAMPLE_THRESHOLD, unlabeled.m)
-    return MeanEstimateReport(
-        estimate=estimate,
-        variance_hat=variance_hat,
-        ci_low=estimate - half,
-        ci_high=estimate + half,
-        delta=delta,
-        n_ppi=0,
-        m=unlabeled.m,
-        method=Method.FT_ONLY,
-        notes=note if not small else note + "; " + small,
+    return _normal_report(
+        estimate,
+        variance_hat,
+        delta,
+        0,
+        unlabeled.m,
+        Method.FT_ONLY,
+        note if not small else note + "; " + small,
     )

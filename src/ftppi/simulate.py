@@ -342,6 +342,20 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
 # ---------------------------------------------------------------------------
 
 
+def _split_estimate(
+    labeled: LabeledDataset,
+    unlabeled: UnlabeledDataset,
+    trainer: SimTrainer,
+    perm: np.ndarray,
+    s: int,
+) -> float:
+    """Rectified estimate after fine-tuning on ``perm[:s]`` and rectifying on the rest.
+
+    The fine-tuning subset is never built: a simulated trainer reads only its size.
+    """
+    return ppi_mean_estimate(labeled.subset(np.sort(perm[s:])), unlabeled, trainer.train_size(s))
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     """Empirical variance curve over split fractions, plus its argmin."""
@@ -399,10 +413,7 @@ def brute_force_allocation(
         trainer = SimTrainer(world, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
         for i, s in enumerate(sizes):
-            ft = labeled.subset(np.sort(perm[:s]))
-            ppi = labeled.subset(np.sort(perm[s:]))
-            f = trainer.train(ft)
-            estimates[i, r] = ppi_mean_estimate(ppi, unlabeled, f)
+            estimates[i, r] = _split_estimate(labeled, unlabeled, trainer, perm, s)
 
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
@@ -480,10 +491,7 @@ def run_estimator_comparison(
         base = base_predictor(world, rep.child(2))
         draws["PpiOnly"][r] = ppi_mean_estimate(labeled, unlabeled, base)
         perm = rep.child(3).generator().permutation(n)
-        ft = labeled.subset(np.sort(perm[:s_star]))
-        ppi = labeled.subset(np.sort(perm[s_star:]))
-        f = trainer.train(ft)
-        draws["FtPpi"][r] = ppi_mean_estimate(ppi, unlabeled, f)
+        draws["FtPpi"][r] = _split_estimate(labeled, unlabeled, trainer, perm, s_star)
 
     rows = []
     for name in names:
@@ -544,18 +552,11 @@ _BOOT_QUANTITIES = ("a", "alpha", "b", "fraction", "r_squared")
 
 
 def _measure_law_outcome(
-    labeled: LabeledDataset,
-    val_idx: np.ndarray,
-    pool_perm: np.ndarray,
-    s_grid: Sequence[int],
-    trainer: SimTrainer,
-    n_alloc: int,
+    val: LabeledDataset, s_grid: Sequence[int], trainer: SimTrainer, n_alloc: int
 ) -> tuple[float, float, float, float, float]:
-    val = labeled.subset(val_idx)
     observations = []
     for s in s_grid:
-        ft_idx = np.sort(pool_perm[:s])
-        f = trainer.train(labeled.subset(ft_idx))
+        f = trainer.train_size(s)
         resid = val.ys - f.on(val)
         observations.append(ScalingObservation(int(s), float(np.var(resid, ddof=1))))
     fit = fit_scaling_law(observations)
@@ -604,18 +605,11 @@ def bootstrap_robustness(
         labeled = _generate_labeled(world, n_fit, data_seed.child(0))
         perm = data_seed.child(1).generator().permutation(n_fit)
         n_val = n_fit // 2
-        val_idx = np.sort(perm[:n_val])
-        pool_perm = perm[n_val:]
-        grid = (
-            list(s_grid)
-            if s_grid is not None
-            else default_measure_grid(world, len(pool_perm))
-        )
+        val = labeled.subset(np.sort(perm[:n_val]))
+        grid = list(s_grid) if s_grid is not None else default_measure_grid(world, n_fit - n_val)
         for k in range(n_training_seeds):
             trainer = SimTrainer(world, seed.child(2, j, k if training_noise else 0))
-            outcomes[j, k, :] = _measure_law_outcome(
-                labeled, val_idx, pool_perm, grid, trainer, n_alloc
-            )
+            outcomes[j, k, :] = _measure_law_outcome(val, grid, trainer, n_alloc)
 
     flat = outcomes.reshape(-1, len(_BOOT_QUANTITIES))
     rng = seed.child(3).generator()
@@ -708,9 +702,7 @@ def external_ft_experiment(
         labeled, unlabeled = generate_world_data(world2, n, m, rep.child(0))
         trainer = SimTrainer(world2, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        ft = labeled.subset(np.sort(perm[:s]))
-        ppi = labeled.subset(np.sort(perm[s:]))
-        estimates[r] = ppi_mean_estimate(ppi, unlabeled, trainer.train(ft))
+        estimates[r] = _split_estimate(labeled, unlabeled, trainer, perm, s)
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))

@@ -275,6 +275,23 @@ class TestEstimateMean:
         msg = json.loads(err)["message"]
         assert "row 3" in msg and "y" in msg
 
+    def test_oversized_cell_exits_2(self, capsys, tmp_path, mean_files):
+        # a cell beyond the csv module's field limit of 131072 characters
+        big = tmp_path / "big.csv"
+        big.write_text("x1\n" + "x" * 200_000 + "\n")
+        code, out, err = run_cli(
+            capsys, "estimate-mean",
+            "--labeled", mean_files["labeled.csv"],
+            "--unlabeled", str(big),
+            "--pred-labeled", mean_files["pred_labeled.csv"],
+            "--pred-unlabeled", mean_files["pred_pool.csv"],
+        )
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        msg = json.loads(line)
+        assert msg["error"] == "CsvFormatError"
+        assert "row 2: field larger than field limit" in msg["message"]
+
 
 class TestEstimateM:
     def test_mean_loss_matches_estimate_mean(self, capsys, mean_files, tmp_path):

@@ -8,7 +8,6 @@ from ftppi.core import (
     InsufficientDataError,
     InvalidSplitError,
     LabeledDataset,
-    LabeledSample,
     ParameterError,
     Predictor,
     RngSeed,
@@ -121,17 +120,6 @@ class TestDatasets:
         with pytest.raises(DomainError):
             data.subset([-1])
 
-    def test_from_samples_roundtrip(self):
-        data = make_labeled(6)
-        back = LabeledDataset.from_samples(list(data.samples()))
-        np.testing.assert_array_equal(back.xs, data.xs)
-        np.testing.assert_array_equal(back.ys, data.ys)
-
-    def test_from_samples_rejects_ragged(self):
-        samples = [LabeledSample(np.ones(2), 0.0), LabeledSample(np.ones(3), 0.0)]
-        with pytest.raises(DomainError):
-            LabeledDataset.from_samples(samples)
-
 
 class TestPredictor:
     def test_batch_predictions_and_cache(self):
@@ -180,11 +168,6 @@ class TestPredictor:
         data = make_labeled(4)
         with pytest.raises(DomainError):
             Predictor.precomputed([(data, [1.0, 2.0])])
-
-    def test_from_scalar(self):
-        pred = Predictor.from_scalar(lambda row: float(row.sum()), s=1)
-        data = make_labeled(5)
-        np.testing.assert_allclose(pred.on(data), data.xs.sum(axis=1))
 
 
 class TestSplitDataset:

@@ -208,6 +208,12 @@ class TestErrorLineNumbers:
         with pytest.raises(CsvFormatError, match=r"row 5: .*variance"):
             read_observations_csv(str(path))
 
+    def test_oversized_header_cell_is_addressed(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n" + "x" * 200_000 + "\n1\n")
+        with pytest.raises(CsvFormatError, match=r"row 2: field larger than field limit"):
+            read_unlabeled_csv(str(path))
+
     def test_crlf_lines_count_once(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"y,x1\r\n\r\n1,2\r\n1,oops\r\n")

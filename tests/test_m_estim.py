@@ -150,6 +150,10 @@ class TestLossDerivatives:
         with pytest.raises(DomainError):
             model.loss(np.zeros(3), 0.0, np.zeros(2))
 
+    def test_ols_rejects_wrong_feature_length(self):
+        with pytest.raises(DomainError):
+            linear_regression_loss(3).score(np.zeros(2), 0.0, np.zeros(3))
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             categorical_loss(1)
@@ -349,9 +353,7 @@ class TestSolverEdges:
         def batch_hessian_mean(xs, ys, theta):
             return np.zeros((1, 1))
 
-        broken = LossModel(
-            "broken", 1, None, None, None, batch_loss_mean, batch_score, batch_hessian_mean
-        )
+        broken = LossModel("broken", 1, batch_loss_mean, batch_score, batch_hessian_mean)
         rng = np.random.default_rng(51)
         labeled, unlabeled, f = mean_instance(rng)
         with pytest.raises(ConvergenceError) as exc:
@@ -371,9 +373,7 @@ class TestSolverEdges:
         def batch_hessian_mean(xs, ys, theta):
             return np.zeros((1, 1))
 
-        perverse = LossModel(
-            "perverse", 1, None, None, None, batch_loss_mean, batch_score, batch_hessian_mean
-        )
+        perverse = LossModel("perverse", 1, batch_loss_mean, batch_score, batch_hessian_mean)
         rng = np.random.default_rng(52)
         labeled, unlabeled, f = mean_instance(rng)
         with pytest.raises(ConvergenceError, match="halving"):

@@ -104,7 +104,7 @@ class TestPpiMeanEstimate:
 
     def test_constant_predictor_reduces_to_sample_mean(self):
         labeled, unlabeled = small_case()
-        f = Predictor.from_scalar(lambda row: 2.5, s=0)
+        f = Predictor(lambda xs: np.full(xs.shape[0], 2.5), s=0)
         est = ppi_mean_estimate(labeled, unlabeled, f)
         assert est == pytest.approx(float(np.mean(labeled.ys)), rel=1e-14)
 
