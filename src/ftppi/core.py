@@ -10,9 +10,9 @@ outcomes, with per-dataset caching of their evaluations.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass
 from typing import Callable, TypeVar
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -117,7 +117,13 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
     return RngSeed(seed)
 
 
-def _as_feature_matrix(xs, what: str) -> np.ndarray:
+def _as_feature_matrix(xs, what: str, adopt: bool = False) -> np.ndarray:
+    """Validated read-only float64 copy of ``xs``.
+
+    With ``adopt`` a C-contiguous float64 matrix that owns its memory is
+    frozen in place instead of copied; only a caller that holds the sole
+    reference to it (a CSV reader) may ask for that.
+    """
     try:
         arr = np.asarray(xs, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -132,7 +138,8 @@ def _as_feature_matrix(xs, what: str) -> np.ndarray:
         raise DomainError(f"{what}: feature dimension must be at least 1")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what}: features contain non-finite values")
-    arr = arr.copy()
+    if not (adopt and arr.base is None and arr.flags.c_contiguous):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -196,6 +203,13 @@ class UnlabeledDataset:
     def __init__(self, xs):
         self._xs = _as_feature_matrix(xs, "UnlabeledDataset")
 
+    @classmethod
+    def _adopt(cls, mat: np.ndarray) -> "UnlabeledDataset":
+        """Dataset over a matrix nobody else references, frozen without a copy."""
+        out = cls.__new__(cls)
+        out._xs = _as_feature_matrix(mat, "UnlabeledDataset", adopt=True)
+        return out
+
     @property
     def xs(self) -> np.ndarray:
         return self._xs
@@ -219,6 +233,31 @@ class UnlabeledDataset:
 
     def __repr__(self) -> str:
         return f"UnlabeledDataset(m={self.m}, dim={self.dim})"
+
+
+def _is_frozen(xs: np.ndarray) -> bool:
+    """True when nobody can write to ``xs``: it and every array it views are read-only."""
+    arr = xs
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
+def _evict(memo_ref: weakref.ref, ident: int):
+    """Weakref callback dropping entry ``ident`` of ``memo_ref()._entries``.
+
+    The memo is reached only through ``memo_ref``, so a memo keyed by
+    array identity does not outlive its owner because of its arrays.
+    """
+
+    def callback(_dead) -> None:
+        memo = memo_ref()
+        if memo is not None:
+            memo._entries.pop(ident, None)
+
+    return callback
 
 
 def _frozen(rows: np.ndarray) -> np.ndarray:
@@ -251,7 +290,7 @@ class Predictor:
         self._fn = fn
         self.s = int(s)
         self.label = label
-        self._cache: WeakKeyDictionary = WeakKeyDictionary()
+        self._cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @classmethod
     def precomputed(cls, values_by_dataset, s: int = 0, label: str = "precomputed") -> "Predictor":
@@ -477,7 +516,7 @@ def read_labeled_csv(path: str) -> LabeledDataset:
 def read_unlabeled_csv(path: str) -> UnlabeledDataset:
     """Read an unlabeled dataset from a CSV with header ``x1,...,xd``."""
     _, mat = _read_csv(path, lambda p, header: _expect_feature_header(p, header, 0))
-    return UnlabeledDataset(mat)
+    return UnlabeledDataset._adopt(mat)
 
 
 def read_predictions_csv(path: str) -> np.ndarray:

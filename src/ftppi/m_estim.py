@@ -15,10 +15,20 @@ linear regression, and multinomial choice with an outside option.
 Categorical outcomes are integer labels 1..d; choice outcomes are
 0..K with 0 meaning "none of the options".  Predictors must emit hard
 labels for these discrete losses.
+
+The damped Newton solver evaluates the rectified objective once per
+point: the value of an accepted trial step is the next iteration's
+baseline.  The multinomial-choice kernels walk the rows in blocks of
+``_BLOCK_ROWS``, so their temporaries stay bounded whatever the pool
+size, and each loss object keeps the choice probabilities of the last
+theta per read-only feature array: the objective, score and Hessian at
+one Newton point, for both the true and the predicted labels, share one
+evaluation of them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +46,8 @@ from .core import (
     SingularHessianError,
     UnlabeledDataset,
     _data_line,
+    _evict,
+    _is_frozen,
     _read_csv,
 )
 from .ppi_mean import normal_quantile, _check_delta
@@ -45,6 +57,8 @@ CONDITION_LIMIT = 1e12
 #: Convergence threshold on the max-norm of the rectified score.
 SCORE_TOL = 1e-10
 MAX_ITERATIONS = 200
+#: Rows per block of the multinomial-choice kernels.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -126,21 +140,21 @@ def mean_loss() -> LossModel:
     return LossModel("mean", 1, batch_loss_mean, batch_score, batch_hessian_mean)
 
 
-def _one_hot_matrix(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
-    # d is the column count; with base=0 the label 0 means "outside option"
-    # (all-zero row), so valid labels run from base up to d in both modes.
+def _label_indices(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
+    """Integer labels in [base, d], or DomainError."""
     labs = np.rint(ys).astype(np.int64)
     if np.max(np.abs(ys - labs)) > 1e-6 or labs.min() < base or labs.max() > d:
         raise DomainError(
             f"{what}: labels must be integers in [{base}, {d}]"
         )
+    return labs
+
+
+def _one_hot_matrix(ys: np.ndarray, d: int) -> np.ndarray:
+    """One-hot rows of categorical labels 1..d."""
+    labs = _label_indices(ys, d, "categorical", base=1)
     out = np.zeros((ys.shape[0], d))
-    rows = np.arange(ys.shape[0])
-    if base == 0:
-        keep = labs > 0
-        out[rows[keep], labs[keep] - 1] = 1.0
-    else:
-        out[rows, labs - base] = 1.0
+    out[np.arange(ys.shape[0]), labs - 1] = 1.0
     return out
 
 
@@ -155,11 +169,11 @@ def categorical_loss(d: int) -> LossModel:
     eye = np.eye(d)
 
     def batch_loss_mean(xs, ys, theta):
-        diff = _one_hot_matrix(ys, d, "categorical", base=1) - theta[None, :]
+        diff = _one_hot_matrix(ys, d) - theta[None, :]
         return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
 
     def batch_score(xs, ys, theta):
-        return theta[None, :] - _one_hot_matrix(ys, d, "categorical", base=1)
+        return theta[None, :] - _one_hot_matrix(ys, d)
 
     def batch_hessian_mean(xs, ys, theta):
         return eye.copy()
@@ -186,6 +200,92 @@ def linear_regression_loss(d: int) -> LossModel:
     return LossModel("ols", d, batch_loss_mean, batch_score, batch_hessian_mean, width=d)
 
 
+class _ChoiceRisk:
+    """Loss, score and Hessian of the multinomial choice model, row block by row block.
+
+    ``_probs`` gives the choice probabilities P (n x K) and each row's
+    log-sum-exp of the utilities, lse (n), with the outside option's
+    utility 0.  For a read-only feature array (it and every array it
+    views are read-only) they are kept for one theta, keyed by the
+    array's identity and theta's float64 bytes, and evicted by a weakref
+    callback when the array dies.  A new theta drops the old entry before
+    computing its own, so at most one P per array is alive.  Arrays that
+    can still be written to are recomputed on every call.
+    """
+
+    def __init__(self, n_options: int, dim_per_option: int) -> None:
+        self._K = n_options
+        self._d = dim_per_option
+        self._entries: dict[int, tuple[weakref.ref, bytes, np.ndarray, np.ndarray]] = {}
+
+    def _blocks(self, xs: np.ndarray):
+        """(row slice, its rows as an (rows, K, d) array) for each row block."""
+        for lo in range(0, xs.shape[0], _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            yield rows, xs[rows].reshape(-1, self._K, self._d)
+
+    def _probs(self, xs: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.asarray(theta, dtype=np.float64)
+        frozen = _is_frozen(xs)
+        ident = id(xs)
+        key = theta.tobytes()
+        entry = self._entries.get(ident)
+        if frozen and entry is not None and entry[0]() is xs and entry[1] == key:
+            return entry[2], entry[3]
+        del entry
+        self._entries.pop(ident, None)  # frees the stale P before a new one is allocated
+        p = np.empty((xs.shape[0], self._K))
+        lse = np.empty(xs.shape[0])
+        for rows, X in self._blocks(xs):
+            u = np.einsum("nkd,d->nk", X, theta)
+            top = np.maximum(0.0, u.max(axis=1))
+            expu = np.exp(u - top[:, None])
+            denom = np.exp(-top) + expu.sum(axis=1)
+            lse[rows] = top + np.log(denom)
+            np.divide(expu, denom[:, None], out=p[rows])
+        if frozen:
+            p.setflags(write=False)
+            lse.setflags(write=False)
+            alive = weakref.ref(xs, _evict(weakref.ref(self), ident))
+            self._entries[ident] = (alive, key, p, lse)
+        return p, lse
+
+    def batch_loss_mean(self, xs, ys, theta) -> float:
+        labs = _label_indices(ys, self._K, "mnl", base=0)
+        _, lse = self._probs(xs, theta)
+        picked = np.zeros(xs.shape[0])
+        for rows, X in self._blocks(xs):
+            lab = labs[rows]
+            chose = np.flatnonzero(lab)
+            picked[rows.start + chose] = X[chose, lab[chose] - 1] @ theta
+        return float(np.mean(lse - picked))
+
+    def batch_score(self, xs, ys, theta) -> np.ndarray:
+        labs = _label_indices(ys, self._K, "mnl", base=0)
+        p, _ = self._probs(xs, theta)
+        out = np.empty((xs.shape[0], self._d))
+        for rows, X in self._blocks(xs):
+            lab = labs[rows]
+            chose = np.flatnonzero(lab)
+            resid = p[rows].copy()
+            resid[chose, lab[chose] - 1] -= 1.0
+            out[rows] = np.einsum("nkd,nk->nd", X, resid)
+        return out
+
+    def batch_hessian_mean(self, xs, ys, theta) -> np.ndarray:
+        p, _ = self._probs(xs, theta)
+        d = self._d
+        full = np.zeros((d, d))
+        outer = np.zeros((d, d))
+        for rows, X in self._blocks(xs):
+            pb = p[rows]
+            full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
+            g = np.einsum("nkd,nk->nd", X, pb)
+            outer += g.T @ g
+        n = xs.shape[0]
+        return full / n - outer / n
+
+
 def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     """Multinomial choice likelihood with an outside option.
 
@@ -193,40 +293,22 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     option 1's features, then option 2's, ...), and the outcome is the
     chosen index in 0..K, 0 meaning the outside option.  The loss is the
     negative log-likelihood; its minimizer recovers the utility weights.
+
+    The callables work through the rows in blocks of ``_BLOCK_ROWS``, so
+    no temporary grows with n beyond the (n, K) probability matrix, and
+    the returned model keeps that matrix for the last theta of each
+    read-only feature array (see ``_ChoiceRisk``): calls at one theta on
+    one array share a single evaluation of the probabilities.
     """
     if not isinstance(n_options, (int, np.integer)) or n_options < 1:
         raise ParameterError(f"mnl_loss: n_options must be >= 1, got {n_options!r}")
     if not isinstance(dim_per_option, (int, np.integer)) or dim_per_option < 1:
         raise ParameterError(f"mnl_loss: dim_per_option must be >= 1, got {dim_per_option!r}")
     K, d = int(n_options), int(dim_per_option)
-
-    def _batch_probs(xs, theta):
-        X = xs.reshape(-1, K, d)
-        u = np.einsum("nkd,d->nk", X, theta)
-        top = np.maximum(0.0, u.max(axis=1))
-        expu = np.exp(u - top[:, None])
-        denom = np.exp(-top) + expu.sum(axis=1)
-        lse = top + np.log(denom)
-        return X, expu / denom[:, None], lse
-
-    def batch_loss_mean(xs, ys, theta):
-        X, _, lse = _batch_probs(xs, theta)
-        ind = _one_hot_matrix(ys, K, "mnl", base=0)
-        picked = np.einsum("nkd,d,nk->n", X, theta, ind)
-        return float(np.mean(lse - picked))
-
-    def batch_score(xs, ys, theta):
-        X, p, _ = _batch_probs(xs, theta)
-        ind = _one_hot_matrix(ys, K, "mnl", base=0)
-        return np.einsum("nkd,nk->nd", X, p - ind)
-
-    def batch_hessian_mean(xs, ys, theta):
-        X, p, _ = _batch_probs(xs, theta)
-        full = np.einsum("nk,nkd,nke->de", p, X, X) / X.shape[0]
-        g = np.einsum("nkd,nk->nd", X, p)
-        return full - g.T @ g / X.shape[0]
-
-    return LossModel("mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d)
+    risk = _ChoiceRisk(K, d)
+    return LossModel(
+        "mnl", d, risk.batch_loss_mean, risk.batch_score, risk.batch_hessian_mean, width=K * d
+    )
 
 
 def builtin_loss(kind: str, **kwargs) -> LossModel:
@@ -251,6 +333,15 @@ def builtin_loss(kind: str, **kwargs) -> LossModel:
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
+
+
+def _check_condition(h: np.ndarray, what: str) -> None:
+    """SingularHessianError unless ``h``'s condition number is finite and within CONDITION_LIMIT."""
+    cond = np.linalg.cond(h)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularHessianError(
+            f"{what} is numerically singular (condition ~{cond:.3e})", condition=float(cond)
+        )
 
 
 def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f):
@@ -286,9 +377,10 @@ def solve_ppi_m_estimator(
 
     Newton steps with objective-based step halving; if the rectified
     Hessian is numerically singular the step falls back to plain gradient
-    descent.  Convergence means the rectified score's max-norm drops
-    below 1e-10; running out of iterations raises ConvergenceError with
-    the last iterate attached.
+    descent.  The objective is evaluated once per point: an accepted
+    step's value is the next iteration's baseline.  Convergence means the
+    rectified score's max-norm drops below 1e-10; running out of
+    iterations raises ConvergenceError with the last iterate attached.
     """
     theta = np.zeros(loss.dim) if init is None else np.asarray(init, dtype=np.float64).copy()
     if theta.shape != (loss.dim,):
@@ -296,35 +388,33 @@ def solve_ppi_m_estimator(
     objective, score, hess = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
 
     g = score(theta)
+    base = objective(theta)
     for _ in range(MAX_ITERATIONS):
         norm = float(np.max(np.abs(g)))
         if norm < SCORE_TOL:
             return theta
         H = hess(theta)
-        use_gradient = False
         try:
-            cond = np.linalg.cond(H)
-            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-                use_gradient = True
-            else:
-                direction = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            use_gradient = True
-        if use_gradient:
+            _check_condition(H, "rectified Hessian")
+            direction = np.linalg.solve(H, -g)
+        except (SingularHessianError, np.linalg.LinAlgError):
             direction = -g
-        base = objective(theta)
         step = 1.0
         halvings = 0
-        while objective(theta + step * direction) > base and halvings < 60:
+        trial = theta + step * direction
+        value = objective(trial)
+        while value > base and halvings < 60:
             step *= 0.5
             halvings += 1
+            trial = theta + step * direction
+            value = objective(trial)
         if halvings >= 60:
             raise ConvergenceError(
                 "step halving stalled before the score converged",
                 last_iterate=theta,
                 score_norm=norm,
             )
-        theta = theta + step * direction
+        theta, base = trial, value
         g = score(theta)
 
     raise ConvergenceError(
@@ -399,11 +489,7 @@ def sandwich_covariance(
 
     h_hat = loss.batch_hessian_mean(xl, yl, theta_hat)
     h_hat = 0.5 * (h_hat + h_hat.T)
-    cond = np.linalg.cond(h_hat)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularHessianError(
-            f"mean Hessian is numerically singular (condition ~{cond:.3e})", condition=float(cond)
-        )
+    _check_condition(h_hat, "mean Hessian")
 
     middle = v_resid / labeled_ppi.n + v_pred / unlabeled.m
     sigma = np.linalg.solve(h_hat, np.linalg.solve(h_hat, middle).T).T
@@ -441,12 +527,7 @@ def scalarize(v: np.ndarray, h: np.ndarray, mode: str) -> float:
         h = np.asarray(h, dtype=np.float64)
         if h.shape != v.shape:
             raise ParameterError(f"scalarize: H must match V's shape, got {h.shape}")
-        cond = np.linalg.cond(h)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularHessianError(
-                f"scalarize: H is numerically singular (condition ~{cond:.3e})",
-                condition=float(cond),
-            )
+        _check_condition(h, "scalarize: H")
         return float(np.trace(np.linalg.solve(h, np.linalg.solve(h, v))))
     raise ParameterError(f"scalarize: mode must be 'det' or 'trace', got {mode!r}")
 
@@ -528,4 +609,4 @@ def read_choice_labeled_csv(path: str) -> tuple[LabeledDataset, int, int]:
 def read_choice_unlabeled_csv(path: str) -> tuple[UnlabeledDataset, int, int]:
     """Read option features without choices; returns (dataset, K, d)."""
     (K, d), mat = _read_csv(path, _parse_option_header)
-    return UnlabeledDataset(mat), K, d
+    return UnlabeledDataset._adopt(mat), K, d

@@ -37,6 +37,8 @@ from .core import (
     RngSeed,
     UnlabeledDataset,
     UnsupportedSizeError,
+    _evict,
+    _is_frozen,
     as_seed,
 )
 from .ppi_mean import ppi_mean_estimate
@@ -215,25 +217,6 @@ def _generate_labeled(world: SyntheticWorld, n: int, seed: RngSeed) -> LabeledDa
     eta = rng.standard_normal(n) * eta_sd
     ys = world.true_mean + world.signal_sd * xs[:, 0] + eta
     return LabeledDataset(xs, ys)
-
-
-def _is_frozen(xs: np.ndarray) -> bool:
-    """True when nobody can write to ``xs``: it and every array it views are read-only."""
-    arr = xs
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return False
-        arr = arr.base
-    return arr is None
-
-
-def _evict(memo_ref: weakref.ref[_SharedPart], ident: int):
-    def callback(_dead) -> None:
-        memo = memo_ref()
-        if memo is not None:
-            memo._entries.pop(ident, None)
-
-    return callback
 
 
 class _SharedPart:

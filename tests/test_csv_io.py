@@ -21,6 +21,8 @@ from ftppi.core import (
     read_predictions_csv,
     read_unlabeled_csv,
 )
+from ftppi import m_estim
+from ftppi.core import DomainError, _is_frozen
 from ftppi.m_estim import read_choice_labeled_csv, read_choice_unlabeled_csv
 from ftppi.scaling import read_observations_csv
 
@@ -176,6 +178,45 @@ class TestFastPath:
         path.write_text("y,feat\n1,oops\n")
         with pytest.raises(CsvFormatError, match="x1"):
             read_labeled_csv(str(path))
+
+
+POOL_READERS = [
+    (core, read_unlabeled_csv, "x1,x2\n"),
+    (m_estim, read_choice_unlabeled_csv, "x_1_1,x_2_1\n"),
+]
+
+
+class TestPoolAdoption:
+    """Unlabeled readers hand their parsed matrix to the dataset without a copy."""
+
+    @pytest.mark.parametrize("owner,reader,header", POOL_READERS, ids=["plain", "choice"])
+    # np.loadtxt rejects "1_0", so the second body goes through the row-by-row parser
+    @pytest.mark.parametrize("body", ["0.5,1\n-2,10\n", "0.5,1\n-2,1_0\n"],
+                             ids=["loadtxt", "row-by-row"])
+    def test_dataset_holds_the_readers_matrix(self, tmp_path, owner, reader, header, body):
+        parsed = []
+
+        def keep(*args):
+            result = _read_csv(*args)
+            parsed.append(result[1])
+            return result
+
+        path = tmp_path / "pool.csv"
+        path.write_text(header + body)
+        with mock.patch.object(owner, "_read_csv", keep):
+            result = reader(str(path))
+        pool = result[0] if isinstance(result, tuple) else result
+        assert pool.xs is parsed[0]
+        assert not pool.xs.flags.writeable and _is_frozen(pool.xs)
+        assert pool.xs.tolist() == [[0.5, 1.0], [-2.0, 10.0]]
+
+    @pytest.mark.parametrize("owner,reader,header", POOL_READERS, ids=["plain", "choice"])
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_cell_is_still_rejected(self, tmp_path, owner, reader, header, cell):
+        path = tmp_path / "pool.csv"
+        path.write_text(header + f"0.5,1\n{cell},2\n")
+        with pytest.raises(DomainError, match="non-finite"):
+            reader(str(path))
 
 
 class TestErrorLineNumbers:

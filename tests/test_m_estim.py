@@ -1,7 +1,13 @@
 """Tests for rectified M-estimation: losses, solver, sandwich, CSV ingestion."""
 
+import dataclasses
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftppi.core import (
     ConvergenceError,
@@ -15,7 +21,9 @@ from ftppi.core import (
     UnlabeledDataset,
 )
 from ftppi.m_estim import (
+    _BLOCK_ROWS,
     LossModel,
+    _rectified_pieces,
     builtin_loss,
     categorical_loss,
     linear_regression_loss,
@@ -267,7 +275,9 @@ class TestOlsEstimator:
         labeled = LabeledDataset(xl, yl)
         unlabeled = UnlabeledDataset(xu)
         theta = np.array([0.5, 0.5])
-        with pytest.raises(SingularHessianError) as exc:
+        with pytest.raises(
+            SingularHessianError, match=r"^mean Hessian is numerically singular \(condition ~"
+        ) as exc:
             sandwich_covariance(linear_regression_loss(2), labeled, unlabeled, f, theta)
         assert exc.value.condition > 1e12 or not np.isfinite(exc.value.condition)
 
@@ -333,6 +343,296 @@ class TestMnlEstimator:
             + loss.batch_score(xu, f.on(unlabeled), theta).mean(axis=0)
         )
         assert float(np.max(np.abs(resid))) < 1e-10
+
+
+def _oracle_mnl(K, d):
+    """The multinomial-choice kernels before row blocks and the memo.
+
+    Full-size einsums over an (n, K) float one-hot label matrix; the
+    reference the blocked, memoized kernels are checked against.
+    """
+
+    def one_hot(ys):
+        labs = np.rint(ys).astype(np.int64)
+        out = np.zeros((ys.shape[0], K))
+        keep = labs > 0
+        out[np.arange(ys.shape[0])[keep], labs[keep] - 1] = 1.0
+        return out
+
+    def probs(xs, theta):
+        X = xs.reshape(-1, K, d)
+        u = np.einsum("nkd,d->nk", X, theta)
+        top = np.maximum(0.0, u.max(axis=1))
+        expu = np.exp(u - top[:, None])
+        denom = np.exp(-top) + expu.sum(axis=1)
+        return X, expu / denom[:, None], top + np.log(denom)
+
+    def loss_mean(xs, ys, theta):
+        X, _, lse = probs(xs, theta)
+        picked = np.einsum("nkd,d,nk->n", X, theta, one_hot(ys))
+        return float(np.mean(lse - picked))
+
+    def score(xs, ys, theta):
+        X, p, _ = probs(xs, theta)
+        return np.einsum("nkd,nk->nd", X, p - one_hot(ys))
+
+    def hessian_mean(xs, ys, theta):
+        X, p, _ = probs(xs, theta)
+        full = np.einsum("nk,nkd,nke->de", p, X, X) / X.shape[0]
+        g = np.einsum("nkd,nk->nd", X, p)
+        return full - g.T @ g / X.shape[0]
+
+    return loss_mean, score, hessian_mean
+
+
+def _risk(loss):
+    """The per-loss state behind mnl_loss's callables."""
+    return loss.batch_score.__self__
+
+
+def _frozen_copy(xs):
+    out = np.array(xs)
+    out.setflags(write=False)
+    return out
+
+
+def _choice_labels(rng, n, K, outside_only=False):
+    if outside_only:
+        return np.zeros(n)
+    return rng.integers(0, K + 1, size=n).astype(float)
+
+
+@st.composite
+def choice_batches(draw):
+    K = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    n = draw(
+        st.one_of(
+            st.sampled_from(
+                [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17]
+            ),
+            st.integers(1, 50),
+        )
+    )
+    theta = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((n, K * d)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    outside_only = draw(st.booleans())
+    ys = _choice_labels(rng, n, K, outside_only)
+    fs = _choice_labels(rng, n, K)
+    if draw(st.booleans()):
+        xs = _frozen_copy(xs)
+    return K, d, xs, ys, fs, theta
+
+
+class TestChoiceKernels:
+    """mnl_loss's blocked kernels against the full-size einsum oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(choice_batches())
+    def test_agrees_with_einsum_oracle(self, batch):
+        K, d, xs, ys, fs, theta = batch
+        model = mnl_loss(K, d)
+        loss_mean, score, hessian_mean = _oracle_mnl(K, d)
+        # both label vectors and all three callables, in the solver's order,
+        # so that memoized probabilities are reused across them
+        for labels in (ys, fs):
+            assert model.batch_loss_mean(xs, labels, theta) == pytest.approx(
+                loss_mean(xs, labels, theta), rel=1e-12, abs=0.0
+            )
+            assert np.max(
+                np.abs(model.batch_score(xs, labels, theta) - score(xs, labels, theta))
+            ) <= 1e-12
+            want = hessian_mean(xs, labels, theta)
+            got = model.batch_hessian_mean(xs, labels, theta)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_labels_are_checked_with_todays_message(self):
+        model = mnl_loss(2, 1)
+        xs = np.zeros((3, 2))
+        for bad in ([0.0, 1.0, 3.0], [0.0, -1.0, 1.0], [0.0, 0.5, 1.0]):
+            with pytest.raises(DomainError, match=r"^mnl: labels must be integers in \[0, 2\]$"):
+                model.batch_loss_mean(xs, np.array(bad), np.zeros(1))
+            with pytest.raises(DomainError, match=r"^mnl: labels must be integers in \[0, 2\]$"):
+                model.batch_score(xs, np.array(bad), np.zeros(1))
+
+
+class TestChoiceProbabilityMemo:
+    def setup_method(self):
+        self.rng = np.random.default_rng(90)
+        self.K, self.d = 3, 2
+        self.oracle_loss, self.oracle_score, _ = _oracle_mnl(self.K, self.d)
+
+    def batch(self, n=50):
+        xs = self.rng.standard_normal((n, self.K * self.d))
+        return xs, _choice_labels(self.rng, n, self.K)
+
+    def test_writeable_arrays_are_never_memoized(self):
+        model = mnl_loss(self.K, self.d)
+        theta = np.array([0.4, -0.3])
+        xs, ys = self.batch()
+        view = xs[:]
+        view.setflags(write=False)  # read-only, but its base is not
+        for arr in (xs, view):
+            model.batch_loss_mean(arr, ys, theta)
+            assert _risk(model)._entries == {}
+            xs *= 1.5  # a memo would now hand back stale probabilities
+            assert model.batch_loss_mean(arr, ys, theta) == pytest.approx(
+                self.oracle_loss(arr, ys, theta), rel=1e-12
+            )
+            assert model.batch_score(arr, ys, theta) == pytest.approx(
+                self.oracle_score(arr, ys, theta), abs=1e-12
+            )
+
+    def test_new_theta_is_recomputed(self):
+        model = mnl_loss(self.K, self.d)
+        xs, ys = self.batch()
+        xs = _frozen_copy(xs)
+        for theta in (np.array([0.4, -0.3]), np.array([-1.0, 0.2]), np.array([0.4, -0.3])):
+            assert model.batch_loss_mean(xs, ys, theta) == pytest.approx(
+                self.oracle_loss(xs, ys, theta), rel=1e-12
+            )
+            assert model.batch_score(xs, ys, theta) == pytest.approx(
+                self.oracle_score(xs, ys, theta), abs=1e-12
+            )
+            entries = _risk(model)._entries
+            assert list(entries) == [id(xs)]
+            assert entries[id(xs)][1] == theta.tobytes()
+
+    def test_stale_probabilities_are_freed_before_new_ones_are_made(self):
+        model = mnl_loss(self.K, self.d)
+        risk = _risk(model)
+        xs, ys = self.batch()
+        xs = _frozen_copy(xs)
+        model.batch_score(xs, ys, np.array([0.4, -0.3]))
+        events = []
+        stale = weakref.ref(risk._entries[id(xs)][2], lambda _: events.append("freed"))
+        blocks = risk._blocks
+
+        def watched(arr):
+            events.append("blocks")
+            return blocks(arr)
+
+        risk._blocks = watched
+        model.batch_score(xs, ys, np.array([-1.0, 0.2]))
+        assert stale() is None
+        assert events[0] == "freed"
+
+    def test_entry_dies_with_its_array(self):
+        model = mnl_loss(self.K, self.d)
+        xs, ys = self.batch()
+        xs = _frozen_copy(xs)
+        model.batch_score(xs, ys, np.array([0.4, -0.3]))
+        entries = _risk(model)._entries
+        probs = weakref.ref(entries[id(xs)][2])
+        del xs
+        gc.collect()
+        assert entries == {}
+        assert probs() is None
+
+    def test_losses_share_no_state(self):
+        first, second = mnl_loss(self.K, self.d), mnl_loss(self.K, self.d)
+        assert _risk(first) is not _risk(second)
+        xs, ys = self.batch()
+        xs = _frozen_copy(xs)
+        theta = np.array([0.4, -0.3])
+        first.batch_loss_mean(xs, ys, theta)
+        assert _risk(second)._entries == {}
+        second.batch_loss_mean(xs, ys, -theta)
+        assert _risk(first)._entries[id(xs)][1] == theta.tobytes()
+        assert first.batch_loss_mean(xs, ys, theta) == pytest.approx(
+            self.oracle_loss(xs, ys, theta), rel=1e-12
+        )
+
+    def test_memo_dies_with_its_loss(self):
+        model = mnl_loss(self.K, self.d)
+        xs, ys = self.batch()
+        xs = _frozen_copy(xs)
+        model.batch_loss_mean(xs, ys, np.array([0.4, -0.3]))
+        risk = weakref.ref(_risk(model))
+        del model
+        gc.collect()
+        assert risk() is None
+        del xs  # the eviction callback must cope with a dead memo
+        gc.collect()
+
+
+def _reference_solve(loss, labeled, unlabeled, f):
+    """The damped Newton loop before it carried the accepted objective.
+
+    It evaluates the objective again at every accepted point; the solver
+    must reach the same iterate bit for bit.
+    """
+    theta = np.zeros(loss.dim)
+    objective, score, hess = _rectified_pieces(loss, labeled, unlabeled, f)
+    g = score(theta)
+    for _ in range(200):
+        if float(np.max(np.abs(g))) < 1e-10:
+            return theta
+        H = hess(theta)
+        cond = np.linalg.cond(H)
+        if not np.isfinite(cond) or cond > 1e12:
+            direction = -g
+        else:
+            direction = np.linalg.solve(H, -g)
+        base = objective(theta)
+        step = 1.0
+        while objective(theta + step * direction) > base:
+            step *= 0.5
+        theta = theta + step * direction
+        g = score(theta)
+    raise AssertionError("reference solver did not converge")
+
+
+def _choice_instance(rng, K=3, d=2, n=400, m=3000):
+    xl = rng.standard_normal((n, K * d))
+    yl = rng.integers(0, K + 1, size=n).astype(float)
+    xu = rng.standard_normal((m, K * d))
+    f = Predictor(lambda x: 2.0 * (x[:, 0] > 0), s=1)
+    return LabeledDataset(xl, yl), UnlabeledDataset(xu), f
+
+
+class TestSolverEvaluations:
+    def test_objective_evaluated_once_per_point(self):
+        loss = mnl_loss(3, 2)
+        labeled, unlabeled, f = _choice_instance(np.random.default_rng(95))
+        points = []
+
+        def counted(xs, ys, theta):
+            points.append(theta.tobytes())
+            return loss.batch_loss_mean(xs, ys, theta)
+
+        theta = solve_ppi_m_estimator(
+            dataclasses.replace(loss, batch_loss_mean=counted), labeled, unlabeled, f
+        )
+        per_point = Counter(points)
+        assert len(per_point) >= 3
+        # three calls per point: y and f(x) on the labeled rows, f on the pool
+        assert set(per_point.values()) == {3}
+        assert np.array_equal(theta, solve_ppi_m_estimator(loss, labeled, unlabeled, f))
+
+    @pytest.mark.parametrize("name", ["mean", "categorical", "ols", "mnl"])
+    def test_matches_the_reference_loop_bit_for_bit(self, name):
+        rng = np.random.default_rng(96)
+        if name == "mnl":
+            loss = mnl_loss(3, 2)
+            labeled, unlabeled, f = _choice_instance(rng)
+        elif name == "ols":
+            loss = linear_regression_loss(2)
+            xl, xu = rng.standard_normal((300, 2)), rng.standard_normal((2000, 2))
+            labeled = LabeledDataset(xl, xl @ np.array([1.0, -0.5]) + rng.standard_normal(300))
+            unlabeled = UnlabeledDataset(xu)
+            f = Predictor(lambda x: x @ np.array([0.9, -0.4]), s=1)
+        elif name == "categorical":
+            loss = categorical_loss(3)
+            labeled, unlabeled, _ = mean_instance(rng, n=200, m=1000)
+            labeled = LabeledDataset(labeled.xs, rng.integers(1, 4, size=200).astype(float))
+            f = Predictor(lambda x: 1.0 + (x[:, 0] > 0) + (x[:, 0] > 1), s=1)
+        else:
+            loss = mean_loss()
+            labeled, unlabeled, f = mean_instance(rng)
+        want = _reference_solve(loss, labeled, unlabeled, f)
+        assert np.array_equal(solve_ppi_m_estimator(loss, labeled, unlabeled, f), want)
 
 
 class TestSolverEdges:
@@ -434,8 +734,11 @@ class TestScalarize:
             scalarize(np.eye(2), np.eye(3), "trace")
         with pytest.raises(ParameterError):
             scalarize(np.eye(2), np.eye(2), "volume")
-        with pytest.raises(SingularHessianError):
+        with pytest.raises(
+            SingularHessianError, match=r"^scalarize: H is numerically singular \(condition ~"
+        ) as exc:
             scalarize(np.eye(2), np.zeros((2, 2)), "trace")
+        assert not exc.value.condition < 1e12
 
 
 class TestMEstimateCi:
