@@ -1,4 +1,4 @@
-"""Shared domain types: datasets, predictors, seeds, and basic statistics.
+"""Shared domain types: datasets, predictors, seeds, errors, and CSV ingestion.
 
 Everything downstream (scaling-law fitting, allocation, rectified
 estimation, simulation) works in terms of the containers defined here.
@@ -32,10 +32,6 @@ class DomainError(FtppiError):
 
 class ParameterError(FtppiError):
     """A configuration parameter is malformed (bad delta, bad sizes, ...)."""
-
-
-class InvalidSplitError(FtppiError):
-    """A requested labeled-data split is impossible."""
 
 
 class InsufficientDataError(FtppiError):
@@ -245,21 +241,6 @@ def _is_frozen(xs: np.ndarray) -> bool:
     return arr is None
 
 
-def _evict(memo_ref: weakref.ref, ident: int):
-    """Weakref callback dropping entry ``ident`` of ``memo_ref()._entries``.
-
-    The memo is reached only through ``memo_ref``, so a memo keyed by
-    array identity does not outlive its owner because of its arrays.
-    """
-
-    def callback(_dead) -> None:
-        memo = memo_ref()
-        if memo is not None:
-            memo._entries.pop(ident, None)
-
-    return callback
-
-
 def _frozen(rows: np.ndarray) -> np.ndarray:
     """Mark a fresh copy of already validated rows read-only, without re-checking it."""
     rows.setflags(write=False)
@@ -341,41 +322,6 @@ class Predictor:
     def __repr__(self) -> str:
         tag = self.label or "fn"
         return f"Predictor({tag}, s={self.s})"
-
-
-def split_dataset(
-    data: LabeledDataset, s: int, seed: "RngSeed | int"
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Randomly partition labeled data into (fine-tuning, rectification) parts.
-
-    Returns ``(ft, ppi)`` with ``ft.n == s`` and ``ppi.n == data.n - s``.
-    The partition is uniform over all splits of the given sizes; indices
-    within each part keep the original dataset order.
-    """
-    if not isinstance(s, (int, np.integer)):
-        raise InvalidSplitError(f"split size must be an integer, got {s!r}")
-    s = int(s)
-    if not 0 < s < data.n:
-        raise InvalidSplitError(
-            f"split size must satisfy 0 < s < n (got s={s}, n={data.n})"
-        )
-    rng = as_seed(seed).generator()
-    perm = rng.permutation(data.n)
-    ft_idx = np.sort(perm[:s])
-    ppi_idx = np.sort(perm[s:])
-    return data.subset(ft_idx), data.subset(ppi_idx)
-
-
-def sample_variance(values) -> float:
-    """Unbiased sample variance with divisor (len - 1)."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.shape[0] < 2:
-        raise InsufficientDataError(
-            f"sample_variance needs at least 2 values, got {arr.shape[0]}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sample_variance: non-finite values")
-    return float(np.var(arr, ddof=1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .core import (
     SingularHessianError,
     UnlabeledDataset,
     _data_line,
-    _evict,
     _is_frozen,
     _read_csv,
 )
@@ -200,6 +199,21 @@ def linear_regression_loss(d: int) -> LossModel:
     return LossModel("ols", d, batch_loss_mean, batch_score, batch_hessian_mean, width=d)
 
 
+def _evict(memo_ref: weakref.ref, ident: int):
+    """Weakref callback dropping entry ``ident`` of ``memo_ref()._entries``.
+
+    The memo is reached only through ``memo_ref``, so a memo keyed by
+    array identity does not outlive its owner because of its arrays.
+    """
+
+    def callback(_dead) -> None:
+        memo = memo_ref()
+        if memo is not None:
+            memo._entries.pop(ident, None)
+
+    return callback
+
+
 class _ChoiceRisk:
     """Loss, score and Hessian of the multinomial choice model, row block by row block.
 
@@ -211,6 +225,11 @@ class _ChoiceRisk:
     callback when the array dies.  A new theta drops the old entry before
     computing its own, so at most one P per array is alive.  Arrays that
     can still be written to are recomputed on every call.
+
+    Known limitation: numpy lets an array that owns its memory be made
+    writeable again.  If such an array is flipped back to writeable,
+    mutated and frozen again, the entry kept for it is stale, and calls at
+    the same theta return the probabilities of the old rows.
     """
 
     def __init__(self, n_options: int, dim_per_option: int) -> None:
@@ -298,7 +317,10 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     no temporary grows with n beyond the (n, K) probability matrix, and
     the returned model keeps that matrix for the last theta of each
     read-only feature array (see ``_ChoiceRisk``): calls at one theta on
-    one array share a single evaluation of the probabilities.
+    one array share a single evaluation of the probabilities.  A feature
+    array that is made writeable again, mutated and frozen again can
+    therefore get stale probabilities from the model that saw it before;
+    build a new model for it.
     """
     if not isinstance(n_options, (int, np.integer)) or n_options < 1:
         raise ParameterError(f"mnl_loss: n_options must be >= 1, got {n_options!r}")

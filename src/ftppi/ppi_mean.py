@@ -93,8 +93,12 @@ def ppi_mean_estimate(
     labeled_ppi: LabeledDataset, unlabeled: UnlabeledDataset, f: Predictor
 ) -> float:
     """Rectified point estimate of E[Y]."""
-    resid = labeled_ppi.ys - f.on(labeled_ppi)
-    return float(np.mean(resid) + np.mean(f.on(unlabeled)))
+    return _rectified_mean(labeled_ppi.ys, f.on(labeled_ppi), f.on(unlabeled))
+
+
+def _rectified_mean(ys: np.ndarray, preds_labeled: np.ndarray, preds_pool: np.ndarray) -> float:
+    """mean(ys - preds_labeled) + mean(preds_pool), the rectified estimate on raw arrays."""
+    return float(np.mean(ys - preds_labeled) + np.mean(preds_pool))
 
 
 def ppi_mean_variance_hat(
@@ -209,11 +213,6 @@ def sample_mean_estimate(labeled: LabeledDataset, delta: float) -> MeanEstimateR
         Method.SAMPLE_MEAN,
         _small_sample_note(labeled.n, 0),
     )
-
-
-def ft_only_estimate(unlabeled: UnlabeledDataset, f: Predictor) -> float:
-    """Average prediction over the pool; biased by whatever bias f has."""
-    return float(np.mean(f.on(unlabeled)))
 
 
 def ft_only_report(unlabeled: UnlabeledDataset, f: Predictor, delta: float) -> MeanEstimateReport:

@@ -64,29 +64,6 @@ class RampUpPlan:
         return len(self.schedule)
 
 
-def default_rampup_plan(n: int, stages: int = 5, start: int | None = None) -> RampUpPlan:
-    """Geometric schedule over roughly half the post-holdout pool.
-
-    Holds out 10% of the data for measurement and never plans to train
-    on more than half of what remains, so a full run always keeps a
-    sizeable rectification set.
-    """
-    if n < 40:
-        raise ParameterError(f"need n >= 40 to build a default plan, got {n}")
-    n_v = max(2, n // 10)
-    pool = n - n_v
-    lo = max(8, pool // 100) if start is None else int(start)
-    hi = pool // 2
-    if lo >= hi:
-        raise ParameterError(f"no room for a schedule between {lo} and {hi}")
-    grid = np.unique(np.geomspace(lo, hi, stages).round().astype(int))
-    if len(grid) < _MIN_STAGES_TO_FIT:
-        raise ParameterError(
-            f"default schedule collapsed to {len(grid)} distinct sizes; pick stages/start by hand"
-        )
-    return RampUpPlan(schedule=tuple(int(s) for s in grid), n_v=n_v)
-
-
 @dataclass(frozen=True)
 class StageRecord:
     """Measurements and decision taken at one ramp-up stage.

@@ -11,10 +11,11 @@ the population residual variance lands exactly on the law at the
 training size s.  The field is a hash of the feature vector, so the
 predictor stays a pure function of x; checkpoints at different s share
 the field and only rescale it, mirroring how successive fine-tunes
-shrink one error pattern rather than redraw it.  Because of that
-sharing, the part of the surrogate that does not depend on s (the mean,
-signal and bias terms plus the unscaled field) is computed once per
-(trainer, read-only feature array) and dies with the array.
+shrink one error pattern rather than redraw it.  A trainer hands out
+the part that does not depend on s (the mean, signal and bias terms plus
+the unscaled field) through ``SimTrainer.parts``; the Monte-Carlo
+experiments take it once per replicate and rescale it for every size
+they evaluate, instead of predicting afresh at each size.
 
 These worlds make brute-force Monte-Carlo oracles possible: every
 analytic quantity (residual variance, estimator variance, optimal
@@ -23,7 +24,6 @@ split) is known in closed form.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -37,11 +37,9 @@ from .core import (
     RngSeed,
     UnlabeledDataset,
     UnsupportedSizeError,
-    _evict,
-    _is_frozen,
     as_seed,
 )
-from .ppi_mean import ppi_mean_estimate
+from .ppi_mean import _rectified_mean, ppi_mean_estimate
 from .scaling import ScalingLaw, ScalingObservation, eval_variance, fit_scaling_law
 
 _MIX_1 = np.uint64(0x9E3779B97F4A7C15)
@@ -219,54 +217,28 @@ def _generate_labeled(world: SyntheticWorld, n: int, seed: RngSeed) -> LabeledDa
     return LabeledDataset(xs, ys)
 
 
-class _SharedPart:
-    """The part of one trainer's surrogates that does not depend on s.
-
-    For a feature array ``xs`` that is ``base = true_mean + signal_sd * x1
-    + bias.offsets(xs)`` and the unscaled field ``_gauss_field(xs, key)``;
-    a checkpoint at size s predicts ``base + pseudo_sd(s) * field``.  Both
-    are memoized by the identity of a read-only feature array and evicted
-    by a weakref callback when that array dies.  The callback reaches the
-    memo only through a weak reference, so the memo dies with its trainer.
-    Arrays that can still be written to are recomputed on every call.
-    """
-
-    def __init__(self, world: SyntheticWorld, key: int) -> None:
-        self._world = world
-        self._key = key
-        self._entries: dict[int, tuple[weakref.ref, np.ndarray, np.ndarray]] = {}
-
-    def __reduce__(self):  # copies start with an empty memo
-        return (type(self), (self._world, self._key))
-
-    def __call__(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        frozen = _is_frozen(xs)
-        ident = id(xs)
-        if frozen:
-            entry = self._entries.get(ident)
-            if entry is not None and entry[0]() is xs:
-                return entry[1], entry[2]
-        world = self._world
-        base = world.true_mean + world.signal_sd * xs[:, 0] + world.bias.offsets(xs)
-        noise = _gauss_field(xs, self._key)
-        if frozen:
-            base.setflags(write=False)
-            noise.setflags(write=False)
-            alive = weakref.ref(xs, _evict(weakref.ref(self), ident))
-            self._entries[ident] = (alive, base, noise)
-        return base, noise
+_Parts = tuple[np.ndarray, np.ndarray]
 
 
-def _sim_predictor(shared: _SharedPart, pseudo_var: float, s_tag: int, label: str) -> Predictor:
+def _parts(world: SyntheticWorld, key: int, xs: np.ndarray) -> _Parts:
+    base = world.true_mean + world.signal_sd * xs[:, 0] + world.bias.offsets(xs)
+    return base, _gauss_field(xs, key)
+
+
+def _pseudo_sd(pseudo_var: float, label: str) -> float:
     if pseudo_var < -1e-12:
         raise UnsupportedSizeError(
             f"{label}: law leaves no room for the pseudo-noise field "
             f"(needed variance {pseudo_var:.6g} < 0)"
         )
-    pseudo_sd = float(np.sqrt(max(pseudo_var, 0.0)))
+    return float(np.sqrt(max(pseudo_var, 0.0)))
 
+
+def _sim_predictor(
+    world: SyntheticWorld, key: int, pseudo_sd: float, s_tag: int, label: str
+) -> Predictor:
     def fn(xs: np.ndarray) -> np.ndarray:
-        base, noise = shared(xs)
+        base, noise = _parts(world, key, xs)
         return base + pseudo_sd * noise
 
     return Predictor(fn, s=s_tag, label=label)
@@ -280,23 +252,29 @@ class SimTrainer:
     predictor is a pure function of the feature vector and the trainer
     seed, so it is independent of any rectification or validation data
     by construction.  Residual variance at size s equals the world law
-    exactly.  All checkpoints of one trainer share the s-independent part
-    of the surrogate, computed once per read-only feature array and
-    dropped when that array dies.
+    exactly.  The checkpoint at size s predicts ``base + pseudo_sd(s) *
+    field`` with ``(base, field) = parts(xs)``; a caller that evaluates
+    several sizes on the same rows takes the parts once and rescales
+    them, which gives the same floats as the predictors.
     """
 
     world: SyntheticWorld
     rng: RngSeed
-    _shared: _SharedPart = field(init=False, repr=False, compare=False)
+    _key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_shared", _SharedPart(self.world, _field_key(self.rng)))
+        object.__setattr__(self, "_key", _field_key(self.rng))
 
-    def train(self, ft_data: LabeledDataset) -> Predictor:
-        return self.train_size(ft_data.n)
+    def parts(self, xs: np.ndarray) -> _Parts:
+        """``(base, field)`` on the rows of ``xs``, computed afresh on every call.
 
-    def train_size(self, s: int) -> Predictor:
-        """Train at an explicit size (the subset's content is not used)."""
+        ``base = true_mean + signal_sd * x1 + bias.offsets(xs)`` and
+        ``field`` is the unscaled pseudo-noise; neither depends on s.
+        """
+        return _parts(self.world, self._key, xs)
+
+    def pseudo_sd(self, s: int) -> float:
+        """Scale of the pseudo-noise field in the checkpoint at training size s."""
         world = self.world
         if world.s_min is None:
             raise UnsupportedSizeError("this world declares no trainable surrogate")
@@ -304,8 +282,15 @@ class SimTrainer:
             raise UnsupportedSizeError(
                 f"training size {s!r} below the world's minimum {world.s_min}"
             )
-        pseudo_var = world.residual_pseudo_noise_var(int(s))
-        return _sim_predictor(self._shared, pseudo_var, int(s), f"sim(s={int(s)})")
+        return _pseudo_sd(world.residual_pseudo_noise_var(int(s)), f"sim(s={int(s)})")
+
+    def train(self, ft_data: LabeledDataset) -> Predictor:
+        return self.train_size(ft_data.n)
+
+    def train_size(self, s: int) -> Predictor:
+        """Train at an explicit size (the subset's content is not used)."""
+        pseudo_sd = self.pseudo_sd(s)
+        return _sim_predictor(self.world, self._key, pseudo_sd, int(s), f"sim(s={int(s)})")
 
 
 def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
@@ -315,9 +300,8 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
     it exists even when the world's supported fine-tuning range starts
     above 1.
     """
-    pseudo_var = eval_variance(world.law, 1) - world.effective_noise_floor - world.bias.variance
-    shared = _SharedPart(world, _field_key(as_seed(seed)))
-    return _sim_predictor(shared, pseudo_var, 0, "base")
+    pseudo_sd = _pseudo_sd(world.residual_pseudo_noise_var(1), "base")
+    return _sim_predictor(world, _field_key(as_seed(seed)), pseudo_sd, 0, "base")
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +310,23 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
 
 
 def _split_estimate(
-    labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    trainer: SimTrainer,
-    perm: np.ndarray,
-    s: int,
+    trainer: SimTrainer, ys: np.ndarray, lab: _Parts, pool: _Parts, perm: np.ndarray, s: int
 ) -> float:
     """Rectified estimate after fine-tuning on ``perm[:s]`` and rectifying on the rest.
 
-    The fine-tuning subset is never built: a simulated trainer reads only its size.
+    ``ys`` are the outcomes of the full labeled draw, and ``lab`` and
+    ``pool`` are ``trainer.parts`` of its features and of the pool's.
+    The fine-tuning subset is never built: a simulated trainer reads only
+    its size.  The predictions are the checkpoint's own floats, so this
+    equals ``ppi_mean_estimate`` on the rectification subset.
     """
-    return ppi_mean_estimate(labeled.subset(np.sort(perm[s:])), unlabeled, trainer.train_size(s))
+    pseudo_sd = trainer.pseudo_sd(s)
+    idx = np.sort(perm[s:])
+    lab_base, lab_field = lab
+    pool_base, pool_field = pool
+    return _rectified_mean(
+        ys[idx], lab_base[idx] + pseudo_sd * lab_field[idx], pool_base + pseudo_sd * pool_field
+    )
 
 
 @dataclass(frozen=True)
@@ -386,17 +376,18 @@ def brute_force_allocation(
     fractions = fractions[(fractions > 0.0) & (fractions < 1.0)]
     sizes = [min(max(int(round(f * n)), 1), n - 2) for f in fractions]
 
-    pool_rng = seed.child(0).generator()
-    unlabeled = UnlabeledDataset(pool_rng.standard_normal((int(m), world.feature_dim)))
+    pool_xs = seed.child(0).generator().standard_normal((int(m), world.feature_dim))
 
-    estimates = np.empty((fractions.shape[0], replicates))
-    for r in range(replicates):
-        rep = seed.child(r + 1)
+    def replicate(rep: RngSeed) -> list[float]:
         labeled = _generate_labeled(world, int(n), rep.child(0))
         trainer = SimTrainer(world, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        for i, s in enumerate(sizes):
-            estimates[i, r] = _split_estimate(labeled, unlabeled, trainer, perm, s)
+        lab, pool = trainer.parts(labeled.xs), trainer.parts(pool_xs)
+        return [_split_estimate(trainer, labeled.ys, lab, pool, perm, s) for s in sizes]
+
+    estimates = np.empty((fractions.shape[0], replicates))
+    for r in range(replicates):
+        estimates[:, r] = replicate(seed.child(r + 1))
 
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
@@ -461,31 +452,33 @@ def run_estimator_comparison(
     alloc = solve_optimal_allocation(world.law, n)
     s_star = alloc.s_star_int
 
-    names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
-    draws = {name: np.empty(replicates) for name in names}
-    for r in range(replicates):
-        rep = seed.child(r)
+    def replicate(rep: RngSeed) -> tuple[float, float, float, float]:
         labeled, unlabeled = generate_world_data(world, n, m, rep.child(0))
         trainer = SimTrainer(world, rep.child(1))
-
-        draws["SampleMean"][r] = float(np.mean(labeled.ys))
-        f_full = trainer.train(labeled)
-        draws["FtOnly"][r] = float(np.mean(f_full.on(unlabeled)))
-        base = base_predictor(world, rep.child(2))
-        draws["PpiOnly"][r] = ppi_mean_estimate(labeled, unlabeled, base)
+        pool = trainer.parts(unlabeled.xs)
+        pool_base, pool_field = pool
+        ft_only = float(np.mean(pool_base + trainer.pseudo_sd(n) * pool_field))
+        ppi_only = ppi_mean_estimate(labeled, unlabeled, base_predictor(world, rep.child(2)))
         perm = rep.child(3).generator().permutation(n)
-        draws["FtPpi"][r] = _split_estimate(labeled, unlabeled, trainer, perm, s_star)
+        lab = trainer.parts(labeled.xs)
+        ft_ppi = _split_estimate(trainer, labeled.ys, lab, pool, perm, s_star)
+        return float(np.mean(labeled.ys)), ft_only, ppi_only, ft_ppi
+
+    names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
+    draws = np.empty((len(names), replicates))
+    for r in range(replicates):
+        draws[:, r] = replicate(seed.child(r))
 
     rows = []
-    for name in names:
-        err = draws[name] - world.true_mean
+    for name, draw in zip(names, draws):
+        err = draw - world.true_mean
         rows.append(
             MethodStats(
                 method=name,
-                mean_estimate=float(np.mean(draws[name])),
+                mean_estimate=float(np.mean(draw)),
                 rmse=float(np.sqrt(np.mean(err**2))),
                 mae=float(np.mean(np.abs(err))),
-                variance=float(np.var(draws[name], ddof=1)),
+                variance=float(np.var(draw, ddof=1)),
             )
         )
     var_sm = rows[0].variance
@@ -537,10 +530,10 @@ _BOOT_QUANTITIES = ("a", "alpha", "b", "fraction", "r_squared")
 def _measure_law_outcome(
     val: LabeledDataset, s_grid: Sequence[int], trainer: SimTrainer, n_alloc: int
 ) -> tuple[float, float, float, float, float]:
+    base, noise = trainer.parts(val.xs)
     observations = []
     for s in s_grid:
-        f = trainer.train_size(s)
-        resid = val.ys - f.on(val)
+        resid = val.ys - (base + trainer.pseudo_sd(s) * noise)
         observations.append(ScalingObservation(int(s), float(np.var(resid, ddof=1))))
     fit = fit_scaling_law(observations)
     alloc = solve_optimal_allocation(fit.law, n_alloc)
@@ -685,7 +678,9 @@ def external_ft_experiment(
         labeled, unlabeled = generate_world_data(world2, n, m, rep.child(0))
         trainer = SimTrainer(world2, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        estimates[r] = _split_estimate(labeled, unlabeled, trainer, perm, s)
+        estimates[r] = _split_estimate(
+            trainer, labeled.ys, trainer.parts(labeled.xs), trainer.parts(unlabeled.xs), perm, s
+        )
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))
@@ -738,15 +733,3 @@ def world_from_dict(spec: dict) -> SyntheticWorld:
         raise ParameterError(f"world spec missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"world spec malformed: {exc}") from exc
-
-
-def world_to_dict(world: SyntheticWorld) -> dict:
-    return {
-        "true_mean": world.true_mean,
-        "var_y": world.var_y,
-        "feature_dim": world.feature_dim,
-        "law": {"a": world.law.a, "alpha": world.law.alpha, "b": world.law.b},
-        "bias": {"kind": world.bias.kind, "value": world.bias.value},
-        "s_min": world.s_min,
-        "noise_floor": world.noise_floor,
-    }

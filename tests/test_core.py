@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from ftppi.core import (
     CsvFormatError,
     DomainError,
     InsufficientDataError,
-    InvalidSplitError,
     LabeledDataset,
     ParameterError,
     Predictor,
@@ -16,8 +14,6 @@ from ftppi.core import (
     read_labeled_csv,
     read_predictions_csv,
     read_unlabeled_csv,
-    sample_variance,
-    split_dataset,
 )
 
 
@@ -168,63 +164,6 @@ class TestPredictor:
         data = make_labeled(4)
         with pytest.raises(DomainError):
             Predictor.precomputed([(data, [1.0, 2.0])])
-
-
-class TestSplitDataset:
-    @given(
-        n=st.integers(min_value=2, max_value=60),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
-    def test_split_is_a_partition(self, n, seed):
-        data = make_labeled(n)
-        s = max(1, n // 3)
-        ft, ppi = split_dataset(data, s, seed)
-        assert ft.n == s and ppi.n == n - s
-        combined = np.concatenate([ft.ys, ppi.ys])
-        np.testing.assert_array_equal(np.sort(combined), np.sort(data.ys))
-
-    def test_split_is_reproducible(self):
-        data = make_labeled(30)
-        a1, b1 = split_dataset(data, 10, 5)
-        a2, b2 = split_dataset(data, 10, 5)
-        np.testing.assert_array_equal(a1.xs, a2.xs)
-        np.testing.assert_array_equal(b1.ys, b2.ys)
-
-    def test_different_seeds_differ(self):
-        data = make_labeled(50)
-        a1, _ = split_dataset(data, 20, 1)
-        a2, _ = split_dataset(data, 20, 2)
-        assert not np.array_equal(a1.ys, a2.ys)
-
-    @pytest.mark.parametrize("s", [0, -3, 10, 11, 2.5])
-    def test_rejects_degenerate_splits(self, s):
-        data = make_labeled(10)
-        with pytest.raises(InvalidSplitError):
-            split_dataset(data, s, 0)
-
-    def test_split_preserves_row_pairing(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=(40, 1))
-        data = LabeledDataset(xs, xs[:, 0] * 10.0)
-        ft, ppi = split_dataset(data, 15, 8)
-        np.testing.assert_allclose(ft.ys, ft.xs[:, 0] * 10.0)
-        np.testing.assert_allclose(ppi.ys, ppi.xs[:, 0] * 10.0)
-
-
-class TestSampleVariance:
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=2,
-            max_size=40,
-        )
-    )
-    def test_matches_numpy_ddof1(self, values):
-        assert sample_variance(values) == pytest.approx(np.var(values, ddof=1), abs=1e-9)
-
-    def test_needs_two_values(self):
-        with pytest.raises(InsufficientDataError):
-            sample_variance([1.0])
 
 
 class TestCsvReaders:

@@ -18,7 +18,6 @@ from ftppi.core import (
 )
 from ftppi.ppi_mean import (
     Method,
-    ft_only_estimate,
     ft_only_report,
     normal_quantile,
     ppi_mean_ci,
@@ -286,8 +285,8 @@ class TestBaselines:
         xu = rng.standard_normal((5000, 1))
         unlabeled = UnlabeledDataset(xu)
         f = linear_predictor(slope=0.0, intercept=2.0)
-        assert ft_only_estimate(unlabeled, f) == pytest.approx(2.0)
         rep = ft_only_report(unlabeled, f, 0.05)
+        assert rep.estimate == pytest.approx(2.0)
         assert rep.method is Method.FT_ONLY
         assert rep.n_ppi == 0
         assert "ignores prediction bias" in rep.notes

@@ -15,7 +15,6 @@ from ftppi.core import (
 )
 from ftppi.rampup import (
     RampUpPlan,
-    default_rampup_plan,
     rampup_final_estimate,
     run_rampup,
 )
@@ -103,22 +102,6 @@ class TestPlan:
         assert plan.schedule == (10, 20, 40)
         assert all(isinstance(s, int) for s in plan.schedule)
         assert plan.stages == 3
-
-    def test_default_plan_shape(self):
-        plan = default_rampup_plan(10_000)
-        assert plan.n_v == 1000
-        assert plan.schedule[0] >= 8
-        assert plan.schedule[-1] == (10_000 - 1000) // 2
-        assert all(a < b for a, b in zip(plan.schedule, plan.schedule[1:]))
-        assert plan.stages == 5
-
-    def test_default_plan_guards(self):
-        with pytest.raises(ParameterError, match="n >= 40"):
-            default_rampup_plan(39)
-        with pytest.raises(ParameterError, match="no room"):
-            default_rampup_plan(100, start=45)
-        with pytest.raises(ParameterError, match="collapsed"):
-            default_rampup_plan(100, stages=3, start=44)
 
 
 class TestStoppingRule:

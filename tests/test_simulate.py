@@ -1,12 +1,12 @@
 """Tests for synthetic worlds, trainers, and the simulation experiments."""
 
 import math
-import weakref
 
 import numpy as np
 import pytest
 
 from ftppi import simulate
+from ftppi.allocate import solve_optimal_allocation
 from ftppi.core import (
     LabeledDataset,
     ParameterError,
@@ -15,7 +15,7 @@ from ftppi.core import (
     UnsupportedSizeError,
 )
 from ftppi.ppi_mean import ppi_mean_estimate
-from ftppi.scaling import ScalingLaw, eval_variance
+from ftppi.scaling import ScalingLaw, ScalingObservation, eval_variance, fit_scaling_law
 from ftppi.simulate import (
     BiasProfile,
     SimTrainer,
@@ -30,7 +30,6 @@ from ftppi.simulate import (
     run_estimator_comparison,
     shifted_law,
     world_from_dict,
-    world_to_dict,
 )
 
 
@@ -229,7 +228,7 @@ class TestTrainer:
 
 
 def inline_prediction(world, trainer_seed, s, xs):
-    """The surrogate written out as one expression, without the trainer's memo."""
+    """The surrogate at training size s written out as one expression."""
     pseudo_sd = float(np.sqrt(max(world.residual_pseudo_noise_var(s), 0.0)))
     return (
         world.true_mean
@@ -239,11 +238,26 @@ def inline_prediction(world, trainer_seed, s, xs):
     )
 
 
-MEMO_BIASES = [BiasProfile.zero(), BiasProfile.constant(0.3), BiasProfile.drifting(0.2)]
+PART_BIASES = [BiasProfile.zero(), BiasProfile.constant(0.3), BiasProfile.drifting(0.2)]
+
+
+def count_fields(monkeypatch):
+    """Record (rows, key) of every hash field the simulator computes."""
+    calls = []
+    original = simulate._gauss_field
+
+    def counting(xs, key):
+        calls.append((xs.shape[0], key))
+        return original(xs, key)
+
+    monkeypatch.setattr(simulate, "_gauss_field", counting)
+    return calls
 
 
 class TestSharedPartMemo:
-    @pytest.mark.parametrize("bias", MEMO_BIASES, ids=lambda b: b.kind)
+    """Checkpoints of one trainer share the s-independent part of the surrogate."""
+
+    @pytest.mark.parametrize("bias", PART_BIASES, ids=lambda b: b.kind)
     @pytest.mark.parametrize("dim", [1, 3])
     def test_bit_identical_to_inline_expression(self, bias, dim):
         w = plain_world(feature_dim=dim, bias=bias)
@@ -254,7 +268,6 @@ class TestSharedPartMemo:
             f = trainer.train_size(s)
             for data in (labeled, unlabeled):
                 assert np.array_equal(f.on(data), inline_prediction(w, seed, s, data.xs))
-        assert len(trainer._shared._entries) == 2  # one entry per dataset, whatever s
 
         base = base_predictor(w, 23)
         assert np.array_equal(base.on(labeled), inline_prediction(w, RngSeed(23), 1, labeled.xs))
@@ -272,46 +285,75 @@ class TestSharedPartMemo:
         xs += 1.0
         for arr in (xs, view):
             assert np.array_equal(f.predict(arr), inline_prediction(w, seed, 10, arr))
-        assert len(trainer._shared._entries) == 0
 
-    def test_entries_die_with_their_arrays(self):
-        w = plain_world()
-        trainer = SimTrainer(w, RngSeed(26))
-        f = trainer.train_size(10)
-        rng = np.random.default_rng(27)
-        kept = []
-        for r in range(60):
-            pool = UnlabeledDataset(rng.standard_normal((2000, 1)))
-            f.on(pool)
-            if r % 20 == 0:
-                kept.append(pool)
-            assert len(trainer._shared._entries) <= len(kept) + 1
-        del pool
-        assert len(trainer._shared._entries) == len(kept)
-        kept.clear()
-        assert len(trainer._shared._entries) == 0
+    def test_refrozen_array_gets_fresh_predictions(self):
+        w = plain_world(feature_dim=2, bias=BiasProfile.drifting(0.2))
+        seed = RngSeed(32)
+        trainer = SimTrainer(w, seed)
+        ds = UnlabeledDataset(np.random.default_rng(33).standard_normal((400, 2)))
+        before = trainer.train_size(10).on(ds)
+        ds.xs.setflags(write=True)
+        ds.xs[:] *= 3.0
+        ds.xs.setflags(write=False)
+        after = trainer.train_size(10).on(ds)
+        assert np.array_equal(after, inline_prediction(w, seed, 10, ds.xs))
+        assert not np.array_equal(after, before)
 
-        memo = weakref.ref(trainer._shared)
-        del trainer, f
-        assert memo() is None
+    @pytest.mark.parametrize("bias", PART_BIASES, ids=lambda b: b.kind)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_split_kernel_matches_ppi_mean_estimate(self, bias, dim):
+        w = plain_world(feature_dim=dim, bias=bias)
+        n = 300
+        labeled, unlabeled = generate_world_data(w, n, 700, 34)
+        trainer = SimTrainer(w, RngSeed(35))
+        perm = np.random.default_rng(36).permutation(n)
+        lab, pool = trainer.parts(labeled.xs), trainer.parts(unlabeled.xs)
+        for s in (4, 37, 150, 298):
+            kernel = simulate._split_estimate(trainer, labeled.ys, lab, pool, perm, s)
+            ppi = labeled.subset(np.sort(perm[s:]))
+            assert kernel == ppi_mean_estimate(ppi, unlabeled, trainer.train_size(s))
+
+    def test_law_outcome_matches_checkpoint_predictions(self):
+        w = plain_world(bias=BiasProfile.drifting(0.2))
+        val, _ = generate_world_data(w, 300, 1, 37)
+        trainer = SimTrainer(w, RngSeed(38))
+        grid = [8, 24, 72, 200]
+        observations = [
+            ScalingObservation(s, float(np.var(val.ys - trainer.train_size(s).on(val), ddof=1)))
+            for s in grid
+        ]
+        fit = fit_scaling_law(observations)
+        fraction = solve_optimal_allocation(fit.law, 1000).fraction
+        assert simulate._measure_law_outcome(val, grid, trainer, 1000) == (
+            fit.law.a, fit.law.alpha, fit.law.b, fraction, fit.r_squared
+        )
 
     def test_brute_force_computes_pool_field_once_per_replicate(self, monkeypatch):
-        m, replicates = 5000, 3
-        pool_calls = []
-        original = simulate._gauss_field
-
-        def counting(xs, key):
-            if xs.shape[0] == m:
-                pool_calls.append(key)
-            return original(xs, key)
-
-        monkeypatch.setattr(simulate, "_gauss_field", counting)
+        calls = count_fields(monkeypatch)
+        n, m, replicates = 200, 5000, 3
         result = brute_force_allocation(
-            plain_world(), 200, m, grid_step=0.25, replicates=replicates, seed=28
+            plain_world(), n, m, grid_step=0.1, replicates=replicates, seed=28
         )
-        assert result.fractions.shape[0] == 3
-        assert len(pool_calls) == replicates
-        assert len(set(pool_calls)) == replicates  # one trainer key per replicate
+        assert result.fractions.shape[0] == 9
+        pool_keys = [key for rows, key in calls if rows == m]
+        assert len(pool_keys) == replicates
+        assert len(set(pool_keys)) == replicates  # one trainer key per replicate
+        # the labeled draw too is hashed once per replicate, not once per fraction
+        assert sorted(rows for rows, _ in calls) == [n] * replicates + [m] * replicates
+
+    def test_bootstrap_hashes_once_per_dataset_and_seed(self, monkeypatch):
+        calls = count_fields(monkeypatch)
+        bootstrap_robustness(
+            plain_world(),
+            n_datasets=3,
+            n_training_seeds=2,
+            n_fit=600,
+            resamples=10,
+            seed=30,
+            s_grid=[8, 24, 72, 200],
+        )
+        assert [rows for rows, _ in calls] == [300] * 6
+        assert len({key for _, key in calls}) == 6
 
 
 class TestAnalyticVariance:
@@ -488,9 +530,17 @@ class TestExternalFt:
 
 class TestWorldSerialization:
     def test_roundtrip(self):
+        spec = {
+            "true_mean": 1.5,
+            "var_y": 4.0,
+            "feature_dim": 1,
+            "law": {"a": 3.0, "alpha": 0.5, "b": 0.5},
+            "bias": {"kind": "drifting", "value": 0.25},
+            "s_min": 7,
+            "noise_floor": 0.3,
+        }
         w = plain_world(bias=BiasProfile.drifting(0.25), noise_floor=0.3, s_min=7)
-        again = world_from_dict(world_to_dict(w))
-        assert again == w
+        assert world_from_dict(spec) == w
 
     def test_defaults_fill_in(self):
         w = world_from_dict(
@@ -522,5 +572,12 @@ class TestWorldSerialization:
             )
 
     def test_none_s_min_rounds_trip(self):
-        w = plain_world(s_min=None)
-        assert world_from_dict(world_to_dict(w)).s_min is None
+        spec = {
+            "true_mean": 1.5,
+            "var_y": 4.0,
+            "law": {"a": 3.0, "alpha": 0.5, "b": 0.5},
+            "s_min": None,
+        }
+        w = world_from_dict(spec)
+        assert w.s_min is None
+        assert w == plain_world(s_min=None)
