@@ -264,6 +264,10 @@ def _cmd_estimate_m(args, config: RunConfig) -> dict:
             raise ParameterError(
                 f"--n-options {args.n_options} contradicts the files ({k1} options)"
             )
+        if args.dim is not None and args.dim != d1:
+            raise ParameterError(
+                f"--dim {args.dim} contradicts the files ({d1} features per option)"
+            )
         loss = builtin_loss("mnl", n_options=k1, dim=d1)
     else:
         labeled = read_labeled_csv(args.labeled)
@@ -598,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-unlabeled", required=True, help="predicted labels for the pool")
     p.add_argument("--delta", type=float, default=0.05, help="miscoverage level (default 0.05)")
     p.add_argument("--dim", type=int, default=None,
-                   help="parameter dimension (required for categorical)")
+                   help="parameter dimension (required for categorical; "
+                        "ols and mnl: cross-check of the features (per option) in the files)")
     p.add_argument("--n-options", type=int, default=None,
                    help="mnl only: cross-check of the option count in the files")
     p.add_argument("--train-size", type=int, default=0,

@@ -231,16 +231,6 @@ class UnlabeledDataset:
         return f"UnlabeledDataset(m={self.m}, dim={self.dim})"
 
 
-def _is_frozen(xs: np.ndarray) -> bool:
-    """True when nobody can write to ``xs``: it and every array it views are read-only."""
-    arr = xs
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return False
-        arr = arr.base
-    return arr is None
-
-
 def _frozen(rows: np.ndarray) -> np.ndarray:
     """Mark a fresh copy of already validated rows read-only, without re-checking it."""
     rows.setflags(write=False)

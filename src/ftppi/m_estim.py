@@ -16,21 +16,20 @@ Categorical outcomes are integer labels 1..d; choice outcomes are
 0..K with 0 meaning "none of the options".  Predictors must emit hard
 labels for these discrete losses.
 
-The damped Newton solver evaluates the rectified objective once per
-point: the value of an accepted trial step is the next iteration's
-baseline.  The multinomial-choice kernels walk the rows in blocks of
-``_BLOCK_ROWS``, so their temporaries stay bounded whatever the pool
-size, and each loss object keeps the choice probabilities of the last
-theta per read-only feature array: the objective, score and Hessian at
-one Newton point, for both the true and the predicted labels, share one
-evaluation of them.
+The damped Newton solver evaluates the rectified risk one point at a
+time: ``LossModel.rows`` runs once per feature array at each point, and
+the objective, score and Hessian there, for both the true and the
+predicted labels, share its result.  The value of an accepted trial step
+is the next iteration's baseline.  The multinomial-choice kernels walk
+the rows in blocks of ``_BLOCK_ROWS``, so their temporaries stay bounded
+whatever the pool size; their ``rows`` carries the choice probabilities
+at the point, so each is computed once per point and array.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .core import (
     SingularHessianError,
     UnlabeledDataset,
     _data_line,
-    _is_frozen,
     _read_csv,
 )
 from .ppi_mean import normal_quantile, _check_delta
@@ -92,6 +90,15 @@ class LossModel:
 
     def hessian(self, x, y: float, theta: np.ndarray) -> np.ndarray:
         return self.batch_hessian_mean(*self._one_row(x, y), theta)
+
+    def rows(self, xs: np.ndarray, theta: np.ndarray):
+        """Features for the ``batch_*`` callables at ``theta``, with any work they share.
+
+        ``xs`` itself here.  The multinomial choice loss bundles the choice
+        probabilities at ``theta`` with its features, so that every call at
+        one point shares a single evaluation of them.
+        """
+        return xs
 
 
 @dataclass(frozen=True)
@@ -199,110 +206,51 @@ def linear_regression_loss(d: int) -> LossModel:
     return LossModel("ols", d, batch_loss_mean, batch_score, batch_hessian_mean, width=d)
 
 
-def _evict(memo_ref: weakref.ref, ident: int):
-    """Weakref callback dropping entry ``ident`` of ``memo_ref()._entries``.
+class _ChoiceRows(NamedTuple):
+    """Choice features with the probabilities every mnl callable needs at one theta."""
 
-    The memo is reached only through ``memo_ref``, so a memo keyed by
-    array identity does not outlive its owner because of its arrays.
+    xs: np.ndarray
+    theta: bytes  # float64 bytes of the theta that p and lse belong to
+    p: np.ndarray  # choice probabilities, n x K
+    lse: np.ndarray  # per-row log-sum-exp of the utilities, the outside option's being 0
+
+
+def _choice_blocks(xs: np.ndarray, K: int, d: int):
+    """(row slice, its rows as an (rows, K, d) array) for each row block of ``xs``."""
+    for lo in range(0, xs.shape[0], _BLOCK_ROWS):
+        span = slice(lo, lo + _BLOCK_ROWS)
+        yield span, xs[span].reshape(-1, K, d)
+
+
+def _choice_rows(xs, theta, K: int, d: int) -> _ChoiceRows:
+    """``xs``, raw or a ``_ChoiceRows``, with its choice probabilities at ``theta``.
+
+    A ``_ChoiceRows`` built at this very theta is returned as it is; one
+    built at another theta is recomputed from its features.
     """
+    theta = np.asarray(theta, dtype=np.float64)
+    key = theta.tobytes()
+    if isinstance(xs, _ChoiceRows):
+        if xs.theta == key:
+            return xs
+        xs = xs.xs
+    p = np.empty((xs.shape[0], K))
+    lse = np.empty(xs.shape[0])
+    for span, X in _choice_blocks(xs, K, d):
+        u = np.einsum("nkd,d->nk", X, theta)
+        top = np.maximum(0.0, u.max(axis=1))
+        expu = np.exp(u - top[:, None])
+        denom = np.exp(-top) + expu.sum(axis=1)
+        lse[span] = top + np.log(denom)
+        np.divide(expu, denom[:, None], out=p[span])
+    return _ChoiceRows(xs, key, p, lse)
 
-    def callback(_dead) -> None:
-        memo = memo_ref()
-        if memo is not None:
-            memo._entries.pop(ident, None)
 
-    return callback
+class _ChoiceLoss(LossModel):
+    """The model ``mnl_loss`` builds: its ``rows`` carry the choice probabilities."""
 
-
-class _ChoiceRisk:
-    """Loss, score and Hessian of the multinomial choice model, row block by row block.
-
-    ``_probs`` gives the choice probabilities P (n x K) and each row's
-    log-sum-exp of the utilities, lse (n), with the outside option's
-    utility 0.  For a read-only feature array (it and every array it
-    views are read-only) they are kept for one theta, keyed by the
-    array's identity and theta's float64 bytes, and evicted by a weakref
-    callback when the array dies.  A new theta drops the old entry before
-    computing its own, so at most one P per array is alive.  Arrays that
-    can still be written to are recomputed on every call.
-
-    Known limitation: numpy lets an array that owns its memory be made
-    writeable again.  If such an array is flipped back to writeable,
-    mutated and frozen again, the entry kept for it is stale, and calls at
-    the same theta return the probabilities of the old rows.
-    """
-
-    def __init__(self, n_options: int, dim_per_option: int) -> None:
-        self._K = n_options
-        self._d = dim_per_option
-        self._entries: dict[int, tuple[weakref.ref, bytes, np.ndarray, np.ndarray]] = {}
-
-    def _blocks(self, xs: np.ndarray):
-        """(row slice, its rows as an (rows, K, d) array) for each row block."""
-        for lo in range(0, xs.shape[0], _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            yield rows, xs[rows].reshape(-1, self._K, self._d)
-
-    def _probs(self, xs: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.asarray(theta, dtype=np.float64)
-        frozen = _is_frozen(xs)
-        ident = id(xs)
-        key = theta.tobytes()
-        entry = self._entries.get(ident)
-        if frozen and entry is not None and entry[0]() is xs and entry[1] == key:
-            return entry[2], entry[3]
-        del entry
-        self._entries.pop(ident, None)  # frees the stale P before a new one is allocated
-        p = np.empty((xs.shape[0], self._K))
-        lse = np.empty(xs.shape[0])
-        for rows, X in self._blocks(xs):
-            u = np.einsum("nkd,d->nk", X, theta)
-            top = np.maximum(0.0, u.max(axis=1))
-            expu = np.exp(u - top[:, None])
-            denom = np.exp(-top) + expu.sum(axis=1)
-            lse[rows] = top + np.log(denom)
-            np.divide(expu, denom[:, None], out=p[rows])
-        if frozen:
-            p.setflags(write=False)
-            lse.setflags(write=False)
-            alive = weakref.ref(xs, _evict(weakref.ref(self), ident))
-            self._entries[ident] = (alive, key, p, lse)
-        return p, lse
-
-    def batch_loss_mean(self, xs, ys, theta) -> float:
-        labs = _label_indices(ys, self._K, "mnl", base=0)
-        _, lse = self._probs(xs, theta)
-        picked = np.zeros(xs.shape[0])
-        for rows, X in self._blocks(xs):
-            lab = labs[rows]
-            chose = np.flatnonzero(lab)
-            picked[rows.start + chose] = X[chose, lab[chose] - 1] @ theta
-        return float(np.mean(lse - picked))
-
-    def batch_score(self, xs, ys, theta) -> np.ndarray:
-        labs = _label_indices(ys, self._K, "mnl", base=0)
-        p, _ = self._probs(xs, theta)
-        out = np.empty((xs.shape[0], self._d))
-        for rows, X in self._blocks(xs):
-            lab = labs[rows]
-            chose = np.flatnonzero(lab)
-            resid = p[rows].copy()
-            resid[chose, lab[chose] - 1] -= 1.0
-            out[rows] = np.einsum("nkd,nk->nd", X, resid)
-        return out
-
-    def batch_hessian_mean(self, xs, ys, theta) -> np.ndarray:
-        p, _ = self._probs(xs, theta)
-        d = self._d
-        full = np.zeros((d, d))
-        outer = np.zeros((d, d))
-        for rows, X in self._blocks(xs):
-            pb = p[rows]
-            full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
-            g = np.einsum("nkd,nk->nd", X, pb)
-            outer += g.T @ g
-        n = xs.shape[0]
-        return full / n - outer / n
+    def rows(self, xs: np.ndarray, theta: np.ndarray) -> _ChoiceRows:
+        return _choice_rows(xs, theta, self.width // self.dim, self.dim)
 
 
 def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
@@ -314,23 +262,53 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     negative log-likelihood; its minimizer recovers the utility weights.
 
     The callables work through the rows in blocks of ``_BLOCK_ROWS``, so
-    no temporary grows with n beyond the (n, K) probability matrix, and
-    the returned model keeps that matrix for the last theta of each
-    read-only feature array (see ``_ChoiceRisk``): calls at one theta on
-    one array share a single evaluation of the probabilities.  A feature
-    array that is made writeable again, mutated and frozen again can
-    therefore get stale probabilities from the model that saw it before;
-    build a new model for it.
+    no temporary grows with n beyond the (n, K) probability matrix.  They
+    take raw features or the model's ``rows(xs, theta)``, which carries
+    that matrix: calls on one ``rows`` value at its theta share a single
+    evaluation of the probabilities, and a call at another theta
+    recomputes them.
     """
     if not isinstance(n_options, (int, np.integer)) or n_options < 1:
         raise ParameterError(f"mnl_loss: n_options must be >= 1, got {n_options!r}")
     if not isinstance(dim_per_option, (int, np.integer)) or dim_per_option < 1:
         raise ParameterError(f"mnl_loss: dim_per_option must be >= 1, got {dim_per_option!r}")
     K, d = int(n_options), int(dim_per_option)
-    risk = _ChoiceRisk(K, d)
-    return LossModel(
-        "mnl", d, risk.batch_loss_mean, risk.batch_score, risk.batch_hessian_mean, width=K * d
-    )
+
+    def batch_loss_mean(xs, ys, theta):
+        labs = _label_indices(ys, K, "mnl", base=0)
+        at = _choice_rows(xs, theta, K, d)
+        picked = np.zeros(at.xs.shape[0])
+        for span, X in _choice_blocks(at.xs, K, d):
+            lab = labs[span]
+            chose = np.flatnonzero(lab)
+            picked[span.start + chose] = X[chose, lab[chose] - 1] @ theta
+        return float(np.mean(at.lse - picked))
+
+    def batch_score(xs, ys, theta):
+        labs = _label_indices(ys, K, "mnl", base=0)
+        at = _choice_rows(xs, theta, K, d)
+        out = np.empty((at.xs.shape[0], d))
+        for span, X in _choice_blocks(at.xs, K, d):
+            lab = labs[span]
+            chose = np.flatnonzero(lab)
+            resid = at.p[span].copy()
+            resid[chose, lab[chose] - 1] -= 1.0
+            out[span] = np.einsum("nkd,nk->nd", X, resid)
+        return out
+
+    def batch_hessian_mean(xs, ys, theta):
+        at = _choice_rows(xs, theta, K, d)
+        full = np.zeros((d, d))
+        outer = np.zeros((d, d))
+        for span, X in _choice_blocks(at.xs, K, d):
+            pb = at.p[span]
+            full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
+            g = np.einsum("nkd,nk->nd", X, pb)
+            outer += g.T @ g
+        n = at.xs.shape[0]
+        return full / n - outer / n
+
+    return _ChoiceLoss("mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d)
 
 
 def builtin_loss(kind: str, **kwargs) -> LossModel:
@@ -366,26 +344,46 @@ def _check_condition(h: np.ndarray, what: str) -> None:
         )
 
 
-def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f):
-    """Rectified objective, mean score and mean Hessian, each a function of theta."""
+class _Point(NamedTuple):
+    """The rectified objective, mean score and mean Hessian at ``theta``."""
+
+    theta: np.ndarray
+    objective: Callable[[], float]
+    score: Callable[[], np.ndarray]
+    hessian: Callable[[], np.ndarray]
+
+
+def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[np.ndarray], _Point]:
+    """Evaluator of the rectified risk, one point at a time.
+
+    At each theta, ``loss.rows`` runs once on the labeled features and
+    once on the pool's; all three pieces, and both label vectors of the
+    labeled rows, share those results.
+    """
     xl, yl = labeled_ppi.xs, labeled_ppi.ys
     fl = f.on(labeled_ppi)
     xu = unlabeled.xs
     fu = f.on(unlabeled)
 
-    def rectified(mean_over):
-        return lambda theta: (
-            mean_over(xl, yl, theta) - mean_over(xl, fl, theta) + mean_over(xu, fu, theta)
-        )
-
     def mean_score(xs, ys, theta):
         return loss.batch_score(xs, ys, theta).mean(axis=0)
 
-    return (
-        rectified(loss.batch_loss_mean),
-        rectified(mean_score),
-        rectified(loss.batch_hessian_mean),
-    )
+    def at(theta: np.ndarray) -> _Point:
+        rl, ru = loss.rows(xl, theta), loss.rows(xu, theta)
+
+        def rectified(mean_over):
+            return lambda: (
+                mean_over(rl, yl, theta) - mean_over(rl, fl, theta) + mean_over(ru, fu, theta)
+            )
+
+        return _Point(
+            theta,
+            rectified(loss.batch_loss_mean),
+            rectified(mean_score),
+            rectified(loss.batch_hessian_mean),
+        )
+
+    return at
 
 
 def solve_ppi_m_estimator(
@@ -407,15 +405,18 @@ def solve_ppi_m_estimator(
     theta = np.zeros(loss.dim) if init is None else np.asarray(init, dtype=np.float64).copy()
     if theta.shape != (loss.dim,):
         raise ParameterError(f"init must have shape ({loss.dim},), got {theta.shape}")
-    objective, score, hess = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
+    at = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
 
-    g = score(theta)
-    base = objective(theta)
+    # Rebinding ``point`` releases the previous point's shared work once
+    # the next one exists.
+    point = at(theta)
+    g = point.score()
+    base = point.objective()
     for _ in range(MAX_ITERATIONS):
         norm = float(np.max(np.abs(g)))
         if norm < SCORE_TOL:
             return theta
-        H = hess(theta)
+        H = point.hessian()
         try:
             _check_condition(H, "rectified Hessian")
             direction = np.linalg.solve(H, -g)
@@ -423,21 +424,21 @@ def solve_ppi_m_estimator(
             direction = -g
         step = 1.0
         halvings = 0
-        trial = theta + step * direction
-        value = objective(trial)
+        point = at(theta + step * direction)
+        value = point.objective()
         while value > base and halvings < 60:
             step *= 0.5
             halvings += 1
-            trial = theta + step * direction
-            value = objective(trial)
+            point = at(theta + step * direction)
+            value = point.objective()
         if halvings >= 60:
             raise ConvergenceError(
                 "step halving stalled before the score converged",
                 last_iterate=theta,
                 score_norm=norm,
             )
-        theta, base = trial, value
-        g = score(theta)
+        theta, base = point.theta, value
+        g = point.score()
 
     raise ConvergenceError(
         f"no convergence in {MAX_ITERATIONS} iterations "
@@ -502,14 +503,14 @@ def sandwich_covariance(
         raise InsufficientDataError(
             f"sandwich needs m >= dim+1 ({loss.dim + 1}), got {unlabeled.m}"
         )
-    xl, yl = labeled_ppi.xs, labeled_ppi.ys
-    fl = f.on(labeled_ppi)
-    delta_scores = loss.batch_score(xl, yl, theta_hat) - loss.batch_score(xl, fl, theta_hat)
+    rl = loss.rows(labeled_ppi.xs, theta_hat)
+    yl, fl = labeled_ppi.ys, f.on(labeled_ppi)
+    delta_scores = loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat)
     v_resid = _covariance(delta_scores)
     pool_scores = loss.batch_score(unlabeled.xs, f.on(unlabeled), theta_hat)
     v_pred = _covariance(pool_scores)
 
-    h_hat = loss.batch_hessian_mean(xl, yl, theta_hat)
+    h_hat = loss.batch_hessian_mean(rl, yl, theta_hat)
     h_hat = 0.5 * (h_hat + h_hat.T)
     _check_condition(h_hat, "mean Hessian")
 

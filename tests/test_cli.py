@@ -439,6 +439,19 @@ class TestEstimateM:
         assert code == 2
         assert "contradicts" in json.loads(err)["message"]
 
+    def test_mnl_dim_crosscheck(self, capsys, mnl_files):
+        files = [
+            "--labeled", mnl_files["lab"], "--unlabeled", mnl_files["unlab"],
+            "--pred-labeled", mnl_files["pl"], "--pred-unlabeled", mnl_files["pu"],
+        ]
+        code, _, err = run_cli(capsys, "estimate-m", "--loss", "mnl", "--dim", "7", *files)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"] == "--dim 7 contradicts the files (1 features per option)"
+        code, _, err = run_cli(capsys, "estimate-m", "--loss", "mnl", "--dim", "1", *files)
+        assert code == 0, err
+
 
 class TestSimulate:
     def scenario(self, tmp_path, **sections):

@@ -22,7 +22,7 @@ from ftppi.core import (
     read_unlabeled_csv,
 )
 from ftppi import m_estim
-from ftppi.core import DomainError, _is_frozen
+from ftppi.core import DomainError
 from ftppi.m_estim import read_choice_labeled_csv, read_choice_unlabeled_csv
 from ftppi.scaling import read_observations_csv
 
@@ -207,7 +207,7 @@ class TestPoolAdoption:
             result = reader(str(path))
         pool = result[0] if isinstance(result, tuple) else result
         assert pool.xs is parsed[0]
-        assert not pool.xs.flags.writeable and _is_frozen(pool.xs)
+        assert not pool.xs.flags.writeable and pool.xs.base is None
         assert pool.xs.tolist() == [[0.5, 1.0], [-2.0, 10.0]]
 
     @pytest.mark.parametrize("owner,reader,header", POOL_READERS, ids=["plain", "choice"])

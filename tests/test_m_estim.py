@@ -1,8 +1,6 @@
 """Tests for rectified M-estimation: losses, solver, sandwich, CSV ingestion."""
 
 import dataclasses
-import gc
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -346,10 +344,10 @@ class TestMnlEstimator:
 
 
 def _oracle_mnl(K, d):
-    """The multinomial-choice kernels before row blocks and the memo.
+    """The multinomial-choice kernels before row blocks and shared probabilities.
 
     Full-size einsums over an (n, K) float one-hot label matrix; the
-    reference the blocked, memoized kernels are checked against.
+    reference the blocked kernels are checked against.
     """
 
     def one_hot(ys):
@@ -383,11 +381,6 @@ def _oracle_mnl(K, d):
         return full - g.T @ g / X.shape[0]
 
     return loss_mean, score, hessian_mean
-
-
-def _risk(loss):
-    """The per-loss state behind mnl_loss's callables."""
-    return loss.batch_score.__self__
 
 
 def _frozen_copy(xs):
@@ -434,8 +427,7 @@ class TestChoiceKernels:
         K, d, xs, ys, fs, theta = batch
         model = mnl_loss(K, d)
         loss_mean, score, hessian_mean = _oracle_mnl(K, d)
-        # both label vectors and all three callables, in the solver's order,
-        # so that memoized probabilities are reused across them
+        # both label vectors and all three callables
         for labels in (ys, fs):
             assert model.batch_loss_mean(xs, labels, theta) == pytest.approx(
                 loss_mean(xs, labels, theta), rel=1e-12, abs=0.0
@@ -457,104 +449,53 @@ class TestChoiceKernels:
                 model.batch_score(xs, np.array(bad), np.zeros(1))
 
 
-class TestChoiceProbabilityMemo:
-    def setup_method(self):
-        self.rng = np.random.default_rng(90)
-        self.K, self.d = 3, 2
-        self.oracle_loss, self.oracle_score, _ = _oracle_mnl(self.K, self.d)
-
-    def batch(self, n=50):
-        xs = self.rng.standard_normal((n, self.K * self.d))
-        return xs, _choice_labels(self.rng, n, self.K)
-
-    def test_writeable_arrays_are_never_memoized(self):
-        model = mnl_loss(self.K, self.d)
-        theta = np.array([0.4, -0.3])
-        xs, ys = self.batch()
-        view = xs[:]
-        view.setflags(write=False)  # read-only, but its base is not
-        for arr in (xs, view):
-            model.batch_loss_mean(arr, ys, theta)
-            assert _risk(model)._entries == {}
-            xs *= 1.5  # a memo would now hand back stale probabilities
-            assert model.batch_loss_mean(arr, ys, theta) == pytest.approx(
-                self.oracle_loss(arr, ys, theta), rel=1e-12
-            )
-            assert model.batch_score(arr, ys, theta) == pytest.approx(
-                self.oracle_score(arr, ys, theta), abs=1e-12
-            )
-
-    def test_new_theta_is_recomputed(self):
-        model = mnl_loss(self.K, self.d)
-        xs, ys = self.batch()
-        xs = _frozen_copy(xs)
-        for theta in (np.array([0.4, -0.3]), np.array([-1.0, 0.2]), np.array([0.4, -0.3])):
-            assert model.batch_loss_mean(xs, ys, theta) == pytest.approx(
-                self.oracle_loss(xs, ys, theta), rel=1e-12
-            )
-            assert model.batch_score(xs, ys, theta) == pytest.approx(
-                self.oracle_score(xs, ys, theta), abs=1e-12
-            )
-            entries = _risk(model)._entries
-            assert list(entries) == [id(xs)]
-            assert entries[id(xs)][1] == theta.tobytes()
-
-    def test_stale_probabilities_are_freed_before_new_ones_are_made(self):
-        model = mnl_loss(self.K, self.d)
-        risk = _risk(model)
-        xs, ys = self.batch()
-        xs = _frozen_copy(xs)
-        model.batch_score(xs, ys, np.array([0.4, -0.3]))
-        events = []
-        stale = weakref.ref(risk._entries[id(xs)][2], lambda _: events.append("freed"))
-        blocks = risk._blocks
-
-        def watched(arr):
-            events.append("blocks")
-            return blocks(arr)
-
-        risk._blocks = watched
-        model.batch_score(xs, ys, np.array([-1.0, 0.2]))
-        assert stale() is None
-        assert events[0] == "freed"
-
-    def test_entry_dies_with_its_array(self):
-        model = mnl_loss(self.K, self.d)
-        xs, ys = self.batch()
-        xs = _frozen_copy(xs)
-        model.batch_score(xs, ys, np.array([0.4, -0.3]))
-        entries = _risk(model)._entries
-        probs = weakref.ref(entries[id(xs)][2])
-        del xs
-        gc.collect()
-        assert entries == {}
-        assert probs() is None
-
-    def test_losses_share_no_state(self):
-        first, second = mnl_loss(self.K, self.d), mnl_loss(self.K, self.d)
-        assert _risk(first) is not _risk(second)
-        xs, ys = self.batch()
-        xs = _frozen_copy(xs)
-        theta = np.array([0.4, -0.3])
-        first.batch_loss_mean(xs, ys, theta)
-        assert _risk(second)._entries == {}
-        second.batch_loss_mean(xs, ys, -theta)
-        assert _risk(first)._entries[id(xs)][1] == theta.tobytes()
-        assert first.batch_loss_mean(xs, ys, theta) == pytest.approx(
-            self.oracle_loss(xs, ys, theta), rel=1e-12
+def _assert_same_on_rows(model, xs, labels, theta, rows):
+    """All three callables give the same bits on ``rows`` as on raw ``xs``."""
+    for ys in labels:
+        assert model.batch_loss_mean(rows, ys, theta) == model.batch_loss_mean(xs, ys, theta)
+        assert np.array_equal(
+            model.batch_score(rows, ys, theta), model.batch_score(xs, ys, theta)
+        )
+        assert np.array_equal(
+            model.batch_hessian_mean(rows, ys, theta), model.batch_hessian_mean(xs, ys, theta)
         )
 
-    def test_memo_dies_with_its_loss(self):
-        model = mnl_loss(self.K, self.d)
-        xs, ys = self.batch()
-        xs = _frozen_copy(xs)
-        model.batch_loss_mean(xs, ys, np.array([0.4, -0.3]))
-        risk = weakref.ref(_risk(model))
-        del model
-        gc.collect()
-        assert risk() is None
-        del xs  # the eviction callback must cope with a dead memo
-        gc.collect()
+
+class TestRows:
+    """The callables on ``loss.rows(xs, theta)`` against the same callables on raw ``xs``."""
+
+    @pytest.mark.parametrize("name", ["mean", "categorical", "ols"])
+    def test_features_pass_through(self, name):
+        rng = np.random.default_rng(97)
+        model, _, _, theta = random_point(name, rng)
+        draws = [random_point(name, rng) for _ in range(40)]
+        xs = np.stack([x for _, x, _, _ in draws])
+        ys = np.array([y for _, _, y, _ in draws])
+        assert model.rows(xs, theta) is xs
+        _assert_same_on_rows(model, xs, (ys,), theta, model.rows(xs, theta))
+
+    @settings(max_examples=40, deadline=None)
+    @given(choice_batches(), st.floats(0.125, 1.0))
+    def test_mnl_rows_match_raw_features_bit_for_bit(self, batch, shift):
+        K, d, xs, ys, fs, theta = batch
+        model = mnl_loss(K, d)
+        rows = model.rows(xs, theta)
+        assert model.rows(rows, theta) is rows
+        _assert_same_on_rows(model, xs, (ys, fs), theta, rows)
+        # rows built at another theta are recomputed, never reused
+        _assert_same_on_rows(model, xs, (ys, fs), theta, model.rows(xs, theta + shift))
+
+    def test_refrozen_features_are_not_served_stale(self):
+        ds = UnlabeledDataset([[0.5, 1.0], [1.0, -1.0]])
+        m = mnl_loss(2, 1)
+        ys, theta = np.array([1.0, 2.0]), np.array([0.3])
+        assert m.batch_loss_mean(ds.xs, ys, theta) == pytest.approx(1.2672, abs=1e-4)
+        ds.xs.setflags(write=True)
+        ds.xs[:] *= 3
+        ds.xs.setflags(write=False)
+        fresh = mnl_loss(2, 1).batch_loss_mean(ds.xs, ys, theta)
+        assert fresh == pytest.approx(1.7086, abs=1e-4)
+        assert m.batch_loss_mean(ds.xs, ys, theta) == fresh
 
 
 def _reference_solve(loss, labeled, unlabeled, f):
@@ -564,23 +505,23 @@ def _reference_solve(loss, labeled, unlabeled, f):
     must reach the same iterate bit for bit.
     """
     theta = np.zeros(loss.dim)
-    objective, score, hess = _rectified_pieces(loss, labeled, unlabeled, f)
-    g = score(theta)
+    at = _rectified_pieces(loss, labeled, unlabeled, f)
+    g = at(theta).score()
     for _ in range(200):
         if float(np.max(np.abs(g))) < 1e-10:
             return theta
-        H = hess(theta)
+        H = at(theta).hessian()
         cond = np.linalg.cond(H)
         if not np.isfinite(cond) or cond > 1e12:
             direction = -g
         else:
             direction = np.linalg.solve(H, -g)
-        base = objective(theta)
+        base = at(theta).objective()
         step = 1.0
-        while objective(theta + step * direction) > base:
+        while at(theta + step * direction).objective() > base:
             step *= 0.5
         theta = theta + step * direction
-        g = score(theta)
+        g = at(theta).score()
     raise AssertionError("reference solver did not converge")
 
 
@@ -592,45 +533,62 @@ def _choice_instance(rng, K=3, d=2, n=400, m=3000):
     return LabeledDataset(xl, yl), UnlabeledDataset(xu), f
 
 
+def _solver_instance(name, rng):
+    """(loss, labeled, unlabeled, f) for a small solve with each built-in loss."""
+    if name == "mnl":
+        return (mnl_loss(3, 2), *_choice_instance(rng))
+    if name == "ols":
+        xl, xu = rng.standard_normal((300, 2)), rng.standard_normal((2000, 2))
+        labeled = LabeledDataset(xl, xl @ np.array([1.0, -0.5]) + rng.standard_normal(300))
+        f = Predictor(lambda x: x @ np.array([0.9, -0.4]), s=1)
+        return linear_regression_loss(2), labeled, UnlabeledDataset(xu), f
+    if name == "categorical":
+        labeled, unlabeled, _ = mean_instance(rng, n=200, m=1000)
+        labeled = LabeledDataset(labeled.xs, rng.integers(1, 4, size=200).astype(float))
+        f = Predictor(lambda x: 1.0 + (x[:, 0] > 0) + (x[:, 0] > 1), s=1)
+        return categorical_loss(3), labeled, unlabeled, f
+    return (mean_loss(), *mean_instance(rng))
+
+
+LOSS_NAMES = ["mean", "categorical", "ols", "mnl"]
+
+
 class TestSolverEvaluations:
     def test_objective_evaluated_once_per_point(self):
-        loss = mnl_loss(3, 2)
-        labeled, unlabeled, f = _choice_instance(np.random.default_rng(95))
-        points = []
+        """Calls made through ``dataclasses.replace``d callables, for every built-in loss.
 
-        def counted(xs, ys, theta):
-            points.append(theta.tobytes())
-            return loss.batch_loss_mean(xs, ys, theta)
+        Three calls per point and piece (y and f(x) on the labeled rows, f
+        on the pool): objective evaluations are loss calls / 3, and Newton
+        iterations are Hessian calls / 3.
+        """
+        for name in LOSS_NAMES:
+            loss, labeled, unlabeled, f = _solver_instance(name, np.random.default_rng(95))
+            calls = {"batch_loss_mean": [], "batch_score": [], "batch_hessian_mean": []}
 
-        theta = solve_ppi_m_estimator(
-            dataclasses.replace(loss, batch_loss_mean=counted), labeled, unlabeled, f
-        )
-        per_point = Counter(points)
-        assert len(per_point) >= 3
-        # three calls per point: y and f(x) on the labeled rows, f on the pool
-        assert set(per_point.values()) == {3}
-        assert np.array_equal(theta, solve_ppi_m_estimator(loss, labeled, unlabeled, f))
+            def counted(field, fn):
+                def wrapper(*args):
+                    calls[field].append(args[2].tobytes())
+                    return fn(*args)
 
-    @pytest.mark.parametrize("name", ["mean", "categorical", "ols", "mnl"])
+                return wrapper
+
+            traced = dataclasses.replace(
+                loss, **{field: counted(field, getattr(loss, field)) for field in calls}
+            )
+            theta = solve_ppi_m_estimator(traced, labeled, unlabeled, f)
+            per_point = {field: Counter(points) for field, points in calls.items()}
+            for field, counts in per_point.items():
+                assert set(counts.values()) == {3}, (name, field)
+            objective, score, hessian = (set(per_point[field]) for field in calls)
+            # the score is taken at the start and after every accepted step,
+            # the Hessian at each of those points but the converged last one
+            assert len(hessian) == len(score) - 1 >= 1, name
+            assert hessian < score <= objective, name
+            assert np.array_equal(theta, solve_ppi_m_estimator(loss, labeled, unlabeled, f))
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_matches_the_reference_loop_bit_for_bit(self, name):
-        rng = np.random.default_rng(96)
-        if name == "mnl":
-            loss = mnl_loss(3, 2)
-            labeled, unlabeled, f = _choice_instance(rng)
-        elif name == "ols":
-            loss = linear_regression_loss(2)
-            xl, xu = rng.standard_normal((300, 2)), rng.standard_normal((2000, 2))
-            labeled = LabeledDataset(xl, xl @ np.array([1.0, -0.5]) + rng.standard_normal(300))
-            unlabeled = UnlabeledDataset(xu)
-            f = Predictor(lambda x: x @ np.array([0.9, -0.4]), s=1)
-        elif name == "categorical":
-            loss = categorical_loss(3)
-            labeled, unlabeled, _ = mean_instance(rng, n=200, m=1000)
-            labeled = LabeledDataset(labeled.xs, rng.integers(1, 4, size=200).astype(float))
-            f = Predictor(lambda x: 1.0 + (x[:, 0] > 0) + (x[:, 0] > 1), s=1)
-        else:
-            loss = mean_loss()
-            labeled, unlabeled, f = mean_instance(rng)
+        loss, labeled, unlabeled, f = _solver_instance(name, np.random.default_rng(96))
         want = _reference_solve(loss, labeled, unlabeled, f)
         assert np.array_equal(solve_ppi_m_estimator(loss, labeled, unlabeled, f), want)
 
