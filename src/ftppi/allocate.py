@@ -91,11 +91,20 @@ def allocation_objective(law: ScalingLaw, n: int, s: float) -> float:
 
 
 def _solve_root(law: ScalingLaw, n: float) -> float:
-    """Bisection for the stationarity root on (0, n); n may be real here."""
-    a, alpha, b = law.a, law.alpha, law.b
+    """Bisection for the stationarity root on (0, n); n may be real here.
+
+    The residual is bisected times s**(alpha+1)/a > 0: same sign, but no
+    negative power of s to overflow near s = 0, and the floor term
+    saturates to +inf where s**(alpha+1) overflows.
+    """
+    alpha, b_over_a = law.alpha, law.b / law.a
 
     def foc(s: float) -> float:
-        return alpha * a * n * s ** (-alpha - 1.0) - (alpha + 1.0) * a * s ** (-alpha) - b
+        try:
+            floor_term = b_over_a * s ** (alpha + 1.0) if b_over_a else 0.0
+        except OverflowError:
+            floor_term = math.inf
+        return alpha * n - (alpha + 1.0) * s - floor_term
 
     lo = BRACKET_EPS * n
     hi = n - BRACKET_EPS * n

@@ -319,44 +319,53 @@ def _cmd_estimate_m(args, config: RunConfig) -> dict:
     }
 
 
-def _scenario_seed(args, scenario: dict) -> RngSeed:
-    if args.seed is not None:
-        return RngSeed(args.seed)
-    if "seed" in scenario and scenario["seed"] is not None:
-        return RngSeed(int(scenario["seed"]))
-    return RngSeed(_env_seed_default())
+def _scenario_number(value, key: str, kind: type):
+    """Scenario value ``key`` as an integral ``int`` or a finite ``float``.
+
+    Anything else, null and booleans included, is a ParameterError.
+    """
+    if kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ParameterError(f"scenario key {key!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _allocation_curve_rows(columns, section, world, n, m, seed) -> list:
-    result = brute_force_allocation(
-        world,
-        n,
-        m,
-        grid_step=float(section.get("grid_step", 0.05)),
-        replicates=int(section.get("replicates", 100)),
-        seed=seed,
-    )
+    step = _scenario_number(section.get("grid_step", 0.05), "allocation_curve.grid_step", float)
+    reps = _scenario_number(section.get("replicates", 100), "allocation_curve.replicates", int)
+    result = brute_force_allocation(world, n, m, grid_step=step, replicates=reps, seed=seed)
     return list(zip(result.fractions, result.variances))
 
 
 def _comparison_rows(columns, section, world, n, m, seed) -> list:
-    report = run_estimator_comparison(
-        world, n, m, replicates=int(section.get("replicates", 200)), seed=seed
-    )
+    reps = _scenario_number(section.get("replicates", 200), "comparison.replicates", int)
+    report = run_estimator_comparison(world, n, m, replicates=reps, seed=seed)
     return [[getattr(row, name) for name in columns] for row in report.rows]
 
 
 def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
+    def number(key: str, default=None):
+        return _scenario_number(section.get(key, default), f"bootstrap.{key}", int)
+
+    s_grid = section.get("s_grid")
+    if s_grid is not None:
+        if not isinstance(s_grid, list):
+            raise ParameterError(f"scenario key 'bootstrap.s_grid' must be a list, got {s_grid!r}")
+        s_grid = [_scenario_number(s, "bootstrap.s_grid", int) for s in s_grid]
     report = bootstrap_robustness(
         world,
-        n_datasets=int(section.get("n_datasets", 10)),
-        n_training_seeds=int(section.get("n_training_seeds", 3)),
-        n_fit=int(section.get("n_fit", n)),
-        resamples=int(section.get("resamples", 200)),
+        n_datasets=number("n_datasets", 10),
+        n_training_seeds=number("n_training_seeds", 3),
+        n_fit=number("n_fit", n),
+        resamples=number("resamples", 200),
         seed=seed,
-        s_grid=section.get("s_grid"),
+        s_grid=s_grid,
         training_noise=bool(section.get("training_noise", True)),
-        n_alloc=section.get("n_alloc"),
+        n_alloc=None if section.get("n_alloc") is None else number("n_alloc"),
     )
     rows = [[name, q.median, q.ci_low, q.ci_high] for name, q in report.quantities.items()]
     rows.append(["fraction_var_data_sampling", report.data_sampling_part, "", ""])
@@ -366,14 +375,9 @@ def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
 
 
 def _external_rows(columns, section, world, n, m, seed) -> list:
-    report = external_ft_experiment(
-        world,
-        external_strength=float(section.get("strength", 0.5)),
-        n=n,
-        m=m,
-        replicates=int(section.get("replicates", 200)),
-        seed=seed,
-    )
+    strength = _scenario_number(section.get("strength", 0.5), "external.strength", float)
+    reps = _scenario_number(section.get("replicates", 200), "external.replicates", int)
+    report = external_ft_experiment(world, strength, n, m, replicates=reps, seed=seed)
     return [[getattr(report, name) for name in columns]]
 
 
@@ -410,13 +414,17 @@ def _cmd_simulate(args, config: RunConfig) -> dict:
         if key not in scenario:
             raise ParameterError(f"scenario is missing required key {key!r}")
     world = world_from_dict(scenario["world"])
-    n, m = int(scenario["n"]), int(scenario["m"])
-    seed = _scenario_seed(args, scenario)
+    n, m = (_scenario_number(scenario[key], key, int) for key in ("n", "m"))
+    seed = config.seed
+    if args.seed is None and scenario.get("seed") is not None:
+        seed = RngSeed(_scenario_number(scenario["seed"], "seed", int))
 
     os.makedirs(config.out, exist_ok=True)
     written: list[str] = []
     for tag, (name, columns, build_rows) in enumerate(_SIMULATE_SECTIONS, start=1):
         section = scenario.get(name)
+        if section and not isinstance(section, dict):
+            raise ParameterError(f"scenario section {name!r} must be an object")
         if section:
             rows = build_rows(columns, section, world, n, m, seed.child(tag))
             path = os.path.join(config.out, f"{name}.csv")

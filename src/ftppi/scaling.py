@@ -110,44 +110,42 @@ def eval_variance(law: ScalingLaw, s: int) -> float:
     return float(law.a * float(s) ** (-law.alpha) + law.b)
 
 
-def _profile_fit(x: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Best (a, b) with a >= A_FLOOR, b >= 0 for fixed regressor x = s**(-alpha).
+def _profile(
+    alphas: np.ndarray, log_s: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (a, b) with a >= A_FLOOR, b >= 0 at each alpha, and its SSE.
 
-    Closed-form 2x2 least squares with constraint clamping; returns
-    (a, b, sse).
+    At fixed alpha the law is linear in (a, b) with regressor
+    x = s**(-alpha): closed-form 2x2 least squares with the constraints
+    clamped, one row per alpha.  Returns arrays (a, b, sse).
     """
-    n = x.shape[0]
-    sx = float(x.sum())
-    sxx = float((x * x).sum())
-    sv = float(v.sum())
-    sxv = float((x * v).sum())
+    x = np.exp(-alphas[:, None] * log_s)
+    n = log_s.shape[0]
+    sx = x.sum(axis=1)
+    sxx = (x * x).sum(axis=1)
+    sv = v.sum()
+    sxv = x @ v
     det = n * sxx - sx * sx
-    if det > 1e-14 * max(1.0, n * sxx):
-        a = (n * sxv - sx * sv) / det
-        b = (sv * sxx - sx * sxv) / det
-    else:
-        # Regressor nearly constant: slope not identifiable at this alpha.
-        a = A_FLOOR
-        b = max((sv - a * sx) / n, 0.0)
-    if b < 0.0:
-        b = 0.0
-        a = sxv / sxx if sxx > 0 else A_FLOOR
-    if a < A_FLOOR:
-        a = A_FLOOR
-        b = max((sv - a * sx) / n, 0.0)
-    resid = v - (a * x + b)
-    return a, b, float(np.dot(resid, resid))
+    # Where the regressor is nearly constant the slope is not identifiable.
+    solvable = det > 1e-14 * np.maximum(1.0, n * sxx)
+    det = np.where(solvable, det, 1.0)
+    floor_b = np.maximum((sv - A_FLOOR * sx) / n, 0.0)
+    a = np.where(solvable, (n * sxv - sx * sv) / det, A_FLOOR)
+    b = np.where(solvable, (sv * sxx - sx * sxv) / det, floor_b)
+    negative_b = b < 0.0
+    through_origin = np.divide(sxv, sxx, out=np.full_like(sxx, A_FLOOR), where=sxx > 0)
+    a = np.where(negative_b, through_origin, a)
+    b = np.where(negative_b, 0.0, b)
+    low_a = a < A_FLOOR
+    a = np.where(low_a, A_FLOOR, a)
+    b = np.where(low_a, floor_b, b)
+    resid = v - (a[:, None] * x + b[:, None])
+    return a, b, np.einsum("ij,ij->i", resid, resid)
 
 
-def _profile_sse(alpha: float, s: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    x = np.exp(-alpha * np.log(s))
-    a, b, sse = _profile_fit(x, v)
-    return a, b, sse
-
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-#: A fitted alpha this close to ALPHA_MIN or ALPHA_MAX sits at the edge
-#: (the width at which the golden-section refinement may stop).
+#: A fitted alpha within this distance of ALPHA_MIN or ALPHA_MAX sits at
+#: the edge.  A fit whose SSE still falls at an edge returns that edge
+#: exactly; the tolerance also catches optima just inside it.
 _EDGE_TOL = 1e-6
 
 
@@ -155,11 +153,13 @@ def fit_scaling_law(observations) -> ScalingFit:
     """Fit (a, alpha, b) by least squares in variance space.
 
     Strategy: profile out (a, b) by constrained linear least squares at
-    each alpha, scan a log-spaced alpha grid over [0.01, 2.0], then refine
-    alpha locally by golden-section until the objective improves by less
-    than 1e-10 relative per step.  All-equal variances are a degenerate
-    case: the flat law (b = common value, a at its floor) is returned and
-    flagged rather than rejected.
+    each alpha (variable projection), scan a 120-point log-spaced alpha
+    grid over [ALPHA_MIN, ALPHA_MAX], then zoom: rescan 33 evenly spaced
+    alphas between the best point's two neighbours until they are less
+    than 1e-12 apart.  The best scanned point is returned; ties go to the
+    smaller alpha.  All-equal variances are a degenerate case: the flat
+    law (b = common value, a at its floor) is returned and flagged rather
+    than rejected.
     """
     obs = list(observations)
     if len(obs) < 3:
@@ -190,57 +190,27 @@ def fit_scaling_law(observations) -> ScalingFit:
             boundary=False,
         )
 
-    grid = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
-    sses = np.empty_like(grid)
-    for i, alpha in enumerate(grid):
-        sses[i] = _profile_sse(float(alpha), s, v)[2]
-    best = int(np.argmin(sses))  # ties resolve to the smaller alpha
-
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, grid.shape[0] - 1)])
-    best_sse = float(sses[best])
-
-    # Golden-section refinement of alpha; (a, b) are re-profiled exactly at
-    # every probe, so each step refines all three parameters.
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _profile_sse(x1, s, v)[2]
-    f2 = _profile_sse(x2, s, v)[2]
-    for _ in range(200):
+    log_s = np.log(s)
+    alphas = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
+    while True:
+        a, b, sse = _profile(alphas, log_s, v)
+        best = int(np.argmin(sse))  # ties resolve to the smaller alpha
+        lo = alphas[max(best - 1, 0)]
+        hi = alphas[min(best + 1, alphas.shape[0] - 1)]
         if hi - lo < 1e-12:
             break
-        prev = best_sse
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _profile_sse(x1, s, v)[2]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _profile_sse(x2, s, v)[2]
-        best_sse = min(best_sse, f1, f2)
-        if prev > 0 and (prev - best_sse) / prev < 1e-10 and hi - lo < 1e-6:
-            break
-
-    alpha = 0.5 * (lo + hi)
-    a, b, sse = _profile_sse(alpha, s, v)
-    # Keep whichever probe was actually best (guards against a final
-    # midpoint evaluation being marginally worse than a bracket endpoint).
-    for cand in (x1, x2, lo, hi):
-        ca, cb, csse = _profile_sse(cand, s, v)
-        if csse < sse:
-            alpha, a, b, sse = cand, ca, cb, csse
+        alphas = np.linspace(lo, hi, 33)
+    alpha, a, b, sse = (float(arr[best]) for arr in (alphas, a, b, sse))
 
     law = ScalingLaw(a=a, alpha=alpha, b=b)
     residuals = v - (a * s ** (-alpha) + b)
-    r_squared = 1.0 - sse / sst
     return ScalingFit(
         law=law,
-        r_squared=float(r_squared),
+        r_squared=1.0 - sse / sst,
         residuals=residuals,
-        alpha_ge_one=bool(alpha >= 1.0),
+        alpha_ge_one=alpha >= 1.0,
         degenerate=False,
-        boundary=bool(min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) < _EDGE_TOL),
+        boundary=min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) < _EDGE_TOL,
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftppi.allocate import (
+    BRACKET_TOL,
     AllocationResult,
     FeasibilityInput,
     allocation_objective,
@@ -151,6 +152,18 @@ class TestSolveOptimalAllocation:
         assert res.feasible is False
         assert res.threshold == pytest.approx(0.8)
         assert "noise floor too high" in res.diagnostics
+
+    @pytest.mark.parametrize(
+        "alpha, n", [(38.0, 10), (60.0, 1000), (60.0, 1_000_000), (120.0, 1_000_000)]
+    )
+    def test_steep_law_solves_without_overflow(self, alpha, n):
+        # s**(-alpha-1) overflows at the bracket end 1e-9*n for these laws
+        law = ScalingLaw(1.0, alpha, 0.1)
+        res = solve_optimal_allocation(law, n)
+        s, tol = res.s_star_real, BRACKET_TOL * n
+        assert 1.0 < s < 2.0
+        assert foc_residual(law, n, s - tol) > 0 > foc_residual(law, n, s + tol)
+        assert res.s_star_int == 2
 
     def test_n_validation(self):
         law = ScalingLaw(1.0, 1.0, 0.0)

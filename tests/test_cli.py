@@ -121,6 +121,16 @@ class TestAllocate:
         assert code == 0
         assert json.loads(out)["fraction"] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("n, s_star_real", [(1000, 1.24369757466), (1_000_000, 1.39283248115)])
+    def test_steep_law_solves(self, capsys, n, s_star_real):
+        code, out, err = run_cli(
+            capsys, "allocate", "--a", "1", "--alpha", "60", "--b", "0.1", "--n", str(n)
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["s_star"] == 2
+        assert payload["s_star_real"] == s_star_real
+
     def test_invalid_parameter_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "allocate", "--a", "10", "--alpha", "-1", "--b", "0", "--n", "100"
@@ -518,6 +528,38 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario", str(p), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "not valid JSON" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"n": "abc"}, "'n'"),
+            ({"n": None}, "'n'"),
+            ({"n": 2.5}, "'n'"),
+            ({"m": True}, "'m'"),
+            ({"seed": 1.5}, "'seed'"),
+            ({"comparison": {"replicates": "many"}}, "'comparison.replicates'"),
+            ({"comparison": {"replicates": None}}, "'comparison.replicates'"),
+            ({"comparison": [2]}, "'comparison'"),
+            ({"allocation_curve": {"grid_step": "x"}}, "'allocation_curve.grid_step'"),
+            ({"bootstrap": {"n_fit": 300.5}}, "'bootstrap.n_fit'"),
+            ({"bootstrap": {"s_grid": [16, "a", 64]}}, "'bootstrap.s_grid'"),
+            ({"bootstrap": {"s_grid": 64}}, "'bootstrap.s_grid'"),
+            ({"external": {"strength": float("nan")}}, "'external.strength'"),
+        ],
+    )
+    def test_malformed_number_exits_2(self, capsys, tmp_path, override, key):
+        scen = self.scenario(tmp_path, **{"comparison": {"replicates": 2}, **override})
+        code, out, err = run_cli(capsys, "simulate", "--scenario", scen, "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        msg = json.loads(err)
+        assert msg["error"] == "ParameterError"
+        assert key in msg["message"]
+
+    def test_integral_float_number_accepted(self, capsys, tmp_path):
+        scen = self.scenario(tmp_path, comparison={"replicates": 2.0})
+        code, _, err = run_cli(capsys, "simulate", "--scenario", scen, "--out", str(tmp_path / "o"))
+        assert code == 0, err
 
     def test_world_spec_missing_law(self, capsys, tmp_path):
         p = tmp_path / "scenario.json"

@@ -10,6 +10,7 @@ from ftppi.core import (
     UnderdeterminedFitError,
 )
 from ftppi.scaling import (
+    A_FLOOR,
     ALPHA_MAX,
     ALPHA_MIN,
     LogLogDiagnostic,
@@ -69,6 +70,81 @@ def brute_force_fit(observations, alpha_grid=None):
             if best is None or sse < best[0]:
                 best = (sse, a, alpha, b)
     return best[1], best[2], best[3], best[0]
+
+
+def fit_sse(law, observations):
+    """(SSE of ``law``, total sum of squares) over the observations."""
+    s = np.array([o.s for o in observations], dtype=float)
+    v = np.array([o.variance for o in observations], dtype=float)
+    sse = float(np.sum((v - law.a * s**-law.alpha - law.b) ** 2))
+    return sse, float(np.sum((v - v.mean()) ** 2))
+
+
+def _scalar_profile(alpha, s, v):
+    """Best (a, b, sse) at one alpha, one scalar at a time."""
+    x = np.exp(-alpha * np.log(s))
+    n = x.shape[0]
+    sx, sxx, sv, sxv = float(x.sum()), float((x * x).sum()), float(v.sum()), float((x * v).sum())
+    det = n * sxx - sx * sx
+    if det > 1e-14 * max(1.0, n * sxx):
+        a = (n * sxv - sx * sv) / det
+        b = (sv * sxx - sx * sxv) / det
+    else:
+        a = A_FLOOR
+        b = max((sv - a * sx) / n, 0.0)
+    if b < 0.0:
+        b = 0.0
+        a = sxv / sxx if sxx > 0 else A_FLOOR
+    if a < A_FLOOR:
+        a = A_FLOOR
+        b = max((sv - a * sx) / n, 0.0)
+    resid = v - (a * x + b)
+    return a, b, float(np.dot(resid, resid))
+
+
+def golden_section_fit(observations):
+    """Oracle: the grid-plus-golden-section search the zoom scan replaced.
+
+    A Python loop profiles a 120-point geometric alpha grid, then
+    golden-section refines the best point's bracket until a step gains
+    less than 1e-10 relative with the bracket under 1e-6, and keeps the
+    best of the midpoint and the last probes.  Returns (law, degenerate).
+    """
+    s = np.array([o.s for o in observations], dtype=float)
+    v = np.array([o.variance for o in observations], dtype=float)
+    if float(np.sum((v - v.mean()) ** 2)) == 0.0:
+        return ScalingLaw(A_FLOOR, ALPHA_MIN, float(v.mean())), True
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    grid = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
+    sses = [_scalar_profile(float(alpha), s, v)[2] for alpha in grid]
+    best = int(np.argmin(sses))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, grid.shape[0] - 1)])
+    best_sse = sses[best]
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = _scalar_profile(x1, s, v)[2], _scalar_profile(x2, s, v)[2]
+    for _ in range(200):
+        if hi - lo < 1e-12:
+            break
+        prev = best_sse
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = _scalar_profile(x1, s, v)[2]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = _scalar_profile(x2, s, v)[2]
+        best_sse = min(best_sse, f1, f2)
+        if prev > 0 and (prev - best_sse) / prev < 1e-10 and hi - lo < 1e-6:
+            break
+    alpha = 0.5 * (lo + hi)
+    a, b, sse = _scalar_profile(alpha, s, v)
+    for cand in (x1, x2, lo, hi):
+        ca, cb, csse = _scalar_profile(cand, s, v)
+        if csse < sse:
+            alpha, a, b, sse = cand, ca, cb, csse
+    return ScalingLaw(float(a), float(alpha), float(b)), False
 
 
 class TestScalingLaw:
@@ -182,6 +258,47 @@ class TestFitAgainstBruteForceOracle:
         # (both may sit in a flat valley, so parameters can differ more)
         assert sse_fit <= sse_o * 1.01 + 1e-15
         assert fit.law.alpha == pytest.approx(alpha_o, rel=0.05, abs=0.01)
+
+
+class TestFitAgainstGoldenSectionOracle:
+    """The zoom scan against the grid-plus-golden-section search it replaced."""
+
+    @given(
+        a=st.floats(min_value=0.1, max_value=20.0),
+        alpha=st.floats(min_value=0.02, max_value=1.9),
+        b=st.floats(min_value=0.0, max_value=5.0),
+        sizes=st.lists(st.integers(1, 20_000), min_size=3, max_size=24, unique=True),
+        noise_sd=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sse_no_worse_than_oracle(self, a, alpha, b, sizes, noise_sd, seed):
+        obs = observations_from_law(
+            ScalingLaw(a, alpha, b), sorted(sizes), noise_sd=noise_sd, seed=seed
+        )
+        fit = fit_scaling_law(obs)
+        oracle_law, oracle_degenerate = golden_section_fit(obs)
+        sse, sst = fit_sse(fit.law, obs)
+        oracle_sse, _ = fit_sse(oracle_law, obs)
+        assert fit.degenerate == oracle_degenerate
+        assert sse <= oracle_sse + 1e-12 * sst
+
+
+class TestFitReturnsPlainFloats:
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            observations_from_law(ScalingLaw(10.21, 0.21, 1.98)),
+            observations_from_law(ScalingLaw(3.0, 0.4, 0.2), noise_sd=0.05, seed=4),
+            observations_from_law(ScalingLaw(50.0, 3.0, 0.5), TestBoundaryFlag.SIZES),
+            [ScalingObservation(s, v) for s, v in ((100, 6.1), (250, 5.4), (500, 5.0), (1000, 4.6))],
+            [ScalingObservation(s, 2.5) for s in (10, 100, 1000)],
+        ],
+        ids=["noiseless", "noisy", "boundary", "readme", "degenerate"],
+    )
+    def test_fitted_numbers_are_python_floats(self, obs):
+        fit = fit_scaling_law(obs)
+        for value in (fit.law.a, fit.law.alpha, fit.law.b, fit.r_squared):
+            assert type(value) is float
 
 
 class TestFitNoisy:
