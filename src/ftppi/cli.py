@@ -54,6 +54,7 @@ from .rampup import RampUpPlan, rampup_final_estimate, run_rampup
 from .scaling import ScalingLaw, fit_report_dict, fit_scaling_law, read_observations_csv
 from .simulate import (
     SimTrainer,
+    _scenario_number,
     bootstrap_robustness,
     brute_force_allocation,
     external_ft_experiment,
@@ -319,21 +320,6 @@ def _cmd_estimate_m(args, config: RunConfig) -> dict:
     }
 
 
-def _scenario_number(value, key: str, kind: type):
-    """Scenario value ``key`` as an integral ``int`` or a finite ``float``.
-
-    Anything else, null and booleans included, is a ParameterError.
-    """
-    if kind is int:
-        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
-    if isinstance(value, bool) or not ok:
-        what = "an integer" if kind is int else "a finite number"
-        raise ParameterError(f"scenario key {key!r} must be {what}, got {value!r}")
-    return kind(value)
-
-
 def _allocation_curve_rows(columns, section, world, n, m, seed) -> list:
     step = _scenario_number(section.get("grid_step", 0.05), "allocation_curve.grid_step", float)
     reps = _scenario_number(section.get("replicates", 100), "allocation_curve.replicates", int)
@@ -356,6 +342,11 @@ def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
         if not isinstance(s_grid, list):
             raise ParameterError(f"scenario key 'bootstrap.s_grid' must be a list, got {s_grid!r}")
         s_grid = [_scenario_number(s, "bootstrap.s_grid", int) for s in s_grid]
+    training_noise = section.get("training_noise", True)
+    if not isinstance(training_noise, bool):
+        raise ParameterError(
+            f"scenario key 'bootstrap.training_noise' must be true or false, got {training_noise!r}"
+        )
     report = bootstrap_robustness(
         world,
         n_datasets=number("n_datasets", 10),
@@ -364,7 +355,7 @@ def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
         resamples=number("resamples", 200),
         seed=seed,
         s_grid=s_grid,
-        training_noise=bool(section.get("training_noise", True)),
+        training_noise=training_noise,
         n_alloc=None if section.get("n_alloc") is None else number("n_alloc"),
     )
     rows = [[name, q.median, q.ci_low, q.ci_high] for name, q in report.quantities.items()]

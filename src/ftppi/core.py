@@ -10,6 +10,8 @@ outcomes, with per-dataset caching of their evaluations.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import weakref
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -320,6 +322,10 @@ class Predictor:
 # ---------------------------------------------------------------------------
 
 
+def _undecodable(path: str, exc: UnicodeDecodeError) -> CsvFormatError:
+    return CsvFormatError(f"{path}: cannot decode file as {exc.encoding} text ({exc.reason})")
+
+
 def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
     """Header cells, data rows and the file line each data row ends on."""
     try:
@@ -334,6 +340,8 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
         raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     if not rows:
         raise CsvFormatError(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]
@@ -363,11 +371,18 @@ def _parse_matrix(
     return out
 
 
-def _load_body(fh, n_cols: int) -> np.ndarray | None:
-    """The rest of ``fh`` as a float matrix in one C-level pass, or None.
+#: Suffixes by which ``np.loadtxt`` picks a decompressor for a path.  The
+#: body of a file so named is read from the open handle, as plain text.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    None means the body is not a plain numeric table of ``n_cols`` columns
-    with at least one row; the row-by-row parser then decides what it is.
+
+def _load_body(source, skiprows: int, n_cols: int) -> np.ndarray | None:
+    """The lines of ``source`` after the first ``skiprows`` as a float matrix, or None.
+
+    ``source`` is a path, which ``np.loadtxt`` feeds to its C tokenizer in
+    chunks, or an open text file, which it reads one line at a time.  None
+    means the body is not a plain numeric table of ``n_cols`` columns with
+    at least one row; the row-by-row parser then decides what it is.
     """
     import warnings
 
@@ -375,7 +390,8 @@ def _load_body(fh, n_cols: int) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data" and the like
             mat = np.loadtxt(
-                fh, dtype=np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
+                source, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+                ndmin=2, skiprows=skiprows,
             )
     except (ValueError, Warning):
         return None
@@ -384,16 +400,27 @@ def _load_body(fh, n_cols: int) -> np.ndarray | None:
     return mat
 
 
+def _same_file(path: str, opened: os.stat_result) -> bool:
+    """Whether ``path`` still names the file whose ``fstat`` is ``opened``."""
+    try:
+        return os.path.samestat(os.stat(path), opened)
+    except OSError:
+        return False
+
+
 def _read_csv(
     path: str, check_header: Callable[[str, list[str]], _T]
 ) -> tuple[_T, np.ndarray]:
     """Read a numeric CSV: ``(check_header(path, header), body matrix)``.
 
     The header is the first non-empty row, cells stripped; it is checked
-    before any body cell is parsed.  The body goes through ``np.loadtxt``;
-    whatever that rejects is re-read row by row, which returns the same
-    matrix or raises a row- and column-addressed CsvFormatError.  Rows are
-    numbered by file line, so blank lines count.
+    before any body cell is parsed.  The body goes through ``np.loadtxt``:
+    for a regular file, by path after the header's lines, unless the name
+    has a compressed suffix or no longer names the file the header came
+    from; for a pipe or anything else, from the open handle.  Whatever that
+    rejects is re-read row by row, which returns the same matrix or raises
+    a row- and column-addressed CsvFormatError.  Rows are numbered by file
+    line, so blank lines count.
     """
     try:
         with open(path, newline="") as fh:
@@ -403,11 +430,21 @@ def _read_csv(
                 raise CsvFormatError(f"{path}: file is empty")
             header = [cell.strip() for cell in header]
             checked = check_header(path, header)
-            mat = _load_body(fh, len(header))
+            opened = os.fstat(fh.fileno())
+            by_path = stat.S_ISREG(opened.st_mode) and not os.fspath(path).endswith(
+                _COMPRESSED_SUFFIXES
+            )
+            if by_path:  # absolute, so np.loadtxt never takes a relative path for a URL
+                mat = _load_body(os.path.join(os.getcwd(), path), reader.line_num, len(header))
+                by_path = _same_file(path, opened)  # else replaced: use the opened file
+            if not by_path:
+                mat = _load_body(fh, 0, len(header))
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     if mat is None:
         header, rows, lines = _read_rows(path)
         if not rows:

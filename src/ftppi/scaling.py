@@ -171,7 +171,7 @@ def fit_scaling_law(observations) -> ScalingFit:
             raise ParameterError(f"expected ScalingObservation, got {type(o).__name__}")
     s = np.array([o.s for o in obs], dtype=np.float64)
     v = np.array([o.variance for o in obs], dtype=np.float64)
-    if np.unique(s).shape[0] < 3:
+    if len(set(s.tolist())) < 3:
         raise UnderdeterminedFitError(
             "fit_scaling_law needs observations at >= 3 distinct sizes"
         )

@@ -24,6 +24,7 @@ split) is known in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -48,23 +49,56 @@ _MIX_3 = np.uint64(0x94D049BB133111EB)
 _FIELD_SALT = np.uint64(0xD1B54A32D192ED03)
 
 
-def _splitmix(z: np.ndarray) -> np.ndarray:
-    z = z + _MIX_1
-    z = (z ^ (z >> np.uint64(30))) * _MIX_2
-    z = (z ^ (z >> np.uint64(27))) * _MIX_3
-    return z ^ (z >> np.uint64(31))
+#: Rows per block of the hash field: its integer and float scratch stay in cache.
+_FIELD_BLOCK = 8192
+
+
+def _splitmix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """The SplitMix64 finalizer, applied to ``z`` in place; ``scratch`` has its shape."""
+    z += _MIX_1
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX_2
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX_3
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def _gauss_field(xs: np.ndarray, key: int) -> np.ndarray:
-    """Deterministic standard normals, one per row, keyed by (row bytes, key)."""
-    h = np.full(xs.shape[0], np.uint64(key), dtype=np.uint64)
-    for j in range(xs.shape[1]):
-        bits = np.ascontiguousarray(xs[:, j]).view(np.uint64)
-        h = _splitmix(h ^ bits)
-    u1 = ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-    h2 = _splitmix(h ^ _FIELD_SALT)
-    u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53  # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """Deterministic standard normals, one per row, keyed by (row bytes, key).
+
+    Per row, the Box-Muller pair of ``u1 = ((h >> 11) + 1) * 2**-53`` in
+    (0, 1] and ``u2 = (h2 >> 11) * 2**-53`` in [0, 1), where ``h`` mixes the
+    key with each column's bits and ``h2`` mixes ``h`` with a salt.
+    """
+    n_rows = xs.shape[0]
+    out = np.empty(n_rows, dtype=np.float64)
+    h_buf = np.empty(min(n_rows, _FIELD_BLOCK), dtype=np.uint64)
+    t_buf = np.empty_like(h_buf)
+    u_buf = np.empty(h_buf.shape[0], dtype=np.float64)
+    for lo in range(0, n_rows, _FIELD_BLOCK):
+        hi = min(lo + _FIELD_BLOCK, n_rows)
+        h, t, u1, field = h_buf[: hi - lo], t_buf[: hi - lo], u_buf[: hi - lo], out[lo:hi]
+        h.fill(np.uint64(key))
+        for j in range(xs.shape[1]):
+            h ^= xs[lo:hi, j].view(np.uint64)
+            _splitmix(h, t)
+        np.right_shift(h, np.uint64(11), out=t)
+        np.add(t, 1.0, out=u1)
+        u1 *= 2.0**-53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        h ^= _FIELD_SALT
+        _splitmix(h, t)
+        np.right_shift(h, np.uint64(11), out=t)
+        np.multiply(t, 2.0**-53, out=field)
+        field *= 2.0 * np.pi
+        np.cos(field, out=field)
+        field *= u1
+    return out
 
 
 def _field_key(seed: RngSeed) -> int:
@@ -545,8 +579,7 @@ def default_measure_grid(world: SyntheticWorld, pool: int, points: int = 7) -> l
     lo = max(world.s_min or 1, 16)
     if pool <= lo:
         raise ParameterError(f"pool of {pool} too small for measurements starting at {lo}")
-    grid = np.unique(np.geomspace(lo, pool, points).round().astype(int))
-    return [int(s) for s in grid]
+    return sorted(set(np.geomspace(lo, pool, points).round().astype(int).tolist()))
 
 
 def bootstrap_robustness(
@@ -704,6 +737,21 @@ def external_ft_experiment(
 # ---------------------------------------------------------------------------
 
 
+def _scenario_number(value, key: str, kind: type):
+    """Scenario value ``key`` as an integral ``int`` or a finite ``float``.
+
+    Anything else, null and booleans included, is a ParameterError.
+    """
+    if kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ParameterError(f"scenario key {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def world_from_dict(spec: dict) -> SyntheticWorld:
     """Build a world from a plain dict (parsed scenario JSON)."""
     if not isinstance(spec, dict):
@@ -723,10 +771,10 @@ def world_from_dict(spec: dict) -> SyntheticWorld:
         return SyntheticWorld(
             true_mean=float(spec["true_mean"]),
             var_y=float(spec["var_y"]),
-            feature_dim=int(spec.get("feature_dim", 1)),
+            feature_dim=_scenario_number(spec.get("feature_dim", 1), "world.feature_dim", int),
             law=law,
             bias=bias,
-            s_min=None if s_min is None else int(s_min),
+            s_min=None if s_min is None else _scenario_number(s_min, "world.s_min", int),
             noise_floor=None if noise_floor is None else float(noise_floor),
         )
     except KeyError as exc:

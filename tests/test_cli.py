@@ -6,6 +6,7 @@ tests/golden/ and are byte-for-byte: outputs round floats to 12
 significant digits, so they are stable across platforms.
 """
 
+import gzip
 import json
 import os
 import subprocess
@@ -302,6 +303,30 @@ class TestEstimateMean:
         assert msg["error"] == "CsvFormatError"
         assert "row 2: field larger than field limit" in msg["message"]
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("pool.csv.gz", gzip.compress(b"x1\n0.0\n1.0\n")),
+            ("pool.csv", "x1\n0.0\n1.0\n".encode("utf-16")),
+        ],
+        ids=["gzip", "utf16"],
+    )
+    def test_undecodable_pool_exits_2(self, capsys, tmp_path, mean_files, name, content):
+        pool = tmp_path / name
+        pool.write_bytes(content)
+        code, out, err = run_cli(
+            capsys, "estimate-mean",
+            "--labeled", mean_files["labeled.csv"],
+            "--unlabeled", str(pool),
+            "--pred-labeled", mean_files["pred_labeled.csv"],
+            "--pred-unlabeled", mean_files["pred_pool.csv"],
+        )
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        msg = json.loads(line)
+        assert msg["error"] == "CsvFormatError"
+        assert msg["message"].startswith(f"{pool}: cannot decode file as utf-8 text")
+
 
 class TestEstimateM:
     def test_mean_loss_matches_estimate_mean(self, capsys, mean_files, tmp_path):
@@ -545,6 +570,11 @@ class TestSimulate:
             ({"bootstrap": {"s_grid": [16, "a", 64]}}, "'bootstrap.s_grid'"),
             ({"bootstrap": {"s_grid": 64}}, "'bootstrap.s_grid'"),
             ({"external": {"strength": float("nan")}}, "'external.strength'"),
+            ({"bootstrap": {"training_noise": "false"}}, "'bootstrap.training_noise'"),
+            ({"bootstrap": {"training_noise": 0}}, "'bootstrap.training_noise'"),
+            ({"bootstrap": {"training_noise": None}}, "'bootstrap.training_noise'"),
+            ({"world": {**WORLD_SPEC, "feature_dim": 2.7}}, "'world.feature_dim'"),
+            ({"world": {**WORLD_SPEC, "s_min": True}}, "'world.s_min'"),
         ],
     )
     def test_malformed_number_exits_2(self, capsys, tmp_path, override, key):

@@ -5,6 +5,9 @@ oracle: on any file, the fast reader must return the same matrix bit for
 bit, or raise the same exception with the same message.
 """
 
+import gzip
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -61,7 +64,11 @@ def csv_texts(draw, prefix="c"):
     else:
         line = st.one_of(valid_row, valid_row, valid_row, st.just(""), faults)
     lines = ["" for _ in range(draw(st.integers(0, 2)))]  # blank lines before the header
-    lines.append(",".join(f"{prefix}{j + 1}" for j in range(n_cols)))
+    names = [f"{prefix}{j + 1}" for j in range(n_cols)]
+    if draw(st.booleans()):  # a quoted line break in a header cell, stripped with the cell
+        j = draw(st.integers(0, n_cols - 1))
+        names[j] = f'"{names[j]}{draw(st.sampled_from(LINE_ENDS))}"'
+    lines.append(",".join(names))
     lines += draw(st.lists(line, max_size=8))
     if draw(st.booleans()):  # one line end for the file, or one per line
         end = draw(st.sampled_from(LINE_ENDS))
@@ -82,6 +89,10 @@ def _assert_same(fast, slow):
     else:
         assert fast.shape == slow.shape
         np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+
+
+def _refuse(*args):
+    raise AssertionError("fell back to the row-by-row parser")
 
 
 def _oracle_matrix(path):
@@ -112,7 +123,7 @@ class TestDifferential:
     def test_public_reader_matches_with_fast_path_disabled(self, csv_path, text):
         _write(csv_path, text)
         fast = _outcome(lambda: read_unlabeled_csv(csv_path).xs)
-        with mock.patch.object(core, "_load_body", lambda fh, n_cols: None):
+        with mock.patch.object(core, "_load_body", lambda source, skiprows, n_cols: None):
             slow = _outcome(lambda: read_unlabeled_csv(csv_path).xs)
         _assert_same(fast, slow)
 
@@ -130,12 +141,82 @@ class TestDifferential:
             "c1,c2\n1,2,3\n",
             "c1,c2\n\n\n",
             "\n\nc1,c2\n1,2\n",
+            'c1,c2\n"1\r\n",2\n',
+            'c1,"c2\n"\n"1\n2",3\n',
         ],
     )
     def test_edge_cases_match_oracle(self, csv_path, text):
         _write(csv_path, text)
         fast = _outcome(lambda: _read_csv(csv_path, lambda path, header: None)[1])
         _assert_same(fast, _outcome(lambda: _oracle_matrix(csv_path)))
+
+    # np.loadtxt's skiprows and csv.reader's line_num must both count physical
+    # lines: counting records instead would drop the first data rows
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"c1\n",c2\n1,2\n3,4\n5,6\n',
+            '"c1\r\n",c2\r\n1,2\r\n3,4\r\n5,6\r\n',
+            '"c\r1",c2\r1,2\r3,4\r5,6\r',
+            '\nc1,"c\n\n2"\n1,2\n\n3,4\n5,6\n',
+        ],
+    )
+    def test_quoted_line_break_in_header_on_fast_path(self, csv_path, monkeypatch, text):
+        _write(csv_path, text)
+        expected = _oracle_matrix(csv_path)
+        assert expected.shape == (3, 2)
+        monkeypatch.setattr(core, "_read_rows", _refuse)
+        _assert_same(_read_csv(csv_path, lambda path, header: None)[1], expected)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_compressed_suffix_reads_as_text(self, tmp_path, suffix):
+        path = str(tmp_path / f"pool.csv{suffix}")
+        _write(path, "\nc1,c2\r\n1.5,-2\r\n\r\n3e-3,4\n")
+        fast = _outcome(lambda: _read_csv(path, lambda path, header: None)[1])
+        assert fast.tolist() == [[1.5, -2.0], [3e-3, 4.0]]
+        _assert_same(fast, _outcome(lambda: _oracle_matrix(path)))
+
+    def test_url_like_relative_path_reads_the_local_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "pool.csv").write_text("x1\n1\n2\n")
+        # where a reader that took the path for a URL would look for a cached copy
+        (tmp_path / "host").mkdir()
+        (tmp_path / "host" / "pool.csv").write_text("x1\n7\n8\n")
+        assert read_unlabeled_csv("http://host/pool.csv").xs.tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_reads_whole_body(self, tmp_path, monkeypatch):
+        # far more than one read() chunk, so a second open of the pipe would
+        # start past the rows the header read had buffered
+        text = "x1,x2\n" + "".join(f"{i},{i / 7!r}\n" for i in range(5000))
+        regular = tmp_path / "pool.csv"
+        _write(regular, text)
+        expected = read_unlabeled_csv(str(regular)).xs
+        pipe = tmp_path / "pool.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
+        writer.start()
+        monkeypatch.setattr(core, "_read_rows", _refuse)  # a re-open would block
+        got = read_unlabeled_csv(str(pipe)).xs
+        writer.join(timeout=10)
+        _assert_same(got, expected)
+
+    def test_file_replaced_after_header_read_gives_the_opened_files_body(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("x1\n1\n2\n")
+        other = tmp_path / "other.csv"
+        other.write_text("x1\n7\n8\n9\n")
+        load_body = core._load_body
+
+        def replace_then_load(source, skiprows, n_cols):
+            if isinstance(source, str) and other.exists():
+                os.replace(other, path)
+            return load_body(source, skiprows, n_cols)
+
+        with mock.patch.object(core, "_load_body", replace_then_load):
+            xs = read_unlabeled_csv(str(path)).xs
+        assert xs.tolist() == [[1.0], [2.0]]
 
 
 def _plain(result):
@@ -162,15 +243,12 @@ VALID_FILES = [
 class TestFastPath:
     @pytest.mark.parametrize("reader,text", VALID_FILES, ids=lambda v: getattr(v, "__name__", ""))
     def test_valid_file_never_reaches_row_by_row_parser(self, tmp_path, monkeypatch, reader, text):
-        def refuse(*args):
-            raise AssertionError("fell back to the row-by-row parser")
-
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(core, "_load_body", lambda fh, n_cols: None):
+        with mock.patch.object(core, "_load_body", lambda source, skiprows, n_cols: None):
             expected = _plain(reader(str(path)))
-        monkeypatch.setattr(core, "_parse_matrix", refuse)
-        monkeypatch.setattr(core, "_read_rows", refuse)
+        monkeypatch.setattr(core, "_parse_matrix", _refuse)
+        monkeypatch.setattr(core, "_read_rows", _refuse)
         assert _plain(reader(str(path))) == expected
 
     def test_header_error_wins_over_body_error(self, tmp_path):
@@ -267,3 +345,37 @@ class TestErrorLineNumbers:
         path.write_text(f"s,variance\n10,2.5\n{cell},1.0\n")
         with pytest.raises(CsvFormatError, match=r"row 3, column s: expected an integer"):
             read_observations_csv(str(path))
+
+
+UNDECODABLE = "cannot decode file as utf-8 text"
+
+
+class TestUndecodableFiles:
+    """Bytes that are not text in the file's encoding are a CsvFormatError, not a traceback."""
+
+    def test_gzip_bytes(self, tmp_path):
+        path = tmp_path / "pool.csv.gz"
+        path.write_bytes(gzip.compress(b"x1\n1\n2\n"))
+        with pytest.raises(CsvFormatError, match=r"pool\.csv\.gz: " + UNDECODABLE):
+            read_unlabeled_csv(str(path))
+
+    def test_utf16_byte_order_mark(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_bytes("x1\n1\n".encode("utf-16"))
+        with pytest.raises(CsvFormatError, match=r"pool\.csv: " + UNDECODABLE):
+            read_unlabeled_csv(str(path))
+
+    # a short file is decoded whole by the header read; a long one is
+    # decoded in chunks, so its bad byte is met by the body read
+    @pytest.mark.parametrize("rows", [1, 20_000], ids=["header-read", "body-read"])
+    @pytest.mark.parametrize(
+        "load_body",
+        [core._load_body, lambda source, skiprows, n_cols: None],
+        ids=["loadtxt", "row-by-row"],
+    )
+    def test_latin1_body_under_valid_header(self, tmp_path, rows, load_body):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b"x1,x2\n" + b"0.5,1\n" * rows + "caf\xe9,2\n".encode("latin-1"))
+        with mock.patch.object(core, "_load_body", load_body):
+            with pytest.raises(CsvFormatError, match=r"pool\.csv: " + UNDECODABLE):
+                read_unlabeled_csv(str(path))

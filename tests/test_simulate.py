@@ -147,6 +147,47 @@ class TestGeneration:
             generate_world_data(w, 10, 0.5, 1)
 
 
+def unblocked_field(xs, key):
+    """The hash field as one whole-array expression: the blocked kernel's oracle."""
+
+    def mix(z):
+        z = z + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    h = np.full(xs.shape[0], np.uint64(key), dtype=np.uint64)
+    for j in range(xs.shape[1]):
+        h = mix(h ^ np.ascontiguousarray(xs[:, j]).view(np.uint64))
+    u1 = ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    h2 = mix(h ^ np.uint64(0xD1B54A32D192ED03))
+    u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+class TestGaussField:
+    """The blocked hash field matches the unblocked expression bit for bit."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 20_000])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_matches_unblocked_oracle(self, rows, dim, layout):
+        rng = np.random.default_rng(rows * 10 + dim)
+        wide = rng.standard_normal((rows, 2 * dim))
+        wide[::5, 0] = 0.0
+        wide[::7, -1] = -0.0
+        xs = {
+            "C": np.ascontiguousarray(wide[:, :dim]),
+            "F": np.asfortranarray(wide[:, :dim]),
+            "strided": wide[:, ::2],
+        }[layout]
+        for key in (0, 2**64 - 1):
+            got = simulate._gauss_field(xs, key)
+            want = unblocked_field(xs, key)
+            assert got.shape == (rows,) and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestTrainer:
     def test_residual_variance_matches_law(self):
         labeled, _ = generate_world_data(REFERENCE_WORLD, 100_000, 1, 7)
@@ -570,6 +611,19 @@ class TestWorldSerialization:
                     "law": {"a": 1.0, "alpha": 0.5, "b": 0.0},
                 }
             )
+
+    @pytest.mark.parametrize("key", ["feature_dim", "s_min"])
+    @pytest.mark.parametrize("value", [2.7, 10.9, True, False, "3", float("inf")])
+    def test_non_integral_sizes_rejected(self, key, value):
+        spec = {"true_mean": 0.0, "var_y": 2.0, "law": {"a": 1.0, "alpha": 0.5, "b": 0.1}}
+        with pytest.raises(ParameterError, match=f"'world.{key}' must be an integer"):
+            world_from_dict({**spec, key: value})
+
+    @pytest.mark.parametrize("key", ["feature_dim", "s_min"])
+    def test_integral_float_sizes_accepted(self, key):
+        spec = {"true_mean": 0.0, "var_y": 2.0, "law": {"a": 1.0, "alpha": 0.5, "b": 0.1}}
+        w = world_from_dict({**spec, key: 3.0})
+        assert getattr(w, key) == 3 and type(getattr(w, key)) is int
 
     def test_none_s_min_rounds_trip(self):
         spec = {
