@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ParameterError
+from .core import DomainError, ParameterError, check_int
 from .scaling import ScalingLaw
 
 #: Relative bracket endpoints and stopping width for the bisection.
@@ -54,18 +54,11 @@ class FeasibilityInput:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        object.__setattr__(self, "n", check_int(self.n, "n", 2))
         if not np.isfinite(self.sigma_sq) or self.sigma_sq <= 0:
             raise ParameterError(
                 f"FeasibilityInput.sigma_sq must be finite and > 0, got {self.sigma_sq}"
             )
-
-
-def _check_n(n) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ParameterError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
 
 
 def foc_residual(law: ScalingLaw, n: int, s: float) -> float:
@@ -73,7 +66,7 @@ def foc_residual(law: ScalingLaw, n: int, s: float) -> float:
 
     Positive means s is below the optimum, negative above.
     """
-    _check_n(n)
+    n = check_int(n, "n", 2)
     if not np.isfinite(s) or not 0 < s < n:
         raise DomainError(f"foc_residual: s must lie in (0, n), got s={s}, n={n}")
     a, alpha, b = law.a, law.alpha, law.b
@@ -83,7 +76,7 @@ def foc_residual(law: ScalingLaw, n: int, s: float) -> float:
 
 def allocation_objective(law: ScalingLaw, n: int, s: float) -> float:
     """Residual variance per rectification sample, (a*s^-alpha + b)/(n-s)."""
-    _check_n(n)
+    n = check_int(n, "n", 2)
     if not np.isfinite(s) or not 0 < s < n:
         raise DomainError(f"allocation_objective: s must lie in (0, n), got s={s}")
     s = float(s)
@@ -140,7 +133,7 @@ def solve_optimal_allocation(
     route beat the plain sample mean at all?) is attached; otherwise
     ``feasible`` defaults to True with a note.
     """
-    _check_n(n)
+    n = check_int(n, "n", 2)
     notes: list[str] = []
     s_real = _solve_root(law, float(n))
 
@@ -245,7 +238,7 @@ def allocation_sensitivity(
     law: ScalingLaw, n: int, relative_step: float = 1e-4
 ) -> SensitivityReport:
     """Probe how the optimal split moves when a, b, or n are perturbed."""
-    _check_n(n)
+    n = check_int(n, "n", 2)
     if not 0 < relative_step < 0.1:
         raise ParameterError(f"relative_step must be in (0, 0.1), got {relative_step}")
     base = _solve_root(law, float(n))

@@ -31,6 +31,7 @@ from .core import (
     Predictor,
     RngSeed,
     UnlabeledDataset,
+    check_int,
     read_labeled_csv,
     read_predictions_csv,
     read_unlabeled_csv,
@@ -232,7 +233,7 @@ def _cmd_estimate_mean(args, config: RunConfig) -> dict:
             raise ParameterError("--pred-unlabeled is required for method ft-only")
         preds_pool = read_predictions_csv(args.pred_unlabeled)
         pool = _pool_from_predictions(args.unlabeled, preds_pool)
-        f = Predictor.precomputed([(pool, preds_pool)], s=args.train_size, label="cli")
+        f = Predictor.precomputed([(pool, preds_pool)], label="cli")
         return _mean_report_dict(ft_only_report(pool, f, args.delta))
 
     if args.labeled is None or args.pred_labeled is None or args.pred_unlabeled is None:
@@ -247,9 +248,7 @@ def _cmd_estimate_mean(args, config: RunConfig) -> dict:
         )
     preds_pool = read_predictions_csv(args.pred_unlabeled)
     pool = _pool_from_predictions(args.unlabeled, preds_pool)
-    f = Predictor.precomputed(
-        [(labeled, preds_lab), (pool, preds_pool)], s=args.train_size, label="cli"
-    )
+    f = Predictor.precomputed([(labeled, preds_lab), (pool, preds_pool)], label="cli")
     return _mean_report_dict(ppi_mean_ci(labeled, pool, f, args.delta, method=method))
 
 
@@ -300,9 +299,7 @@ def _cmd_estimate_m(args, config: RunConfig) -> dict:
         raise ParameterError(
             f"unlabeled predictions have {preds_pool.shape[0]} rows but data has {pool.m}"
         )
-    f = Predictor.precomputed(
-        [(labeled, preds_lab), (pool, preds_pool)], s=args.train_size, label="cli"
-    )
+    f = Predictor.precomputed([(labeled, preds_lab), (pool, preds_pool)], label="cli")
     theta = solve_ppi_m_estimator(loss, labeled, pool, f)
     cov = sandwich_covariance(loss, labeled, pool, f, theta)
     report = m_estimate_ci(cov, theta, args.delta)
@@ -431,11 +428,7 @@ def _cmd_rampup(args, config: RunConfig) -> dict:
     seed = config.seed
     labeled, unlabeled = generate_world_data(world, args.n, args.m, seed.child(1))
     trainer = SimTrainer(world, seed.child(2))
-    try:
-        schedule = tuple(int(tok) for tok in args.schedule.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"--schedule must be comma-separated integers: {exc}") from exc
-    plan = RampUpPlan(schedule=schedule, n_v=args.n_v)
+    plan = RampUpPlan(schedule=_int_list(args.schedule, "--schedule"), n_v=args.n_v)
     trace = run_rampup(labeled, plan, trainer, seed.child(3), cv_folds=args.cv_folds)
 
     lines = [render_json(rec.as_dict(), indent=None) for rec in trace.records]
@@ -458,12 +451,7 @@ def _cmd_rampup(args, config: RunConfig) -> dict:
 def _cmd_bootstrap(args, config: RunConfig) -> dict:
     world = world_from_dict(_load_json_file(args.world, "world"))
     seed = config.seed
-    s_grid = None
-    if args.s_grid:
-        try:
-            s_grid = [int(tok) for tok in args.s_grid.split(",")]
-        except ValueError as exc:
-            raise ParameterError(f"--s-grid must be comma-separated integers: {exc}") from exc
+    s_grid = _int_list(args.s_grid, "--s-grid") if args.s_grid else None
     report = bootstrap_robustness(
         world,
         n_datasets=args.n_datasets,
@@ -496,24 +484,22 @@ def _cmd_bootstrap(args, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _env_seed_default() -> int:
-    raw = os.environ.get("FTPPI_SEED")
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"{option} must be comma-separated integers: {exc}") from exc
+
+
+def _env_int(name: str, default: int) -> int:
+    """Integer value of environment variable ``name``, or ``default`` when unset."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_SEED
+        return default
     try:
         return int(raw)
     except ValueError as exc:
-        raise ParameterError(f"FTPPI_SEED must be an integer, got {raw!r}") from exc
-
-
-def _env_threads_default() -> int:
-    raw = os.environ.get("FTPPI_THREADS")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"FTPPI_THREADS must be an integer, got {raw!r}") from exc
+        raise ParameterError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("ft-ppi", "ppi-only", "sample-mean", "ft-only"),
         default="ft-ppi", help="estimator variant (default ft-ppi)",
     )
-    p.add_argument("--train-size", type=int, default=0,
-                   help="provenance tag: labels consumed to train the predictor")
     p.set_defaults(handler=_cmd_estimate_mean)
 
     p = sub.add_parser(
@@ -605,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "ols and mnl: cross-check of the features (per option) in the files)")
     p.add_argument("--n-options", type=int, default=None,
                    help="mnl only: cross-check of the option count in the files")
-    p.add_argument("--train-size", type=int, default=0,
-                   help="provenance tag: labels consumed to train the predictor")
     p.set_defaults(handler=_cmd_estimate_m)
 
     p = sub.add_parser(
@@ -653,10 +635,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = args.threads if args.threads is not None else _env_threads_default()
-        if threads < 0:
-            raise ParameterError(f"--threads must be >= 0, got {threads}")
-        seed_value = args.seed if args.seed is not None else _env_seed_default()
+        threads = args.threads if args.threads is not None else _env_int("FTPPI_THREADS", 0)
+        threads = check_int(threads, "--threads", 0)
+        seed_value = args.seed if args.seed is not None else _env_int("FTPPI_SEED", DEFAULT_SEED)
         config = RunConfig(
             seed=RngSeed(seed_value), threads=threads, fmt=args.fmt, out=args.out
         )

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import stat
+import tempfile
 import weakref
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -19,6 +21,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 _T = TypeVar("_T")
+_U = TypeVar("_U")
 
 #: Default master seed used by the CLI and by convenience entry points.
 DEFAULT_SEED = 1729
@@ -81,6 +84,25 @@ class CsvFormatError(FtppiError):
     """A CSV input is malformed; the message is row/column addressed."""
 
 
+def check_int(value, what: str, low: int) -> int:
+    """``value`` as a plain ``int``: a Python or numpy integer, not a bool, >= ``low``.
+
+    Anything else is a ParameterError naming ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_probability(value, what: str) -> float:
+    """``value`` as a float strictly inside (0, 1); else a ParameterError naming ``what``."""
+    if not (isinstance(value, (float, int, np.floating)) and 0.0 < value < 1.0):
+        raise ParameterError(f"{what} must lie in (0, 1), got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Master seed for reproducible randomness.
@@ -93,17 +115,17 @@ class RngSeed:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ParameterError(f"seed must fit in uint64, got {self.seed}")
+        seed = check_int(self.seed, "seed", 0)
+        if seed >= 2**64:
+            raise ParameterError(f"seed must fit in uint64, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def child(self, *tags: int) -> "RngSeed":
         """Derive an independent seed from this one plus integer tags."""
-        entropy = (int(self.seed),) + tuple(int(t) for t in tags)
+        entropy = (self.seed,) + tuple(int(t) for t in tags)
         state = np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)
         return RngSeed(int(state[0]))
 
@@ -258,10 +280,8 @@ class Predictor:
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray] | None, s: int, label: str = ""):
-        if s < 0:
-            raise ParameterError(f"Predictor: provenance tag s must be >= 0, got {s}")
         self._fn = fn
-        self.s = int(s)
+        self.s = check_int(s, "Predictor: provenance tag s", 0)
         self.label = label
         self._cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -326,18 +346,17 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> CsvFormatError:
     return CsvFormatError(f"{path}: cannot decode file as {exc.encoding} text ({exc.reason})")
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
-    """Header cells, data rows and the file line each data row ends on."""
+def _read_rows(path: str, fh) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header cells, data rows and the file line each data row ends on, read
+    from the start of the seekable text file ``fh`` opened on ``path``."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    rows, lines = [], []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows, lines = [], []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except OSError as exc:
-        raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -408,23 +427,44 @@ def _same_file(path: str, opened: os.stat_result) -> bool:
         return False
 
 
+def _rereadable(fh):
+    """``fh``, or for a stream that cannot seek (a pipe) a temporary file
+    holding the rest of its text, so the text can be read again."""
+    if fh.seekable():
+        return fh
+    spool = tempfile.TemporaryFile("w+", newline="")
+    shutil.copyfileobj(fh, spool)
+    spool.seek(0)
+    return spool
+
+
+class _RowError(Exception):
+    """``_RowError(index, detail)``: a ``_read_csv`` converter rejects data row
+    ``index``; the CsvFormatError names the row's file line, then ``detail``."""
+
+
 def _read_csv(
-    path: str, check_header: Callable[[str, list[str]], _T]
-) -> tuple[_T, np.ndarray]:
-    """Read a numeric CSV: ``(check_header(path, header), body matrix)``.
+    path: str,
+    check_header: Callable[[str, list[str]], _T],
+    convert: Callable[[_T, np.ndarray], _U] = lambda checked, mat: mat,
+) -> tuple[_T, _U]:
+    """Read a numeric CSV: ``(checked, body)`` with ``checked = check_header(path, header)``.
 
     The header is the first non-empty row, cells stripped; it is checked
     before any body cell is parsed.  The body goes through ``np.loadtxt``:
     for a regular file, by path after the header's lines, unless the name
     has a compressed suffix or no longer names the file the header came
-    from; for a pipe or anything else, from the open handle.  Whatever that
-    rejects is re-read row by row, which returns the same matrix or raises
-    a row- and column-addressed CsvFormatError.  Rows are numbered by file
-    line, so blank lines count.
+    from; for anything else, from the open handle, a pipe's text first
+    copied to a temporary file.  Whatever that rejects is re-read row by
+    row from the same handle, which returns the same matrix or raises a
+    row- and column-addressed CsvFormatError.  ``body`` is
+    ``convert(checked, matrix)``, the matrix itself by default; a _RowError
+    it raises becomes a CsvFormatError at that row.  Rows are numbered by
+    file line, so blank lines count.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with open(path, newline="") as fh, _rereadable(fh) as text:
+            reader = csv.reader(text)
             header = next((row for row in reader if row), None)
             if header is None:
                 raise CsvFormatError(f"{path}: file is empty")
@@ -438,24 +478,24 @@ def _read_csv(
                 mat = _load_body(os.path.join(os.getcwd(), path), reader.line_num, len(header))
                 by_path = _same_file(path, opened)  # else replaced: use the opened file
             if not by_path:
-                mat = _load_body(fh, 0, len(header))
+                mat = _load_body(text, 0, len(header))
+            if mat is None:
+                header, rows, lines = _read_rows(path, text)
+                if not rows:
+                    raise CsvFormatError(f"{path}: no data rows")
+                mat = _parse_matrix(path, header, rows, lines)
+            try:
+                return checked, convert(checked, mat)
+            except _RowError as bad:
+                index, detail = bad.args
+                line = _read_rows(path, text)[2][index]
+                raise CsvFormatError(f"{path}: row {line}{detail}") from bad.__cause__
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read file ({exc})") from exc
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
-    if mat is None:
-        header, rows, lines = _read_rows(path)
-        if not rows:
-            raise CsvFormatError(f"{path}: no data rows")
-        mat = _parse_matrix(path, header, rows, lines)
-    return checked, mat
-
-
-def _data_line(path: str, index: int) -> int:
-    """File line of data row ``index``; for error messages only."""
-    return _read_rows(path)[2][index]
 
 
 def _expect_feature_header(path: str, names: list[str], offset: int) -> None:

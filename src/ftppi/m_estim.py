@@ -44,10 +44,12 @@ from .core import (
     Predictor,
     SingularHessianError,
     UnlabeledDataset,
-    _data_line,
+    _RowError,
+    check_int,
+    check_probability,
     _read_csv,
 )
-from .ppi_mean import normal_quantile, _check_delta
+from .ppi_mean import normal_quantile
 
 #: Hessians with a condition number beyond this are treated as singular.
 CONDITION_LIMIT = 1e12
@@ -169,9 +171,7 @@ def categorical_loss(d: int) -> LossModel:
 
     Outcomes are integer labels in 1..d.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ParameterError(f"categorical_loss: d must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = check_int(d, "categorical_loss: d", 2)
     eye = np.eye(d)
 
     def batch_loss_mean(xs, ys, theta):
@@ -189,9 +189,7 @@ def categorical_loss(d: int) -> LossModel:
 
 def linear_regression_loss(d: int) -> LossModel:
     """Least squares: loss = (y - x.theta)^2 / 2 with d regression coefficients."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterError(f"linear_regression_loss: d must be >= 1, got {d!r}")
-    d = int(d)
+    d = check_int(d, "linear_regression_loss: d", 1)
 
     def batch_loss_mean(xs, ys, theta):
         r = ys - xs @ theta
@@ -268,11 +266,8 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     evaluation of the probabilities, and a call at another theta
     recomputes them.
     """
-    if not isinstance(n_options, (int, np.integer)) or n_options < 1:
-        raise ParameterError(f"mnl_loss: n_options must be >= 1, got {n_options!r}")
-    if not isinstance(dim_per_option, (int, np.integer)) or dim_per_option < 1:
-        raise ParameterError(f"mnl_loss: dim_per_option must be >= 1, got {dim_per_option!r}")
-    K, d = int(n_options), int(dim_per_option)
+    K = check_int(n_options, "mnl_loss: n_options", 1)
+    d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
 
     def batch_loss_mean(xs, ys, theta):
         labs = _label_indices(ys, K, "mnl", base=0)
@@ -316,17 +311,11 @@ def builtin_loss(kind: str, **kwargs) -> LossModel:
     if kind == "mean":
         return mean_loss()
     if kind == "categorical":
-        if "dim" not in kwargs:
-            raise ParameterError("categorical loss needs dim=<number of classes>")
-        return categorical_loss(kwargs["dim"])
+        return categorical_loss(kwargs.get("dim"))
     if kind == "ols":
-        if "dim" not in kwargs:
-            raise ParameterError("ols loss needs dim=<number of coefficients>")
-        return linear_regression_loss(kwargs["dim"])
+        return linear_regression_loss(kwargs.get("dim"))
     if kind == "mnl":
-        if "n_options" not in kwargs or "dim" not in kwargs:
-            raise ParameterError("mnl loss needs n_options=<K> and dim=<features per option>")
-        return mnl_loss(kwargs["n_options"], kwargs["dim"])
+        return mnl_loss(kwargs.get("n_options"), kwargs.get("dim"))
     raise ParameterError(f"unknown loss kind {kind!r} (expected mean|categorical|ols|mnl)")
 
 
@@ -559,7 +548,7 @@ def m_estimate_ci(
     cov: SandwichCovariance, theta_hat: np.ndarray, delta: float
 ) -> MEstimateReport:
     """Per-coordinate normal intervals plus both scalar summaries."""
-    delta = _check_delta(delta)
+    delta = check_probability(delta, "delta")
     theta_hat = np.asarray(theta_hat, dtype=np.float64).reshape(-1)
     d = cov.sigma_hat.shape[0]
     if theta_hat.shape != (d,):
@@ -615,18 +604,22 @@ def _check_choice_header(path: str, header: list[str]) -> tuple[int, int]:
     return _parse_option_header(path, header[1:])
 
 
-def read_choice_labeled_csv(path: str) -> tuple[LabeledDataset, int, int]:
-    """Read choice data; returns (dataset, n_options, features per option)."""
-    (K, d), mat = _read_csv(path, _check_choice_header)
+def _choice_dataset(options: tuple[int, int], mat: np.ndarray) -> LabeledDataset:
+    K = options[0]
     choices = mat[:, 0]
     labs = np.rint(choices)
     bad = np.nonzero((np.abs(choices - labs) > 1e-9) | (labs < 0) | (labs > K))[0]
     if bad.size:
-        raise CsvFormatError(
-            f"{path}: row {_data_line(path, bad[0])}, column choice: "
-            f"must be an integer in [0, {K}], got {choices[bad[0]]}"
+        raise _RowError(
+            bad[0], f", column choice: must be an integer in [0, {K}], got {choices[bad[0]]}"
         )
-    return LabeledDataset(mat[:, 1:], choices), K, d
+    return LabeledDataset(mat[:, 1:], choices)
+
+
+def read_choice_labeled_csv(path: str) -> tuple[LabeledDataset, int, int]:
+    """Read choice data; returns (dataset, n_options, features per option)."""
+    (K, d), data = _read_csv(path, _check_choice_header, _choice_dataset)
+    return data, K, d
 
 
 def read_choice_unlabeled_csv(path: str) -> tuple[UnlabeledDataset, int, int]:

@@ -27,6 +27,8 @@ from .core import (
     ParameterError,
     Predictor,
     UnlabeledDataset,
+    check_int,
+    check_probability,
 )
 
 #: Below this many samples the normal interval is flagged as optimistic.
@@ -78,15 +80,7 @@ class VarianceParts(NamedTuple):
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
-    if not (isinstance(p, (float, int, np.floating)) and 0.0 < p < 1.0):
-        raise ParameterError(f"normal_quantile: p must lie in (0, 1), got {p!r}")
-    return NormalDist().inv_cdf(float(p))
-
-
-def _check_delta(delta: float) -> float:
-    if not (isinstance(delta, (float, int, np.floating)) and 0.0 < delta < 1.0):
-        raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
-    return float(delta)
+    return NormalDist().inv_cdf(check_probability(p, "normal_quantile: p"))
 
 
 def ppi_mean_estimate(
@@ -164,7 +158,7 @@ def ppi_mean_ci(
     method: Method = Method.FT_PPI,
 ) -> MeanEstimateReport:
     """Rectified estimate with a two-sided normal (1 - delta) interval."""
-    delta = _check_delta(delta)
+    delta = check_probability(delta, "delta")
     estimate = ppi_mean_estimate(labeled_ppi, unlabeled, f)
     parts = ppi_mean_variance_hat(labeled_ppi, unlabeled, f)
     return _normal_report(
@@ -188,10 +182,10 @@ def r2_criterion(sigma_resid_sq: float, var_y: float, s: int, n: int) -> R2Crite
         raise ParameterError(f"var_y must be finite and > 0, got {var_y}")
     if not np.isfinite(sigma_resid_sq) or sigma_resid_sq < 0:
         raise ParameterError(f"sigma_resid_sq must be >= 0, got {sigma_resid_sq}")
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(s, (int, np.integer)) or not 0 < s < n:
-        raise ParameterError(f"s must be an integer in (0, n), got {s!r}")
+    n = check_int(n, "n", 2)
+    s = check_int(s, "s", 1)
+    if s >= n:
+        raise ParameterError(f"s must be < n = {n}, got {s}")
     r2_s = 1.0 - sigma_resid_sq / var_y
     fraction = s / n
     return R2Criterion(r2_s=float(r2_s), fraction=float(fraction), gain=float(r2_s - fraction))
@@ -199,7 +193,7 @@ def r2_criterion(sigma_resid_sq: float, var_y: float, s: int, n: int) -> R2Crite
 
 def sample_mean_estimate(labeled: LabeledDataset, delta: float) -> MeanEstimateReport:
     """Plain sample mean of the labeled outcomes, as a baseline report."""
-    delta = _check_delta(delta)
+    delta = check_probability(delta, "delta")
     if labeled.n < 2:
         raise InsufficientDataError("sample mean CI needs at least 2 samples")
     estimate = float(np.mean(labeled.ys))
@@ -221,7 +215,7 @@ def ft_only_report(unlabeled: UnlabeledDataset, f: Predictor, delta: float) -> M
     The variance term only reflects sampling noise of the pool average;
     it does not account for prediction bias, which this method cannot see.
     """
-    delta = _check_delta(delta)
+    delta = check_probability(delta, "delta")
     if unlabeled.m < 2:
         raise InsufficientDataError("surrogate-only CI needs at least 2 pool samples")
     preds = f.on(unlabeled)

@@ -25,6 +25,7 @@ from .core import (
     RngSeed,
     UnlabeledDataset,
     as_seed,
+    check_int,
 )
 from .ppi_mean import MeanEstimateReport, ppi_mean_ci
 from .scaling import ScalingFit, ScalingObservation, fit_report_dict, fit_scaling_law
@@ -46,18 +47,15 @@ class RampUpPlan:
     n_v: int
 
     def __post_init__(self) -> None:
-        sched = tuple(int(s) for s in self.schedule)
+        sched = tuple(check_int(s, "schedule size", 1) for s in self.schedule)
         object.__setattr__(self, "schedule", sched)
         if len(sched) < _MIN_STAGES_TO_FIT:
             raise ParameterError(
                 f"schedule needs at least {_MIN_STAGES_TO_FIT} stages, got {len(sched)}"
             )
-        if sched[0] < 1:
-            raise ParameterError(f"schedule sizes must be >= 1, got {sched[0]}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ParameterError(f"schedule must be strictly increasing, got {sched}")
-        if not isinstance(self.n_v, (int, np.integer)) or self.n_v < 2:
-            raise ParameterError(f"n_v must be an integer >= 2, got {self.n_v!r}")
+        object.__setattr__(self, "n_v", check_int(self.n_v, "n_v", 2))
 
     @property
     def stages(self) -> int:
@@ -110,20 +108,6 @@ class RampUpTrace:
     pool_order: np.ndarray
     error: str | None = None
 
-    @property
-    def final_fit(self) -> ScalingFit | None:
-        for rec in reversed(self.records):
-            if rec.fit is not None:
-                return rec.fit
-        return None
-
-    @property
-    def final_s_hat(self) -> float | None:
-        for rec in reversed(self.records):
-            if rec.s_hat is not None:
-                return rec.s_hat
-        return None
-
 
 def _cv_residuals(
     data: LabeledDataset,
@@ -170,8 +154,7 @@ def run_rampup(
     n = data.n
     sched = plan.schedule
     if cv_folds is not None:
-        if not isinstance(cv_folds, (int, np.integer)) or cv_folds < 2:
-            raise ParameterError(f"cv_folds must be an integer >= 2, got {cv_folds!r}")
+        cv_folds = check_int(cv_folds, "cv_folds", 2)
         if cv_folds > sched[0]:
             raise ParameterError(
                 f"cv_folds ({cv_folds}) exceeds the smallest stage size ({sched[0]})"

@@ -21,8 +21,9 @@ from .core import (
     InsufficientDataError,
     ParameterError,
     UnderdeterminedFitError,
-    _data_line,
+    _RowError,
     _read_csv,
+    check_int,
 )
 
 #: Search range for the decay exponent during fitting.
@@ -61,10 +62,7 @@ class ScalingObservation:
     variance: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, (int, np.integer)) or isinstance(self.s, bool):
-            raise ParameterError(f"ScalingObservation.s must be an integer, got {self.s!r}")
-        if self.s < 1:
-            raise ParameterError(f"ScalingObservation.s must be >= 1, got {self.s}")
+        object.__setattr__(self, "s", check_int(self.s, "ScalingObservation.s", 1))
         if not np.isfinite(self.variance) or self.variance < 0:
             raise ParameterError(
                 f"ScalingObservation.variance must be finite and >= 0, got {self.variance}"
@@ -103,10 +101,10 @@ class LogLogDiagnostic:
 
 def eval_variance(law: ScalingLaw, s: int) -> float:
     """Evaluate the law at an integer fine-tuning size s >= 1."""
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise DomainError(f"eval_variance: s must be an integer, got {s!r}")
-    if s < 1:
-        raise DomainError(f"eval_variance: s must be >= 1, got {s}")
+    try:
+        s = check_int(s, "eval_variance: s", 1)
+    except ParameterError as exc:
+        raise DomainError(str(exc)) from None
     return float(law.a * float(s) ** (-law.alpha) + law.b)
 
 
@@ -252,18 +250,18 @@ def _check_observations_header(path: str, header: list[str]) -> None:
         )
 
 
+def _observations(_, mat: np.ndarray) -> list[ScalingObservation]:
+    out = []
+    for i, (s_val, variance) in enumerate(mat):
+        if not np.isfinite(s_val) or s_val != int(s_val):
+            raise _RowError(i, f", column s: expected an integer, got {s_val}")
+        try:
+            out.append(ScalingObservation(s=int(s_val), variance=float(variance)))
+        except ParameterError as exc:
+            raise _RowError(i, f": {exc}") from exc
+    return out
+
+
 def read_observations_csv(path: str) -> list[ScalingObservation]:
     """Read scaling observations from a CSV with header ``s,variance``."""
-    _, mat = _read_csv(path, _check_observations_header)
-    out = []
-    for i in range(mat.shape[0]):
-        s_val = mat[i, 0]
-        if not np.isfinite(s_val) or s_val != int(s_val):
-            raise CsvFormatError(
-                f"{path}: row {_data_line(path, i)}, column s: expected an integer, got {s_val}"
-            )
-        try:
-            out.append(ScalingObservation(s=int(s_val), variance=float(mat[i, 1])))
-        except ParameterError as exc:
-            raise CsvFormatError(f"{path}: row {_data_line(path, i)}: {exc}") from exc
-    return out
+    return _read_csv(path, _check_observations_header, _observations)[1]

@@ -39,6 +39,8 @@ from .core import (
     UnlabeledDataset,
     UnsupportedSizeError,
     as_seed,
+    check_int,
+    check_probability,
 )
 from .ppi_mean import _rectified_mean, ppi_mean_estimate
 from .scaling import ScalingLaw, ScalingObservation, eval_variance, fit_scaling_law
@@ -190,8 +192,7 @@ class SyntheticWorld:
             raise ParameterError(f"true_mean must be finite, got {self.true_mean}")
         if not np.isfinite(self.var_y) or self.var_y < 0:
             raise ParameterError(f"var_y must be finite and >= 0, got {self.var_y}")
-        if not isinstance(self.feature_dim, (int, np.integer)) or self.feature_dim < 1:
-            raise ParameterError(f"feature_dim must be an integer >= 1, got {self.feature_dim!r}")
+        object.__setattr__(self, "feature_dim", check_int(self.feature_dim, "feature_dim", 1))
         nf = self.law.b if self.noise_floor is None else self.noise_floor
         if not np.isfinite(nf) or nf < 0:
             raise ParameterError(f"noise_floor must be finite and >= 0, got {nf}")
@@ -205,9 +206,8 @@ class SyntheticWorld:
                 f"noise_floor ({nf}) cannot exceed var_y ({self.var_y})"
             )
         if self.s_min is not None:
-            if not isinstance(self.s_min, (int, np.integer)) or self.s_min < 1:
-                raise ParameterError(f"s_min must be an integer >= 1 or None, got {self.s_min!r}")
-            ceiling = eval_variance(self.law, int(self.s_min))
+            object.__setattr__(self, "s_min", check_int(self.s_min, "s_min", 1))
+            ceiling = eval_variance(self.law, self.s_min)
             if ceiling > self.var_y:
                 raise ParameterError(
                     f"law exceeds var_y at s_min={self.s_min} "
@@ -231,14 +231,11 @@ def generate_world_data(
     world: SyntheticWorld, n: int, m: int, seed: RngSeed | int
 ) -> tuple[LabeledDataset, UnlabeledDataset]:
     """Draw n labeled and m unlabeled samples from the world."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError(f"m must be an integer >= 1, got {m!r}")
+    n, m = check_int(n, "n", 1), check_int(m, "m", 1)
     seed = as_seed(seed)
-    labeled = _generate_labeled(world, int(n), seed.child(1))
+    labeled = _generate_labeled(world, n, seed.child(1))
     rng_u = seed.child(2).generator()
-    xu = rng_u.standard_normal((int(m), world.feature_dim))
+    xu = rng_u.standard_normal((m, world.feature_dim))
     return labeled, UnlabeledDataset(xu)
 
 
@@ -312,11 +309,12 @@ class SimTrainer:
         world = self.world
         if world.s_min is None:
             raise UnsupportedSizeError("this world declares no trainable surrogate")
-        if not isinstance(s, (int, np.integer)) or s < world.s_min:
+        s = check_int(s, "training size", 0)
+        if s < world.s_min:
             raise UnsupportedSizeError(
-                f"training size {s!r} below the world's minimum {world.s_min}"
+                f"training size {s} below the world's minimum {world.s_min}"
             )
-        return _pseudo_sd(world.residual_pseudo_noise_var(int(s)), f"sim(s={int(s)})")
+        return _pseudo_sd(world.residual_pseudo_noise_var(s), f"sim(s={s})")
 
     def train(self, ft_data: LabeledDataset) -> Predictor:
         return self.train_size(ft_data.n)
@@ -324,7 +322,7 @@ class SimTrainer:
     def train_size(self, s: int) -> Predictor:
         """Train at an explicit size (the subset's content is not used)."""
         pseudo_sd = self.pseudo_sd(s)
-        return _sim_predictor(self.world, self._key, pseudo_sd, int(s), f"sim(s={int(s)})")
+        return _sim_predictor(self.world, self._key, pseudo_sd, int(s), f"sim(s={s})")
 
 
 def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
@@ -396,24 +394,19 @@ def brute_force_allocation(
     subtracts a split-independent constant from the variance curve and
     leaves its minimizer untouched.
     """
-    if not 0.0 < grid_step < 1.0:
-        raise ParameterError(f"grid_step must lie in (0, 1), got {grid_step}")
-    if replicates < 2:
-        raise ParameterError(f"replicates must be >= 2, got {replicates}")
-    if not isinstance(n, (int, np.integer)) or n < 4:
-        raise ParameterError(f"n must be an integer >= 4, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError(f"m must be an integer >= 1, got {m!r}")
+    grid_step = check_probability(grid_step, "grid_step")
+    replicates = check_int(replicates, "replicates", 2)
+    n, m = check_int(n, "n", 4), check_int(m, "m", 1)
     seed = as_seed(seed)
     count = int(round(1.0 / grid_step)) - 1
     fractions = np.array([grid_step * (i + 1) for i in range(count)])
     fractions = fractions[(fractions > 0.0) & (fractions < 1.0)]
     sizes = [min(max(int(round(f * n)), 1), n - 2) for f in fractions]
 
-    pool_xs = seed.child(0).generator().standard_normal((int(m), world.feature_dim))
+    pool_xs = seed.child(0).generator().standard_normal((m, world.feature_dim))
 
     def replicate(rep: RngSeed) -> list[float]:
-        labeled = _generate_labeled(world, int(n), rep.child(0))
+        labeled = _generate_labeled(world, n, rep.child(0))
         trainer = SimTrainer(world, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
         lab, pool = trainer.parts(labeled.xs), trainer.parts(pool_xs)
@@ -480,8 +473,8 @@ def run_estimator_comparison(
 ) -> ComparisonReport:
     """Monte-Carlo comparison: sample mean, surrogate-only, rectified base,
     and fine-tune-then-rectify at the solver's optimal split."""
-    if replicates < 2:
-        raise ParameterError(f"replicates must be >= 2, got {replicates}")
+    replicates = check_int(replicates, "replicates", 2)
+    n, m = check_int(n, "n", 2), check_int(m, "m", 1)
     seed = as_seed(seed)
     alloc = solve_optimal_allocation(world.law, n)
     s_star = alloc.s_star_int
@@ -568,7 +561,7 @@ def _measure_law_outcome(
     observations = []
     for s in s_grid:
         resid = val.ys - (base + trainer.pseudo_sd(s) * noise)
-        observations.append(ScalingObservation(int(s), float(np.var(resid, ddof=1))))
+        observations.append(ScalingObservation(s, float(np.var(resid, ddof=1))))
     fit = fit_scaling_law(observations)
     alloc = solve_optimal_allocation(fit.law, n_alloc)
     return (fit.law.a, fit.law.alpha, fit.law.b, alloc.fraction, fit.r_squared)
@@ -601,12 +594,12 @@ def bootstrap_robustness(
     With ``training_noise=False`` every training seed is identical, which
     should and does zero out the training-randomness variance part.
     """
-    if n_datasets < 2 or n_training_seeds < 1:
-        raise ParameterError("need n_datasets >= 2 and n_training_seeds >= 1")
-    if resamples < 1:
-        raise ParameterError(f"resamples must be >= 1, got {resamples}")
+    n_datasets = check_int(n_datasets, "n_datasets", 2)
+    n_training_seeds = check_int(n_training_seeds, "n_training_seeds", 1)
+    n_fit = check_int(n_fit, "n_fit", 4)
+    resamples = check_int(resamples, "resamples", 1)
+    n_alloc = n_fit if n_alloc is None else check_int(n_alloc, "n_alloc", 2)
     seed = as_seed(seed)
-    n_alloc = n_fit if n_alloc is None else n_alloc
 
     outcomes = np.empty((n_datasets, n_training_seeds, len(_BOOT_QUANTITIES)))
     for j in range(n_datasets):
@@ -695,8 +688,8 @@ def external_ft_experiment(
 ) -> ExternalFtReport:
     """Check that the rectified estimator keeps its guarantees under the
     shifted law: unbiasedness and the two-term variance formula."""
-    if replicates < 2:
-        raise ParameterError(f"replicates must be >= 2, got {replicates}")
+    replicates = check_int(replicates, "replicates", 2)
+    n, m = check_int(n, "n", 2), check_int(m, "m", 1)
     seed = as_seed(seed)
     law2 = shifted_law(world, external_strength)
     world2 = replace(world, law=law2, noise_floor=world.effective_noise_floor)
@@ -752,32 +745,38 @@ def _scenario_number(value, key: str, kind: type):
     return kind(value)
 
 
+def _scenario_object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParameterError(f"scenario key {key!r} must be an object, got {value!r}")
+    return value
+
+
 def world_from_dict(spec: dict) -> SyntheticWorld:
     """Build a world from a plain dict (parsed scenario JSON)."""
     if not isinstance(spec, dict):
         raise ParameterError(f"world spec must be an object, got {type(spec).__name__}")
     try:
-        law_spec = spec["law"]
+        law_spec = _scenario_object(spec["law"], "world.law")
         law = ScalingLaw(
-            a=float(law_spec["a"]), alpha=float(law_spec["alpha"]), b=float(law_spec["b"])
+            *(_scenario_number(law_spec[k], f"world.law.{k}", float) for k in ("a", "alpha", "b"))
         )
-        bias_spec = spec.get("bias", {"kind": "zero"})
+        bias_spec = _scenario_object(spec.get("bias", {"kind": "zero"}), "world.bias")
         bias = BiasProfile(
             kind=str(bias_spec.get("kind", "zero")),
-            value=float(bias_spec.get("value", 0.0)),
+            value=_scenario_number(bias_spec.get("value", 0.0), "world.bias.value", float),
         )
         s_min = spec.get("s_min", 1)
         noise_floor = spec.get("noise_floor")
         return SyntheticWorld(
-            true_mean=float(spec["true_mean"]),
-            var_y=float(spec["var_y"]),
+            true_mean=_scenario_number(spec["true_mean"], "world.true_mean", float),
+            var_y=_scenario_number(spec["var_y"], "world.var_y", float),
             feature_dim=_scenario_number(spec.get("feature_dim", 1), "world.feature_dim", int),
             law=law,
             bias=bias,
             s_min=None if s_min is None else _scenario_number(s_min, "world.s_min", int),
-            noise_floor=None if noise_floor is None else float(noise_floor),
+            noise_floor=None
+            if noise_floor is None
+            else _scenario_number(noise_floor, "world.noise_floor", float),
         )
     except KeyError as exc:
         raise ParameterError(f"world spec missing required key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"world spec malformed: {exc}") from exc

@@ -681,6 +681,31 @@ class TestRampup:
         assert "comma-separated integers" in json.loads(err)["message"]
 
 
+    @pytest.mark.parametrize(
+        "change,key",
+        [
+            ({"true_mean": True}, "world.true_mean"),
+            ({"var_y": "4"}, "world.var_y"),
+            ({"law": {"a": "5", "alpha": 0.5, "b": 0.5}}, "world.law.a"),
+            ({"law": {"a": 3.0, "alpha": None, "b": 0.5}}, "world.law.alpha"),
+            ({"law": {"a": 3.0, "alpha": 0.5, "b": False}}, "world.law.b"),
+            ({"bias": {"kind": "constant", "value": "0.1"}}, "world.bias.value"),
+            ({"noise_floor": "0.1"}, "world.noise_floor"),
+            ({"law": [3.0, 0.5, 0.5]}, "world.law"),
+            ({"bias": 3}, "world.bias"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_world_spec_types_are_checked(self, capsys, tmp_path, change, key):
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({**WORLD_SPEC, **change}))
+        code, out, err = run_cli(capsys, "rampup", "--world", str(world), *self.ARGS)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParameterError"
+        assert error["message"].startswith(f"scenario key {key!r} must be ")
+
+
 class TestBootstrap:
     def test_report_structure(self, capsys, world_file):
         code, out, err = run_cli(
@@ -736,6 +761,21 @@ class TestGlobalOptions:
         )
         assert code == 0
         assert json.loads(out)["fraction"] == pytest.approx(1 / 3, abs=0.01)
+
+    def test_bad_env_threads_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("FTPPI_THREADS", "many")
+        code, _, err = run_cli(
+            capsys, "allocate", "--a", "1", "--alpha", "0.5", "--b", "0", "--n", "100"
+        )
+        assert code == 2
+        assert json.loads(err)["message"] == "FTPPI_THREADS must be an integer, got 'many'"
+
+    @pytest.mark.parametrize("command", ["estimate-mean", "estimate-m"])
+    def test_train_size_option_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--train-size" not in capsys.readouterr().out
 
     def test_bad_env_seed_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("FTPPI_SEED", "lots")

@@ -1,6 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from ftppi.allocate import (
+    FeasibilityInput,
+    allocation_objective,
+    allocation_sensitivity,
+    foc_residual,
+    solve_optimal_allocation,
+)
 from ftppi.core import (
     CsvFormatError,
     DomainError,
@@ -11,9 +20,23 @@ from ftppi.core import (
     RngSeed,
     UnlabeledDataset,
     as_seed,
+    check_int,
     read_labeled_csv,
     read_predictions_csv,
     read_unlabeled_csv,
+)
+from ftppi.m_estim import categorical_loss, linear_regression_loss, mnl_loss
+from ftppi.ppi_mean import r2_criterion
+from ftppi.rampup import RampUpPlan, run_rampup
+from ftppi.scaling import ScalingLaw, ScalingObservation
+from ftppi.simulate import (
+    SimTrainer,
+    SyntheticWorld,
+    bootstrap_robustness,
+    brute_force_allocation,
+    external_ft_experiment,
+    generate_world_data,
+    run_estimator_comparison,
 )
 
 
@@ -218,3 +241,125 @@ class TestCsvReaders:
         p.write_text("y,x1\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
             read_labeled_csv(str(p))
+
+
+# ---------------------------------------------------------------------------
+# Counts: every entry point that takes a size or a replicate count accepts
+# Python and numpy integers alike and rejects anything else by name.
+# ---------------------------------------------------------------------------
+
+LAW = ScalingLaw(3.0, 0.5, 0.5)
+WORLD = SyntheticWorld(1.5, 4.0, 1, LAW, s_min=1)
+
+
+def _loss_values(loss, xs, ys):
+    theta = np.linspace(0.1, 0.4, loss.dim)
+    return (
+        loss.name,
+        loss.dim,
+        loss.batch_loss_mean(xs, ys, theta),
+        loss.batch_score(xs, ys, theta),
+        loss.batch_hessian_mean(xs, ys, theta),
+    )
+
+
+def _rampup(cv_folds):
+    data, _ = generate_world_data(WORLD, 400, 1, 3)
+    plan = RampUpPlan((20, 40, 80), n_v=50)
+    return run_rampup(data, plan, SimTrainer(WORLD, RngSeed(4)), 5, cv_folds=cv_folds)
+
+
+def _bootstrap(**counts):
+    args = dict(n_datasets=2, n_training_seeds=1, n_fit=40, resamples=3, n_alloc=None)
+    args.update(counts)
+    return bootstrap_robustness(WORLD, seed=1, s_grid=[2, 4, 8, 16], **args)
+
+
+#: (argument label in the error message, call with the count under test,
+#: a valid count, whether None is a valid value for that argument)
+COUNT_ARGUMENTS = [
+    ("seed", lambda v: RngSeed(v), 5, False),
+    ("Predictor: provenance tag s", lambda v: Predictor(None, v).s, 5, False),
+    ("n", lambda v: FeasibilityInput(LAW, v, 4.0), 10, False),
+    ("n", lambda v: foc_residual(LAW, v, 1.5), 10, False),
+    ("n", lambda v: allocation_objective(LAW, v, 1.5), 10, False),
+    ("n", lambda v: solve_optimal_allocation(LAW, v), 10, False),
+    ("n", lambda v: allocation_sensitivity(LAW, v), 10, False),
+    (
+        "categorical_loss: d",
+        lambda v: _loss_values(categorical_loss(v), np.zeros((3, 1)), np.array([1.0, 2.0, 3.0])),
+        3,
+        False,
+    ),
+    (
+        "linear_regression_loss: d",
+        lambda v: _loss_values(linear_regression_loss(v), np.eye(2), np.array([1.0, -1.0])),
+        2,
+        False,
+    ),
+    (
+        "mnl_loss: n_options",
+        lambda v: _loss_values(mnl_loss(v, 1), np.eye(2), np.array([1.0, 2.0])),
+        2,
+        False,
+    ),
+    (
+        "mnl_loss: dim_per_option",
+        lambda v: _loss_values(mnl_loss(1, v), np.ones((2, 2)), np.array([0.0, 1.0])),
+        2,
+        False,
+    ),
+    ("s", lambda v: r2_criterion(0.5, 1.0, v, 10), 3, False),
+    ("n", lambda v: r2_criterion(0.5, 1.0, 3, v), 10, False),
+    ("schedule size", lambda v: RampUpPlan((v, 20, 30), 10), 10, False),
+    ("schedule size", lambda v: RampUpPlan((10, 20, v), 10), 30, False),
+    ("n_v", lambda v: RampUpPlan((10, 20, 30), v), 10, False),
+    ("cv_folds", _rampup, 2, True),
+    ("ScalingObservation.s", lambda v: ScalingObservation(v, 1.0), 10, False),
+    ("feature_dim", lambda v: SyntheticWorld(1.5, 4.0, v, LAW), 2, False),
+    ("s_min", lambda v: SyntheticWorld(1.5, 4.0, 1, LAW, s_min=v), 2, True),
+    ("n", lambda v: generate_world_data(WORLD, v, 5, 1), 6, False),
+    ("m", lambda v: generate_world_data(WORLD, 6, v, 1), 5, False),
+    ("training size", lambda v: SimTrainer(WORLD, RngSeed(1)).pseudo_sd(v), 10, False),
+    ("n", lambda v: brute_force_allocation(WORLD, v, 5, 0.25, 2, 1), 20, False),
+    ("m", lambda v: brute_force_allocation(WORLD, 20, v, 0.25, 2, 1), 5, False),
+    ("replicates", lambda v: brute_force_allocation(WORLD, 20, 5, 0.25, v, 1), 2, False),
+    ("n", lambda v: run_estimator_comparison(WORLD, v, 5, 2, 1), 20, False),
+    ("m", lambda v: run_estimator_comparison(WORLD, 20, v, 2, 1), 5, False),
+    ("replicates", lambda v: run_estimator_comparison(WORLD, 20, 5, v, 1), 2, False),
+    ("n", lambda v: external_ft_experiment(WORLD, 0.5, v, 5, 2, 1), 20, False),
+    ("m", lambda v: external_ft_experiment(WORLD, 0.5, 20, v, 2, 1), 5, False),
+    ("replicates", lambda v: external_ft_experiment(WORLD, 0.5, 20, 5, v, 1), 2, False),
+    ("n_datasets", lambda v: _bootstrap(n_datasets=v), 2, False),
+    ("n_training_seeds", lambda v: _bootstrap(n_training_seeds=v), 2, False),
+    ("n_fit", lambda v: _bootstrap(n_fit=v), 40, False),
+    ("resamples", lambda v: _bootstrap(resamples=v), 3, False),
+    ("n_alloc", lambda v: _bootstrap(n_alloc=v), 100, True),
+]
+
+
+_COUNT_IDS = [f"{i}-{row[0]}" for i, row in enumerate(COUNT_ARGUMENTS)]
+_NON_COUNTS = [
+    pytest.param(what, call, bad, id=f"{name}-{bad!r}")
+    for name, (what, call, _, none_ok) in zip(_COUNT_IDS, COUNT_ARGUMENTS)
+    for bad in (True, 2.5, "3", None)
+    if not (bad is None and none_ok)  # None is then the argument's default
+]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("what,call,bad", _NON_COUNTS)
+    def test_non_integers_are_rejected_by_name(self, what, call, bad):
+        with pytest.raises(ParameterError, match=f"^{what} must be an integer, got "):
+            call(bad)
+
+    @pytest.mark.parametrize("what,call,good,none_ok", COUNT_ARGUMENTS, ids=_COUNT_IDS)
+    def test_numpy_integer_gives_identical_result(self, what, call, good, none_ok):
+        assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+
+    def test_check_int_returns_plain_int(self):
+        assert type(check_int(np.uint8(7), "k", 0)) is int
+        with pytest.raises(ParameterError, match="^k must be >= 8, got 7$"):
+            check_int(np.int32(7), "k", 8)
+        with pytest.raises(ParameterError, match="^k must be an integer, got "):
+            check_int(np.bool_(True), "k", 0)

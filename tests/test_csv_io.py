@@ -96,7 +96,8 @@ def _refuse(*args):
 
 
 def _oracle_matrix(path):
-    header, rows, lines = _read_rows(path)
+    with open(path, newline="") as fh:
+        header, rows, lines = _read_rows(path, fh)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     return _parse_matrix(path, header, rows, lines)
@@ -201,6 +202,41 @@ class TestDifferential:
         got = read_unlabeled_csv(str(pipe)).xs
         writer.join(timeout=10)
         _assert_same(got, expected)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "reader,text,message",
+        [
+            (
+                read_unlabeled_csv,
+                "x1\n1\noops\n",
+                "row 3, column x1: could not parse 'oops' as a number",
+            ),
+            (
+                read_observations_csv,
+                "s,variance\n10,1.0\n20.5,0.9\n40,0.8\n",
+                "row 3, column s: expected an integer, got 20.5",
+            ),
+        ],
+        ids=["body-cell", "observation-size"],
+    )
+    def test_named_pipe_error_names_the_row(self, tmp_path, reader, text, message):
+        pipe = tmp_path / "data.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
+        writer.start()
+        outcome = []
+        worker = threading.Thread(
+            target=lambda: outcome.append(_outcome(lambda: reader(str(pipe)))), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=10)
+        writer.join(timeout=10)
+        if worker.is_alive():  # a second open of the pipe waits for a writer: release it
+            os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join(timeout=10)
+            pytest.fail("reading the named pipe blocked")
+        assert outcome == [(CsvFormatError, f"{pipe}: {message}")]
 
     def test_file_replaced_after_header_read_gives_the_opened_files_body(self, tmp_path):
         path = tmp_path / "pool.csv"

@@ -118,7 +118,7 @@ class TestStoppingRule:
         assert trace.s_final == 2000
         # noiseless measurements pin the law, so the final size estimate
         # agrees with the direct solve
-        assert trace.final_s_hat == pytest.approx(s_star, rel=1e-3)
+        assert trace.records[-1].s_hat == pytest.approx(s_star, rel=1e-3)
 
     def test_stops_mid_schedule(self):
         law = ScalingLaw(10.21, 0.21, 6.0)
@@ -282,8 +282,7 @@ class TestTrainerFailure:
         trace = run_rampup(
             id_dataset(10_000), plan, FailingTrainer(law, fail_at_size=100), seed=12
         )
-        assert trace.final_fit is None
-        assert trace.final_s_hat is None
+        assert all(rec.fit is None and rec.s_hat is None for rec in trace.records)
 
 
 class TestFinalEstimate:
@@ -337,4 +336,4 @@ class TestEndToEndRecovery:
         plan = RampUpPlan(schedule=SCHEDULE, n_v=1000)
         trace = run_rampup(data, plan, SimTrainer(world, RngSeed(21)), seed=22)
         assert trace.completed
-        assert trace.final_s_hat == pytest.approx(truth, rel=0.25)
+        assert trace.records[-1].s_hat == pytest.approx(truth, rel=0.25)

@@ -603,7 +603,7 @@ class TestWorldSerialization:
     def test_malformed_values(self):
         with pytest.raises(ParameterError):
             world_from_dict("not a dict")
-        with pytest.raises(ParameterError, match="malformed"):
+        with pytest.raises(ParameterError, match="'world.true_mean' must be a finite number"):
             world_from_dict(
                 {
                     "true_mean": "zero",
