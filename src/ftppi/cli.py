@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,24 +54,14 @@ from .rampup import RampUpPlan, rampup_final_estimate, run_rampup
 from .scaling import ScalingLaw, fit_report_dict, fit_scaling_law, read_observations_csv
 from .simulate import (
     SimTrainer,
-    _scenario_number,
     bootstrap_robustness,
     brute_force_allocation,
     external_ft_experiment,
     generate_world_data,
     run_estimator_comparison,
+    scenario_from_dict,
     world_from_dict,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global options shared by every subcommand."""
-
-    seed: RngSeed
-    threads: int
-    fmt: str
-    out: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +102,8 @@ def render_json(payload: dict, indent: int | None = 2) -> str:
 
 
 def render_csv(payload: dict) -> str:
-    """Flat dict as a two-line CSV. Nested reports only exist as JSON."""
+    """Flat dict as a two-line CSV; only the flat-report subcommands take ``--format``."""
     clean = _round_floats(payload)
-    for key, value in clean.items():
-        if isinstance(value, (dict, list)):
-            raise ParameterError(
-                f"csv format supports flat reports only; field {key!r} is nested"
-            )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(clean.keys()))
@@ -187,7 +171,7 @@ def _load_json_file(path: str, what: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fit_scaling(args, config: RunConfig) -> dict:
+def _cmd_fit_scaling(args, seed: RngSeed) -> dict:
     observations = read_observations_csv(args.observations)
     fit = fit_scaling_law(observations)
     payload = fit_report_dict(fit)
@@ -195,7 +179,7 @@ def _cmd_fit_scaling(args, config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_allocate(args, config: RunConfig) -> dict:
+def _cmd_allocate(args, seed: RngSeed) -> dict:
     law = ScalingLaw(a=args.a, alpha=args.alpha, b=args.b)
     result = solve_optimal_allocation(law, args.n, sigma_sq=args.sigma_sq)
     return _allocation_dict(result)
@@ -214,7 +198,7 @@ def _pool_from_predictions(path_features: str | None, preds: np.ndarray) -> Unla
     return UnlabeledDataset(np.zeros((preds.shape[0], 1)))
 
 
-def _cmd_estimate_mean(args, config: RunConfig) -> dict:
+def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
     method = {
         "ft-ppi": Method.FT_PPI,
         "ppi-only": Method.PPI_ONLY,
@@ -252,7 +236,7 @@ def _cmd_estimate_mean(args, config: RunConfig) -> dict:
     return _mean_report_dict(ppi_mean_ci(labeled, pool, f, args.delta, method=method))
 
 
-def _cmd_estimate_m(args, config: RunConfig) -> dict:
+def _cmd_estimate_m(args, seed: RngSeed) -> dict:
     if args.loss == "mnl":
         labeled, k1, d1 = read_choice_labeled_csv(args.labeled)
         pool, k2, d2 = read_choice_unlabeled_csv(args.unlabeled)
@@ -317,44 +301,18 @@ def _cmd_estimate_m(args, config: RunConfig) -> dict:
     }
 
 
-def _allocation_curve_rows(columns, section, world, n, m, seed) -> list:
-    step = _scenario_number(section.get("grid_step", 0.05), "allocation_curve.grid_step", float)
-    reps = _scenario_number(section.get("replicates", 100), "allocation_curve.replicates", int)
-    result = brute_force_allocation(world, n, m, grid_step=step, replicates=reps, seed=seed)
+def _allocation_curve_rows(columns, world, n, m, seed, **section) -> list:
+    result = brute_force_allocation(world, n, m, seed=seed, **section)
     return list(zip(result.fractions, result.variances))
 
 
-def _comparison_rows(columns, section, world, n, m, seed) -> list:
-    reps = _scenario_number(section.get("replicates", 200), "comparison.replicates", int)
-    report = run_estimator_comparison(world, n, m, replicates=reps, seed=seed)
+def _comparison_rows(columns, world, n, m, seed, **section) -> list:
+    report = run_estimator_comparison(world, n, m, seed=seed, **section)
     return [[getattr(row, name) for name in columns] for row in report.rows]
 
 
-def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
-    def number(key: str, default=None):
-        return _scenario_number(section.get(key, default), f"bootstrap.{key}", int)
-
-    s_grid = section.get("s_grid")
-    if s_grid is not None:
-        if not isinstance(s_grid, list):
-            raise ParameterError(f"scenario key 'bootstrap.s_grid' must be a list, got {s_grid!r}")
-        s_grid = [_scenario_number(s, "bootstrap.s_grid", int) for s in s_grid]
-    training_noise = section.get("training_noise", True)
-    if not isinstance(training_noise, bool):
-        raise ParameterError(
-            f"scenario key 'bootstrap.training_noise' must be true or false, got {training_noise!r}"
-        )
-    report = bootstrap_robustness(
-        world,
-        n_datasets=number("n_datasets", 10),
-        n_training_seeds=number("n_training_seeds", 3),
-        n_fit=number("n_fit", n),
-        resamples=number("resamples", 200),
-        seed=seed,
-        s_grid=s_grid,
-        training_noise=training_noise,
-        n_alloc=None if section.get("n_alloc") is None else number("n_alloc"),
-    )
+def _bootstrap_rows(columns, world, n, m, seed, n_fit, **section) -> list:
+    report = bootstrap_robustness(world, n_fit=n if n_fit is None else n_fit, seed=seed, **section)
     rows = [[name, q.median, q.ci_low, q.ci_high] for name, q in report.quantities.items()]
     rows.append(["fraction_var_data_sampling", report.data_sampling_part, "", ""])
     rows.append(["fraction_var_training", report.training_randomness_part, "", ""])
@@ -362,60 +320,41 @@ def _bootstrap_rows(columns, section, world, n, m, seed) -> list:
     return rows
 
 
-def _external_rows(columns, section, world, n, m, seed) -> list:
-    strength = _scenario_number(section.get("strength", 0.5), "external.strength", float)
-    reps = _scenario_number(section.get("replicates", 200), "external.replicates", int)
-    report = external_ft_experiment(world, strength, n, m, replicates=reps, seed=seed)
+def _external_rows(columns, world, n, m, seed, **section) -> list:
+    report = external_ft_experiment(world, n=n, m=m, seed=seed, **section)
     return [[getattr(report, name) for name in columns]]
 
 
 #: The sections of a simulate scenario, in run order: each writes
-#: ``<section>.csv`` with these columns from its row builder, seeded by the
-#: scenario seed's child 1, 2, 3 or 4 by position.
+#: ``<section>.csv`` with these columns from its row builder, which gets the
+#: section's keys as keywords and the scenario seed's child 1, 2, 3 or 4.
 _SIMULATE_SECTIONS = (
     ("allocation_curve", ("fraction", "variance"), _allocation_curve_rows),
     ("comparison", ("method", "mean_estimate", "rmse", "mae", "variance"), _comparison_rows),
     ("bootstrap", ("quantity", "value", "ci_low", "ci_high"), _bootstrap_rows),
     (
         "external",
-        (
-            "strength",
-            "fraction_base",
-            "fraction_external",
-            "mc_mean",
-            "mc_se",
-            "true_mean",
-            "empirical_variance",
-            "analytic_variance",
-            "replicates",
-        ),
+        ("strength", "fraction_base", "fraction_external", "mc_mean", "mc_se",
+         "true_mean", "empirical_variance", "analytic_variance", "replicates"),
         _external_rows,
     ),
 )
 
 
-def _cmd_simulate(args, config: RunConfig) -> dict:
-    scenario = _load_json_file(args.scenario, "scenario")
-    if config.out is None:
+def _cmd_simulate(args, seed: RngSeed) -> dict:
+    if args.out is None:
         raise ParameterError("simulate requires --out <directory> for its CSV outputs")
-    for key in ("world", "n", "m"):
-        if key not in scenario:
-            raise ParameterError(f"scenario is missing required key {key!r}")
-    world = world_from_dict(scenario["world"])
-    n, m = (_scenario_number(scenario[key], key, int) for key in ("n", "m"))
-    seed = config.seed
-    if args.seed is None and scenario.get("seed") is not None:
-        seed = RngSeed(_scenario_number(scenario["seed"], "seed", int))
+    scenario = scenario_from_dict(_load_json_file(args.scenario, "scenario"))
+    world, n, m = scenario["world"], scenario["n"], scenario["m"]
+    if args.seed is None and scenario["seed"] is not None:
+        seed = RngSeed(scenario["seed"])
 
-    os.makedirs(config.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
     for tag, (name, columns, build_rows) in enumerate(_SIMULATE_SECTIONS, start=1):
-        section = scenario.get(name)
-        if section and not isinstance(section, dict):
-            raise ParameterError(f"scenario section {name!r} must be an object")
-        if section:
-            rows = build_rows(columns, section, world, n, m, seed.child(tag))
-            path = os.path.join(config.out, f"{name}.csv")
+        if scenario[name] is not None:
+            rows = build_rows(columns, world, n, m, seed.child(tag), **scenario[name])
+            path = os.path.join(args.out, f"{name}.csv")
             _write_csv_file(path, list(columns), rows)
             written.append(path)
 
@@ -423,9 +362,8 @@ def _cmd_simulate(args, config: RunConfig) -> dict:
     return {}
 
 
-def _cmd_rampup(args, config: RunConfig) -> dict:
+def _cmd_rampup(args, seed: RngSeed) -> dict:
     world = world_from_dict(_load_json_file(args.world, "world"))
-    seed = config.seed
     labeled, unlabeled = generate_world_data(world, args.n, args.m, seed.child(1))
     trainer = SimTrainer(world, seed.child(2))
     plan = RampUpPlan(schedule=_int_list(args.schedule, "--schedule"), n_v=args.n_v)
@@ -444,13 +382,12 @@ def _cmd_rampup(args, config: RunConfig) -> dict:
         report = rampup_final_estimate(trace, labeled, unlabeled, trainer, args.delta)
         final["estimate"] = _mean_report_dict(report)
     lines.append(render_json({"final": final}, indent=None))
-    _emit("".join(lines), config.out)
+    _emit("".join(lines), args.out)
     return {}
 
 
-def _cmd_bootstrap(args, config: RunConfig) -> dict:
+def _cmd_bootstrap(args, seed: RngSeed) -> dict:
     world = world_from_dict(_load_json_file(args.world, "world"))
-    seed = config.seed
     s_grid = _int_list(args.s_grid, "--s-grid") if args.s_grid else None
     report = bootstrap_robustness(
         world,
@@ -519,9 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=None, help="write output here instead of stdout"
                         " (for simulate: output directory)")
-    common.add_argument(
+    flat = argparse.ArgumentParser(add_help=False)
+    flat.add_argument(
         "--format", choices=("json", "csv"), default="json", dest="fmt",
-        help="output format for flat reports (default json)",
+        help="output format (default json)",
     )
 
     parser = argparse.ArgumentParser(
@@ -530,17 +468,18 @@ def build_parser() -> argparse.ArgumentParser:
         " and compute rectified estimates.",
     )
     parser.add_argument("--version", action="version", version=f"ftppi {__version__}")
+    parser.set_defaults(fmt="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "fit-scaling", parents=[common],
+        "fit-scaling", parents=[common, flat],
         help="fit the residual-variance scaling law to (size, variance) pairs",
     )
     p.add_argument("--observations", required=True, help="CSV with header s,variance")
     p.set_defaults(handler=_cmd_fit_scaling)
 
     p = sub.add_parser(
-        "allocate", parents=[common],
+        "allocate", parents=[common, flat],
         help="solve for the optimal fine-tuning size under a fitted law",
     )
     p.add_argument("--a", type=float, required=True, help="law coefficient a")
@@ -554,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_allocate)
 
     p = sub.add_parser(
-        "estimate-mean", parents=[common],
+        "estimate-mean", parents=[common, flat],
         help="rectified mean with a normal confidence interval",
     )
     p.add_argument("--labeled", default=None, help="CSV with header y,x1,...,xd")
@@ -636,15 +575,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         threads = args.threads if args.threads is not None else _env_int("FTPPI_THREADS", 0)
-        threads = check_int(threads, "--threads", 0)
+        check_int(threads, "--threads", 0)
         seed_value = args.seed if args.seed is not None else _env_int("FTPPI_SEED", DEFAULT_SEED)
-        config = RunConfig(
-            seed=RngSeed(seed_value), threads=threads, fmt=args.fmt, out=args.out
-        )
-        payload = args.handler(args, config)
+        payload = args.handler(args, RngSeed(seed_value))
         if payload:
-            text = render_csv(payload) if config.fmt == "csv" else render_json(payload)
-            _emit(text, config.out)
+            text = render_csv(payload) if args.fmt == "csv" else render_json(payload)
+            _emit(text, args.out)
         return 0
     except FtppiError as exc:
         sys.stderr.write(

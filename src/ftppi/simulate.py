@@ -24,7 +24,7 @@ split) is known in closed form.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -680,7 +680,7 @@ def shifted_law(world: SyntheticWorld, strength: float) -> ScalingLaw:
 
 def external_ft_experiment(
     world: SyntheticWorld,
-    external_strength: float,
+    strength: float,
     n: int,
     m: int,
     replicates: int,
@@ -691,7 +691,7 @@ def external_ft_experiment(
     replicates = check_int(replicates, "replicates", 2)
     n, m = check_int(n, "n", 2), check_int(m, "m", 1)
     seed = as_seed(seed)
-    law2 = shifted_law(world, external_strength)
+    law2 = shifted_law(world, strength)
     world2 = replace(world, law=law2, noise_floor=world.effective_noise_floor)
 
     alloc_base = solve_optimal_allocation(world.law, n)
@@ -711,7 +711,7 @@ def external_ft_experiment(
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))
     return ExternalFtReport(
-        strength=float(external_strength),
+        strength=float(strength),
         law_base=world.law,
         law_external=law2,
         fraction_base=alloc_base.fraction,
@@ -726,57 +726,120 @@ def external_ft_experiment(
 
 
 # ---------------------------------------------------------------------------
-# World (de)serialization for scenario files
+# World and scenario files
 # ---------------------------------------------------------------------------
+# One table per object of a world or scenario file: key -> (kind, default
+# or _REQUIRED).  A kind reads the JSON value at a key path and raises a
+# ParameterError naming the path; null is read only by ``_nullable`` kinds.
+
+_REQUIRED = object()
 
 
-def _scenario_number(value, key: str, kind: type):
-    """Scenario value ``key`` as an integral ``int`` or a finite ``float``.
+def _kind(what: str, ok, convert=None):
+    """Kind accepting the values that pass ``ok``, read as ``convert(value)``."""
 
-    Anything else, null and booleans included, is a ParameterError.
-    """
-    if kind is int:
-        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
-    if isinstance(value, bool) or not ok:
-        what = "an integer" if kind is int else "a finite number"
-        raise ParameterError(f"scenario key {key!r} must be {what}, got {value!r}")
-    return kind(value)
+    def read(value, path: str):
+        if not ok(value):
+            raise ParameterError(f"scenario key {path!r} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return read
 
 
-def _scenario_object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParameterError(f"scenario key {key!r} must be an object, got {value!r}")
-    return value
+def _is_integer(v) -> bool:
+    """An int or an integral float; booleans are not integers."""
+    return isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()
+
+
+_integer = _kind("an integer", _is_integer, int)
+_number = _kind(  # the bound also rejects nan, inf and ints too large for a float
+    "a finite number",
+    lambda v: (_is_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+    float,
+)
+_flag = _kind("true or false", lambda v: isinstance(v, bool))
+_integers = _kind(
+    "a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+    lambda v: [int(x) for x in v],
+)
+_bias_kind = _kind("one of zero, constant, drifting", ("zero", "constant", "drifting").__contains__)
+_is_object = _kind("an object", lambda v: isinstance(v, dict))
+
+
+def _nullable(kind):
+    return lambda value, path: None if value is None else kind(value, path)
+
+
+def _object(table: dict, build=dict):
+    """Kind of a JSON object holding keys of ``table``, read as ``build(**keys)``."""
+
+    def read(value, path: str):
+        prefix = f"{path}." if path else ""
+        unknown = [key for key in _is_object(value, path) if key not in table]
+        if unknown:
+            raise ParameterError(
+                f"scenario key {prefix + unknown[0]!r} must be one of the known keys: "
+                + ", ".join(table)
+            )
+        for key, (_, default) in table.items():
+            if default is _REQUIRED and key not in value:
+                where = f"scenario key {path!r}" if path else "scenario"
+                raise ParameterError(f"{where} is missing required key {key!r}")
+        return build(
+            **{key: kind(value[key], prefix + key) if key in value else default
+               for key, (kind, default) in table.items()}
+        )
+
+    return read
+
+
+_LAW = dict.fromkeys(("a", "alpha", "b"), (_number, _REQUIRED))
+_BIAS = {"kind": (_bias_kind, "zero"), "value": (_number, 0.0)}
+_WORLD = _object(
+    {
+        "true_mean": (_number, _REQUIRED),
+        "var_y": (_number, _REQUIRED),
+        "feature_dim": (_integer, 1),
+        "law": (_object(_LAW, ScalingLaw), _REQUIRED),
+        "bias": (_object(_BIAS, BiasProfile), BiasProfile.zero()),
+        "s_min": (_nullable(_integer), 1),  # null: no trainable surrogate
+        "noise_floor": (_nullable(_number), None),
+    },
+    SyntheticWorld,
+)
+
+#: The scenario sections.  Each key is a keyword of the section's
+#: experiment; ``bootstrap.n_fit`` of None means the scenario's n.
+_SECTIONS = {
+    "allocation_curve": {"grid_step": (_number, 0.05), "replicates": (_integer, 100)},
+    "comparison": {"replicates": (_integer, 200)},
+    "bootstrap": {
+        "n_datasets": (_integer, 10),
+        "n_training_seeds": (_integer, 3),
+        "n_fit": (_integer, None),
+        "resamples": (_integer, 200),
+        "s_grid": (_nullable(_integers), None),
+        "training_noise": (_flag, True),
+        "n_alloc": (_nullable(_integer), None),
+    },
+    "external": {"strength": (_number, 0.5), "replicates": (_integer, 200)},
+}
+_SCENARIO = _object(
+    {
+        "world": (_WORLD, _REQUIRED),
+        "n": (_integer, _REQUIRED),
+        "m": (_integer, _REQUIRED),
+        "seed": (_nullable(_integer), None),
+        **{name: (_nullable(_object(table)), None) for name, table in _SECTIONS.items()},
+    }
+)
 
 
 def world_from_dict(spec: dict) -> SyntheticWorld:
-    """Build a world from a plain dict (parsed scenario JSON)."""
-    if not isinstance(spec, dict):
-        raise ParameterError(f"world spec must be an object, got {type(spec).__name__}")
-    try:
-        law_spec = _scenario_object(spec["law"], "world.law")
-        law = ScalingLaw(
-            *(_scenario_number(law_spec[k], f"world.law.{k}", float) for k in ("a", "alpha", "b"))
-        )
-        bias_spec = _scenario_object(spec.get("bias", {"kind": "zero"}), "world.bias")
-        bias = BiasProfile(
-            kind=str(bias_spec.get("kind", "zero")),
-            value=_scenario_number(bias_spec.get("value", 0.0), "world.bias.value", float),
-        )
-        s_min = spec.get("s_min", 1)
-        noise_floor = spec.get("noise_floor")
-        return SyntheticWorld(
-            true_mean=_scenario_number(spec["true_mean"], "world.true_mean", float),
-            var_y=_scenario_number(spec["var_y"], "world.var_y", float),
-            feature_dim=_scenario_number(spec.get("feature_dim", 1), "world.feature_dim", int),
-            law=law,
-            bias=bias,
-            s_min=None if s_min is None else _scenario_number(s_min, "world.s_min", int),
-            noise_floor=None
-            if noise_floor is None
-            else _scenario_number(noise_floor, "world.noise_floor", float),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"world spec missing required key {exc.args[0]!r}") from exc
+    """Build a world from a parsed world file; its keys are addressed as ``world.<key>``."""
+    return _WORLD(spec, "world")
+
+
+def scenario_from_dict(spec: dict) -> dict:
+    """Every key of a parsed scenario file with defaults filled in; a section not run is None."""
+    return _SCENARIO(spec, "")

@@ -575,6 +575,21 @@ class TestSimulate:
             ({"bootstrap": {"training_noise": None}}, "'bootstrap.training_noise'"),
             ({"world": {**WORLD_SPEC, "feature_dim": 2.7}}, "'world.feature_dim'"),
             ({"world": {**WORLD_SPEC, "s_min": True}}, "'world.s_min'"),
+            ({"comparison": {"replicatess": 3}}, "'comparison.replicatess'"),
+            ({"comparison": 0}, "'comparison'"),
+            ({"comparison": False}, "'comparison'"),
+            ({"comparison": ""}, "'comparison'"),
+            ({"comparison": []}, "'comparison'"),
+            ({"extra_section": {"replicates": 2}}, "'extra_section'"),
+            ({"world": {**WORLD_SPEC, "noise_flor": 0.5}}, "'world.noise_flor'"),
+            (
+                {"world": {**WORLD_SPEC, "bias": {"kind": "constant", "value": 0.3, "slope": 2}}},
+                "'world.bias.slope'",
+            ),
+            ({"bootstrap": {"n_fit": None}}, "'bootstrap.n_fit'"),
+            ({"allocation_curve": {"grid_step": 0.25, "replicates": 2, "seed": 3}},
+             "'allocation_curve.seed'"),
+            ({"seed": "7"}, "'seed'"),
         ],
     )
     def test_malformed_number_exits_2(self, capsys, tmp_path, override, key):
@@ -585,6 +600,25 @@ class TestSimulate:
         msg = json.loads(err)
         assert msg["error"] == "ParameterError"
         assert key in msg["message"]
+
+    def test_empty_section_runs_with_defaults(self, capsys, tmp_path):
+        outputs = []
+        for run, section in (("empty", {}), ("explicit", {"replicates": 200})):
+            (tmp_path / run).mkdir()
+            scen = self.scenario(tmp_path / run, comparison=section)
+            out_dir = tmp_path / run / "results"
+            code, out, err = run_cli(capsys, "simulate", "--scenario", scen, "--out", str(out_dir))
+            assert code == 0, err
+            assert json.loads(out)["written"] == [str(out_dir / "comparison.csv")]
+            outputs.append((out_dir / "comparison.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_null_section_is_not_run(self, capsys, tmp_path):
+        scen = self.scenario(tmp_path, comparison=None, allocation_curve={"replicates": 2})
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(capsys, "simulate", "--scenario", scen, "--out", str(out_dir))
+        assert code == 0, err
+        assert json.loads(out)["written"] == [str(out_dir / "allocation_curve.csv")]
 
     def test_integral_float_number_accepted(self, capsys, tmp_path):
         scen = self.scenario(tmp_path, comparison={"replicates": 2.0})
@@ -693,6 +727,12 @@ class TestRampup:
             ({"noise_floor": "0.1"}, "world.noise_floor"),
             ({"law": [3.0, 0.5, 0.5]}, "world.law"),
             ({"bias": 3}, "world.bias"),
+            ({"noise_flor": 0.5}, "world.noise_flor"),
+            ({"bias": {"kind": "constant", "value": 0.3, "slope": 2}}, "world.bias.slope"),
+            ({"law": {"a": 3.0, "alpha": 0.5, "b": 0.5, "c": 1.0}}, "world.law.c"),
+            ({"bias": {"kind": "linear", "value": 0.1}}, "world.bias.kind"),
+            ({"feature_dim": None}, "world.feature_dim"),
+            ({"true_mean": 10**400}, "world.true_mean"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -776,6 +816,24 @@ class TestGlobalOptions:
             cli_main([command, "--help"])
         assert exc.value.code == 0
         assert "--train-size" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rampup", "--world", "world.json", *TestRampup.ARGS],
+            ["simulate", "--scenario", "scenario.json", "--out", "results"],
+            ["bootstrap", "--world", "world.json", "--n-datasets", "2",
+             "--n-training-seeds", "1", "--n-fit", "100"],
+            ["estimate-m", "--loss", "mean", "--labeled", "l.csv", "--unlabeled", "u.csv",
+             "--pred-labeled", "fl.csv", "--pred-unlabeled", "fu.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_only_on_flat_reports(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_bad_env_seed_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("FTPPI_SEED", "lots")

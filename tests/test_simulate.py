@@ -1,6 +1,9 @@
 """Tests for synthetic worlds, trainers, and the simulation experiments."""
 
+import glob
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from ftppi.simulate import (
     external_ft_experiment,
     generate_world_data,
     run_estimator_comparison,
+    scenario_from_dict,
     shifted_law,
     world_from_dict,
 )
@@ -635,3 +639,83 @@ class TestWorldSerialization:
         w = world_from_dict(spec)
         assert w.s_min is None
         assert w == plain_world(s_min=None)
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+#: What the reader builds from each shipped file, written out by hand.
+SHIPPED_CONFIGS = {
+    "reference_world.json": REFERENCE_WORLD,
+    "drifting_world.json": SyntheticWorld(
+        true_mean=0.8,
+        var_y=0.25,
+        feature_dim=1,
+        law=ScalingLaw(2.0, 0.7, 0.1),
+        bias=BiasProfile("drifting", 0.1),
+        s_min=50,
+        noise_floor=0.02,
+    ),
+    "scenario_quick.json": {
+        "world": REFERENCE_WORLD,
+        "n": 2000,
+        "m": 20000,
+        "seed": 7,
+        "allocation_curve": {"grid_step": 0.1, "replicates": 50},
+        "comparison": {"replicates": 200},
+        "bootstrap": {
+            "n_datasets": 8,
+            "n_training_seeds": 3,
+            "n_fit": None,
+            "resamples": 200,
+            "s_grid": None,
+            "training_noise": True,
+            "n_alloc": None,
+        },
+        "external": None,
+    },
+}
+
+
+def plain_spec() -> dict:
+    return {"true_mean": 1.5, "var_y": 4.0, "law": {"a": 3.0, "alpha": 0.5, "b": 0.5}}
+
+
+class TestScenarioReader:
+    def test_every_shipped_config_is_covered(self):
+        names = {os.path.basename(p) for p in glob.glob(os.path.join(CONFIGS, "*.json"))}
+        assert names == set(SHIPPED_CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+    def test_shipped_config_loads(self, name):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        read = scenario_from_dict if name.startswith("scenario") else world_from_dict
+        assert read(spec) == SHIPPED_CONFIGS[name]
+
+    def test_sections_match_the_cli(self):
+        from ftppi.cli import _SIMULATE_SECTIONS
+
+        assert [name for name, _, _ in _SIMULATE_SECTIONS] == list(simulate._SECTIONS)
+
+    def test_null_means_absent_where_accepted(self):
+        world = plain_spec()
+        nulls = {
+            "world": {**world, "noise_floor": None},
+            "n": 100,
+            "m": 50,
+            "seed": None,
+            "comparison": None,
+            "bootstrap": {"s_grid": None, "n_alloc": None},
+        }
+        absent = {"world": world, "n": 100, "m": 50, "bootstrap": {}}
+        assert scenario_from_dict(nulls) == scenario_from_dict(absent)
+        assert scenario_from_dict(absent)["comparison"] is None
+
+    def test_unknown_key_lists_the_known_ones(self):
+        with pytest.raises(ParameterError) as exc:
+            scenario_from_dict(
+                {"world": plain_spec(), "n": 1, "m": 1, "comparison": {"replicatess": 3}}
+            )
+        assert str(exc.value) == (
+            "scenario key 'comparison.replicatess' must be one of the known keys: replicates"
+        )
