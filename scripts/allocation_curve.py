@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from ftppi.allocate import solve_optimal_allocation
+from ftppi.cli import run_guarded
 from ftppi.core import RngSeed
 from ftppi.simulate import brute_force_allocation, world_from_dict
 
@@ -52,4 +53,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_guarded(main))

@@ -9,6 +9,7 @@ Example:
 import argparse
 import json
 
+from ftppi.cli import run_guarded
 from ftppi.core import RngSeed
 from ftppi.simulate import run_estimator_comparison, world_from_dict
 
@@ -44,4 +45,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_guarded(main))

@@ -9,6 +9,7 @@ Example:
 import argparse
 import json
 
+from ftppi.cli import run_guarded
 from ftppi.core import RngSeed
 from ftppi.rampup import RampUpPlan, rampup_final_estimate, run_rampup
 from ftppi.simulate import SimTrainer, generate_world_data, world_from_dict
@@ -54,4 +55,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_guarded(main))

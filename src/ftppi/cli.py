@@ -353,7 +353,9 @@ def _cmd_simulate(args, seed: RngSeed) -> dict:
     written: list[str] = []
     for tag, (name, columns, build_rows) in enumerate(_SIMULATE_SECTIONS, start=1):
         if scenario[name] is not None:
-            rows = build_rows(columns, world, n, m, seed.child(tag), **scenario[name])
+            rows = build_rows(
+                columns, world, n, m, seed.child(tag), workers=args.threads, **scenario[name]
+            )
             path = os.path.join(args.out, f"{name}.csv")
             _write_csv_file(path, list(columns), rows)
             written.append(path)
@@ -399,6 +401,7 @@ def _cmd_bootstrap(args, seed: RngSeed) -> dict:
         s_grid=s_grid,
         training_noise=not args.no_training_noise,
         n_alloc=args.n_alloc,
+        workers=args.threads,
     )
     return {
         "quantities": {
@@ -451,8 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads; 0 means auto ($FTPPI_THREADS). Accepted for interface"
-        " stability; the current numerical core is single-threaded.",
+        help="worker processes for simulate and bootstrap replicates; 0 (the default)"
+        " means every usable CPU, 1 runs serially ($FTPPI_THREADS). Output is identical"
+        " for any value.",
     )
     common.add_argument("--out", default=None, help="write output here instead of stdout"
                         " (for simulate: output directory)")
@@ -570,26 +574,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_guarded(run) -> int:
+    """``run()``'s exit status; a library or OS error it raises becomes a
+    single-line JSON object on stderr and exit status 2."""
     try:
+        return run()
+    except (FtppiError, OSError) as exc:
+        name = type(exc).__name__ if isinstance(exc, FtppiError) else "OSError"
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
+        return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run() -> int:
         threads = args.threads if args.threads is not None else _env_int("FTPPI_THREADS", 0)
-        check_int(threads, "--threads", 0)
+        args.threads = check_int(threads, "--threads", 0)
         seed_value = args.seed if args.seed is not None else _env_int("FTPPI_SEED", DEFAULT_SEED)
         payload = args.handler(args, RngSeed(seed_value))
         if payload:
             text = render_csv(payload) if args.fmt == "csv" else render_json(payload)
             _emit(text, args.out)
         return 0
-    except FtppiError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 2
-    except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)}) + "\n")
-        return 2
+
+    return run_guarded(run)
 
 
 if __name__ == "__main__":

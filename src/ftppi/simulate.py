@@ -24,6 +24,7 @@ split) is known in closed form.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -337,6 +338,101 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
 
 
 # ---------------------------------------------------------------------------
+# Replicate kernel
+# ---------------------------------------------------------------------------
+
+#: Forked workers need Linux: ``os.fork`` and ``os.sched_getaffinity``.
+_CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
+
+
+def _resolve_workers(workers: int, items: int) -> int:
+    """Worker processes for ``items`` replicates: ``workers``, or every usable
+    CPU for 0, capped at the usable CPUs and at ``items``."""
+    workers = check_int(workers, "workers", 0)
+    cpus = len(os.sched_getaffinity(0)) if _CAN_FORK else 1
+    return max(1, min(workers or cpus, cpus, items))
+
+
+def _rows(fn, items) -> np.ndarray:
+    return np.array([fn(item) for item in items], dtype=np.float64)
+
+
+def _replicates(fn, items: Sequence, workers: int) -> np.ndarray:
+    """``fn(item)`` for every item, as a float64 array with one row per item.
+
+    ``fn`` must be a pure function of its item.  With more than one
+    worker the items are cut into contiguous chunks, one per worker:
+    ``workers - 1`` forked children each send their chunk's rows back as
+    raw float64 bytes through a pipe while this process computes the
+    first chunk, and the rows are joined in item order, so the result is
+    byte-identical to the serial one.  A child that fails sends its
+    pickled exception instead; the earliest chunk's error is raised, as
+    the serial loop would have raised it.
+    """
+    items = list(items)
+    workers = _resolve_workers(workers, len(items))
+    if workers == 1 or not _CAN_FORK:
+        return _rows(fn, items)
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    readers, pids = [], []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            readers.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _replicate_child(fn, items[lo:hi], write_fd)
+            finally:  # reached in this process only: the child leaves by os._exit
+                os.close(write_fd)
+            pids.append(pid)
+        first = _rows(fn, items[: bounds[1]])
+    finally:
+        sent = [_read_pipe(fd) for fd in readers]
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    chunks = [first]
+    for pid, code, data in zip(pids, codes, sent):
+        if code != 0:
+            raise _child_error(pid, code, data)
+        chunks.append(np.frombuffer(data, dtype=np.float64).reshape((-1,) + first.shape[1:]))
+    return np.concatenate(chunks)
+
+
+def _replicate_child(fn, items: list, write_fd: int) -> None:
+    """Body of a forked worker: send the rows (exit 0) or the pickled error (exit 1)."""
+    status = 2
+    try:
+        try:
+            payload, done = _rows(fn, items).tobytes(), 0
+        except BaseException as exc:  # every error goes back to the parent
+            import pickle
+
+            payload, done = pickle.dumps(exc), 1
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = done
+    finally:
+        os._exit(status)
+
+
+def _read_pipe(fd: int) -> bytes:
+    with open(fd, "rb") as pipe:
+        return pipe.read()
+
+
+def _child_error(pid: int, code: int, data: bytes) -> BaseException:
+    """The error a failed worker sent, or one naming how it ended."""
+    if code == 1:
+        import pickle
+
+        try:
+            return pickle.loads(data)
+        except Exception:  # a truncated or unloadable error
+            pass
+    return ChildProcessError(f"replicate worker {pid} exited with status {code}")
+
+
+# ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
 
@@ -378,6 +474,7 @@ def brute_force_allocation(
     grid_step: float,
     replicates: int,
     seed: RngSeed | int,
+    workers: int = 1,
 ) -> BruteForceResult:
     """Monte-Carlo oracle for the optimal split fraction.
 
@@ -392,7 +489,9 @@ def brute_force_allocation(
     depend on the split (the pool contributes the same additive term to
     every fraction), so by the law of total variance the conditioning
     subtracts a split-independent constant from the variance curve and
-    leaves its minimizer untouched.
+    leaves its minimizer untouched.  ``workers`` is the number of
+    processes the replicates run on (0: every usable CPU); the result
+    does not depend on it.
     """
     grid_step = check_probability(grid_step, "grid_step")
     replicates = check_int(replicates, "replicates", 2)
@@ -412,10 +511,10 @@ def brute_force_allocation(
         lab, pool = trainer.parts(labeled.xs), trainer.parts(pool_xs)
         return [_split_estimate(trainer, labeled.ys, lab, pool, perm, s) for s in sizes]
 
-    estimates = np.empty((fractions.shape[0], replicates))
-    for r in range(replicates):
-        estimates[:, r] = replicate(seed.child(r + 1))
-
+    reps = [seed.child(r + 1) for r in range(replicates)]
+    # One contiguous row per fraction: numpy sums a strided axis in another
+    # order, which would move the variances' last bits.
+    estimates = np.ascontiguousarray(_replicates(replicate, reps, workers).T)
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
     return BruteForceResult(
@@ -469,10 +568,16 @@ class ComparisonReport:
 
 
 def run_estimator_comparison(
-    world: SyntheticWorld, n: int, m: int, replicates: int, seed: RngSeed | int
+    world: SyntheticWorld,
+    n: int,
+    m: int,
+    replicates: int,
+    seed: RngSeed | int,
+    workers: int = 1,
 ) -> ComparisonReport:
     """Monte-Carlo comparison: sample mean, surrogate-only, rectified base,
-    and fine-tune-then-rectify at the solver's optimal split."""
+    and fine-tune-then-rectify at the solver's optimal split, with the
+    replicates on ``workers`` processes as in ``brute_force_allocation``."""
     replicates = check_int(replicates, "replicates", 2)
     n, m = check_int(n, "n", 2), check_int(m, "m", 1)
     seed = as_seed(seed)
@@ -492,9 +597,8 @@ def run_estimator_comparison(
         return float(np.mean(labeled.ys)), ft_only, ppi_only, ft_ppi
 
     names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
-    draws = np.empty((len(names), replicates))
-    for r in range(replicates):
-        draws[:, r] = replicate(seed.child(r))
+    reps = [seed.child(r) for r in range(replicates)]
+    draws = np.ascontiguousarray(_replicates(replicate, reps, workers).T)  # as in brute force
 
     rows = []
     for name, draw in zip(names, draws):
@@ -585,6 +689,7 @@ def bootstrap_robustness(
     s_grid: Sequence[int] | None = None,
     training_noise: bool = True,
     n_alloc: int | None = None,
+    workers: int = 1,
 ) -> BootstrapReport:
     """Two-level uncertainty audit of the fitted law.
 
@@ -593,6 +698,8 @@ def bootstrap_robustness(
     residual measurement, half providing nested fine-tuning subsets).
     With ``training_noise=False`` every training seed is identical, which
     should and does zero out the training-randomness variance part.
+    The datasets are drawn here; the (dataset, training seed) refits run
+    on ``workers`` processes as in ``brute_force_allocation``.
     """
     n_datasets = check_int(n_datasets, "n_datasets", 2)
     n_training_seeds = check_int(n_training_seeds, "n_training_seeds", 1)
@@ -601,18 +708,22 @@ def bootstrap_robustness(
     n_alloc = n_fit if n_alloc is None else check_int(n_alloc, "n_alloc", 2)
     seed = as_seed(seed)
 
-    outcomes = np.empty((n_datasets, n_training_seeds, len(_BOOT_QUANTITIES)))
+    n_val = n_fit // 2
+    grid = list(s_grid) if s_grid is not None else default_measure_grid(world, n_fit - n_val)
+    vals = []
     for j in range(n_datasets):
         data_seed = seed.child(1, j)
         labeled = _generate_labeled(world, n_fit, data_seed.child(0))
         perm = data_seed.child(1).generator().permutation(n_fit)
-        n_val = n_fit // 2
-        val = labeled.subset(np.sort(perm[:n_val]))
-        grid = list(s_grid) if s_grid is not None else default_measure_grid(world, n_fit - n_val)
-        for k in range(n_training_seeds):
-            trainer = SimTrainer(world, seed.child(2, j, k if training_noise else 0))
-            outcomes[j, k, :] = _measure_law_outcome(val, grid, trainer, n_alloc)
+        vals.append(labeled.subset(np.sort(perm[:n_val])))
 
+    def outcome(pair: tuple[int, int]) -> tuple[float, float, float, float, float]:
+        j, k = pair
+        trainer = SimTrainer(world, seed.child(2, j, k if training_noise else 0))
+        return _measure_law_outcome(vals[j], grid, trainer, n_alloc)
+
+    pairs = [(j, k) for j in range(n_datasets) for k in range(n_training_seeds)]
+    outcomes = _replicates(outcome, pairs, workers).reshape(n_datasets, n_training_seeds, -1)
     flat = outcomes.reshape(-1, len(_BOOT_QUANTITIES))
     rng = seed.child(3).generator()
     idx = rng.integers(0, flat.shape[0], size=(resamples, flat.shape[0]))
@@ -685,9 +796,11 @@ def external_ft_experiment(
     m: int,
     replicates: int,
     seed: RngSeed | int,
+    workers: int = 1,
 ) -> ExternalFtReport:
     """Check that the rectified estimator keeps its guarantees under the
-    shifted law: unbiasedness and the two-term variance formula."""
+    shifted law: unbiasedness and the two-term variance formula.  The
+    replicates run on ``workers`` processes as in ``brute_force_allocation``."""
     replicates = check_int(replicates, "replicates", 2)
     n, m = check_int(n, "n", 2), check_int(m, "m", 1)
     seed = as_seed(seed)
@@ -698,15 +811,15 @@ def external_ft_experiment(
     alloc_ext = solve_optimal_allocation(law2, n)
     s = alloc_ext.s_star_int
 
-    estimates = np.empty(replicates)
-    for r in range(replicates):
-        rep = seed.child(r)
+    def replicate(rep: RngSeed) -> float:
         labeled, unlabeled = generate_world_data(world2, n, m, rep.child(0))
         trainer = SimTrainer(world2, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        estimates[r] = _split_estimate(
+        return _split_estimate(
             trainer, labeled.ys, trainer.parts(labeled.xs), trainer.parts(unlabeled.xs), perm, s
         )
+
+    estimates = _replicates(replicate, [seed.child(r) for r in range(replicates)], workers)
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))

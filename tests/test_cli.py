@@ -22,6 +22,9 @@ from ftppi.ppi_mean import Method, ppi_mean_ci
 from ftppi.scaling import ScalingLaw, eval_variance
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+QUICK_SCENARIO = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "scenario_quick.json"
+)
 
 LABELED_CSV = (
     "y,x1\n"
@@ -534,6 +537,19 @@ class TestSimulate:
             })
         assert outputs[0] == outputs[1]
 
+    def test_threads_do_not_change_the_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("FTPPI_THREADS", raising=False)
+        outputs = []
+        for threads in (["--threads", "1"], ["--threads", "2"], []):
+            out_dir = tmp_path / f"run{len(outputs)}"
+            code, _, err = run_cli(
+                capsys, "simulate", "--scenario", QUICK_SCENARIO, "--out", str(out_dir), *threads
+            )
+            assert code == 0, err
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert sorted(outputs[0]) == ["allocation_curve.csv", "bootstrap.csv", "comparison.csv"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_requires_out_directory(self, capsys, tmp_path):
         scen = self.scenario(tmp_path, comparison={"replicates": 2})
         code, _, err = run_cli(capsys, "simulate", "--scenario", scen)
@@ -772,6 +788,18 @@ class TestBootstrap:
         )
         assert code == 0
         assert json.loads(out)["fraction_variance"]["training_randomness"] == 0.0
+
+    def test_threads_do_not_change_the_output(self, capsys, world_file):
+        outputs = []
+        for threads in ("1", "2"):
+            code, out, err = run_cli(
+                capsys, "bootstrap", "--world", world_file,
+                "--n-datasets", "3", "--n-training-seeds", "3", "--n-fit", "300",
+                "--resamples", "40", "--seed", "9", "--threads", threads,
+            )
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestGlobalOptions:

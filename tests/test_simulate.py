@@ -1,9 +1,11 @@
 """Tests for synthetic worlds, trainers, and the simulation experiments."""
 
+import dataclasses
 import glob
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ import pytest
 from ftppi import simulate
 from ftppi.allocate import solve_optimal_allocation
 from ftppi.core import (
+    ConvergenceError,
+    FtppiError,
     LabeledDataset,
     ParameterError,
     RngSeed,
+    SingularHessianError,
     UnlabeledDataset,
     UnsupportedSizeError,
 )
@@ -571,6 +576,157 @@ class TestExternalFt:
         # a faster-decaying, lower-floor law rewards a bigger training share
         assert rep.fraction_external > rep.fraction_base
         assert rep.law_base == w.law
+
+
+# ---------------------------------------------------------------------------
+# Replicate kernel: forked workers against the serial loop
+# ---------------------------------------------------------------------------
+
+#: Each experiment at toy sizes; 5 replicates split 2 + 3 over two workers.
+EXPERIMENTS = {
+    "brute_force": lambda workers: brute_force_allocation(
+        plain_world(), 60, 300, grid_step=0.25, replicates=5, seed=3, workers=workers
+    ),
+    "comparison": lambda workers: run_estimator_comparison(
+        plain_world(bias=BiasProfile.drifting(0.3)), 200, 500, replicates=5, seed=4,
+        workers=workers,
+    ),
+    "bootstrap": lambda workers: bootstrap_robustness(
+        plain_world(), n_datasets=3, n_training_seeds=2, n_fit=400, resamples=20, seed=5,
+        workers=workers,
+    ),
+    "bootstrap_fixed_seed_and_grid": lambda workers: bootstrap_robustness(
+        plain_world(), n_datasets=2, n_training_seeds=3, n_fit=400, resamples=20, seed=6,
+        s_grid=[8, 24, 72, 200], training_noise=False, workers=workers,
+    ),
+    "external": lambda workers: external_ft_experiment(
+        plain_world(noise_floor=0.2), 0.5, n=200, m=500, replicates=5, seed=7,
+        workers=workers,
+    ),
+}
+
+
+def assert_same_fields(a, b):
+    """Every field of two reports is the same bits."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert repr(x) == repr(y), f.name
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerCount:
+    def test_capped_at_usable_cpus_and_items(self):
+        cpus = len(os.sched_getaffinity(0)) if simulate._CAN_FORK else 1
+        assert simulate._resolve_workers(10**6, 10**6) == cpus
+        assert simulate._resolve_workers(0, 10**6) == cpus
+        assert simulate._resolve_workers(10**6, 3) == min(cpus, 3)
+        assert simulate._resolve_workers(1, 10**6) == 1
+        assert simulate._resolve_workers(4, 1) == 1
+
+    @pytest.mark.parametrize("workers", [-1, 1.0, True, "2"])
+    def test_invalid_counts_rejected(self, workers):
+        with pytest.raises(ParameterError, match="workers"):
+            simulate._resolve_workers(workers, 10)
+
+
+@pytest.mark.skipif(not simulate._CAN_FORK, reason="forked workers need Linux")
+class TestForkedReplicates:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_two_workers_match_the_serial_run(self, name):
+        run = EXPERIMENTS[name]
+        assert_same_fields(run(1), run(2))
+        assert_no_child_left()
+
+    def test_fewer_replicates_than_workers(self):
+        serial = brute_force_allocation(plain_world(), 60, 300, 0.25, 2, 8)
+        assert_same_fields(serial, brute_force_allocation(plain_world(), 60, 300, 0.25, 2, 8, 3))
+        rows = simulate._replicates(lambda i: [i, -i], [7], 2)
+        assert rows.tobytes() == np.array([[7.0, -7.0]]).tobytes()
+        assert_no_child_left()
+
+    def test_rows_keep_item_order(self):
+        items = list(range(7))
+        serial = simulate._replicates(lambda i: [i, 0.1 * i], items, 1)
+        forked = simulate._replicates(lambda i: [i, 0.1 * i], items, 2)
+        assert forked.shape == (7, 2) and forked.tobytes() == serial.tobytes()
+        scalars = simulate._replicates(lambda i: 0.5 * i, items, 2)
+        assert scalars.shape == (7,) and scalars.tolist() == [0.5 * i for i in items]
+
+    def test_failure_in_a_child_reraises_the_serial_error(self, monkeypatch):
+        failing = RngSeed(7).child(3).child(1)  # replicate 3: in the second worker's chunk
+        original = simulate._split_estimate
+
+        def split_estimate(trainer, *args):
+            if trainer.rng == failing:
+                raise ConvergenceError("replicate 3 gave up", np.array([1.0, 2.0]), 0.25)
+            return original(trainer, *args)
+
+        monkeypatch.setattr(simulate, "_split_estimate", split_estimate)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ConvergenceError) as exc:
+                EXPERIMENTS["external"](workers)
+            errors.append(exc.value)
+        serial, forked = errors
+        assert str(forked) == str(serial) == "replicate 3 gave up"
+        assert forked.last_iterate.tolist() == [1.0, 2.0] and forked.score_norm == 0.25
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, first", [((1, 4), 1), ((4,), 4)])
+    def test_earliest_chunk_error_wins(self, failing, first):
+        def fn(i):
+            if i in failing:
+                raise KeyError(f"item {i}")
+            return [float(i)]
+
+        for workers in (1, 2):  # items 0-2 run here, 3-5 in the child
+            with pytest.raises(KeyError) as exc:
+                simulate._replicates(fn, range(6), workers)
+            assert exc.value.args == (f"item {first}",)
+        assert_no_child_left()
+
+    def test_worker_that_dies_is_reported(self):
+        def fn(i):
+            if i == 3:
+                os._exit(9)
+            return [float(i)]
+
+        with pytest.raises(ChildProcessError, match="status 9"):
+            simulate._replicates(fn, range(4), 2)
+        assert_no_child_left()
+
+
+def ftppi_errors(cls=FtppiError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from ftppi_errors(sub)
+
+
+class TestErrorsCrossProcesses:
+    @pytest.mark.parametrize("cls", sorted(ftppi_errors(), key=lambda c: c.__name__))
+    def test_every_error_survives_pickle(self, cls):
+        back = pickle.loads(pickle.dumps(cls("what went wrong")))
+        assert type(back) is cls and str(back) == "what went wrong"
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ConvergenceError("no convergence", last_iterate=np.array([0.5, -1.0]), score_norm=3e-4),
+            SingularHessianError("singular", condition=1e17),
+        ],
+    )
+    def test_extra_attributes_survive_pickle(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert vars(exc) and repr(vars(back)) == repr(vars(exc))
 
 
 class TestWorldSerialization:
