@@ -23,7 +23,10 @@ predicted labels, share its result.  The value of an accepted trial step
 is the next iteration's baseline.  The multinomial-choice kernels walk
 the rows in blocks of ``_BLOCK_ROWS``, so their temporaries stay bounded
 whatever the pool size; their ``rows`` carries the choice probabilities
-at the point, so each is computed once per point and array.
+at the point, so each is computed once per point and array.  Within a
+block they reduce over the K options in column passes, one per option,
+and pick each row's chosen option by its flat index; both give the same
+bits as the row-wise reductions and 2-d gathers they replace.
 """
 
 from __future__ import annotations
@@ -236,12 +239,25 @@ def _choice_rows(xs, theta, K: int, d: int) -> _ChoiceRows:
     lse = np.empty(xs.shape[0])
     for span, X in _choice_blocks(xs, K, d):
         u = np.einsum("nkd,d->nk", X, theta)
-        top = np.maximum(0.0, u.max(axis=1))
-        expu = np.exp(u - top[:, None])
-        denom = np.exp(-top) + expu.sum(axis=1)
+        # The max over options runs as K - 1 passes over columns: numpy
+        # reduces a short trailing axis slowly, and a max is exact in any
+        # order.  The sum stays a reduction: from K = 9 on numpy sums the
+        # options pairwise, which column passes would not reproduce.
+        top = np.maximum(0.0, u[:, 0])
+        for k in range(1, K):
+            np.maximum(top, u[:, k], out=top)
+        u -= top[:, None]
+        np.exp(u, out=u)
+        denom = np.exp(-top) + u.sum(axis=1)
         lse[span] = top + np.log(denom)
-        np.divide(expu, denom[:, None], out=p[span])
+        np.divide(u, denom[:, None], out=p[span])
     return _ChoiceRows(xs, key, p, lse)
+
+
+def _chosen(lab: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's rows that chose an option, and each choice's flat index row * K + label - 1."""
+    chose = np.flatnonzero(lab)
+    return chose, chose * K + (lab[chose] - 1)
 
 
 class _ChoiceLoss(LossModel):
@@ -274,9 +290,8 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
         at = _choice_rows(xs, theta, K, d)
         picked = np.zeros(at.xs.shape[0])
         for span, X in _choice_blocks(at.xs, K, d):
-            lab = labs[span]
-            chose = np.flatnonzero(lab)
-            picked[span.start + chose] = X[chose, lab[chose] - 1] @ theta
+            chose, flat = _chosen(labs[span], K)
+            picked[span.start + chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
         return float(np.mean(at.lse - picked))
 
     def batch_score(xs, ys, theta):
@@ -284,10 +299,8 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
         at = _choice_rows(xs, theta, K, d)
         out = np.empty((at.xs.shape[0], d))
         for span, X in _choice_blocks(at.xs, K, d):
-            lab = labs[span]
-            chose = np.flatnonzero(lab)
             resid = at.p[span].copy()
-            resid[chose, lab[chose] - 1] -= 1.0
+            resid.reshape(-1)[_chosen(labs[span], K)[1]] -= 1.0
             out[span] = np.einsum("nkd,nk->nd", X, resid)
         return out
 

@@ -658,6 +658,46 @@ class BootstrapReport:
 _BOOT_QUANTITIES = ("a", "alpha", "b", "fraction", "r_squared")
 
 
+def _median(a: np.ndarray, axis: int) -> np.ndarray:
+    """``np.median(a, axis=axis)`` to the bit, without the ``numpy.ma`` import it makes.
+
+    numpy's own steps: one partition that also moves any NaN to the end,
+    the mean of the middle one or two elements, and NaN wherever the
+    partitioned slice ends in one.
+    """
+    half = a.shape[axis] // 2
+    middle = [slice(None)] * a.ndim
+    if a.shape[axis] % 2:
+        kth, middle[axis] = [half, -1], slice(half, half + 1)
+    else:
+        kth, middle[axis] = [half - 1, half, -1], slice(half - 1, half + 1)
+    part = np.partition(a, kth, axis=axis)
+    last = np.take(part, -1, axis=axis)
+    return np.where(np.isnan(last), last, np.mean(part[tuple(middle)], axis=axis))
+
+
+def _percentiles(a: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.percentile(a, q)`` of a 1-d array to the bit, without the ``numpy.ma`` import.
+
+    numpy's default ('linear') method step by step, for q in [0, 100]:
+    the virtual index (n - 1) q / 100 of each q, one partition at both
+    neighbours of each (and at both ends, moving any NaN last), then its
+    two-sided linear interpolation between them.
+    """
+    n = a.shape[0]
+    virtual = (n - 1) * (np.asarray(q, dtype=np.float64) / 100)
+    below = np.floor(virtual)
+    above = below + 1
+    below[virtual >= n - 1] = above[virtual >= n - 1] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    part = np.partition(a, sorted({0, n - 1, *(below % n).tolist(), *(above % n).tolist()}))
+    if np.isnan(part[-1]):
+        return np.full(virtual.shape, part[-1])
+    lo, hi, gamma = part[below], part[above], virtual - below
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
+
 def _measure_law_outcome(
     val: LabeledDataset, s_grid: Sequence[int], trainer: SimTrainer, n_alloc: int
 ) -> tuple[float, float, float, float, float]:
@@ -727,13 +767,13 @@ def bootstrap_robustness(
     flat = outcomes.reshape(-1, len(_BOOT_QUANTITIES))
     rng = seed.child(3).generator()
     idx = rng.integers(0, flat.shape[0], size=(resamples, flat.shape[0]))
-    boot_medians = np.median(flat[idx], axis=1)  # (resamples, q)
+    boot_medians = _median(flat[idx], axis=1)  # (resamples, q)
 
     quantities = {}
     for qi, name in enumerate(_BOOT_QUANTITIES):
-        lo, hi = np.percentile(boot_medians[:, qi], [2.5, 97.5])
+        lo, hi = _percentiles(boot_medians[:, qi], [2.5, 97.5])
         quantities[name] = QuantitySummary(
-            median=float(np.median(flat[:, qi])), ci_low=float(lo), ci_high=float(hi)
+            median=float(_median(flat[:, qi], axis=0)), ci_low=float(lo), ci_high=float(hi)
         )
 
     fractions = outcomes[:, :, _BOOT_QUANTITIES.index("fraction")]

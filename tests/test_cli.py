@@ -6,6 +6,7 @@ tests/golden/ and are byte-for-byte: outputs round floats to 12
 significant digits, so they are stable across platforms.
 """
 
+import gc
 import gzip
 import json
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from ftppi.allocate import solve_optimal_allocation
+from ftppi import cli
 from ftppi.cli import main as cli_main
 from ftppi.core import read_labeled_csv
 from ftppi.ppi_mean import Method, ppi_mean_ci
@@ -801,6 +803,20 @@ class TestBootstrap:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_numpy_ma_is_never_imported(self, world_file):
+        # np.median and np.percentile import numpy.ma; the bootstrap's own
+        # order statistics must not.
+        code = (
+            "import sys; from ftppi.cli import main; "
+            f"code = main(['bootstrap', '--world', {world_file!r}, '--n-datasets', '2', "
+            "'--n-training-seeds', '2', '--n-fit', '300', '--resamples', '20', "
+            "'--s-grid', '16,32,64', '--threads', '1']); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
 
 class TestGlobalOptions:
     def test_version(self, capsys):
@@ -879,6 +895,18 @@ class TestGlobalOptions:
         )
         assert code == 0 and out == ""
         assert dest.read_text() == golden("allocate_reference.json")
+
+    def test_only_the_entry_function_freezes_the_heap(self, capsys, monkeypatch):
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, *TestAllocate.ARGS)[0] == 0
+        assert gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["ftppi", *TestAllocate.ARGS])
+        try:
+            assert cli.entry() == 0
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().out == golden("allocate_reference.json")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

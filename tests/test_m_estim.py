@@ -449,6 +449,81 @@ class TestChoiceKernels:
                 model.batch_score(xs, np.array(bad), np.zeros(1))
 
 
+def _rowwise_choice_probs(xs, theta, K, d):
+    """The choice probabilities as computed before the column passes.
+
+    Per block: a max over the trailing option axis and a fresh
+    temporary for the exponentials.
+    """
+    p = np.empty((xs.shape[0], K))
+    lse = np.empty(xs.shape[0])
+    for lo in range(0, xs.shape[0], _BLOCK_ROWS):
+        span = slice(lo, lo + _BLOCK_ROWS)
+        u = np.einsum("nkd,d->nk", xs[span].reshape(-1, K, d), theta)
+        top = np.maximum(0.0, u.max(axis=1))
+        expu = np.exp(u - top[:, None])
+        denom = np.exp(-top) + expu.sum(axis=1)
+        lse[span] = top + np.log(denom)
+        np.divide(expu, denom[:, None], out=p[span])
+    return p, lse
+
+
+def _rowwise_mnl(xs, ys, theta, K, d):
+    """Loss mean, score rows and Hessian mean with 2-d (row, option) gathers."""
+    p, lse = _rowwise_choice_probs(xs, theta, K, d)
+    labs = np.rint(ys).astype(np.int64)
+    n = xs.shape[0]
+    picked = np.zeros(n)
+    score = np.empty((n, d))
+    full = np.zeros((d, d))
+    outer = np.zeros((d, d))
+    for lo in range(0, n, _BLOCK_ROWS):
+        span = slice(lo, lo + _BLOCK_ROWS)
+        X = xs[span].reshape(-1, K, d)
+        lab = labs[span]
+        chose = np.flatnonzero(lab)
+        picked[lo + chose] = X[chose, lab[chose] - 1] @ theta
+        resid = p[span].copy()
+        resid[chose, lab[chose] - 1] -= 1.0
+        score[span] = np.einsum("nkd,nk->nd", X, resid)
+        pb = p[span]
+        full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
+        g = np.einsum("nkd,nk->nd", X, pb)
+        outer += g.T @ g
+    return (p, lse), float(np.mean(lse - picked)), score, full / n - outer / n
+
+
+class TestChoiceKernelsBitForBit:
+    """The column-pass choice kernels give the bits of the row-wise ones."""
+
+    SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
+
+    @staticmethod
+    def _batch(rng, n, K, d):
+        """Features whose utilities reach +-700, with some all-zero rows, and labels."""
+        theta = rng.standard_normal(d)
+        xs = rng.standard_normal((n, K * d))
+        u = np.abs(np.einsum("nkd,d->nk", xs.reshape(n, K, d), theta)).max(axis=1)
+        xs *= (rng.uniform(0.0, 700.0, n) / np.maximum(u, 1e-300))[:, None]
+        xs[rng.random(n) < 0.01] = 0.0
+        return xs, rng.integers(0, K + 1, n).astype(float), theta
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_matches_rowwise_kernels(self, K):
+        rng = np.random.default_rng(K)
+        for d in range(1, 7):
+            model = mnl_loss(K, d)
+            for n in self.SIZES:
+                xs, ys, theta = self._batch(rng, n, K, d)
+                rows = model.rows(xs, theta)
+                probs, loss_mean, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
+                assert np.array_equal(rows.p, probs[0]) and np.array_equal(rows.lse, probs[1])
+                assert np.array_equal(model.batch_loss_mean(rows, ys, theta), loss_mean)
+                assert np.array_equal(model.batch_score(rows, ys, theta), score)
+                assert np.array_equal(model.batch_hessian_mean(rows, ys, theta), hessian_mean)
+            assert np.isfinite(rows.lse).all() and rows.lse.max() > 600.0
+
+
 def _assert_same_on_rows(model, xs, labels, theta, rows):
     """All three callables give the same bits on ``rows`` as on raw ``xs``."""
     for ys in labels:

@@ -549,6 +549,46 @@ class TestBootstrapRobustness:
             default_measure_grid(w, 30)
 
 
+# Ties, both zeros, NaN, infinities and values whose sum overflows.
+_AWKWARD = np.array([-0.0, 0.0, 1.0, -1.0, 2.5, 2.5, np.nan, np.inf, -np.inf, 1e308, -1e308])
+
+
+def _order_stat_samples(rng, shape):
+    """Normal draws, or draws from ``_AWKWARD`` with and without its NaN."""
+    yield rng.standard_normal(shape)
+    awkward = rng.choice(_AWKWARD, size=shape)
+    yield awkward
+    yield np.where(np.isnan(awkward), 0.5, awkward)
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestOrderStatistics:
+    """The bootstrap's median and percentiles give ``np.median``'s and ``np.percentile``'s bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 99, 100, 101])
+    def test_median_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            # (resamples, N, q) along N, as the bootstrap takes it, and 1-d
+            for a in _order_stat_samples(rng, (13, n, 5)):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert _same_bits(simulate._median(a, axis=1), np.median(a, axis=1))
+                    assert _same_bits(simulate._median(a[0, :, 0], axis=0), np.median(a[0, :, 0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 39, 40, 41, 199, 200, 201])
+    def test_percentiles_match_numpy(self, n):
+        rng = np.random.default_rng(n)
+        qs = ([2.5, 97.5], [0.0, 100.0], [50.0], rng.uniform(0.0, 100.0, 4).tolist())
+        for _ in range(10):
+            for a in _order_stat_samples(rng, n):
+                for q in qs:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        assert _same_bits(simulate._percentiles(a, q), np.percentile(a, q))
+
+
 class TestExternalFt:
     def test_strength_zero_is_identity(self):
         w = plain_world()
