@@ -7,12 +7,11 @@ Example:
 """
 
 import argparse
-import json
 
 import numpy as np
 
 from ftppi.allocate import solve_optimal_allocation
-from ftppi.cli import run_guarded
+from ftppi.cli import _load_json_file, run_guarded
 from ftppi.core import RngSeed
 from ftppi.simulate import brute_force_allocation, world_from_dict
 
@@ -27,8 +26,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=18)
     args = ap.parse_args()
 
-    with open(args.world, encoding="utf-8") as fh:
-        world = world_from_dict(json.load(fh))
+    world = world_from_dict(_load_json_file(args.world, "world"))
 
     solved = solve_optimal_allocation(world.law, args.n, sigma_sq=world.var_y)
     curve = brute_force_allocation(

@@ -7,9 +7,8 @@ Example:
 """
 
 import argparse
-import json
 
-from ftppi.cli import run_guarded
+from ftppi.cli import _load_json_file, run_guarded
 from ftppi.core import RngSeed
 from ftppi.simulate import run_estimator_comparison, world_from_dict
 
@@ -23,8 +22,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1729)
     args = ap.parse_args()
 
-    with open(args.world, encoding="utf-8") as fh:
-        world = world_from_dict(json.load(fh))
+    world = world_from_dict(_load_json_file(args.world, "world"))
 
     report = run_estimator_comparison(
         world, args.n, args.m, replicates=args.replicates, seed=RngSeed(args.seed)

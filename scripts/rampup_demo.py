@@ -7,9 +7,8 @@ Example:
 """
 
 import argparse
-import json
 
-from ftppi.cli import run_guarded
+from ftppi.cli import _int_list, _load_json_file, run_guarded
 from ftppi.core import RngSeed
 from ftppi.rampup import RampUpPlan, rampup_final_estimate, run_rampup
 from ftppi.simulate import SimTrainer, generate_world_data, world_from_dict
@@ -26,14 +25,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1729)
     args = ap.parse_args()
 
-    with open(args.world, encoding="utf-8") as fh:
-        world = world_from_dict(json.load(fh))
+    world = world_from_dict(_load_json_file(args.world, "world"))
     seed = RngSeed(args.seed)
     labeled, unlabeled = generate_world_data(world, args.n, args.m, seed.child(1))
     trainer = SimTrainer(world, seed.child(2))
-    plan = RampUpPlan(
-        schedule=tuple(int(tok) for tok in args.schedule.split(",")), n_v=args.n_v
-    )
+    plan = RampUpPlan(schedule=_int_list(args.schedule, "--schedule"), n_v=args.n_v)
 
     trace = run_rampup(labeled, plan, trainer, seed.child(3))
     print(f"{'stage':>5} {'size':>6} {'resid var':>10} {'s_hat':>8}  decision")

@@ -7,205 +7,130 @@ labels inflate it.  This package fits the residual-variance scaling law,
 solves for the optimal split, computes rectified means and M-estimates
 with confidence intervals, and provides synthetic worlds in which every
 one of those quantities has a closed form to test against.
+
+``from ftppi import X`` works for every name in ``__all__``: ``X`` is
+looked up in the table below, and its submodule is imported on first use.
 """
 
-from .allocate import (
-    AllocationResult,
-    FeasibilityInput,
-    SensitivityReport,
-    allocation_objective,
-    allocation_sensitivity,
-    check_feasibility,
-    discriminant_peak,
-    foc_residual,
-    solve_optimal_allocation,
-    variance_discriminant,
-)
-from .core import (
-    DEFAULT_SEED,
-    ConvergenceError,
-    CsvFormatError,
-    DomainError,
-    FtppiError,
-    InsufficientDataError,
-    LabeledDataset,
-    NumericalError,
-    ParameterError,
-    PlanError,
-    Predictor,
-    RngSeed,
-    SingularHessianError,
-    UnderdeterminedFitError,
-    UnlabeledDataset,
-    UnsupportedSizeError,
-    as_seed,
-    read_labeled_csv,
-    read_predictions_csv,
-    read_unlabeled_csv,
-)
-from .m_estim import (
-    LossModel,
-    MEstimateReport,
-    SandwichCovariance,
-    builtin_loss,
-    categorical_loss,
-    linear_regression_loss,
-    m_estimate_ci,
-    mean_loss,
-    mnl_loss,
-    read_choice_labeled_csv,
-    read_choice_unlabeled_csv,
-    sandwich_covariance,
-    scalarize,
-    solve_ppi_m_estimator,
-)
-from .ppi_mean import (
-    MeanEstimateReport,
-    Method,
-    R2Criterion,
-    VarianceParts,
-    ft_only_report,
-    normal_quantile,
-    ppi_mean_ci,
-    ppi_mean_estimate,
-    ppi_mean_variance_hat,
-    r2_criterion,
-    sample_mean_estimate,
-)
-from .rampup import (
-    RampUpPlan,
-    RampUpTrace,
-    StageRecord,
-    rampup_final_estimate,
-    run_rampup,
-)
-from .scaling import (
-    LogLogDiagnostic,
-    ScalingFit,
-    ScalingLaw,
-    ScalingObservation,
-    eval_variance,
-    fit_report_dict,
-    fit_scaling_law,
-    log_log_diagnostic,
-    read_observations_csv,
-)
-from .simulate import (
-    BiasProfile,
-    BootstrapReport,
-    BruteForceResult,
-    ComparisonReport,
-    ExternalFtReport,
-    MethodStats,
-    SimTrainer,
-    SyntheticWorld,
-    analytic_estimator_variance,
-    base_predictor,
-    bootstrap_robustness,
-    brute_force_allocation,
-    external_ft_experiment,
-    generate_world_data,
-    run_estimator_comparison,
-    shifted_law,
-    world_from_dict,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_SEED",
-    "__version__",
-    # errors
-    "FtppiError",
-    "DomainError",
-    "ParameterError",
-    "InsufficientDataError",
-    "UnderdeterminedFitError",
-    "ConvergenceError",
-    "SingularHessianError",
-    "UnsupportedSizeError",
-    "PlanError",
-    "NumericalError",
-    "CsvFormatError",
-    # data plumbing
-    "RngSeed",
-    "as_seed",
-    "LabeledDataset",
-    "UnlabeledDataset",
-    "Predictor",
-    "read_labeled_csv",
-    "read_unlabeled_csv",
-    "read_predictions_csv",
-    # scaling law
-    "ScalingLaw",
-    "ScalingObservation",
-    "ScalingFit",
-    "LogLogDiagnostic",
-    "eval_variance",
-    "fit_scaling_law",
-    "log_log_diagnostic",
-    "fit_report_dict",
-    "read_observations_csv",
-    # allocation
-    "AllocationResult",
-    "FeasibilityInput",
-    "SensitivityReport",
-    "foc_residual",
-    "allocation_objective",
-    "solve_optimal_allocation",
-    "variance_discriminant",
-    "discriminant_peak",
-    "check_feasibility",
-    "allocation_sensitivity",
-    # rectified mean
-    "Method",
-    "MeanEstimateReport",
-    "R2Criterion",
-    "VarianceParts",
-    "normal_quantile",
-    "ppi_mean_estimate",
-    "ppi_mean_variance_hat",
-    "ppi_mean_ci",
-    "sample_mean_estimate",
-    "ft_only_report",
-    "r2_criterion",
-    # M-estimation
-    "LossModel",
-    "SandwichCovariance",
-    "MEstimateReport",
-    "mean_loss",
-    "categorical_loss",
-    "linear_regression_loss",
-    "mnl_loss",
-    "builtin_loss",
-    "solve_ppi_m_estimator",
-    "sandwich_covariance",
-    "scalarize",
-    "m_estimate_ci",
-    "read_choice_labeled_csv",
-    "read_choice_unlabeled_csv",
-    # simulation
-    "BiasProfile",
-    "SyntheticWorld",
-    "SimTrainer",
-    "base_predictor",
-    "generate_world_data",
-    "analytic_estimator_variance",
-    "BruteForceResult",
-    "brute_force_allocation",
-    "MethodStats",
-    "ComparisonReport",
-    "run_estimator_comparison",
-    "BootstrapReport",
-    "bootstrap_robustness",
-    "ExternalFtReport",
-    "external_ft_experiment",
-    "shifted_law",
-    "world_from_dict",
-    # ramp-up
-    "RampUpPlan",
-    "StageRecord",
-    "RampUpTrace",
-    "run_rampup",
-    "rampup_final_estimate",
-]
+# Submodule -> the public names it defines.
+_EXPORTS = {
+    "allocate": (
+        "AllocationResult",
+        "FeasibilityInput",
+        "SensitivityReport",
+        "allocation_objective",
+        "allocation_sensitivity",
+        "check_feasibility",
+        "discriminant_peak",
+        "foc_residual",
+        "solve_optimal_allocation",
+        "variance_discriminant",
+    ),
+    "core": (
+        "DEFAULT_SEED",
+        "ConvergenceError",
+        "CsvFormatError",
+        "DomainError",
+        "FtppiError",
+        "InsufficientDataError",
+        "LabeledDataset",
+        "NumericalError",
+        "ParameterError",
+        "PlanError",
+        "Predictor",
+        "RngSeed",
+        "SingularHessianError",
+        "UnderdeterminedFitError",
+        "UnlabeledDataset",
+        "UnsupportedSizeError",
+        "as_seed",
+        "read_labeled_csv",
+        "read_predictions_csv",
+        "read_unlabeled_csv",
+    ),
+    "m_estim": (
+        "LossModel",
+        "MEstimateReport",
+        "SandwichCovariance",
+        "builtin_loss",
+        "categorical_loss",
+        "linear_regression_loss",
+        "m_estimate_ci",
+        "mean_loss",
+        "mnl_loss",
+        "read_choice_labeled_csv",
+        "read_choice_unlabeled_csv",
+        "sandwich_covariance",
+        "scalarize",
+        "solve_ppi_m_estimator",
+    ),
+    "ppi_mean": (
+        "MeanEstimateReport",
+        "Method",
+        "R2Criterion",
+        "VarianceParts",
+        "ft_only_report",
+        "normal_quantile",
+        "ppi_mean_ci",
+        "ppi_mean_estimate",
+        "ppi_mean_variance_hat",
+        "r2_criterion",
+        "sample_mean_estimate",
+    ),
+    "rampup": (
+        "RampUpPlan",
+        "RampUpTrace",
+        "StageRecord",
+        "rampup_final_estimate",
+        "run_rampup",
+    ),
+    "scaling": (
+        "LogLogDiagnostic",
+        "ScalingFit",
+        "ScalingLaw",
+        "ScalingObservation",
+        "eval_variance",
+        "fit_report_dict",
+        "fit_scaling_law",
+        "log_log_diagnostic",
+        "read_observations_csv",
+    ),
+    "simulate": (
+        "BiasProfile",
+        "BootstrapReport",
+        "BruteForceResult",
+        "ComparisonReport",
+        "ExternalFtReport",
+        "MethodStats",
+        "SimTrainer",
+        "SyntheticWorld",
+        "analytic_estimator_variance",
+        "base_predictor",
+        "bootstrap_robustness",
+        "brute_force_allocation",
+        "external_ft_experiment",
+        "generate_world_data",
+        "run_estimator_comparison",
+        "shifted_law",
+        "world_from_dict",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

@@ -88,7 +88,9 @@ def _solve_root(law: ScalingLaw, n: float) -> float:
 
     The residual is bisected times s**(alpha+1)/a > 0: same sign, but no
     negative power of s to overflow near s = 0, and the floor term
-    saturates to +inf where s**(alpha+1) overflows.
+    saturates to +inf where s**(alpha+1) overflows.  The bracket stops at
+    width BRACKET_TOL * min(n, 100 * lo), so a root below n / 100 is known
+    to the same relative precision, 1e-8, as a root at n / 100.
     """
     alpha, b_over_a = law.alpha, law.b / law.a
 
@@ -110,8 +112,7 @@ def _solve_root(law: ScalingLaw, n: float) -> float:
             f"stationarity residual does not bracket a root on ({lo}, {hi}): "
             f"f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    tol = BRACKET_TOL * n
-    while hi - lo > tol:
+    while hi - lo > BRACKET_TOL * min(n, 100.0 * lo):
         mid = 0.5 * (lo + hi)
         if foc(mid) > 0.0:
             lo = mid

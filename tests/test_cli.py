@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from ftppi.allocate import solve_optimal_allocation
+from ftppi.allocate import foc_residual, solve_optimal_allocation
 from ftppi import cli
 from ftppi.cli import main as cli_main
 from ftppi.core import read_labeled_csv
@@ -127,7 +127,7 @@ class TestAllocate:
         assert code == 0
         assert json.loads(out)["fraction"] == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("n, s_star_real", [(1000, 1.24369757466), (1_000_000, 1.39283248115)])
+    @pytest.mark.parametrize("n, s_star_real", [(1000, 1.24369756375), (1_000_000, 1.39284923219)])
     def test_steep_law_solves(self, capsys, n, s_star_real):
         code, out, err = run_cli(
             capsys, "allocate", "--a", "1", "--alpha", "60", "--b", "0.1", "--n", str(n)
@@ -136,6 +136,13 @@ class TestAllocate:
         payload = json.loads(out)
         assert payload["s_star"] == 2
         assert payload["s_star_real"] == s_star_real
+
+    def test_small_root_is_resolved_relative_to_itself(self):
+        # The root sits at 1.4e-6 * n: an absolute stopping width of
+        # 1e-10 * n would leave it uncertain in the fifth digit.
+        law, n = ScalingLaw(1.0, 60.0, 0.1), 1_000_000
+        s = solve_optimal_allocation(law, n).s_star_real
+        assert foc_residual(law, n, s * (1 - 1e-6)) > 0.0 > foc_residual(law, n, s * (1 + 1e-6))
 
     def test_invalid_parameter_exits_2(self, capsys):
         code, out, err = run_cli(

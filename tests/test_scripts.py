@@ -2,8 +2,8 @@
 
 Each driver runs as its own process against the source tree, on the
 shipped reference world, and must exit 0 and print its table header.
-On a malformed world file it must exit 2 with the CLI's one-line JSON
-error instead of a traceback.
+On a malformed world file or ramp-up schedule it must exit 2 with the
+CLI's one-line JSON error instead of a traceback.
 """
 
 import json
@@ -53,17 +53,30 @@ def test_script_runs(script, args, header):
     assert header in proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("script, args", [(script, args) for script, args, _ in SCRIPTS])
-def test_bad_world_is_a_one_line_error(script, args, tmp_path):
-    with open(WORLD, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    spec["noise_flor"] = 0.5
-    world = tmp_path / "world.json"
-    world.write_text(json.dumps(spec))
-    proc = run_script(script, str(world), args)
+def assert_one_line_error(proc, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     error = json.loads(proc.stderr)
     assert error["error"] == "ParameterError"
-    assert "world.noise_flor" in error["message"]
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("script, args", [(script, args) for script, args, _ in SCRIPTS])
+def test_bad_world_is_a_one_line_error(script, args, tmp_path):
+    with open(WORLD, encoding="utf-8") as fh:
+        text = fh.read()
+    spec = json.loads(text)
+    spec["noise_flor"] = 0.5
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(spec))
+    assert_one_line_error(run_script(script, str(world), args), "world.noise_flor")
+
+    world.write_text(text[: len(text) // 2])
+    assert_one_line_error(run_script(script, str(world), args), "is not valid JSON")
+
+
+def test_bad_schedule_is_a_one_line_error():
+    args = ["--n", "600", "--m", "500", "--schedule", "20,x", "--n-v", "100"]
+    proc = run_script("rampup_demo.py", WORLD, args)
+    assert_one_line_error(proc, "--schedule must be comma-separated integers")
