@@ -243,8 +243,9 @@ def allocation_sensitivity(
     if not 0 < relative_step < 0.1:
         raise ParameterError(f"relative_step must be in (0, 0.1), got {relative_step}")
     base = _solve_root(law, float(n))
-    # Differences below bisection resolution are reported as "no change".
-    zero_tol = 100.0 * BRACKET_TOL * n
+    # Differences below 100 times the bisection's resolution at the root,
+    # ``_solve_root``'s stopping width, are reported as "no change".
+    zero_tol = 100.0 * BRACKET_TOL * min(n, 100.0 * base)
 
     def sign_of(delta: float) -> int:
         if delta > zero_tol:

@@ -186,6 +186,14 @@ def _cmd_allocate(args, seed: RngSeed) -> dict:
     return _allocation_dict(result)
 
 
+def _predictions(path: str, side: str | None = None, rows: int | None = None) -> np.ndarray:
+    """The prediction column of ``path``; with ``side``, it must have ``rows`` rows."""
+    preds = read_predictions_csv(path)
+    if side is not None and preds.shape[0] != rows:
+        raise ParameterError(f"{side} predictions have {preds.shape[0]} rows but data has {rows}")
+    return preds
+
+
 def _pool_from_predictions(path_features: str | None, preds: np.ndarray) -> UnlabeledDataset:
     """The pool's features are never consulted when predictions are
     precomputed, so a feature file is optional."""
@@ -216,28 +224,27 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
     if method is Method.FT_ONLY:
         if args.pred_unlabeled is None:
             raise ParameterError("--pred-unlabeled is required for method ft-only")
-        preds_pool = read_predictions_csv(args.pred_unlabeled)
-        pool = _pool_from_predictions(args.unlabeled, preds_pool)
-        f = Predictor.precomputed([(pool, preds_pool)], label="cli")
-        return _mean_report_dict(ft_only_report(pool, f, args.delta))
-
-    if args.labeled is None or args.pred_labeled is None or args.pred_unlabeled is None:
+        pairs = []
+    elif args.labeled is None or args.pred_labeled is None or args.pred_unlabeled is None:
         raise ParameterError(
             f"--labeled, --pred-labeled and --pred-unlabeled are required for method {args.method}"
         )
-    labeled = read_labeled_csv(args.labeled)
-    preds_lab = read_predictions_csv(args.pred_labeled)
-    if preds_lab.shape[0] != labeled.n:
-        raise ParameterError(
-            f"labeled predictions have {preds_lab.shape[0]} rows but data has {labeled.n}"
-        )
-    preds_pool = read_predictions_csv(args.pred_unlabeled)
+    else:
+        labeled = read_labeled_csv(args.labeled)
+        pairs = [(labeled, _predictions(args.pred_labeled, "labeled", labeled.n))]
+    preds_pool = _predictions(args.pred_unlabeled)
     pool = _pool_from_predictions(args.unlabeled, preds_pool)
-    f = Predictor.precomputed([(labeled, preds_lab), (pool, preds_pool)], label="cli")
+    f = Predictor.precomputed(pairs + [(pool, preds_pool)], label="cli")
+    if method is Method.FT_ONLY:
+        return _mean_report_dict(ft_only_report(pool, f, args.delta))
     return _mean_report_dict(ppi_mean_ci(labeled, pool, f, args.delta, method=method))
 
 
 def _cmd_estimate_m(args, seed: RngSeed) -> dict:
+    if args.dim is not None and args.loss == "mean":
+        raise ParameterError("--dim does not apply to loss mean")
+    if args.n_options is not None and args.loss != "mnl":
+        raise ParameterError(f"--n-options applies only to loss mnl, not {args.loss}")
     if args.loss == "mnl":
         labeled, k1, d1 = read_choice_labeled_csv(args.labeled)
         pool, k2, d2 = read_choice_unlabeled_csv(args.unlabeled)
@@ -274,16 +281,8 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
                 )
             loss = builtin_loss("ols", dim=labeled.dim)
 
-    preds_lab = read_predictions_csv(args.pred_labeled)
-    if preds_lab.shape[0] != labeled.n:
-        raise ParameterError(
-            f"labeled predictions have {preds_lab.shape[0]} rows but data has {labeled.n}"
-        )
-    preds_pool = read_predictions_csv(args.pred_unlabeled)
-    if preds_pool.shape[0] != pool.m:
-        raise ParameterError(
-            f"unlabeled predictions have {preds_pool.shape[0]} rows but data has {pool.m}"
-        )
+    preds_lab = _predictions(args.pred_labeled, "labeled", labeled.n)
+    preds_pool = _predictions(args.pred_unlabeled, "unlabeled", pool.m)
     f = Predictor.precomputed([(labeled, preds_lab), (pool, preds_pool)], label="cli")
     theta = solve_ppi_m_estimator(loss, labeled, pool, f)
     cov = sandwich_covariance(loss, labeled, pool, f, theta)
@@ -529,10 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-unlabeled", required=True, help="predicted labels for the pool")
     p.add_argument("--delta", type=float, default=0.05, help="miscoverage level (default 0.05)")
     p.add_argument("--dim", type=int, default=None,
-                   help="parameter dimension (required for categorical; "
-                        "ols and mnl: cross-check of the features (per option) in the files)")
+                   help="categorical: number of classes (required); ols and mnl: cross-check"
+                        " of the features (per option) in the files; not accepted for mean")
     p.add_argument("--n-options", type=int, default=None,
-                   help="mnl only: cross-check of the option count in the files")
+                   help="mnl only (not accepted for other losses): cross-check of the"
+                        " option count in the files")
     p.set_defaults(handler=_cmd_estimate_m)
 
     p = sub.add_parser(

@@ -164,7 +164,37 @@ def _as_feature_matrix(xs, what: str, adopt: bool = False) -> np.ndarray:
     return arr
 
 
-class LabeledDataset:
+class _Dataset:
+    """Read-only feature rows of a common dimension, plus any row-aligned
+    columns a subclass adds: every instance attribute is one such array."""
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self._xs
+
+    @property
+    def dim(self) -> int:
+        return self._xs.shape[1]
+
+    def __len__(self) -> int:
+        return self._xs.shape[0]
+
+    def subset(self, indices):
+        """The rows at ``indices``, as a dataset of the same kind."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if idx.size == 0:
+            raise InsufficientDataError("subset: empty index list")
+        if idx.min() < 0 or idx.max() >= len(self):
+            raise DomainError(f"subset: index out of range for size {len(self)}")
+        out = type(self).__new__(type(self))
+        for name, column in vars(self).items():
+            rows = column[idx]  # a fresh copy of validated rows: frozen, not re-checked
+            rows.setflags(write=False)
+            setattr(out, name, rows)
+        return out
+
+
+class LabeledDataset(_Dataset):
     """Immutable container of (x, y) pairs with a common feature dimension.
 
     Duplicate rows are allowed and treated as distinguishable by index.
@@ -188,36 +218,16 @@ class LabeledDataset:
         self._ys = y_arr
 
     @property
-    def xs(self) -> np.ndarray:
-        return self._xs
-
-    @property
     def ys(self) -> np.ndarray:
         return self._ys
 
-    @property
-    def n(self) -> int:
-        return self._xs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self._xs.shape[1]
-
-    def subset(self, indices) -> "LabeledDataset":
-        idx = _check_indices(indices, self.n)
-        out = LabeledDataset.__new__(LabeledDataset)
-        out._xs = _frozen(self._xs[idx])
-        out._ys = _frozen(self._ys[idx])
-        return out
-
-    def __len__(self) -> int:
-        return self.n
+    n = property(len)
 
     def __repr__(self) -> str:
         return f"LabeledDataset(n={self.n}, dim={self.dim})"
 
 
-class UnlabeledDataset:
+class UnlabeledDataset(_Dataset):
     """Immutable container of feature vectors without outcomes."""
 
     def __init__(self, xs):
@@ -230,44 +240,10 @@ class UnlabeledDataset:
         out._xs = _as_feature_matrix(mat, "UnlabeledDataset", adopt=True)
         return out
 
-    @property
-    def xs(self) -> np.ndarray:
-        return self._xs
-
-    @property
-    def m(self) -> int:
-        return self._xs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self._xs.shape[1]
-
-    def subset(self, indices) -> "UnlabeledDataset":
-        idx = _check_indices(indices, self.m)
-        out = UnlabeledDataset.__new__(UnlabeledDataset)
-        out._xs = _frozen(self._xs[idx])
-        return out
-
-    def __len__(self) -> int:
-        return self.m
+    m = property(len)
 
     def __repr__(self) -> str:
         return f"UnlabeledDataset(m={self.m}, dim={self.dim})"
-
-
-def _frozen(rows: np.ndarray) -> np.ndarray:
-    """Mark a fresh copy of already validated rows read-only, without re-checking it."""
-    rows.setflags(write=False)
-    return rows
-
-
-def _check_indices(indices, size: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size == 0:
-        raise InsufficientDataError("subset: empty index list")
-    if idx.min() < 0 or idx.max() >= size:
-        raise DomainError(f"subset: index out of range for size {size}")
-    return idx
 
 
 class Predictor:
@@ -295,10 +271,9 @@ class Predictor:
         pred = cls(None, s, label)
         for dataset, values in values_by_dataset:
             arr = np.asarray(values, dtype=np.float64).reshape(-1)
-            size = dataset.n if isinstance(dataset, LabeledDataset) else dataset.m
-            if arr.shape[0] != size:
+            if arr.shape[0] != len(dataset):
                 raise DomainError(
-                    f"precomputed predictor: {arr.shape[0]} values for {size} rows"
+                    f"precomputed predictor: {arr.shape[0]} values for {len(dataset)} rows"
                 )
             if not np.all(np.isfinite(arr)):
                 raise DomainError("precomputed predictor: non-finite prediction values")

@@ -136,21 +136,6 @@ class MEstimateReport:
 # ---------------------------------------------------------------------------
 
 
-def mean_loss() -> LossModel:
-    """Squared loss whose minimizer is the mean: loss = (y - theta)^2 / 2."""
-
-    def batch_loss_mean(xs, ys, theta):
-        return float(np.mean(0.5 * (ys - theta[0]) ** 2))
-
-    def batch_score(xs, ys, theta):
-        return (theta[0] - ys)[:, None]
-
-    def batch_hessian_mean(xs, ys, theta):
-        return np.array([[1.0]])
-
-    return LossModel("mean", 1, batch_loss_mean, batch_score, batch_hessian_mean)
-
-
 def _label_indices(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
     """Integer labels in [base, d], or DomainError."""
     labs = np.rint(ys).astype(np.int64)
@@ -169,25 +154,39 @@ def _one_hot_matrix(ys: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _squared_loss(name: str, d: int, target: Callable[[np.ndarray], np.ndarray]) -> LossModel:
+    """Squared distance to a target row per outcome: loss = |target(y) - theta|^2 / 2.
+
+    The minimizer is the mean target row; ``target`` maps n outcomes to an
+    (n, d) matrix.
+    """
+    eye = np.eye(d)
+
+    def batch_loss_mean(xs, ys, theta):
+        diff = target(ys) - theta[None, :]
+        return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
+
+    def batch_score(xs, ys, theta):
+        return theta[None, :] - target(ys)
+
+    def batch_hessian_mean(xs, ys, theta):
+        return eye.copy()
+
+    return LossModel(name, d, batch_loss_mean, batch_score, batch_hessian_mean)
+
+
+def mean_loss() -> LossModel:
+    """Squared loss whose minimizer is the mean: loss = (y - theta)^2 / 2."""
+    return _squared_loss("mean", 1, lambda ys: ys[:, None])
+
+
 def categorical_loss(d: int) -> LossModel:
     """Squared loss on one-hot labels; the minimizer is the class-frequency vector.
 
     Outcomes are integer labels in 1..d.
     """
     d = check_int(d, "categorical_loss: d", 2)
-    eye = np.eye(d)
-
-    def batch_loss_mean(xs, ys, theta):
-        diff = _one_hot_matrix(ys, d) - theta[None, :]
-        return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
-
-    def batch_score(xs, ys, theta):
-        return theta[None, :] - _one_hot_matrix(ys, d)
-
-    def batch_hessian_mean(xs, ys, theta):
-        return eye.copy()
-
-    return LossModel("categorical", d, batch_loss_mean, batch_score, batch_hessian_mean)
+    return _squared_loss("categorical", d, lambda ys: _one_hot_matrix(ys, d))
 
 
 def linear_regression_loss(d: int) -> LossModel:
@@ -393,9 +392,8 @@ def solve_ppi_m_estimator(
     labeled_ppi: LabeledDataset,
     unlabeled: UnlabeledDataset,
     f: Predictor,
-    init: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Minimize the rectified empirical risk by damped Newton.
+    """Minimize the rectified empirical risk by damped Newton from theta = 0.
 
     Newton steps with objective-based step halving; if the rectified
     Hessian is numerically singular the step falls back to plain gradient
@@ -404,9 +402,7 @@ def solve_ppi_m_estimator(
     rectified score's max-norm drops below 1e-10; running out of
     iterations raises ConvergenceError with the last iterate attached.
     """
-    theta = np.zeros(loss.dim) if init is None else np.asarray(init, dtype=np.float64).copy()
-    if theta.shape != (loss.dim,):
-        raise ParameterError(f"init must have shape ({loss.dim},), got {theta.shape}")
+    theta = np.zeros(loss.dim)
     at = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
 
     # Rebinding ``point`` releases the previous point's shared work once

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,21 +191,36 @@ def r2_criterion(sigma_resid_sq: float, var_y: float, s: int, n: int) -> R2Crite
     return R2Criterion(r2_s=float(r2_s), fraction=float(fraction), gain=float(r2_s - fraction))
 
 
+def _column_report(
+    size: int, column: Callable[[], np.ndarray], delta: float, too_few: str, method: Method,
+    note: str = "",
+) -> MeanEstimateReport:
+    """Mean of one column of ``size`` values with the normal interval of its
+    sampling noise alone: the labeled outcomes, or for FT_ONLY the pool's
+    predictions.  ``column()`` is called only once ``delta`` and ``size`` pass."""
+    delta = check_probability(delta, "delta")
+    if size < 2:
+        raise InsufficientDataError(too_few)
+    values = column()
+    n_ppi, m = (0, size) if method is Method.FT_ONLY else (size, 0)
+    # A pool-only report has no rectification count to call small.
+    small = _small_sample_note(n_ppi or SMALL_SAMPLE_THRESHOLD, m)
+    return _normal_report(
+        float(np.mean(values)),
+        float(np.var(values, ddof=1)) / size,
+        delta,
+        n_ppi,
+        m,
+        method,
+        "; ".join(part for part in (note, small) if part),
+    )
+
+
 def sample_mean_estimate(labeled: LabeledDataset, delta: float) -> MeanEstimateReport:
     """Plain sample mean of the labeled outcomes, as a baseline report."""
-    delta = check_probability(delta, "delta")
-    if labeled.n < 2:
-        raise InsufficientDataError("sample mean CI needs at least 2 samples")
-    estimate = float(np.mean(labeled.ys))
-    variance_hat = float(np.var(labeled.ys, ddof=1)) / labeled.n
-    return _normal_report(
-        estimate,
-        variance_hat,
-        delta,
-        labeled.n,
-        0,
+    return _column_report(
+        labeled.n, lambda: labeled.ys, delta, "sample mean CI needs at least 2 samples",
         Method.SAMPLE_MEAN,
-        _small_sample_note(labeled.n, 0),
     )
 
 
@@ -215,20 +230,8 @@ def ft_only_report(unlabeled: UnlabeledDataset, f: Predictor, delta: float) -> M
     The variance term only reflects sampling noise of the pool average;
     it does not account for prediction bias, which this method cannot see.
     """
-    delta = check_probability(delta, "delta")
-    if unlabeled.m < 2:
-        raise InsufficientDataError("surrogate-only CI needs at least 2 pool samples")
-    preds = f.on(unlabeled)
-    estimate = float(np.mean(preds))
-    variance_hat = float(np.var(preds, ddof=1)) / unlabeled.m
-    note = "interval ignores prediction bias"
-    small = _small_sample_note(SMALL_SAMPLE_THRESHOLD, unlabeled.m)
-    return _normal_report(
-        estimate,
-        variance_hat,
-        delta,
-        0,
-        unlabeled.m,
-        Method.FT_ONLY,
-        note if not small else note + "; " + small,
+    return _column_report(
+        unlabeled.m, lambda: f.on(unlabeled), delta,
+        "surrogate-only CI needs at least 2 pool samples", Method.FT_ONLY,
+        "interval ignores prediction bias",
     )

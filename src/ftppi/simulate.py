@@ -157,10 +157,6 @@ class BiasProfile:
         return self.value**2 if self.kind == "drifting" else 0.0
 
     @property
-    def mean(self) -> float:
-        return 0.0 if self.kind == "zero" else self.value
-
-    @property
     def slope(self) -> float:
         """Coefficient of x1 in the offset, so Cov(offset, x1) for standard normal x1."""
         return self.value if self.kind == "drifting" else 0.0
@@ -711,12 +707,12 @@ def _measure_law_outcome(
     return (fit.law.a, fit.law.alpha, fit.law.b, alloc.fraction, fit.r_squared)
 
 
-def default_measure_grid(world: SyntheticWorld, pool: int, points: int = 7) -> list[int]:
-    """Geometric grid of training sizes inside the supported range."""
+def default_measure_grid(world: SyntheticWorld, pool: int) -> list[int]:
+    """Geometric grid of up to 7 distinct training sizes inside the supported range."""
     lo = max(world.s_min or 1, 16)
     if pool <= lo:
         raise ParameterError(f"pool of {pool} too small for measurements starting at {lo}")
-    return sorted(set(np.geomspace(lo, pool, points).round().astype(int).tolist()))
+    return sorted(set(np.geomspace(lo, pool, 7).round().astype(int).tolist()))
 
 
 def bootstrap_robustness(
@@ -807,10 +803,6 @@ class ExternalFtReport:
     empirical_variance: float
     analytic_variance: float
     replicates: int
-
-    @property
-    def unbiased_within_3se(self) -> bool:
-        return abs(self.mc_mean - self.true_mean) <= 3.0 * self.mc_se
 
 
 def shifted_law(world: SyntheticWorld, strength: float) -> ScalingLaw:

@@ -273,6 +273,13 @@ class TestSensitivity:
         assert rep.sign_b == -1
         assert rep.sign_n == 1
 
+    def test_signs_of_a_root_far_below_n(self):
+        # the root sits near 1.39 for n = 10^6 and moves by about 2.3e-6 under
+        # each bump: far beyond the bisection's resolution there, though far
+        # below any tolerance that scales with n
+        rep = allocation_sensitivity(ScalingLaw(1.0, 60.0, 0.1), 10**6)
+        assert (rep.sign_a, rep.sign_b, rep.sign_n) == (1, -1, 1)
+
     def test_zero_floor_bump_is_noop(self):
         rep = allocation_sensitivity(ScalingLaw(2.0, 0.6, 0.0), 5000)
         assert rep.sign_b == 0

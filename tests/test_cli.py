@@ -499,6 +499,40 @@ class TestEstimateM:
         code, _, err = run_cli(capsys, "estimate-m", "--loss", "mnl", "--dim", "1", *files)
         assert code == 0, err
 
+    def _ols_files(self, tmp_path):
+        (tmp_path / "lab.csv").write_text("y,x1\n1,0.0\n2,1.0\n2,2.0\n1,0.5\n")
+        (tmp_path / "unlab.csv").write_text("x1\n0.5\n1.5\n2.5\n")
+        (tmp_path / "pl.csv").write_text("f\n1\n2\n1\n1\n")
+        (tmp_path / "pu.csv").write_text("f\n1\n2\n2\n")
+        return [
+            "--labeled", str(tmp_path / "lab.csv"), "--unlabeled", str(tmp_path / "unlab.csv"),
+            "--pred-labeled", str(tmp_path / "pl.csv"), "--pred-unlabeled", str(tmp_path / "pu.csv"),
+        ]
+
+    def test_dim_is_rejected_for_mean(self, capsys, tmp_path):
+        files = self._ols_files(tmp_path)
+        code, _, err = run_cli(capsys, "estimate-m", "--loss", "mean", "--dim", "1", *files)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"] == "--dim does not apply to loss mean"
+        code, _, err = run_cli(capsys, "estimate-m", "--loss", "mean", *files)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("loss", ["mean", "categorical", "ols"])
+    def test_n_options_is_rejected_unless_mnl(self, capsys, tmp_path, loss):
+        files = self._ols_files(tmp_path)
+        dim = ["--dim", "2"] if loss == "categorical" else []
+        code, _, err = run_cli(
+            capsys, "estimate-m", "--loss", loss, "--n-options", "2", *dim, *files
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"] == f"--n-options applies only to loss mnl, not {loss}"
+        code, _, err = run_cli(capsys, "estimate-m", "--loss", loss, *dim, *files)
+        assert code == 0, err
+
 
 class TestSimulate:
     def scenario(self, tmp_path, **sections):

