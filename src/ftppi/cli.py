@@ -173,7 +173,7 @@ def _load_json_file(path: str, what: str) -> dict:
 
 
 def _cmd_fit_scaling(args, seed: RngSeed) -> dict:
-    observations = read_observations_csv(args.observations)
+    observations = read_observations_csv(args.observations, workers=args.threads)
     fit = fit_scaling_law(observations)
     payload = fit_report_dict(fit)
     payload["n_observations"] = len(observations)
@@ -186,25 +186,36 @@ def _cmd_allocate(args, seed: RngSeed) -> dict:
     return _allocation_dict(result)
 
 
-def _predictions(path: str, side: str | None = None, rows: int | None = None) -> np.ndarray:
+def _predictions(
+    path: str, workers: int, side: str | None = None, rows: int | None = None
+) -> np.ndarray:
     """The prediction column of ``path``; with ``side``, it must have ``rows`` rows."""
-    preds = read_predictions_csv(path)
+    preds = read_predictions_csv(path, workers=workers)
     if side is not None and preds.shape[0] != rows:
         raise ParameterError(f"{side} predictions have {preds.shape[0]} rows but data has {rows}")
     return preds
 
 
-def _pool_from_predictions(path_features: str | None, preds: np.ndarray) -> UnlabeledDataset:
+def _pool_from_predictions(
+    path_features: str | None, preds: np.ndarray, workers: int
+) -> UnlabeledDataset:
     """The pool's features are never consulted when predictions are
     precomputed, so a feature file is optional."""
     if path_features is not None:
-        pool = read_unlabeled_csv(path_features)
+        pool = read_unlabeled_csv(path_features, workers=workers)
         if pool.m != preds.shape[0]:
             raise ParameterError(
                 f"unlabeled features have {pool.m} rows but predictions have {preds.shape[0]}"
             )
         return pool
     return UnlabeledDataset(np.zeros((preds.shape[0], 1)))
+
+
+#: The estimate-mean options each method does not read, and so rejects.
+_UNUSED_BY_METHOD = {
+    "sample-mean": ("unlabeled", "pred_labeled", "pred_unlabeled"),
+    "ft-only": ("labeled", "pred_labeled"),
+}
 
 
 def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
@@ -214,11 +225,15 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
         "sample-mean": Method.SAMPLE_MEAN,
         "ft-only": Method.FT_ONLY,
     }[args.method]
+    for name in _UNUSED_BY_METHOD.get(args.method, ()):
+        if getattr(args, name) is not None:
+            option = "--" + name.replace("_", "-")
+            raise ParameterError(f"{option} does not apply to method {args.method}")
 
     if method is Method.SAMPLE_MEAN:
         if args.labeled is None:
             raise ParameterError("--labeled is required for method sample-mean")
-        labeled = read_labeled_csv(args.labeled)
+        labeled = read_labeled_csv(args.labeled, workers=args.threads)
         return _mean_report_dict(sample_mean_estimate(labeled, args.delta))
 
     if method is Method.FT_ONLY:
@@ -230,10 +245,10 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
             f"--labeled, --pred-labeled and --pred-unlabeled are required for method {args.method}"
         )
     else:
-        labeled = read_labeled_csv(args.labeled)
-        pairs = [(labeled, _predictions(args.pred_labeled, "labeled", labeled.n))]
-    preds_pool = _predictions(args.pred_unlabeled)
-    pool = _pool_from_predictions(args.unlabeled, preds_pool)
+        labeled = read_labeled_csv(args.labeled, workers=args.threads)
+        pairs = [(labeled, _predictions(args.pred_labeled, args.threads, "labeled", labeled.n))]
+    preds_pool = _predictions(args.pred_unlabeled, args.threads)
+    pool = _pool_from_predictions(args.unlabeled, preds_pool, args.threads)
     f = Predictor.precomputed(pairs + [(pool, preds_pool)], label="cli")
     if method is Method.FT_ONLY:
         return _mean_report_dict(ft_only_report(pool, f, args.delta))
@@ -246,8 +261,8 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
     if args.n_options is not None and args.loss != "mnl":
         raise ParameterError(f"--n-options applies only to loss mnl, not {args.loss}")
     if args.loss == "mnl":
-        labeled, k1, d1 = read_choice_labeled_csv(args.labeled)
-        pool, k2, d2 = read_choice_unlabeled_csv(args.unlabeled)
+        labeled, k1, d1 = read_choice_labeled_csv(args.labeled, workers=args.threads)
+        pool, k2, d2 = read_choice_unlabeled_csv(args.unlabeled, workers=args.threads)
         if (k1, d1) != (k2, d2):
             raise ParameterError(
                 f"labeled file has {k1} options x {d1} features but unlabeled has {k2} x {d2}"
@@ -262,8 +277,8 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
             )
         loss = builtin_loss("mnl", n_options=k1, dim=d1)
     else:
-        labeled = read_labeled_csv(args.labeled)
-        pool = read_unlabeled_csv(args.unlabeled)
+        labeled = read_labeled_csv(args.labeled, workers=args.threads)
+        pool = read_unlabeled_csv(args.unlabeled, workers=args.threads)
         if labeled.dim != pool.dim:
             raise ParameterError(
                 f"labeled features are {labeled.dim}-dimensional but unlabeled are {pool.dim}"
@@ -281,8 +296,8 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
                 )
             loss = builtin_loss("ols", dim=labeled.dim)
 
-    preds_lab = _predictions(args.pred_labeled, "labeled", labeled.n)
-    preds_pool = _predictions(args.pred_unlabeled, "unlabeled", pool.m)
+    preds_lab = _predictions(args.pred_labeled, args.threads, "labeled", labeled.n)
+    preds_pool = _predictions(args.pred_unlabeled, args.threads, "unlabeled", pool.m)
     f = Predictor.precomputed([(labeled, preds_lab), (pool, preds_pool)], label="cli")
     theta = solve_ppi_m_estimator(loss, labeled, pool, f)
     cov = sandwich_covariance(loss, labeled, pool, f, theta)
@@ -454,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes for simulate and bootstrap replicates; 0 (the default)"
-        " means every usable CPU, 1 runs serially ($FTPPI_THREADS). Output is identical"
-        " for any value.",
+        help="worker processes for simulate and bootstrap replicates and for parsing"
+        " large CSV inputs; 0 (the default) means every usable CPU, 1 runs serially"
+        " ($FTPPI_THREADS). A CSV file is parsed in parts only on Linux, and only when it"
+        " is at least 1 MiB of ASCII text without quotes. Output is identical for any value.",
     )
     common.add_argument("--out", default=None, help="write output here instead of stdout"
                         " (for simulate: output directory)")
@@ -500,14 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-mean", parents=[common, flat],
         help="rectified mean with a normal confidence interval",
     )
-    p.add_argument("--labeled", default=None, help="CSV with header y,x1,...,xd")
+    p.add_argument("--labeled", default=None,
+                   help="CSV with header y,x1,...,xd (not accepted for ft-only)")
     p.add_argument("--unlabeled", default=None,
                    help="optional CSV with header x1,...,xd (features are not needed"
-                   " when predictions are precomputed)")
+                   " when predictions are precomputed; not accepted for sample-mean)")
     p.add_argument("--pred-labeled", default=None, help="CSV with header f: predictions"
-                   " for the labeled rows")
+                   " for the labeled rows (ft-ppi and ppi-only only)")
     p.add_argument("--pred-unlabeled", default=None, help="CSV with header f: predictions"
-                   " for the unlabeled pool")
+                   " for the unlabeled pool (not accepted for sample-mean)")
     p.add_argument("--delta", type=float, default=0.05, help="miscoverage level (default 0.05)")
     p.add_argument(
         "--method", choices=("ft-ppi", "ppi-only", "sample-mean", "ft-only"),

@@ -10,13 +10,16 @@ outcomes, with per-dataset caching of their evaluations.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import shutil
+import signal
 import stat
+import sys
 import tempfile
 import weakref
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -312,6 +315,105 @@ class Predictor:
 
 
 # ---------------------------------------------------------------------------
+# Forked workers: one kernel for simulation replicates and CSV ingest
+# ---------------------------------------------------------------------------
+
+#: Forked workers need Linux: ``os.fork``, ``os.sched_getaffinity`` and ``os.memfd_create``.
+_CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
+
+
+def _resolve_workers(workers: int, items: int) -> int:
+    """Worker processes for ``items`` units of work: ``workers``, or every usable
+    CPU for 0, capped at the usable CPUs and at ``items``."""
+    workers = check_int(workers, "workers", 0)
+    cpus = len(os.sched_getaffinity(0)) if _CAN_FORK else 1
+    return max(1, min(workers or cpus, cpus, items))
+
+
+def _forked_rows(tasks: Sequence[Callable[[], np.ndarray]]) -> np.ndarray:
+    """The rows of ``task()`` for every task, joined in task order.
+
+    Each task returns a C-contiguous float64 array whose rows have the
+    first task's trailing shape.  This process runs the first task while
+    one forked child per later task sends its row count and raw rows
+    through a pipe.  The first result is then grown in place
+    (``ndarray.resize``, which realloc does without a copy for a large
+    block) and each child's rows are read straight into its tail, so the
+    joined array is never held twice.  A child that fails sends its
+    pickled exception instead.  After an error, the children not yet read
+    from are killed; once every child is reaped, the earliest task's error
+    is raised, as a serial loop would have raised it.
+    """
+    pipes, pids, read = [], [], 0
+    try:
+        for task in tasks[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_child(task, write_fd)
+            finally:  # reached in this process only: the child leaves by os._exit
+                os.close(write_fd)
+            pids.append(pid)
+        out, failed = tasks[0](), None
+        for k, pipe in enumerate(pipes):
+            head = pipe.read(8)
+            rows = int.from_bytes(head, "little", signed=True) if len(head) == 8 else -1
+            read += 1
+            if rows < 0:  # a pickled error, or a child that died before its rows
+                failed = k, pipe.read()
+                break
+            start = out.shape[0]
+            out.resize((start + rows,) + out.shape[1:], refcheck=False)
+            if pipe.readinto(out[start:]) != out[start:].nbytes or pipe.read(1):
+                failed = k, b""
+                break
+    finally:  # after an error, the children not yet read from are not needed
+        for pid in pids[read:]:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if failed is not None:
+        k, data = failed
+        raise _child_error(pids[k], codes[k], data)
+    return out
+
+
+def _forked_child(task, write_fd: int) -> None:
+    """Body of a forked worker: send the row count and rows (exit 0), or -1
+    and the pickled error (exit 1)."""
+    status = 2
+    try:
+        try:
+            rows = task()
+            head, payload, done = rows.shape[0], rows, 0
+        except BaseException as exc:  # every error goes back to the parent
+            import pickle
+
+            head, payload, done = -1, pickle.dumps(exc), 1
+        with open(write_fd, "wb") as pipe:
+            pipe.write(head.to_bytes(8, "little", signed=True))
+            pipe.write(payload)
+        status = done
+    finally:
+        os._exit(status)
+
+
+def _child_error(pid: int, code: int, data: bytes) -> BaseException:
+    """The error a failed worker sent, or one naming how it ended."""
+    if code == 1:
+        import pickle
+
+        try:
+            return pickle.loads(data)
+        except Exception:  # a truncated or unloadable error
+            pass
+    return ChildProcessError(f"worker {pid} exited with status {code}")
+
+
+# ---------------------------------------------------------------------------
 # CSV ingestion.  Labeled files carry a header ``y,x1,...,xd``; unlabeled
 # files carry ``x1,...,xd``; prediction files carry a single column ``f``.
 # ---------------------------------------------------------------------------
@@ -394,6 +496,89 @@ def _load_body(source, skiprows: int, n_cols: int) -> np.ndarray | None:
     return mat
 
 
+#: A file under this size is parsed whole, and one of ``k`` times this size
+#: in at most ``k + 1`` parts, so a small file forks few workers on any machine.
+_SPLIT_MIN_BYTES = 1 << 20
+
+#: Bytes per read while looking for a cut or checking a part: below glibc's
+#: 128 KiB mmap threshold, so these buffers neither map memory nor raise it.
+_CHUNK_BYTES = 1 << 16
+
+
+class _NotPlain(Exception):
+    """A part of a CSV body that cannot be parsed on its own."""
+
+
+def _after_newline(fd: int, pos: int, end: int) -> int:
+    """The offset just past the first ``\\n`` at or after ``pos`` in ``fd``, or ``end``."""
+    while pos < end:
+        chunk = os.pread(fd, _CHUNK_BYTES, pos)
+        if not chunk:
+            break
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return pos + found + 1
+        pos += len(chunk)
+    return end
+
+
+def _load_part(fd: int, start: int, stop: int, skiprows: int, n_cols: int) -> np.ndarray:
+    """``_load_body`` on bytes ``[start, stop)`` of ``fd``, copied into a memfd.
+
+    Raises _NotPlain unless the bytes are ASCII without a ``"`` and parse
+    to at least one row of ``n_cols`` columns.  Lines of such text never
+    depend on the lines before them.
+    """
+    part = os.memfd_create("ftppi-csv-part")
+    try:
+        copied = 0
+        while copied < stop - start:
+            sent = os.sendfile(part, fd, start + copied, stop - start - copied)
+            if not sent:
+                break
+            copied += sent
+        for pos in range(0, copied, _CHUNK_BYTES):
+            chunk = os.pread(part, _CHUNK_BYTES, pos)
+            if not chunk.isascii() or b'"' in chunk:
+                raise _NotPlain
+        mat = _load_body(f"/proc/self/fd/{part}", skiprows, n_cols)
+    finally:
+        os.close(part)
+    if mat is None:
+        raise _NotPlain
+    return mat
+
+
+def _load_split(fd: int, size: int, skiprows: int, n_cols: int, workers: int) -> np.ndarray | None:
+    """The body of the ``size``-byte regular file open on ``fd``, parsed in
+    parts by up to ``workers`` processes (0: every usable CPU; fewer for a
+    small file, see ``_SPLIT_MIN_BYTES``), or None.
+
+    The file is cut at the first ``\\n`` at or after each ``size * k /
+    parts`` bytes, a line boundary whether lines end in LF, CRLF or CR.
+    Each part goes through ``_load_part``, the first with the header's
+    ``skiprows``, and the rows are joined in file order.  None means the
+    body is to be parsed whole: one worker, a file under
+    ``_SPLIT_MIN_BYTES``, a single part, a part that is not plain or does
+    not parse, or a worker that failed.
+    """
+    parts = _resolve_workers(workers, size // _SPLIT_MIN_BYTES + 1)
+    if parts == 1:
+        return None
+    cuts = {_after_newline(fd, size * k // parts, size) for k in range(1, parts)}
+    bounds = [0, *sorted(cuts - {size}), size]
+    if len(bounds) == 2:
+        return None
+    tasks = [
+        functools.partial(_load_part, fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    try:
+        return _forked_rows(tasks)
+    except (_NotPlain, ChildProcessError, OSError):  # the whole body decides
+        return None
+
+
 def _same_file(path: str, opened: os.stat_result) -> bool:
     """Whether ``path`` still names the file whose ``fstat`` is ``opened``."""
     try:
@@ -422,21 +607,26 @@ def _read_csv(
     path: str,
     check_header: Callable[[str, list[str]], _T],
     convert: Callable[[_T, np.ndarray], _U] = lambda checked, mat: mat,
+    workers: int = 1,
 ) -> tuple[_T, _U]:
     """Read a numeric CSV: ``(checked, body)`` with ``checked = check_header(path, header)``.
 
     The header is the first non-empty row, cells stripped; it is checked
-    before any body cell is parsed.  The body goes through ``np.loadtxt``:
-    for a regular file, by path after the header's lines, unless the name
-    has a compressed suffix or no longer names the file the header came
-    from; for anything else, from the open handle, a pipe's text first
-    copied to a temporary file.  Whatever that rejects is re-read row by
-    row from the same handle, which returns the same matrix or raises a
-    row- and column-addressed CsvFormatError.  ``body`` is
-    ``convert(checked, matrix)``, the matrix itself by default; a _RowError
-    it raises becomes a CsvFormatError at that row.  Rows are numbered by
-    file line, so blank lines count.
+    before any body cell is parsed.  The body goes through ``np.loadtxt``.
+    A regular file whose name has no compressed suffix is first offered to
+    ``_load_split``, which parses parts of the opened file in ``workers``
+    forked processes (0: every usable CPU) when the file is large and its
+    text plain; otherwise it is read by path after the header's lines,
+    unless the name no longer names the file the header came from.
+    Anything else is read from the open handle, a pipe's text first copied
+    to a temporary file.  Whatever that rejects is re-read row by row from
+    the same handle, which returns the same matrix or raises a row- and
+    column-addressed CsvFormatError.  ``body`` is ``convert(checked,
+    matrix)``, the matrix itself by default; a _RowError it raises becomes
+    a CsvFormatError at that row.  Rows are numbered by file line, so blank
+    lines count.
     """
+    check_int(workers, "workers", 0)
     try:
         with open(path, newline="") as fh, _rereadable(fh) as text:
             reader = csv.reader(text)
@@ -449,7 +639,11 @@ def _read_csv(
             by_path = stat.S_ISREG(opened.st_mode) and not os.fspath(path).endswith(
                 _COMPRESSED_SUFFIXES
             )
-            if by_path:  # absolute, so np.loadtxt never takes a relative path for a URL
+            if by_path:  # parts of the opened file, parsed by forked workers
+                mat = _load_split(
+                    fh.fileno(), opened.st_size, reader.line_num, len(header), workers
+                )
+            if by_path and mat is None:  # absolute: np.loadtxt never takes it for a URL
                 mat = _load_body(os.path.join(os.getcwd(), path), reader.line_num, len(header))
                 by_path = _same_file(path, opened)  # else replaced: use the opened file
             if not by_path:
@@ -495,19 +689,26 @@ def _check_predictions_header(path: str, header: list[str]) -> None:
         raise CsvFormatError(f"{path}: expected single column 'f', got {','.join(header)}")
 
 
-def read_labeled_csv(path: str) -> LabeledDataset:
-    """Read a labeled dataset from a CSV with header ``y,x1,...,xd``."""
-    _, mat = _read_csv(path, _check_labeled_header)
+def read_labeled_csv(path: str, workers: int = 1) -> LabeledDataset:
+    """Read a labeled dataset from a CSV with header ``y,x1,...,xd``.
+
+    ``workers`` is the number of processes that may parse a large file in
+    parts (0: every usable CPU); the result does not depend on it.  The
+    other CSV readers take it too.
+    """
+    _, mat = _read_csv(path, _check_labeled_header, workers=workers)
     return LabeledDataset(mat[:, 1:], mat[:, 0])
 
 
-def read_unlabeled_csv(path: str) -> UnlabeledDataset:
+def read_unlabeled_csv(path: str, workers: int = 1) -> UnlabeledDataset:
     """Read an unlabeled dataset from a CSV with header ``x1,...,xd``."""
-    _, mat = _read_csv(path, lambda p, header: _expect_feature_header(p, header, 0))
+    _, mat = _read_csv(
+        path, lambda p, header: _expect_feature_header(p, header, 0), workers=workers
+    )
     return UnlabeledDataset._adopt(mat)
 
 
-def read_predictions_csv(path: str) -> np.ndarray:
+def read_predictions_csv(path: str, workers: int = 1) -> np.ndarray:
     """Read a single prediction column from a CSV with header ``f``."""
-    _, mat = _read_csv(path, _check_predictions_header)
+    _, mat = _read_csv(path, _check_predictions_header, workers=workers)
     return mat[:, 0]

@@ -625,13 +625,13 @@ def _choice_dataset(options: tuple[int, int], mat: np.ndarray) -> LabeledDataset
     return LabeledDataset(mat[:, 1:], choices)
 
 
-def read_choice_labeled_csv(path: str) -> tuple[LabeledDataset, int, int]:
+def read_choice_labeled_csv(path: str, workers: int = 1) -> tuple[LabeledDataset, int, int]:
     """Read choice data; returns (dataset, n_options, features per option)."""
-    (K, d), data = _read_csv(path, _check_choice_header, _choice_dataset)
+    (K, d), data = _read_csv(path, _check_choice_header, _choice_dataset, workers)
     return data, K, d
 
 
-def read_choice_unlabeled_csv(path: str) -> tuple[UnlabeledDataset, int, int]:
+def read_choice_unlabeled_csv(path: str, workers: int = 1) -> tuple[UnlabeledDataset, int, int]:
     """Read option features without choices; returns (dataset, K, d)."""
-    (K, d), mat = _read_csv(path, _parse_option_header)
+    (K, d), mat = _read_csv(path, _parse_option_header, workers=workers)
     return UnlabeledDataset._adopt(mat), K, d

@@ -262,6 +262,6 @@ def _observations(_, mat: np.ndarray) -> list[ScalingObservation]:
     return out
 
 
-def read_observations_csv(path: str) -> list[ScalingObservation]:
+def read_observations_csv(path: str, workers: int = 1) -> list[ScalingObservation]:
     """Read scaling observations from a CSV with header ``s,variance``."""
-    return _read_csv(path, _check_observations_header, _observations)[1]
+    return _read_csv(path, _check_observations_header, _observations, workers)[1]

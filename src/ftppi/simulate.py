@@ -24,7 +24,7 @@ split) is known in closed form.
 
 from __future__ import annotations
 
-import os
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -39,6 +39,9 @@ from .core import (
     RngSeed,
     UnlabeledDataset,
     UnsupportedSizeError,
+    _CAN_FORK,
+    _forked_rows,
+    _resolve_workers,
     as_seed,
     check_int,
     check_probability,
@@ -337,17 +340,6 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
 # Replicate kernel
 # ---------------------------------------------------------------------------
 
-#: Forked workers need Linux: ``os.fork`` and ``os.sched_getaffinity``.
-_CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
-
-
-def _resolve_workers(workers: int, items: int) -> int:
-    """Worker processes for ``items`` replicates: ``workers``, or every usable
-    CPU for 0, capped at the usable CPUs and at ``items``."""
-    workers = check_int(workers, "workers", 0)
-    cpus = len(os.sched_getaffinity(0)) if _CAN_FORK else 1
-    return max(1, min(workers or cpus, cpus, items))
-
 
 def _rows(fn, items) -> np.ndarray:
     return np.array([fn(item) for item in items], dtype=np.float64)
@@ -357,75 +349,18 @@ def _replicates(fn, items: Sequence, workers: int) -> np.ndarray:
     """``fn(item)`` for every item, as a float64 array with one row per item.
 
     ``fn`` must be a pure function of its item.  With more than one
-    worker the items are cut into contiguous chunks, one per worker:
-    ``workers - 1`` forked children each send their chunk's rows back as
-    raw float64 bytes through a pipe while this process computes the
-    first chunk, and the rows are joined in item order, so the result is
-    byte-identical to the serial one.  A child that fails sends its
-    pickled exception instead; the earliest chunk's error is raised, as
-    the serial loop would have raised it.
+    worker the items are cut into contiguous chunks, one per worker, and
+    ``core._forked_rows`` computes the first chunk here and the others in
+    forked children, joining the rows in item order, so the result is
+    byte-identical to the serial one.  The earliest chunk's error is
+    raised, as the serial loop would have raised it.
     """
     items = list(items)
     workers = _resolve_workers(workers, len(items))
-    if workers == 1 or not _CAN_FORK:
-        return _rows(fn, items)
     bounds = [len(items) * w // workers for w in range(workers + 1)]
-    readers, pids = [], []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            readers.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _replicate_child(fn, items[lo:hi], write_fd)
-            finally:  # reached in this process only: the child leaves by os._exit
-                os.close(write_fd)
-            pids.append(pid)
-        first = _rows(fn, items[: bounds[1]])
-    finally:
-        sent = [_read_pipe(fd) for fd in readers]
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    chunks = [first]
-    for pid, code, data in zip(pids, codes, sent):
-        if code != 0:
-            raise _child_error(pid, code, data)
-        chunks.append(np.frombuffer(data, dtype=np.float64).reshape((-1,) + first.shape[1:]))
-    return np.concatenate(chunks)
-
-
-def _replicate_child(fn, items: list, write_fd: int) -> None:
-    """Body of a forked worker: send the rows (exit 0) or the pickled error (exit 1)."""
-    status = 2
-    try:
-        try:
-            payload, done = _rows(fn, items).tobytes(), 0
-        except BaseException as exc:  # every error goes back to the parent
-            import pickle
-
-            payload, done = pickle.dumps(exc), 1
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = done
-    finally:
-        os._exit(status)
-
-
-def _read_pipe(fd: int) -> bytes:
-    with open(fd, "rb") as pipe:
-        return pipe.read()
-
-
-def _child_error(pid: int, code: int, data: bytes) -> BaseException:
-    """The error a failed worker sent, or one naming how it ended."""
-    if code == 1:
-        import pickle
-
-        try:
-            return pickle.loads(data)
-        except Exception:  # a truncated or unloadable error
-            pass
-    return ChildProcessError(f"replicate worker {pid} exited with status {code}")
+    return _forked_rows(
+        [functools.partial(_rows, fn, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    )
 
 
 # ---------------------------------------------------------------------------

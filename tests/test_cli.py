@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ftppi.allocate import foc_residual, solve_optimal_allocation
-from ftppi import cli
+from ftppi import cli, core
 from ftppi.cli import main as cli_main
 from ftppi.core import read_labeled_csv
 from ftppi.ppi_mean import Method, ppi_mean_ci
@@ -261,6 +261,62 @@ class TestEstimateMean:
         assert payload["estimate"] == pytest.approx(np.mean([
             1.1, 2.9, 0.4, 3.6, 2.2, 1.8, 2.5, 0.9, 3.1, 2.0, 1.4, 2.7
         ]))
+
+    @pytest.mark.parametrize(
+        "method, given, option",
+        [
+            ("sample-mean", "--labeled", "--unlabeled"),
+            ("sample-mean", "--labeled", "--pred-labeled"),
+            ("sample-mean", "--labeled", "--pred-unlabeled"),
+            ("ft-only", "--pred-unlabeled", "--labeled"),
+            ("ft-only", "--pred-unlabeled", "--pred-labeled"),
+        ],
+    )
+    def test_file_the_method_does_not_read_is_rejected(
+        self, capsys, mean_files, method, given, option
+    ):
+        files = {
+            "--labeled": mean_files["labeled.csv"],
+            "--unlabeled": mean_files["labeled.csv"],
+            "--pred-labeled": mean_files["pred_labeled.csv"],
+            "--pred-unlabeled": mean_files["pred_pool.csv"],
+        }
+        argv = ["estimate-mean", "--method", method, given, files[given]]
+        code, _, err = run_cli(capsys, *argv, option, files[option])
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"] == f"{option} does not apply to method {method}"
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+    def test_mismatched_unused_files_are_not_ignored(self, capsys, mean_files, tmp_path):
+        two_rows = tmp_path / "pool.csv"
+        two_rows.write_text("x1\n0.0\n1.0\n")
+        three_rows = tmp_path / "pred_pool.csv"
+        three_rows.write_text("f\n1\n2\n3\n")
+        code, _, err = run_cli(
+            capsys, "estimate-mean", "--method", "sample-mean",
+            "--labeled", mean_files["labeled.csv"],
+            "--unlabeled", str(two_rows), "--pred-unlabeled", str(three_rows),
+        )
+        assert code == 2 and "--unlabeled does not apply" in json.loads(err)["message"]
+        short = tmp_path / "pred_labeled.csv"
+        short.write_text(PRED_LABELED_CSV.rsplit("\n", 2)[0] + "\n")
+        code, _, err = run_cli(
+            capsys, "estimate-mean", "--method", "ft-only",
+            "--labeled", mean_files["labeled.csv"], "--pred-labeled", str(short),
+            "--pred-unlabeled", mean_files["pred_pool.csv"],
+        )
+        assert code == 2 and "--labeled does not apply" in json.loads(err)["message"]
+
+    def test_help_says_which_methods_take_each_file(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["estimate-mean", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "not accepted for ft-only" in text
+        assert text.count("not accepted for sample-mean") == 2
+        assert "(ft-ppi and ppi-only only)" in text
 
     def test_prediction_row_mismatch(self, capsys, mean_files):
         code, _, err = run_cli(
@@ -886,6 +942,44 @@ class TestGlobalOptions:
         )
         assert code == 0
         assert json.loads(out)["fraction"] == pytest.approx(1 / 3, abs=0.01)
+
+    @pytest.mark.skipif(
+        not core._CAN_FORK or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two usable CPUs for forked workers",
+    )
+    @pytest.mark.parametrize("loss", ["mean", "ols"])
+    def test_threads_set_the_csv_workers(self, capsys, tmp_path, monkeypatch, loss):
+        rng = np.random.default_rng(5)
+        for name, cols, rows in [("lab", "y,x1,x2", 40), ("unlab", "x1,x2", 60)]:
+            values = rng.normal(size=(rows, cols.count(",") + 1))
+            (tmp_path / f"{name}.csv").write_text(
+                cols + "\n" + "".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in values)
+            )
+            (tmp_path / f"f_{name}.csv").write_text(
+                "f\n" + "".join(f"{v:.6f}\n" for v in values[:, -1])
+            )
+        argv = [
+            "estimate-m", "--loss", loss,
+            "--labeled", str(tmp_path / "lab.csv"), "--unlabeled", str(tmp_path / "unlab.csv"),
+            "--pred-labeled", str(tmp_path / "f_lab.csv"),
+            "--pred-unlabeled", str(tmp_path / "f_unlab.csv"),
+        ]
+        joined, forked_rows = [], core._forked_rows
+
+        def count(tasks):
+            joined.append(len(tasks))
+            return forked_rows(tasks)
+
+        monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
+        monkeypatch.setattr(core, "_forked_rows", count)
+        outputs = []
+        for threads in ("1", "2", "0"):
+            code, out, err = run_cli(capsys, *argv, "--threads", threads)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        # each of the four files in parts for --threads 2, and again for 0
+        assert len(joined) == 8 and joined[:4] == [2] * 4 and min(joined) >= 2
 
     def test_bad_env_threads_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("FTPPI_THREADS", "many")

@@ -2,7 +2,8 @@
 
 The row-by-row parser (``_read_rows`` plus ``_parse_matrix``) is the
 oracle: on any file, the fast reader must return the same matrix bit for
-bit, or raise the same exception with the same message.
+bit, or raise the same exception with the same message.  A body parsed
+in parts by forked workers is held to the same body read by one process.
 """
 
 import gzip
@@ -25,7 +26,7 @@ from ftppi.core import (
     read_unlabeled_csv,
 )
 from ftppi import m_estim
-from ftppi.core import DomainError
+from ftppi.core import DomainError, ParameterError
 from ftppi.m_estim import read_choice_labeled_csv, read_choice_unlabeled_csv
 from ftppi.scaling import read_observations_csv
 
@@ -300,6 +301,23 @@ POOL_READERS = [
 ]
 
 
+def _assert_adopted(path, owner, reader, **kwargs):
+    """``reader(path, **kwargs)`` gives a dataset over ``_read_csv``'s own matrix."""
+    parsed = []
+
+    def keep(*args, **kwargs):
+        result = _read_csv(*args, **kwargs)
+        parsed.append(result[1])
+        return result
+
+    with mock.patch.object(owner, "_read_csv", keep):
+        result = reader(str(path), **kwargs)
+    pool = result[0] if isinstance(result, tuple) else result
+    assert pool.xs is parsed[0]
+    assert not pool.xs.flags.writeable and pool.xs.base is None
+    assert pool.xs.tolist() == [[0.5, 1.0], [-2.0, 10.0]]
+
+
 class TestPoolAdoption:
     """Unlabeled readers hand their parsed matrix to the dataset without a copy."""
 
@@ -308,21 +326,22 @@ class TestPoolAdoption:
     @pytest.mark.parametrize("body", ["0.5,1\n-2,10\n", "0.5,1\n-2,1_0\n"],
                              ids=["loadtxt", "row-by-row"])
     def test_dataset_holds_the_readers_matrix(self, tmp_path, owner, reader, header, body):
-        parsed = []
-
-        def keep(*args):
-            result = _read_csv(*args)
-            parsed.append(result[1])
-            return result
-
         path = tmp_path / "pool.csv"
         path.write_text(header + body)
-        with mock.patch.object(owner, "_read_csv", keep):
-            result = reader(str(path))
-        pool = result[0] if isinstance(result, tuple) else result
-        assert pool.xs is parsed[0]
-        assert not pool.xs.flags.writeable and pool.xs.base is None
-        assert pool.xs.tolist() == [[0.5, 1.0], [-2.0, 10.0]]
+        _assert_adopted(path, owner, reader)
+
+    @pytest.mark.skipif(not core._CAN_FORK, reason="forked workers need Linux")
+    @pytest.mark.parametrize("owner,reader,header", POOL_READERS, ids=["plain", "choice"])
+    @pytest.mark.parametrize("body", ["0.5,1\n-2,10\n", "0.5,1\n-2,1_0\n"],
+                             ids=["loadtxt", "row-by-row"])
+    def test_split_read_holds_the_readers_matrix(
+        self, tmp_path, monkeypatch, owner, reader, header, body
+    ):
+        # the second row is a forked worker's part, grown into the first in place
+        path = tmp_path / "pool.csv"
+        path.write_text(header + body)
+        monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
+        _assert_adopted(path, owner, reader, workers=2)
 
     @pytest.mark.parametrize("owner,reader,header", POOL_READERS, ids=["plain", "choice"])
     @pytest.mark.parametrize("cell", ["nan", "-inf"])
@@ -415,3 +434,221 @@ class TestUndecodableFiles:
         with mock.patch.object(core, "_load_body", load_body):
             with pytest.raises(CsvFormatError, match=r"pool\.csv: " + UNDECODABLE):
                 read_unlabeled_csv(str(path))
+
+
+def _split_outcomes(path, check=lambda path, header: None, workers=(1, 2, 3)):
+    """``_read_csv`` outcomes for each worker count, with every file big enough to split."""
+    with mock.patch.object(core, "_SPLIT_MIN_BYTES", 1):
+        return [_outcome(lambda: _read_csv(str(path), check, workers=w)[1]) for w in workers]
+
+
+def _assert_all_same(outcomes):
+    for got in outcomes[1:]:
+        _assert_same(got, outcomes[0])
+
+
+def _first_cut(path):
+    """Where two workers cut the file: just past the first LF at or after its middle."""
+    size = os.path.getsize(path)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return core._after_newline(fd, size // 2, size)
+    finally:
+        os.close(fd)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_nothing_left(fds_before):
+    assert _open_fds() <= fds_before  # no memfd or pipe end left open
+    with pytest.raises(ChildProcessError):  # no unreaped worker
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not core._CAN_FORK, reason="forked workers need Linux")
+class TestSplitReader:
+    """A body parsed in parts by forked workers against the same body parsed whole."""
+
+    @given(text=csv_texts())
+    def test_any_worker_count_matches_one(self, csv_path, text):
+        _write(csv_path, text)
+        _assert_all_same(_split_outcomes(csv_path))
+
+    def test_plain_body_is_parsed_in_parts(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        _write(path, "\n\nc1,c2\n" + "".join(f"{i},{i / 7!r}\n" for i in range(40)))
+        expected = _oracle_matrix(str(path))
+        sources = []
+        load_body = core._load_body
+
+        def spy(source, skiprows, n_cols):
+            sources.append((source, skiprows))
+            return load_body(source, skiprows, n_cols)
+
+        monkeypatch.setattr(core, "_load_body", spy)
+        monkeypatch.setattr(core, "_read_rows", _refuse)
+        monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
+        _assert_same(_read_csv(str(path), lambda path, header: None, workers=2)[1], expected)
+        # this process parsed only its own part, header lines skipped; never the path
+        [(source, skiprows)] = sources
+        assert source.startswith("/proc/self/fd/") and skiprows == 3
+
+    def test_parts_grow_with_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        _write(path, "c1\n" + "".join(f"{i}\n" for i in range(200)))
+        size = os.path.getsize(path)
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)))
+        parts, forked_rows = [], core._forked_rows
+
+        def count(tasks):
+            parts.append(len(tasks))
+            return forked_rows(tasks)
+
+        monkeypatch.setattr(core, "_forked_rows", count)
+        # eight CPUs, but a file of k thresholds gets at most k + 1 parts
+        for min_bytes, want in [(size + 1, []), (size, [2]), (size // 3, [4])]:
+            parts.clear()
+            monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", min_bytes)
+            got = _read_csv(str(path), lambda path, header: None, workers=0)[1]
+            assert parts == want and got.tolist() == [[i] for i in range(200)]
+
+    @pytest.mark.parametrize("workers", [-1, 1.5, True, "2"])
+    def test_invalid_worker_count_rejected(self, tmp_path, workers):
+        path = tmp_path / "pool.csv"
+        _write(path, "x1\n1\n")
+        with pytest.raises(ParameterError, match="workers"):
+            read_unlabeled_csv(str(path), workers=workers)
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first-part", "second-part"])
+    def test_quote_in_one_part(self, tmp_path, row):
+        rows = [f"{i},{i + 0.5}" for i in range(8)]
+        rows[row] = f'"{row}",2.5'
+        path = tmp_path / "pool.csv"
+        _write(path, "c1,c2\n" + "\n".join(rows) + "\n")
+        cut = _first_cut(str(path))
+        quote = path.read_bytes().index(b'"')
+        assert (quote < cut) == (row == 0)
+        outcomes = _split_outcomes(path)
+        _assert_all_same(outcomes + [_oracle_matrix(str(path))])
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends(self, tmp_path, end):
+        path = tmp_path / "pool.csv"
+        _write(path, end.join(["c1,c2", "1,2", "", "3,4", "5,6", "7,8", ""]))
+        outcomes = _split_outcomes(path)
+        assert outcomes[0].tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        _assert_all_same(outcomes)
+
+    @pytest.mark.parametrize("where", ["after", "before"])
+    def test_blank_lines_at_the_cut(self, tmp_path, where):
+        # rows of four bytes put the middle on the last byte of the row before
+        # the blank lines, or of the blank lines themselves
+        rows_before, rows_after = (4, 4) if where == "after" else (3, 5)
+        text = "c1,c2\n" + "1,2\n" * rows_before + "\n\n\n" + "3,4\n" * rows_after
+        path = tmp_path / "pool.csv"
+        _write(path, text)
+        cut = _first_cut(str(path))
+        if where == "after":
+            assert text[cut:cut + 3] == "\n\n\n"
+        else:
+            assert text[cut - 2:cut] == "\n\n" and text[cut:cut + 4] == "3,4\n"
+        outcomes = _split_outcomes(path)
+        assert outcomes[0].tolist() == [[1, 2]] * rows_before + [[3, 4]] * rows_after
+        _assert_all_same(outcomes)
+
+    def test_no_trailing_line_end(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        _write(path, "c1,c2\n1,2\n3,4\n5,6\n7,8")
+        outcomes = _split_outcomes(path)
+        assert outcomes[0].tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        _assert_all_same(outcomes)
+
+    def test_non_ascii_cell_in_a_workers_part(self, tmp_path):
+        # float() reads Arabic-Indic digits, np.loadtxt does not
+        path = tmp_path / "pool.csv"
+        _write(path, "c1\n1\n2\n3\n4\n5\n١٢\n")
+        assert path.read_bytes().index(b"\xd9") >= _first_cut(str(path))
+        outcomes = _split_outcomes(path)
+        assert outcomes[0].tolist() == [[1], [2], [3], [4], [5], [12]]
+        _assert_all_same(outcomes)
+
+    def test_quoted_header_across_the_cut(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        _write(path, '"c1' + "\n" * 20 + '",c2\n1,2\n3,4\n')
+        assert _first_cut(str(path)) < path.read_text().index(",c2")
+        outcomes = _split_outcomes(path)
+        assert outcomes[0].tolist() == [[1, 2], [3, 4]]
+        _assert_all_same(outcomes)
+
+    def test_bad_cell_error_names_the_row(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        _write(path, "x1\n" + "".join(f"{i}\n" for i in range(9)) + "oops\n")
+        outcomes = _split_outcomes(path, check=lambda path, header: None)
+        message = f"{path}: row 11, column x1: could not parse 'oops' as a number"
+        assert outcomes[0] == (CsvFormatError, message)
+        _assert_all_same(outcomes)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, tmp_path, monkeypatch):
+        text = "x1,x2\n" + "".join(f"{i},{i / 7!r}\n" for i in range(5000))
+        regular = tmp_path / "pool.csv"
+        _write(regular, text)
+        pipe = tmp_path / "pool.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
+        writer.start()
+        monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
+        got = read_unlabeled_csv(str(pipe), workers=2).xs
+        writer.join(timeout=10)
+        _assert_same(got, read_unlabeled_csv(str(regular), workers=2).xs)
+
+    def test_plain_text_named_gz(self, tmp_path):
+        path = tmp_path / "pool.csv.gz"
+        _write(path, "c1,c2\n1.5,-2\n\n3e-3,4\n5,6\n")
+        outcomes = _split_outcomes(path)
+        assert outcomes[0].tolist() == [[1.5, -2.0], [3e-3, 4.0], [5.0, 6.0]]
+        _assert_all_same(outcomes)
+
+    def test_file_replaced_after_header_read(self, tmp_path):
+        path = tmp_path / "pool.csv"
+
+        def replace(name, header):
+            (tmp_path / "other.csv").write_text("c1\n7\n8\n9\n10\n11\n12\n")
+            os.replace(tmp_path / "other.csv", path)
+
+        for workers in (1, 2):
+            path.write_text("c1\n1\n2\n3\n4\n5\n6\n")
+            [got] = _split_outcomes(path, replace, workers=(workers,))
+            assert got.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]]
+
+    def test_worker_that_exits_gives_the_serial_result(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        _write(path, "c1,c2\n" + "".join(f"{i},{-i}\n" for i in range(20)))
+        [expected] = _split_outcomes(path, workers=(1,))
+        parent, load_body = os.getpid(), core._load_body
+
+        def exit_in_worker(source, skiprows, n_cols):
+            if os.getpid() != parent:
+                os._exit(1)
+            return load_body(source, skiprows, n_cols)
+
+        monkeypatch.setattr(core, "_load_body", exit_in_worker)
+        fds = _open_fds()
+        [got] = _split_outcomes(path, workers=(2,))
+        _assert_same(got, expected)
+        _assert_nothing_left(fds)
+
+    @pytest.mark.parametrize(
+        "header, last",
+        [("c1,c2", ""), ('"c1",c2', ""), ("c1,c2", '"3",4\n')],
+        ids=["split", "parent-part-not-plain", "worker-part-not-plain"],
+    )
+    def test_no_descriptor_or_worker_left_behind(self, tmp_path, header, last):
+        path = tmp_path / "pool.csv"
+        _write(path, header + "\n" + "1,2\n" * 50 + last)
+        fds = _open_fds()
+        [got] = _split_outcomes(path, workers=(2,))
+        assert got.shape == (50 + bool(last), 2)
+        _assert_nothing_left(fds)
