@@ -208,7 +208,7 @@ def _pool_from_predictions(
                 f"unlabeled features have {pool.m} rows but predictions have {preds.shape[0]}"
             )
         return pool
-    return UnlabeledDataset(np.zeros((preds.shape[0], 1)))
+    return UnlabeledDataset._adopt(np.zeros((preds.shape[0], 1)))
 
 
 #: The estimate-mean options each method does not read, and so rejects.
@@ -249,7 +249,7 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
         pairs = [(labeled, _predictions(args.pred_labeled, args.threads, "labeled", labeled.n))]
     preds_pool = _predictions(args.pred_unlabeled, args.threads)
     pool = _pool_from_predictions(args.unlabeled, preds_pool, args.threads)
-    f = Predictor.precomputed(pairs + [(pool, preds_pool)], label="cli")
+    f = Predictor._adopt(pairs + [(pool, preds_pool)], label="cli")
     if method is Method.FT_ONLY:
         return _mean_report_dict(ft_only_report(pool, f, args.delta))
     return _mean_report_dict(ppi_mean_ci(labeled, pool, f, args.delta, method=method))
@@ -298,7 +298,7 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
 
     preds_lab = _predictions(args.pred_labeled, args.threads, "labeled", labeled.n)
     preds_pool = _predictions(args.pred_unlabeled, args.threads, "unlabeled", pool.m)
-    f = Predictor.precomputed([(labeled, preds_lab), (pool, preds_pool)], label="cli")
+    f = Predictor._adopt([(labeled, preds_lab), (pool, preds_pool)], label="cli")
     theta = solve_ppi_m_estimator(loss, labeled, pool, f)
     cov = sandwich_covariance(loss, labeled, pool, f, theta)
     report = m_estimate_ci(cov, theta, args.delta)

@@ -269,8 +269,15 @@ class Predictor:
         """Build a predictor from already-materialized prediction columns.
 
         ``values_by_dataset`` is an iterable of (dataset, values) pairs.
-        The predictor only answers for those exact dataset objects.
+        The predictor only answers for those exact dataset objects, and
+        holds copies of the values.
         """
+        copies = ((ds, np.array(values, dtype=np.float64)) for ds, values in values_by_dataset)
+        return cls._adopt(copies, s, label)
+
+    @classmethod
+    def _adopt(cls, values_by_dataset, s: int = 0, label: str = "precomputed") -> "Predictor":
+        """``precomputed`` over columns nobody else references, frozen without a copy."""
         pred = cls(None, s, label)
         for dataset, values in values_by_dataset:
             arr = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -280,7 +287,6 @@ class Predictor:
                 )
             if not np.all(np.isfinite(arr)):
                 raise DomainError("precomputed predictor: non-finite prediction values")
-            arr = arr.copy()
             arr.setflags(write=False)
             pred._cache[dataset] = arr
         return pred

@@ -20,17 +20,22 @@ The damped Newton solver evaluates the rectified risk one point at a
 time: ``LossModel.rows`` runs once per feature array at each point, and
 the objective, score and Hessian there, for both the true and the
 predicted labels, share its result.  The value of an accepted trial step
-is the next iteration's baseline.  The multinomial-choice kernels walk
-the rows in blocks of ``_BLOCK_ROWS``, so their temporaries stay bounded
-whatever the pool size; their ``rows`` carries the choice probabilities
-at the point, so each is computed once per point and array.  Within a
-block they reduce over the K options in column passes, one per option,
-and pick each row's chosen option by its flat index; both give the same
-bits as the row-wise reductions and 2-d gathers they replace.
+is the next iteration's baseline.  One point is alive at a time: the
+accepted point's work is freed once its score and Hessian are taken,
+before the trial point's is built.  The multinomial-choice kernels walk
+the rows, and check the labels, in blocks of ``_BLOCK_ROWS``, so their
+temporaries stay bounded whatever the pool size; their ``rows`` carries
+the choice probabilities at the point, so each is computed once per
+point and array, and on raw features (the sandwich's pool scores) each
+block's are computed for that block alone.  Within a block they reduce
+over the K options in column passes, one per option, and pick each
+row's chosen option by its flat index; both give the same bits as the
+row-wise reductions and 2-d gathers they replace.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -215,11 +220,33 @@ class _ChoiceRows(NamedTuple):
     lse: np.ndarray  # per-row log-sum-exp of the utilities, the outside option's being 0
 
 
-def _choice_blocks(xs: np.ndarray, K: int, d: int):
+def _features(xs) -> np.ndarray:
+    """The feature matrix of ``xs``, raw or a ``_ChoiceRows``."""
+    return xs.xs if isinstance(xs, _ChoiceRows) else xs
+
+
+def _row_blocks(xs: np.ndarray, K: int, d: int):
     """(row slice, its rows as an (rows, K, d) array) for each row block of ``xs``."""
     for lo in range(0, xs.shape[0], _BLOCK_ROWS):
         span = slice(lo, lo + _BLOCK_ROWS)
         yield span, xs[span].reshape(-1, K, d)
+
+
+def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a block's choice probabilities at ``theta`` to ``out``; return its log-sum-exps."""
+    u = np.einsum("nkd,d->nk", X, theta)
+    # The max over options runs as K - 1 passes over columns: numpy
+    # reduces a short trailing axis slowly, and a max is exact in any
+    # order.  The sum stays a reduction: from K = 9 on numpy sums the
+    # options pairwise, which column passes would not reproduce.
+    top = np.maximum(0.0, u[:, 0])
+    for k in range(1, u.shape[1]):
+        np.maximum(top, u[:, k], out=top)
+    u -= top[:, None]
+    np.exp(u, out=u)
+    denom = np.exp(-top) + u.sum(axis=1)
+    np.divide(u, denom[:, None], out=out)
+    return top + np.log(denom)
 
 
 def _choice_rows(xs, theta, K: int, d: int) -> _ChoiceRows:
@@ -230,31 +257,40 @@ def _choice_rows(xs, theta, K: int, d: int) -> _ChoiceRows:
     """
     theta = np.asarray(theta, dtype=np.float64)
     key = theta.tobytes()
-    if isinstance(xs, _ChoiceRows):
-        if xs.theta == key:
-            return xs
-        xs = xs.xs
+    if isinstance(xs, _ChoiceRows) and xs.theta == key:
+        return xs
+    xs = _features(xs)
     p = np.empty((xs.shape[0], K))
     lse = np.empty(xs.shape[0])
-    for span, X in _choice_blocks(xs, K, d):
-        u = np.einsum("nkd,d->nk", X, theta)
-        # The max over options runs as K - 1 passes over columns: numpy
-        # reduces a short trailing axis slowly, and a max is exact in any
-        # order.  The sum stays a reduction: from K = 9 on numpy sums the
-        # options pairwise, which column passes would not reproduce.
-        top = np.maximum(0.0, u[:, 0])
-        for k in range(1, K):
-            np.maximum(top, u[:, k], out=top)
-        u -= top[:, None]
-        np.exp(u, out=u)
-        denom = np.exp(-top) + u.sum(axis=1)
-        lse[span] = top + np.log(denom)
-        np.divide(u, denom[:, None], out=p[span])
+    for span, X in _row_blocks(xs, K, d):
+        lse[span] = _block_probabilities(X, theta, p[span])
     return _ChoiceRows(xs, key, p, lse)
 
 
-def _chosen(lab: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """A block's rows that chose an option, and each choice's flat index row * K + label - 1."""
+def _choice_blocks(xs, theta, K: int, d: int):
+    """(row slice, rows as (rows, K, d), probabilities, log-sum-exps at ``theta``) per row block.
+
+    A ``_ChoiceRows`` built at ``theta`` lends each block its slice of the
+    probabilities it carries.  For anything else each block's are computed
+    for that block alone, into the layout ``_choice_rows`` gives them, so
+    both give the same bits and no (n, K) matrix is built.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
+    for span, X in _row_blocks(_features(xs), K, d):
+        if held:
+            yield span, X, xs.p[span], xs.lse[span]
+        else:
+            p = np.empty(X.shape[:2])
+            yield span, X, p, _block_probabilities(X, theta, p)
+
+
+def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's rows that chose an option, and each choice's flat index row * K + label - 1.
+
+    DomainError unless every label is an integer in [0, K].
+    """
+    lab = _label_indices(ys, K, "mnl", base=0)
     chose = np.flatnonzero(lab)
     return chose, chose * K + (lab[chose] - 1)
 
@@ -274,45 +310,43 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     chosen index in 0..K, 0 meaning the outside option.  The loss is the
     negative log-likelihood; its minimizer recovers the utility weights.
 
-    The callables work through the rows in blocks of ``_BLOCK_ROWS``, so
-    no temporary grows with n beyond the (n, K) probability matrix.  They
-    take raw features or the model's ``rows(xs, theta)``, which carries
-    that matrix: calls on one ``rows`` value at its theta share a single
-    evaluation of the probabilities, and a call at another theta
-    recomputes them.
+    The callables work through the rows, and check the labels, in blocks
+    of ``_BLOCK_ROWS``.  They take raw features or the model's ``rows(xs,
+    theta)``, which carries the (n, K) probability matrix: calls on one
+    ``rows`` value at its theta share a single evaluation of it.  On raw
+    features, or rows built at another theta, each block's probabilities
+    are computed for that block alone, so nothing of size n is built but
+    the result (the score rows, or the per-row loss terms the mean is
+    taken over).
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
 
     def batch_loss_mean(xs, ys, theta):
-        labs = _label_indices(ys, K, "mnl", base=0)
-        at = _choice_rows(xs, theta, K, d)
-        picked = np.zeros(at.xs.shape[0])
-        for span, X in _choice_blocks(at.xs, K, d):
-            chose, flat = _chosen(labs[span], K)
-            picked[span.start + chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
-        return float(np.mean(at.lse - picked))
+        terms = np.empty(_features(xs).shape[0])
+        for span, X, _, lse in _choice_blocks(xs, theta, K, d):
+            chose, flat = _chosen(ys[span], K)
+            picked = np.zeros(lse.shape[0])
+            picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
+            terms[span] = lse - picked
+        return float(np.mean(terms))
 
     def batch_score(xs, ys, theta):
-        labs = _label_indices(ys, K, "mnl", base=0)
-        at = _choice_rows(xs, theta, K, d)
-        out = np.empty((at.xs.shape[0], d))
-        for span, X in _choice_blocks(at.xs, K, d):
-            resid = at.p[span].copy()
-            resid.reshape(-1)[_chosen(labs[span], K)[1]] -= 1.0
+        out = np.empty((_features(xs).shape[0], d))
+        for span, X, p, _ in _choice_blocks(xs, theta, K, d):
+            resid = p.copy()
+            resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
             out[span] = np.einsum("nkd,nk->nd", X, resid)
         return out
 
     def batch_hessian_mean(xs, ys, theta):
-        at = _choice_rows(xs, theta, K, d)
         full = np.zeros((d, d))
         outer = np.zeros((d, d))
-        for span, X in _choice_blocks(at.xs, K, d):
-            pb = at.p[span]
-            full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
-            g = np.einsum("nkd,nk->nd", X, pb)
+        for _, X, p, _ in _choice_blocks(xs, theta, K, d):
+            full += (X * p[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
+            g = np.einsum("nkd,nk->nd", X, p)
             outer += g.T @ g
-        n = at.xs.shape[0]
+        n = _features(xs).shape[0]
         return full / n - outer / n
 
     return _ChoiceLoss("mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d)
@@ -359,7 +393,10 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
 
     At each theta, ``loss.rows`` runs once on the labeled features and
     once on the pool's; all three pieces, and both label vectors of the
-    labeled rows, share those results.
+    labeled rows, share those results.  A point runs them when a piece is
+    first asked for, not when it is made, so a caller that rebinds one
+    name to each new point frees the old point's work before the new
+    point's is built.
     """
     xl, yl = labeled_ppi.xs, labeled_ppi.ys
     fl = f.on(labeled_ppi)
@@ -370,12 +407,16 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
         return loss.batch_score(xs, ys, theta).mean(axis=0)
 
     def at(theta: np.ndarray) -> _Point:
-        rl, ru = loss.rows(xl, theta), loss.rows(xu, theta)
+        shared = functools.cache(lambda: (loss.rows(xl, theta), loss.rows(xu, theta)))
 
         def rectified(mean_over):
-            return lambda: (
-                mean_over(rl, yl, theta) - mean_over(rl, fl, theta) + mean_over(ru, fu, theta)
-            )
+            def piece():
+                rl, ru = shared()
+                return (
+                    mean_over(rl, yl, theta) - mean_over(rl, fl, theta) + mean_over(ru, fu, theta)
+                )
+
+            return piece
 
         return _Point(
             theta,
@@ -405,8 +446,8 @@ def solve_ppi_m_estimator(
     theta = np.zeros(loss.dim)
     at = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
 
-    # Rebinding ``point`` releases the previous point's shared work once
-    # the next one exists.
+    # Rebinding ``point`` frees the previous point's shared work before
+    # the next point builds its own, so one point's is alive at a time.
     point = at(theta)
     g = point.score()
     base = point.objective()

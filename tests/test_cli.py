@@ -533,6 +533,44 @@ class TestEstimateM:
         assert len(payload["theta_hat"]) == 1
         assert payload["theta_hat"][0] == pytest.approx(0.9, abs=0.6)
 
+    @pytest.mark.parametrize("command", ["estimate-mean", "estimate-m"])
+    def test_predictor_holds_the_readers_columns(
+        self, capsys, monkeypatch, mean_files, mnl_files, command
+    ):
+        """Each prediction column is held once: the predictor answers with
+        the reader's own array, frozen, not a copy of it."""
+        read, columns, held = cli.read_predictions_csv, [], []
+        on = core.Predictor.on
+
+        def spy_read(*args, **kwargs):
+            columns.append(read(*args, **kwargs))
+            return columns[-1]
+
+        def spy_on(pred, dataset):
+            held.append(on(pred, dataset))
+            return held[-1]
+
+        monkeypatch.setattr(cli, "read_predictions_csv", spy_read)
+        monkeypatch.setattr(core.Predictor, "on", spy_on)
+        if command == "estimate-mean":
+            argv = [
+                "estimate-mean", "--labeled", mean_files["labeled.csv"],
+                "--pred-labeled", mean_files["pred_labeled.csv"],
+                "--pred-unlabeled", mean_files["pred_pool.csv"],
+            ]
+        else:
+            argv = [
+                "estimate-m", "--loss", "mnl",
+                "--labeled", mnl_files["lab"], "--unlabeled", mnl_files["unlab"],
+                "--pred-labeled", mnl_files["pl"], "--pred-unlabeled", mnl_files["pu"],
+            ]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(columns) == 2 and held
+        for column in columns:
+            assert any(np.shares_memory(column, values) for values in held)
+        assert not any(values.flags.writeable for values in held)
+
     def test_mnl_option_count_crosscheck(self, capsys, mnl_files):
         code, _, err = run_cli(
             capsys, "estimate-m", "--loss", "mnl", "--n-options", "3",
@@ -947,17 +985,21 @@ class TestGlobalOptions:
         not core._CAN_FORK or len(os.sched_getaffinity(0)) < 2,
         reason="needs two usable CPUs for forked workers",
     )
-    @pytest.mark.parametrize("loss", ["mean", "ols"])
+    @pytest.mark.parametrize("loss", ["mean", "ols", "mnl"])
     def test_threads_set_the_csv_workers(self, capsys, tmp_path, monkeypatch, loss):
         rng = np.random.default_rng(5)
-        for name, cols, rows in [("lab", "y,x1,x2", 40), ("unlab", "x1,x2", 60)]:
+        outcome, names = ("choice", "x_1_1,x_1_2,x_2_1,x_2_2") if loss == "mnl" else ("y", "x1,x2")
+        for name, cols, rows in [("lab", f"{outcome},{names}", 40), ("unlab", names, 60)]:
             values = rng.normal(size=(rows, cols.count(",") + 1))
+            preds = values[:, -1]
+            if loss == "mnl":  # choices and predicted choices in 0..2
+                preds = rng.integers(0, 3, rows)
+                if name == "lab":
+                    values[:, 0] = rng.integers(0, 3, rows)
             (tmp_path / f"{name}.csv").write_text(
                 cols + "\n" + "".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in values)
             )
-            (tmp_path / f"f_{name}.csv").write_text(
-                "f\n" + "".join(f"{v:.6f}\n" for v in values[:, -1])
-            )
+            (tmp_path / f"f_{name}.csv").write_text("f\n" + "".join(f"{v:.6f}\n" for v in preds))
         argv = [
             "estimate-m", "--loss", loss,
             "--labeled", str(tmp_path / "lab.csv"), "--unlabeled", str(tmp_path / "unlab.csv"),

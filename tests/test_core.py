@@ -209,6 +209,14 @@ class TestPredictor:
         with pytest.raises(DomainError):
             pred.on(other)
 
+    def test_precomputed_copies_the_callers_values(self):
+        data = make_labeled(4)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        pred = Predictor.precomputed([(data, values)])
+        values[:] = 0.0
+        np.testing.assert_array_equal(pred.on(data), [1.0, 2.0, 3.0, 4.0])
+        assert values.flags.writeable and not pred.on(data).flags.writeable
+
     def test_precomputed_validates_length(self):
         data = make_labeled(4)
         with pytest.raises(DomainError):

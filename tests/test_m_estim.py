@@ -1,6 +1,7 @@
 """Tests for rectified M-estimation: losses, solver, sandwich, CSV ingestion."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -448,6 +449,20 @@ class TestChoiceKernels:
             with pytest.raises(DomainError, match=r"^mnl: labels must be integers in \[0, 2\]$"):
                 model.batch_score(xs, np.array(bad), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [3.0, -1.0, 0.5])
+    def test_a_bad_label_in_the_last_block_is_caught(self, bad):
+        """Labels are checked block by block, on raw features and on rows alike."""
+        model, theta = mnl_loss(2, 1), np.array([0.3])
+        xs = np.random.default_rng(7).standard_normal((2 * _BLOCK_ROWS + 5, 2))
+        ys = np.ones(xs.shape[0])
+        ys[-1] = bad
+        for feats in (xs, model.rows(xs, theta)):
+            for kernel in (model.batch_loss_mean, model.batch_score):
+                with pytest.raises(
+                    DomainError, match=r"^mnl: labels must be integers in \[0, 2\]$"
+                ):
+                    kernel(feats, ys, theta)
+
 
 def _rowwise_choice_probs(xs, theta, K, d):
     """The choice probabilities as computed before the column passes.
@@ -494,7 +509,9 @@ def _rowwise_mnl(xs, ys, theta, K, d):
 
 
 class TestChoiceKernelsBitForBit:
-    """The column-pass choice kernels give the bits of the row-wise ones."""
+    """The column-pass choice kernels give the bits of the row-wise ones,
+    on the model's rows and on raw features, whose probabilities each
+    block computes for itself."""
 
     SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
 
@@ -518,9 +535,12 @@ class TestChoiceKernelsBitForBit:
                 rows = model.rows(xs, theta)
                 probs, loss_mean, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
                 assert np.array_equal(rows.p, probs[0]) and np.array_equal(rows.lse, probs[1])
-                assert np.array_equal(model.batch_loss_mean(rows, ys, theta), loss_mean)
-                assert np.array_equal(model.batch_score(rows, ys, theta), score)
-                assert np.array_equal(model.batch_hessian_mean(rows, ys, theta), hessian_mean)
+                for feats in (rows, xs):
+                    assert np.array_equal(model.batch_loss_mean(feats, ys, theta), loss_mean)
+                    assert np.array_equal(model.batch_score(feats, ys, theta), score)
+                    assert np.array_equal(
+                        model.batch_hessian_mean(feats, ys, theta), hessian_mean
+                    )
             assert np.isfinite(rows.lse).all() and rows.lse.max() > 600.0
 
 
@@ -806,6 +826,55 @@ class TestSandwichPieces:
         assert cov.v_pred[0, 0] == pytest.approx(float(np.var(preds, ddof=1)), rel=1e-12)
         assert cov.n_ppi == labeled.n and cov.m == unlabeled.m
         assert cov.h_hat[0, 0] == pytest.approx(1.0)
+
+
+def _traced_peak(fn, *args):
+    """Bytes traced at ``fn``'s peak beyond what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The solver and the sandwich on a choice pool, by the bytes numpy reports to tracemalloc.
+
+    Few features per option keep the score rows small, so that a second
+    Newton point's probabilities, or an (m, K) matrix in the sandwich,
+    would not fit in what a block's temporaries are allowed.
+    """
+
+    K, D, N, M = 8, 1, 1000, 60_000
+    #: A block's largest temporaries: the Hessian's (rows, K, d) product
+    #: and two (rows, K) arrays.
+    BLOCK = _BLOCK_ROWS * (K * D + 2 * K) * 8
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = np.random.default_rng(94)
+        K, D, N, M = self.K, self.D, self.N, self.M
+        labeled = LabeledDataset(rng.standard_normal((N, K * D)), rng.integers(0, K + 1, N))
+        pool = UnlabeledDataset(rng.standard_normal((M, K * D)))
+        f = Predictor.precomputed(
+            [(labeled, rng.integers(0, K + 1, N)), (pool, rng.integers(0, K + 1, M))]
+        )
+        return mnl_loss(K, D), labeled, pool, f
+
+    def test_solver_holds_one_point(self, instance):
+        point = (self.N + self.M) * (self.K + 1) * 8  # probabilities and log-sum-exps
+        score = self.M * self.D * 8
+        assert point > 2 * self.BLOCK  # so a second point cannot hide in the allowance
+        assert _traced_peak(solve_ppi_m_estimator, *instance) < point + score + 2 * self.BLOCK
+
+    def test_sandwich_builds_no_pool_probabilities(self, instance):
+        theta = solve_ppi_m_estimator(*instance)
+        scores = 2 * self.M * self.D * 8  # the pool's score rows and their centred copy
+        assert self.M * self.K * 8 > 2 * self.BLOCK  # so an (m, K) matrix would not fit
+        peak = _traced_peak(sandwich_covariance, *instance, theta)
+        assert peak < scores + 2 * self.BLOCK
 
 
 class TestScalarize:
