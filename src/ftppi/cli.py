@@ -199,15 +199,15 @@ def _predictions(
 def _pool_from_predictions(
     path_features: str | None, preds: np.ndarray, workers: int
 ) -> UnlabeledDataset:
-    """The pool's features are never consulted when predictions are
-    precomputed, so a feature file is optional."""
+    """A stand-in pool: its features are never consulted when predictions
+    are precomputed, so a feature file is optional and only its row count
+    is checked."""
     if path_features is not None:
-        pool = read_unlabeled_csv(path_features, workers=workers)
-        if pool.m != preds.shape[0]:
+        m = read_unlabeled_csv(path_features, workers=workers).m
+        if m != preds.shape[0]:
             raise ParameterError(
-                f"unlabeled features have {pool.m} rows but predictions have {preds.shape[0]}"
+                f"unlabeled features have {m} rows but predictions have {preds.shape[0]}"
             )
-        return pool
     return UnlabeledDataset._adopt(np.zeros((preds.shape[0], 1)))
 
 

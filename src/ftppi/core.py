@@ -14,7 +14,6 @@ import functools
 import os
 import shutil
 import signal
-import stat
 import sys
 import tempfile
 import weakref
@@ -324,8 +323,9 @@ class Predictor:
 # Forked workers: one kernel for simulation replicates and CSV ingest
 # ---------------------------------------------------------------------------
 
-#: Forked workers need Linux: ``os.fork``, ``os.sched_getaffinity`` and ``os.memfd_create``.
-_CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
+#: Forked workers need Linux: ``os.fork``, ``os.sched_getaffinity``, ``os.memfd_create``.
+#: A CSV body, and each memfd part of one, is parsed through ``/proc/self/fd``.
+_CAN_FORK = sys.platform.startswith("linux") and os.path.isdir("/proc/self/fd")
 
 
 def _resolve_workers(workers: int, items: int) -> int:
@@ -473,18 +473,13 @@ def _parse_matrix(
     return out
 
 
-#: Suffixes by which ``np.loadtxt`` picks a decompressor for a path.  The
-#: body of a file so named is read from the open handle, as plain text.
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-
-
 def _load_body(source, skiprows: int, n_cols: int) -> np.ndarray | None:
     """The lines of ``source`` after the first ``skiprows`` as a float matrix, or None.
 
-    ``source`` is a path, which ``np.loadtxt`` feeds to its C tokenizer in
-    chunks, or an open text file, which it reads one line at a time.  None
-    means the body is not a plain numeric table of ``n_cols`` columns with
-    at least one row; the row-by-row parser then decides what it is.
+    ``source`` is a ``/proc/self/fd`` path, which ``np.loadtxt`` feeds to
+    its C tokenizer in chunks, or an open text file, read line by line.
+    None means the body is not a plain numeric table of ``n_cols`` columns
+    with at least one row; the row-by-row parser then decides what it is.
     """
     import warnings
 
@@ -555,42 +550,33 @@ def _load_part(fd: int, start: int, stop: int, skiprows: int, n_cols: int) -> np
     return mat
 
 
-def _load_split(fd: int, size: int, skiprows: int, n_cols: int, workers: int) -> np.ndarray | None:
-    """The body of the ``size``-byte regular file open on ``fd``, parsed in
-    parts by up to ``workers`` processes (0: every usable CPU; fewer for a
-    small file, see ``_SPLIT_MIN_BYTES``), or None.
+def _load_fd(fd: int, skiprows: int, n_cols: int, workers: int) -> np.ndarray | None:
+    """The lines of the file open on ``fd`` after the first ``skiprows``, as
+    ``_load_body`` gives them, parsed in parts by up to ``workers`` processes
+    (0: every usable CPU; fewer for a small file, see ``_SPLIT_MIN_BYTES``).
 
     The file is cut at the first ``\\n`` at or after each ``size * k /
     parts`` bytes, a line boundary whether lines end in LF, CRLF or CR.
-    Each part goes through ``_load_part``, the first with the header's
-    ``skiprows``, and the rows are joined in file order.  None means the
-    body is to be parsed whole: one worker, a file under
-    ``_SPLIT_MIN_BYTES``, a single part, a part that is not plain or does
-    not parse, or a worker that failed.
+    Each part goes through ``_load_part``, the first with ``skiprows``, and
+    the rows are joined in file order.  A single part, a part that is not
+    plain or does not parse, or a worker that failed leaves the body to
+    ``_load_body`` whole, through ``/proc/self/fd``: the file is never
+    looked up by name again.
     """
+    size = os.fstat(fd).st_size
     parts = _resolve_workers(workers, size // _SPLIT_MIN_BYTES + 1)
-    if parts == 1:
-        return None
     cuts = {_after_newline(fd, size * k // parts, size) for k in range(1, parts)}
     bounds = [0, *sorted(cuts - {size}), size]
-    if len(bounds) == 2:
-        return None
-    tasks = [
-        functools.partial(_load_part, fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    try:
-        return _forked_rows(tasks)
-    except (_NotPlain, ChildProcessError, OSError):  # the whole body decides
-        return None
-
-
-def _same_file(path: str, opened: os.stat_result) -> bool:
-    """Whether ``path`` still names the file whose ``fstat`` is ``opened``."""
-    try:
-        return os.path.samestat(os.stat(path), opened)
-    except OSError:
-        return False
+    if len(bounds) > 2:
+        tasks = [
+            functools.partial(_load_part, fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        try:
+            return _forked_rows(tasks)
+        except (_NotPlain, ChildProcessError, OSError):  # the whole body decides
+            pass
+    return _load_body(f"/proc/self/fd/{fd}", skiprows, n_cols)
 
 
 def _rereadable(fh):
@@ -618,19 +604,17 @@ def _read_csv(
     """Read a numeric CSV: ``(checked, body)`` with ``checked = check_header(path, header)``.
 
     The header is the first non-empty row, cells stripped; it is checked
-    before any body cell is parsed.  The body goes through ``np.loadtxt``.
-    A regular file whose name has no compressed suffix is first offered to
-    ``_load_split``, which parses parts of the opened file in ``workers``
-    forked processes (0: every usable CPU) when the file is large and its
-    text plain; otherwise it is read by path after the header's lines,
-    unless the name no longer names the file the header came from.
-    Anything else is read from the open handle, a pipe's text first copied
-    to a temporary file.  Whatever that rejects is re-read row by row from
-    the same handle, which returns the same matrix or raises a row- and
-    column-addressed CsvFormatError.  ``body`` is ``convert(checked,
-    matrix)``, the matrix itself by default; a _RowError it raises becomes
-    a CsvFormatError at that row.  Rows are numbered by file line, so blank
-    lines count.
+    before any body cell is parsed.  A pipe's text is first copied to a
+    temporary file.  The body goes through ``np.loadtxt``: on Linux,
+    ``_load_fd`` reads the opened file through its descriptor, in parts by
+    ``workers`` forked processes (0: every usable CPU) when the file is
+    large and its text plain, and never looks the name up again; elsewhere
+    it is read from the open handle.  Whatever that rejects is re-read row
+    by row from the same handle, which returns the same matrix or raises a
+    row- and column-addressed CsvFormatError.  ``body`` is
+    ``convert(checked, matrix)``, the matrix itself by default; a _RowError
+    it raises becomes a CsvFormatError at that row.  Rows are numbered by
+    file line, so blank lines count.
     """
     check_int(workers, "workers", 0)
     try:
@@ -641,18 +625,9 @@ def _read_csv(
                 raise CsvFormatError(f"{path}: file is empty")
             header = [cell.strip() for cell in header]
             checked = check_header(path, header)
-            opened = os.fstat(fh.fileno())
-            by_path = stat.S_ISREG(opened.st_mode) and not os.fspath(path).endswith(
-                _COMPRESSED_SUFFIXES
-            )
-            if by_path:  # parts of the opened file, parsed by forked workers
-                mat = _load_split(
-                    fh.fileno(), opened.st_size, reader.line_num, len(header), workers
-                )
-            if by_path and mat is None:  # absolute: np.loadtxt never takes it for a URL
-                mat = _load_body(os.path.join(os.getcwd(), path), reader.line_num, len(header))
-                by_path = _same_file(path, opened)  # else replaced: use the opened file
-            if not by_path:
+            if _CAN_FORK:  # the opened file (or a pipe's copy), never its name again
+                mat = _load_fd(text.fileno(), reader.line_num, len(header), workers)
+            else:
                 mat = _load_body(text, 0, len(header))
             if mat is None:
                 header, rows, lines = _read_rows(path, text)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +341,36 @@ class TestEstimateMean:
         )
         assert code == 2
         assert "2 rows but predictions have 12" in json.loads(err)["message"]
+
+    def test_pool_features_are_dropped_after_the_row_check(
+        self, capsys, mean_files, tmp_path, monkeypatch
+    ):
+        feats = tmp_path / "pool.csv"
+        feats.write_text("x1\n" + "".join(f"{i}.5\n" for i in range(12)))
+        pools, alive = [], []
+
+        def read_pool(path, workers):
+            pool = core.read_unlabeled_csv(path, workers=workers)
+            pools.append(weakref.ref(pool))
+            return pool
+
+        def check_then_estimate(*args, **kwargs):
+            alive.append(pools[0]() is not None)
+            return ppi_mean_ci(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_unlabeled_csv", read_pool)
+        monkeypatch.setattr(cli, "ppi_mean_ci", check_then_estimate)
+        code, out, err = run_cli(
+            capsys, "estimate-mean",
+            "--labeled", mean_files["labeled.csv"],
+            "--unlabeled", str(feats),
+            "--pred-labeled", mean_files["pred_labeled.csv"],
+            "--pred-unlabeled", mean_files["pred_pool.csv"],
+            "--delta", "0.1",
+        )
+        assert code == 0, err
+        assert alive == [False]  # only the row count of the parsed features was kept
+        assert out == golden("estimate_mean_small.json")
 
     def test_malformed_cell_addressed_by_row(self, capsys, tmp_path, mean_files):
         bad = tmp_path / "bad.csv"

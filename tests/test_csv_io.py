@@ -256,6 +256,26 @@ class TestDifferential:
         assert xs.tolist() == [[1.0], [2.0]]
 
 
+class TestHandleRoute:
+    """The open-handle route, taken where ``/proc/self/fd`` is missing, on the
+    oracle corpus, named pipes and compressed names."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def handle_route(self):
+        with mock.patch.object(core, "_CAN_FORK", False):
+            yield
+
+    @given(text=csv_texts())
+    def test_oracle_corpus(self, csv_path, text):
+        _write(csv_path, text)
+        fast = _outcome(lambda: _read_csv(csv_path, lambda path, header: None)[1])
+        _assert_same(fast, _outcome(lambda: _oracle_matrix(csv_path)))
+
+    test_compressed_suffix = TestDifferential.test_plain_text_with_compressed_suffix_reads_as_text
+    test_named_pipe_reads_whole_body = TestDifferential.test_named_pipe_reads_whole_body
+    test_named_pipe_error_names_the_row = TestDifferential.test_named_pipe_error_names_the_row
+
+
 def _plain(result):
     """Reader output as comparable bytes, ints and observations."""
     if isinstance(result, (tuple, list)):
@@ -603,6 +623,43 @@ class TestSplitReader:
         got = read_unlabeled_csv(str(pipe), workers=2).xs
         writer.join(timeout=10)
         _assert_same(got, read_unlabeled_csv(str(regular), workers=2).xs)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_copy_is_parsed_in_parts(self, tmp_path, monkeypatch):
+        text = "x1,x2\n" + "".join(f"{i},{i / 7!r}\n" for i in range(5000))
+        pipe = tmp_path / "pool.pipe"
+        os.mkfifo(pipe)
+
+        def read(workers):
+            writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
+            writer.start()
+            got = read_unlabeled_csv(str(pipe), workers=workers).xs
+            writer.join(timeout=10)
+            return got
+
+        expected = read(1)
+        sources, parts = [], []
+        load_body, forked_rows = core._load_body, core._forked_rows
+
+        def spy(source, skiprows, n_cols):
+            sources.append(source)
+            return load_body(source, skiprows, n_cols)
+
+        def count(tasks):
+            parts.append(len(tasks))
+            return forked_rows(tasks)
+
+        monkeypatch.setattr(core, "_load_body", spy)
+        monkeypatch.setattr(core, "_forked_rows", count)
+        monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+        fds = _open_fds()
+        got = read(2)
+        _assert_nothing_left(fds)
+        assert got.tobytes() == expected.tobytes()
+        # the pipe's temporary copy, cut in two; this process parsed its own part
+        [source] = sources
+        assert source.startswith("/proc/self/fd/") and parts == [2]
 
     def test_plain_text_named_gz(self, tmp_path):
         path = tmp_path / "pool.csv.gz"
