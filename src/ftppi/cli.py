@@ -31,12 +31,14 @@ from .core import (
     Predictor,
     RngSeed,
     UnlabeledDataset,
+    _resolve_workers,
     check_int,
     read_labeled_csv,
     read_predictions_csv,
     read_unlabeled_csv,
 )
 from .m_estim import (
+    _BLOCK_ROWS,
     builtin_loss,
     m_estimate_ci,
     read_choice_labeled_csv,
@@ -275,7 +277,9 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
             raise ParameterError(
                 f"--dim {args.dim} contradicts the files ({d1} features per option)"
             )
-        loss = builtin_loss("mnl", n_options=k1, dim=d1)
+        blocks = -(-max(labeled.n, pool.m) // _BLOCK_ROWS)
+        workers = _resolve_workers(args.threads, blocks)
+        loss = builtin_loss("mnl", n_options=k1, dim=d1, workers=workers)
     else:
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
         pool = read_unlabeled_csv(args.unlabeled, workers=args.threads)
@@ -469,10 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes for simulate and bootstrap replicates and for parsing"
-        " large CSV inputs; 0 (the default) means every usable CPU, 1 runs serially"
-        " ($FTPPI_THREADS). A CSV file is parsed in parts only on Linux, and only when it"
-        " is at least 1 MiB of ASCII text without quotes. Output is identical for any value.",
+        help="CPUs to use: worker processes for simulate and bootstrap replicates and for"
+        " parsing large CSV inputs, threads for the estimate-m --loss mnl kernels; 0 (the"
+        " default) means every usable CPU, 1 runs serially ($FTPPI_THREADS). A CSV file is"
+        " parsed in parts only on Linux, and only when it is at least 1 MiB of ASCII text"
+        " without quotes; the mnl kernels use one thread per 8192-row block at most."
+        " Output is identical for any value.",
     )
     common.add_argument("--out", default=None, help="write output here instead of stdout"
                         " (for simulate: output directory)")

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import os
 import shutil
 import signal
 import sys
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -320,7 +322,8 @@ class Predictor:
 
 
 # ---------------------------------------------------------------------------
-# Forked workers: one kernel for simulation replicates and CSV ingest
+# Workers: forked processes for simulation replicates and CSV ingest, threads
+# for the multinomial-choice blocks
 # ---------------------------------------------------------------------------
 
 #: Forked workers need Linux: ``os.fork``, ``os.sched_getaffinity``, ``os.memfd_create``.
@@ -329,8 +332,8 @@ _CAN_FORK = sys.platform.startswith("linux") and os.path.isdir("/proc/self/fd")
 
 
 def _resolve_workers(workers: int, items: int) -> int:
-    """Worker processes for ``items`` units of work: ``workers``, or every usable
-    CPU for 0, capped at the usable CPUs and at ``items``."""
+    """Workers, processes or threads, for ``items`` units of work: ``workers``,
+    or every usable CPU for 0, capped at the usable CPUs and at ``items``."""
     workers = check_int(workers, "workers", 0)
     cpus = len(os.sched_getaffinity(0)) if _CAN_FORK else 1
     return max(1, min(workers or cpus, cpus, items))
@@ -417,6 +420,47 @@ def _child_error(pid: int, code: int, data: bytes) -> BaseException:
         except Exception:  # a truncated or unloadable error
             pass
     return ChildProcessError(f"worker {pid} exited with status {code}")
+
+
+def _threaded_blocks(fn: Callable[[_T], _U], items: Sequence[_T], workers: int) -> list[_U]:
+    """``[fn(item) for item in items]``, run on up to ``workers`` threads.
+
+    With ``w = min(workers, len(items))`` threads, item i runs on worker
+    ``i % w`` and worker 0 is the calling thread, so a caller may give
+    each worker its own buffer by the item's index.  Only numpy's
+    GIL-free work (ufuncs, einsum, BLAS) overlaps; a worker stops at its
+    first failing item.  Every thread is started here and joined before
+    this returns, so none outlives the call, and the earliest failing
+    item's error is raised, as a serial loop would have raised it.
+    """
+    w = max(1, min(workers, len(items)))
+    if w == 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: list = [None] * len(items)
+
+    def run(k: int) -> None:
+        for i in range(k, len(items), w):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, in the calling thread
+                errors[i] = exc
+                return
+
+    threads = []
+    try:
+        for k in range(1, w):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    failed = next((exc for exc in errors if exc is not None), None)
+    if failed is not None:
+        raise failed
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +625,17 @@ def _load_fd(fd: int, skiprows: int, n_cols: int, workers: int) -> np.ndarray | 
 
 def _rereadable(fh):
     """``fh``, or for a stream that cannot seek (a pipe) a temporary file
-    holding the rest of its text, so the text can be read again."""
+    holding the rest of its bytes, so the text can be read again.
+
+    The bytes are copied as they are and decoded as ``fh`` would decode
+    them, when the copy is read.
+    """
     if fh.seekable():
         return fh
-    spool = tempfile.TemporaryFile("w+", newline="")
-    shutil.copyfileobj(fh, spool)
+    spool = tempfile.TemporaryFile()
+    shutil.copyfileobj(fh.buffer, spool)
     spool.seek(0)
-    return spool
+    return io.TextIOWrapper(spool, encoding=fh.encoding, errors=fh.errors, newline="")
 
 
 class _RowError(Exception):
@@ -604,7 +652,7 @@ def _read_csv(
     """Read a numeric CSV: ``(checked, body)`` with ``checked = check_header(path, header)``.
 
     The header is the first non-empty row, cells stripped; it is checked
-    before any body cell is parsed.  A pipe's text is first copied to a
+    before any body cell is parsed.  A pipe's bytes are first copied to a
     temporary file.  The body goes through ``np.loadtxt``: on Linux,
     ``_load_fd`` reads the opened file through its descriptor, in parts by
     ``workers`` forked processes (0: every usable CPU) when the file is

@@ -30,7 +30,12 @@ point and array, and on raw features (the sandwich's pool scores) each
 block's are computed for that block alone.  Within a block they reduce
 over the K options in column passes, one per option, and pick each
 row's chosen option by its flat index; both give the same bits as the
-row-wise reductions and 2-d gathers they replace.
+row-wise reductions and 2-d gathers they replace.  ``mnl_loss``'s
+``workers`` runs the blocks on that many threads (``core._threaded_blocks``):
+numpy releases the interpreter lock inside them, each block writes its
+own rows of the probabilities, loss terms and score rows, and the
+Hessian's per-block sums are added in block order by the calling
+thread, so every result has the same bits for any thread count.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .core import (
     SingularHessianError,
     UnlabeledDataset,
     _RowError,
+    _threaded_blocks,
     check_int,
     check_probability,
     _read_csv,
@@ -225,11 +231,9 @@ def _features(xs) -> np.ndarray:
     return xs.xs if isinstance(xs, _ChoiceRows) else xs
 
 
-def _row_blocks(xs: np.ndarray, K: int, d: int):
-    """(row slice, its rows as an (rows, K, d) array) for each row block of ``xs``."""
-    for lo in range(0, xs.shape[0], _BLOCK_ROWS):
-        span = slice(lo, lo + _BLOCK_ROWS)
-        yield span, xs[span].reshape(-1, K, d)
+def _spans(n: int) -> list[slice]:
+    """The row slice of each block of an n-row array."""
+    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS)]
 
 
 def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -249,11 +253,12 @@ def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> n
     return top + np.log(denom)
 
 
-def _choice_rows(xs, theta, K: int, d: int) -> _ChoiceRows:
+def _choice_rows(xs, theta, K: int, d: int, workers: int) -> _ChoiceRows:
     """``xs``, raw or a ``_ChoiceRows``, with its choice probabilities at ``theta``.
 
     A ``_ChoiceRows`` built at this very theta is returned as it is; one
-    built at another theta is recomputed from its features.
+    built at another theta is recomputed from its features, its blocks on
+    up to ``workers`` threads.
     """
     theta = np.asarray(theta, dtype=np.float64)
     key = theta.tobytes()
@@ -262,13 +267,17 @@ def _choice_rows(xs, theta, K: int, d: int) -> _ChoiceRows:
     xs = _features(xs)
     p = np.empty((xs.shape[0], K))
     lse = np.empty(xs.shape[0])
-    for span, X in _row_blocks(xs, K, d):
-        lse[span] = _block_probabilities(X, theta, p[span])
+
+    def fill(span):
+        lse[span] = _block_probabilities(xs[span].reshape(-1, K, d), theta, p[span])
+
+    _threaded_blocks(fill, _spans(xs.shape[0]), workers)
     return _ChoiceRows(xs, key, p, lse)
 
 
 def _choice_blocks(xs, theta, K: int, d: int):
-    """(row slice, rows as (rows, K, d), probabilities, log-sum-exps at ``theta``) per row block.
+    """The row slices of ``xs``'s blocks, and a function from one of them to
+    (its rows as (rows, K, d), their probabilities and log-sum-exps at ``theta``).
 
     A ``_ChoiceRows`` built at ``theta`` lends each block its slice of the
     probabilities it carries.  For anything else each block's are computed
@@ -276,13 +285,17 @@ def _choice_blocks(xs, theta, K: int, d: int):
     both give the same bits and no (n, K) matrix is built.
     """
     theta = np.asarray(theta, dtype=np.float64)
+    feats = _features(xs)
     held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
-    for span, X in _row_blocks(_features(xs), K, d):
+
+    def block(span):
+        X = feats[span].reshape(-1, K, d)
         if held:
-            yield span, X, xs.p[span], xs.lse[span]
-        else:
-            p = np.empty(X.shape[:2])
-            yield span, X, p, _block_probabilities(X, theta, p)
+            return X, xs.p[span], xs.lse[span]
+        p = np.empty(X.shape[:2])
+        return X, p, _block_probabilities(X, theta, p)
+
+    return _spans(feats.shape[0]), block
 
 
 def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,14 +308,17 @@ def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     return chose, chose * K + (lab[chose] - 1)
 
 
+@dataclass(frozen=True)
 class _ChoiceLoss(LossModel):
     """The model ``mnl_loss`` builds: its ``rows`` carry the choice probabilities."""
 
+    workers: int = 1
+
     def rows(self, xs: np.ndarray, theta: np.ndarray) -> _ChoiceRows:
-        return _choice_rows(xs, theta, self.width // self.dim, self.dim)
+        return _choice_rows(xs, theta, self.width // self.dim, self.dim, self.workers)
 
 
-def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
+def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel:
     """Multinomial choice likelihood with an outside option.
 
     A sample's feature vector stacks the K option vectors (row-major:
@@ -311,49 +327,80 @@ def mnl_loss(n_options: int, dim_per_option: int) -> LossModel:
     negative log-likelihood; its minimizer recovers the utility weights.
 
     The callables work through the rows, and check the labels, in blocks
-    of ``_BLOCK_ROWS``.  They take raw features or the model's ``rows(xs,
-    theta)``, which carries the (n, K) probability matrix: calls on one
-    ``rows`` value at its theta share a single evaluation of it.  On raw
-    features, or rows built at another theta, each block's probabilities
-    are computed for that block alone, so nothing of size n is built but
-    the result (the score rows, or the per-row loss terms the mean is
-    taken over).
+    of ``_BLOCK_ROWS``, on up to ``workers`` threads; every result is the
+    same bits for any ``workers``.  They take raw features or the model's
+    ``rows(xs, theta)``, which carries the (n, K) probability matrix:
+    calls on one ``rows`` value at its theta share a single evaluation of
+    it.  On raw features, or rows built at another theta, each block's
+    probabilities are computed for that block alone, so nothing of size n
+    is built but the result (the score rows, or the per-row loss terms the
+    mean is taken over).
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
+    workers = check_int(workers, "mnl_loss: workers", 1)
 
     def batch_loss_mean(xs, ys, theta):
+        spans, block = _choice_blocks(xs, theta, K, d)
         terms = np.empty(_features(xs).shape[0])
-        for span, X, _, lse in _choice_blocks(xs, theta, K, d):
+
+        def fill(span):
+            X, _, lse = block(span)
             chose, flat = _chosen(ys[span], K)
             picked = np.zeros(lse.shape[0])
             picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
             terms[span] = lse - picked
+
+        _threaded_blocks(fill, spans, workers)
         return float(np.mean(terms))
 
     def batch_score(xs, ys, theta):
+        spans, block = _choice_blocks(xs, theta, K, d)
         out = np.empty((_features(xs).shape[0], d))
-        for span, X, p, _ in _choice_blocks(xs, theta, K, d):
+
+        def fill(span):
+            X, p, _ = block(span)
             resid = p.copy()
             resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
-            out[span] = np.einsum("nkd,nk->nd", X, resid)
+            np.einsum("nkd,nk->nd", X, resid, out=out[span])
+
+        _threaded_blocks(fill, spans, workers)
         return out
 
     def batch_hessian_mean(xs, ys, theta):
+        spans, block = _choice_blocks(xs, theta, K, d)
+        n = _features(xs).shape[0]
+        # One buffer per worker for the (rows, K, d) product, allocated
+        # here (item i runs on worker i % w): what a worker thread
+        # allocates and frees stays in its own malloc arena.
+        w = min(workers, len(spans))
+        products = [np.empty((min(n, _BLOCK_ROWS), K, d)) for _ in range(w)]
+
+        def partial(i):
+            X, p, _ = block(spans[i])
+            Xp = np.multiply(X, p[:, :, None], out=products[i % w][: X.shape[0]])
+            g = np.einsum("nkd,nk->nd", X, p)
+            return Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g
+
+        # summed in block order, so the sum is the serial loop's
         full = np.zeros((d, d))
         outer = np.zeros((d, d))
-        for _, X, p, _ in _choice_blocks(xs, theta, K, d):
-            full += (X * p[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
-            g = np.einsum("nkd,nk->nd", X, p)
-            outer += g.T @ g
-        n = _features(xs).shape[0]
+        for block_full, block_outer in _threaded_blocks(partial, range(len(spans)), w):
+            full += block_full
+            outer += block_outer
         return full / n - outer / n
 
-    return _ChoiceLoss("mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d)
+    return _ChoiceLoss(
+        "mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d, workers=workers
+    )
 
 
 def builtin_loss(kind: str, **kwargs) -> LossModel:
-    """Look up a built-in loss by name: mean, categorical, ols, or mnl."""
+    """Look up a built-in loss by name: mean, categorical, ols, or mnl.
+
+    ``dim`` sizes categorical, ols and mnl; mnl also takes ``n_options``
+    and ``workers``, its kernels' thread count (default 1).
+    """
     if kind == "mean":
         return mean_loss()
     if kind == "categorical":
@@ -361,7 +408,7 @@ def builtin_loss(kind: str, **kwargs) -> LossModel:
     if kind == "ols":
         return linear_regression_loss(kwargs.get("dim"))
     if kind == "mnl":
-        return mnl_loss(kwargs.get("n_options"), kwargs.get("dim"))
+        return mnl_loss(kwargs.get("n_options"), kwargs.get("dim"), kwargs.get("workers", 1))
     raise ParameterError(f"unknown loss kind {kind!r} (expected mean|categorical|ols|mnl)")
 
 

@@ -12,13 +12,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 from ftppi.allocate import foc_residual, solve_optimal_allocation
-from ftppi import cli, core
+from ftppi import cli, core, m_estim
 from ftppi.cli import main as cli_main
 from ftppi.core import read_labeled_csv
 from ftppi.ppi_mean import Method, ppi_mean_ci
@@ -1053,6 +1054,50 @@ class TestGlobalOptions:
         assert outputs[0] == outputs[1] == outputs[2]
         # each of the four files in parts for --threads 2, and again for 0
         assert len(joined) == 8 and joined[:4] == [2] * 4 and min(joined) >= 2
+
+    @pytest.mark.skipif(not core._CAN_FORK, reason="counts CPUs with os.sched_getaffinity")
+    def test_threads_set_the_mnl_kernel_threads(self, capsys, tmp_path, monkeypatch):
+        """A pool of three row blocks: the same bytes on one thread and on two."""
+        rng = np.random.default_rng(6)
+        m = 2 * m_estim._BLOCK_ROWS + 100
+        names = "x_1_1,x_1_2,x_2_1,x_2_2"
+        for name, rows, header in [("lab", 300, "choice," + names), ("unlab", m, names)]:
+            values = np.round(rng.normal(size=(rows, header.count(",") + 1)), 4)
+            if name == "lab":
+                values[:, 0] = rng.integers(0, 3, rows)
+            np.savetxt(tmp_path / f"{name}.csv", values, fmt="%.4f", delimiter=",",
+                       header=header, comments="")
+            np.savetxt(tmp_path / f"f_{name}.csv", rng.integers(0, 3, rows), fmt="%d",
+                       header="f", comments="")
+        argv = [
+            "estimate-m", "--loss", "mnl",
+            "--labeled", str(tmp_path / "lab.csv"), "--unlabeled", str(tmp_path / "unlab.csv"),
+            "--pred-labeled", str(tmp_path / "f_lab.csv"),
+            "--pred-unlabeled", str(tmp_path / "f_unlab.csv"),
+        ]
+        ran, threaded_blocks = [], m_estim._threaded_blocks
+
+        def spy(fn, items, workers):
+            threads = set()
+
+            def on_a_thread(item):
+                threads.add(threading.current_thread())
+                return fn(item)
+
+            out = threaded_blocks(on_a_thread, items, workers)
+            ran[-1] = max(ran[-1], len(threads))
+            return out
+
+        monkeypatch.setattr(m_estim, "_threaded_blocks", spy)
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+        outputs = []
+        for threads in ("1", "2", "0"):
+            ran.append(0)
+            code, out, err = run_cli(capsys, *argv, "--threads", threads)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert ran == [1, 2, 2]  # most threads one kernel call ran on
 
     def test_bad_env_threads_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("FTPPI_THREADS", "many")

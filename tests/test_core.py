@@ -1,5 +1,6 @@
 import gc
 import pickle
+import threading
 import weakref
 
 import numpy as np
@@ -21,6 +22,7 @@ from ftppi.core import (
     Predictor,
     RngSeed,
     UnlabeledDataset,
+    _threaded_blocks,
     as_seed,
     check_int,
     read_labeled_csv,
@@ -369,6 +371,12 @@ COUNT_ARGUMENTS = [
     ("n_fit", lambda v: _bootstrap(n_fit=v), 40, False),
     ("resamples", lambda v: _bootstrap(resamples=v), 3, False),
     ("n_alloc", lambda v: _bootstrap(n_alloc=v), 100, True),
+    (
+        "mnl_loss: workers",
+        lambda v: _loss_values(mnl_loss(1, 1, v), np.ones((2, 1)), np.array([0.0, 1.0])),
+        2,
+        False,
+    ),
 ]
 
 
@@ -397,3 +405,47 @@ class TestCountArguments:
             check_int(np.int32(7), "k", 8)
         with pytest.raises(ParameterError, match="^k must be an integer, got "):
             check_int(np.bool_(True), "k", 0)
+
+
+class TestThreadedBlocks:
+    """The thread kernel: item i on worker i % w, worker 0 the calling thread."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_item_order_on_their_workers(self, workers):
+        ran_on = {}
+
+        def fn(item):
+            ran_on[item] = threading.current_thread()
+            return item * item
+
+        before = threading.active_count()
+        assert _threaded_blocks(fn, range(7), workers) == [i * i for i in range(7)]
+        assert threading.active_count() == before
+        w = min(workers, 7)
+        assert ran_on[0] is threading.current_thread()
+        assert len(set(ran_on.values())) == w
+        for i, thread in ran_on.items():
+            assert thread is ran_on[i % w]
+
+    def test_no_items(self):
+        assert _threaded_blocks(lambda item: 1 / 0, [], 3) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_earliest_failing_items_error_is_raised(self, workers):
+        """Items 2 and 4 fail: item 2's error is raised whichever worker met which first."""
+        meets_item_4 = threading.Event()
+
+        def fn(item):
+            if item == 2:
+                # worker 2 of 3, or worker 0 of 2: let item 4 fail first when it can
+                meets_item_4.wait(timeout=0.2 if workers == 3 else 0)
+                raise ValueError("item 2")
+            if item == 4:
+                meets_item_4.set()
+                raise KeyError("item 4")
+            return item
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 2"):
+            _threaded_blocks(fn, range(6), workers)
+        assert threading.active_count() == before

@@ -9,6 +9,7 @@ in parts by forked workers is held to the same body read by one process.
 import gzip
 import os
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -114,6 +115,29 @@ def _write(path, text):
         fh.write(text)
 
 
+def _through_pipe(pipe, text, read):
+    """``_outcome(read)``, run on a daemon thread while another writes ``text``,
+    a string or bytes, into the named pipe ``pipe``.
+
+    A read that blocks (a second open of the pipe waits for a writer) is
+    released after 10 s, and the test fails instead of hanging.
+    """
+    data = text if isinstance(text, bytes) else text.encode()
+    writer = threading.Thread(target=Path(pipe).write_bytes, args=(data,), daemon=True)
+    writer.start()
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(_outcome(read)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    writer.join(timeout=10)
+    if worker.is_alive():  # release the blocked open
+        os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+        worker.join(timeout=10)
+        pytest.fail("reading the named pipe blocked")
+    [got] = outcome
+    return got
+
+
 class TestDifferential:
     @given(text=csv_texts())
     def test_fast_reader_matches_row_by_row_oracle(self, csv_path, text):
@@ -197,11 +221,8 @@ class TestDifferential:
         expected = read_unlabeled_csv(str(regular)).xs
         pipe = tmp_path / "pool.pipe"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
-        writer.start()
         monkeypatch.setattr(core, "_read_rows", _refuse)  # a re-open would block
-        got = read_unlabeled_csv(str(pipe)).xs
-        writer.join(timeout=10)
+        got = _through_pipe(pipe, text, lambda: read_unlabeled_csv(str(pipe)).xs)
         _assert_same(got, expected)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -224,20 +245,8 @@ class TestDifferential:
     def test_named_pipe_error_names_the_row(self, tmp_path, reader, text, message):
         pipe = tmp_path / "data.pipe"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
-        writer.start()
-        outcome = []
-        worker = threading.Thread(
-            target=lambda: outcome.append(_outcome(lambda: reader(str(pipe)))), daemon=True
-        )
-        worker.start()
-        worker.join(timeout=10)
-        writer.join(timeout=10)
-        if worker.is_alive():  # a second open of the pipe waits for a writer: release it
-            os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
-            worker.join(timeout=10)
-            pytest.fail("reading the named pipe blocked")
-        assert outcome == [(CsvFormatError, f"{pipe}: {message}")]
+        outcome = _through_pipe(pipe, text, lambda: reader(str(pipe)))
+        assert outcome == (CsvFormatError, f"{pipe}: {message}")
 
     def test_file_replaced_after_header_read_gives_the_opened_files_body(self, tmp_path):
         path = tmp_path / "pool.csv"
@@ -455,6 +464,20 @@ class TestUndecodableFiles:
             with pytest.raises(CsvFormatError, match=r"pool\.csv: " + UNDECODABLE):
                 read_unlabeled_csv(str(path))
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("rows", [1, 20_000], ids=["header-read", "body-read"])
+    def test_latin1_body_through_a_named_pipe(self, tmp_path, rows):
+        """A pipe's bytes are decoded when its copy is read, with the file's error."""
+        data = b"x1,x2\n" + b"0.5,1\n" * rows + "caf\xe9,2\n".encode("latin-1")
+        path = tmp_path / "pool.csv"
+        path.write_bytes(data)
+        pipe = tmp_path / "pool.pipe"
+        os.mkfifo(pipe)
+        got = _through_pipe(pipe, data, lambda: read_unlabeled_csv(str(pipe)))
+        kind, message = _outcome(lambda: read_unlabeled_csv(str(path)))
+        assert kind is CsvFormatError and UNDECODABLE in message
+        assert got == (kind, message.replace(str(path), str(pipe)))
+
 
 def _split_outcomes(path, check=lambda path, header: None, workers=(1, 2, 3)):
     """``_read_csv`` outcomes for each worker count, with every file big enough to split."""
@@ -617,11 +640,8 @@ class TestSplitReader:
         _write(regular, text)
         pipe = tmp_path / "pool.pipe"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
-        writer.start()
         monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
-        got = read_unlabeled_csv(str(pipe), workers=2).xs
-        writer.join(timeout=10)
+        got = _through_pipe(pipe, text, lambda: read_unlabeled_csv(str(pipe), workers=2).xs)
         _assert_same(got, read_unlabeled_csv(str(regular), workers=2).xs)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -631,11 +651,9 @@ class TestSplitReader:
         os.mkfifo(pipe)
 
         def read(workers):
-            writer = threading.Thread(target=_write, args=(pipe, text), daemon=True)
-            writer.start()
-            got = read_unlabeled_csv(str(pipe), workers=workers).xs
-            writer.join(timeout=10)
-            return got
+            return _through_pipe(
+                pipe, text, lambda: read_unlabeled_csv(str(pipe), workers=workers).xs
+            )
 
         expected = read(1)
         sources, parts = [], []

@@ -1,6 +1,7 @@
 """Tests for rectified M-estimation: losses, solver, sandwich, CSV ingestion."""
 
 import dataclasses
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -19,6 +20,7 @@ from ftppi.core import (
     SingularHessianError,
     UnlabeledDataset,
 )
+from ftppi import m_estim
 from ftppi.m_estim import (
     _BLOCK_ROWS,
     LossModel,
@@ -449,6 +451,36 @@ class TestChoiceKernels:
             with pytest.raises(DomainError, match=r"^mnl: labels must be integers in \[0, 2\]$"):
                 model.batch_score(xs, np.array(bad), np.zeros(1))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_bad_block_is_reported_and_no_thread_is_left(self, monkeypatch, workers):
+        """Bad labels in blocks 1 and 3 of 5: block 1's error is the one raised,
+        as the serial loop raises it, and every thread is joined."""
+        model, theta = mnl_loss(2, 1, workers), np.array([0.3])
+        xs = np.random.default_rng(8).standard_normal((4 * _BLOCK_ROWS + 5, 2))
+        ys = np.ones(xs.shape[0])
+        ys[_BLOCK_ROWS + 7], ys[3 * _BLOCK_ROWS + 1] = 7.0, -1.0
+        raised, label_indices = {}, m_estim._label_indices
+
+        def spy(labels, d, what, base):
+            try:
+                return label_indices(labels, d, what, base)
+            except DomainError as exc:
+                raised[7.0 if (labels == 7.0).any() else -1.0] = exc
+                raise
+
+        monkeypatch.setattr(m_estim, "_label_indices", spy)
+        before = threading.active_count()
+        for feats in (xs, model.rows(xs, theta)):
+            assert threading.active_count() == before
+            for kernel in (model.batch_loss_mean, model.batch_score):
+                raised.clear()
+                with pytest.raises(DomainError) as info:
+                    kernel(feats, ys, theta)
+                assert info.value is raised[7.0]
+                assert threading.active_count() == before
+            model.batch_hessian_mean(feats, ys, theta)  # reads no labels
+            assert threading.active_count() == before
+
     @pytest.mark.parametrize("bad", [3.0, -1.0, 0.5])
     def test_a_bad_label_in_the_last_block_is_caught(self, bad):
         """Labels are checked block by block, on raw features and on rows alike."""
@@ -527,9 +559,17 @@ class TestChoiceKernelsBitForBit:
 
     @pytest.mark.parametrize("K", range(1, 13))
     def test_matches_rowwise_kernels(self, K):
+        self._check(K, workers=1)
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_threads_match_rowwise_kernels(self, workers, K):
+        self._check(K, workers)
+
+    def _check(self, K, workers):
         rng = np.random.default_rng(K)
         for d in range(1, 7):
-            model = mnl_loss(K, d)
+            model = mnl_loss(K, d, workers)
             for n in self.SIZES:
                 xs, ys, theta = self._batch(rng, n, K, d)
                 rows = model.rows(xs, theta)
@@ -868,6 +908,16 @@ class TestPeakMemory:
         score = self.M * self.D * 8
         assert point > 2 * self.BLOCK  # so a second point cannot hide in the allowance
         assert _traced_peak(solve_ppi_m_estimator, *instance) < point + score + 2 * self.BLOCK
+
+    def test_two_threads_add_one_block(self, instance):
+        """A second worker holds its own block's temporaries, one block more."""
+        _, *data = instance
+        point = (self.N + self.M) * (self.K + 1) * 8
+        score = self.M * self.D * 8
+        threaded = mnl_loss(self.K, self.D, workers=2)
+        assert _traced_peak(solve_ppi_m_estimator, threaded, *data) < (
+            point + score + 3 * self.BLOCK
+        )
 
     def test_sandwich_builds_no_pool_probabilities(self, instance):
         theta = solve_ppi_m_estimator(*instance)
