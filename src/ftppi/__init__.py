@@ -21,11 +21,8 @@ _EXPORTS = {
     "allocate": (
         "AllocationResult",
         "FeasibilityInput",
-        "SensitivityReport",
         "allocation_objective",
-        "allocation_sensitivity",
         "check_feasibility",
-        "discriminant_peak",
         "foc_residual",
         "solve_optimal_allocation",
         "variance_discriminant",
@@ -71,14 +68,12 @@ _EXPORTS = {
     "ppi_mean": (
         "MeanEstimateReport",
         "Method",
-        "R2Criterion",
         "VarianceParts",
         "ft_only_report",
         "normal_quantile",
         "ppi_mean_ci",
         "ppi_mean_estimate",
         "ppi_mean_variance_hat",
-        "r2_criterion",
         "sample_mean_estimate",
     ),
     "rampup": (
@@ -89,14 +84,12 @@ _EXPORTS = {
         "run_rampup",
     ),
     "scaling": (
-        "LogLogDiagnostic",
         "ScalingFit",
         "ScalingLaw",
         "ScalingObservation",
         "eval_variance",
         "fit_report_dict",
         "fit_scaling_law",
-        "log_log_diagnostic",
         "read_observations_csv",
     ),
     "simulate": (

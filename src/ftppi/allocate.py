@@ -195,12 +195,6 @@ def variance_discriminant(inp: FeasibilityInput, s: float) -> float:
     return inp.sigma_sq * (inp.n - s) - inp.n * (law.a * s ** (-law.alpha) + law.b)
 
 
-def discriminant_peak(inp: FeasibilityInput) -> float:
-    """Unconstrained maximizer of the variance advantage, (a*alpha*n/sigma_sq)^(1/(alpha+1))."""
-    law = inp.law
-    return float((law.a * law.alpha * inp.n / inp.sigma_sq) ** (1.0 / (law.alpha + 1.0)))
-
-
 def check_feasibility(inp: FeasibilityInput) -> tuple[bool, float]:
     """Noise-floor feasibility: can any split beat the plain sample mean?
 
@@ -212,70 +206,3 @@ def check_feasibility(inp: FeasibilityInput) -> tuple[bool, float]:
         law.a * law.alpha * float(inp.n) ** (-law.alpha) / inp.sigma_sq
     ) ** (1.0 / (law.alpha + 1.0))
     return bool(law.b / inp.sigma_sq < threshold), float(threshold)
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Directional response of the optimum to small parameter changes.
-
-    Signs are +1 / -1 / 0 for the change in s_star under a relative bump
-    of each input.  ``ds_dn_closed_form`` is the implicit-function
-    derivative  a*alpha / ((a + b*s^alpha) * (alpha+1));
-    ``fraction_derivative`` is d(s*/n)/dn, and ``fraction_derivative_bound``
-    is the envelope  (alpha/(alpha+1)) * (b/a) * n^(alpha-1), valid for
-    alpha < 1 (None otherwise).
-    """
-
-    sign_a: int
-    sign_b: int
-    sign_n: int
-    ds_dn_closed_form: float
-    fraction_derivative: float
-    fraction_derivative_bound: float | None
-    relative_step: float
-
-
-def allocation_sensitivity(
-    law: ScalingLaw, n: int, relative_step: float = 1e-4
-) -> SensitivityReport:
-    """Probe how the optimal split moves when a, b, or n are perturbed."""
-    n = check_int(n, "n", 2)
-    if not 0 < relative_step < 0.1:
-        raise ParameterError(f"relative_step must be in (0, 0.1), got {relative_step}")
-    base = _solve_root(law, float(n))
-    # Differences below 100 times the bisection's resolution at the root,
-    # ``_solve_root``'s stopping width, are reported as "no change".
-    zero_tol = 100.0 * BRACKET_TOL * min(n, 100.0 * base)
-
-    def sign_of(delta: float) -> int:
-        if delta > zero_tol:
-            return 1
-        if delta < -zero_tol:
-            return -1
-        return 0
-
-    s_a = _solve_root(ScalingLaw(law.a * (1 + relative_step), law.alpha, law.b), float(n))
-    s_b = (
-        _solve_root(ScalingLaw(law.a, law.alpha, law.b * (1 + relative_step)), float(n))
-        if law.b > 0
-        else base
-    )
-    s_n = _solve_root(law, float(n) * (1 + relative_step))
-
-    a, alpha, b = law.a, law.alpha, law.b
-    ds_dn = a * alpha / ((a + b * base**alpha) * (alpha + 1.0))
-    frac_deriv = (ds_dn - base / n) / n
-    bound = (
-        (alpha / (alpha + 1.0)) * (b / a) * float(n) ** (alpha - 1.0)
-        if alpha < 1.0
-        else None
-    )
-    return SensitivityReport(
-        sign_a=sign_of(s_a - base),
-        sign_b=sign_of(s_b - base),
-        sign_n=sign_of(s_n - base),
-        ds_dn_closed_form=float(ds_dn),
-        fraction_derivative=float(frac_deriv),
-        fraction_derivative_bound=bound,
-        relative_step=relative_step,
-    )

@@ -38,7 +38,6 @@ from .core import (
     read_unlabeled_csv,
 )
 from .m_estim import (
-    _BLOCK_ROWS,
     builtin_loss,
     m_estimate_ci,
     read_choice_labeled_csv,
@@ -277,8 +276,8 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
             raise ParameterError(
                 f"--dim {args.dim} contradicts the files ({d1} features per option)"
             )
-        blocks = -(-max(labeled.n, pool.m) // _BLOCK_ROWS)
-        workers = _resolve_workers(args.threads, blocks)
+        # each kernel call runs on no more threads than it has blocks
+        workers = _resolve_workers(args.threads, max(labeled.n, pool.m))
         loss = builtin_loss("mnl", n_options=k1, dim=d1, workers=workers)
     else:
         labeled = read_labeled_csv(args.labeled, workers=args.threads)

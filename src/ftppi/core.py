@@ -326,16 +326,18 @@ class Predictor:
 # for the multinomial-choice blocks
 # ---------------------------------------------------------------------------
 
-#: Forked workers need Linux: ``os.fork``, ``os.sched_getaffinity``, ``os.memfd_create``.
+#: Forked workers need Linux: ``os.fork`` and ``os.memfd_create``.
 #: A CSV body, and each memfd part of one, is parsed through ``/proc/self/fd``.
 _CAN_FORK = sys.platform.startswith("linux") and os.path.isdir("/proc/self/fd")
 
 
 def _resolve_workers(workers: int, items: int) -> int:
     """Workers, processes or threads, for ``items`` units of work: ``workers``,
-    or every usable CPU for 0, capped at the usable CPUs and at ``items``."""
+    or every usable CPU for 0, capped at the usable CPUs and at ``items``.
+    The usable CPUs are this process's affinity set where the platform
+    has one, else all of them."""
     workers = check_int(workers, "workers", 0)
-    cpus = len(os.sched_getaffinity(0)) if _CAN_FORK else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(workers or cpus, cpus, items))
 
 

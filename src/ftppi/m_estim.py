@@ -69,6 +69,9 @@ from .ppi_mean import normal_quantile
 CONDITION_LIMIT = 1e12
 #: Convergence threshold on the max-norm of the rectified score.
 SCORE_TOL = 1e-10
+#: A trial step is halved only while its objective exceeds the base point's
+#: by more than this many machine epsilons of the three means it sums.
+ROUNDING_SLACK = 8 * float(np.finfo(np.float64).eps)
 MAX_ITERATIONS = 200
 #: Rows per block of the multinomial-choice kernels.
 _BLOCK_ROWS = 8192
@@ -427,10 +430,14 @@ def _check_condition(h: np.ndarray, what: str) -> None:
 
 
 class _Point(NamedTuple):
-    """The rectified objective, mean score and mean Hessian at ``theta``."""
+    """The rectified objective, mean score and mean Hessian at ``theta``.
+
+    ``objective`` gives the value and the rounding slack of the three
+    means it sums: ``ROUNDING_SLACK`` times the sum of their magnitudes.
+    """
 
     theta: np.ndarray
-    objective: Callable[[], float]
+    objective: Callable[[], tuple[float, float]]
     score: Callable[[], np.ndarray]
     hessian: Callable[[], np.ndarray]
 
@@ -456,18 +463,25 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
     def at(theta: np.ndarray) -> _Point:
         shared = functools.cache(lambda: (loss.rows(xl, theta), loss.rows(xu, theta)))
 
+        def means(mean_over):
+            rl, ru = shared()
+            return mean_over(rl, yl, theta), mean_over(rl, fl, theta), mean_over(ru, fu, theta)
+
         def rectified(mean_over):
             def piece():
-                rl, ru = shared()
-                return (
-                    mean_over(rl, yl, theta) - mean_over(rl, fl, theta) + mean_over(ru, fu, theta)
-                )
+                on_y, on_fl, on_fu = means(mean_over)
+                return on_y - on_fl + on_fu
 
             return piece
 
+        def objective():
+            on_y, on_fl, on_fu = means(loss.batch_loss_mean)
+            slack = ROUNDING_SLACK * (abs(on_y) + abs(on_fl) + abs(on_fu))
+            return on_y - on_fl + on_fu, slack
+
         return _Point(
             theta,
-            rectified(loss.batch_loss_mean),
+            objective,
             rectified(mean_score),
             rectified(loss.batch_hessian_mean),
         )
@@ -485,10 +499,14 @@ def solve_ppi_m_estimator(
 
     Newton steps with objective-based step halving; if the rectified
     Hessian is numerically singular the step falls back to plain gradient
-    descent.  The objective is evaluated once per point: an accepted
-    step's value is the next iteration's baseline.  Convergence means the
-    rectified score's max-norm drops below 1e-10; running out of
-    iterations raises ConvergenceError with the last iterate attached.
+    descent.  A step is halved only while the objective rises by more than
+    the base point's rounding slack: near the optimum a full step changes
+    the objective by less than its rounding, and rejecting it on that
+    noise would stall the solver.  The objective is evaluated once per
+    point: an accepted step's value and slack are the next iteration's
+    baseline.  Convergence means the rectified score's max-norm drops
+    below 1e-10; running out of iterations raises ConvergenceError with
+    the last iterate attached.
     """
     theta = np.zeros(loss.dim)
     at = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
@@ -497,7 +515,7 @@ def solve_ppi_m_estimator(
     # the next point builds its own, so one point's is alive at a time.
     point = at(theta)
     g = point.score()
-    base = point.objective()
+    base, slack = point.objective()
     for _ in range(MAX_ITERATIONS):
         norm = float(np.max(np.abs(g)))
         if norm < SCORE_TOL:
@@ -511,24 +529,25 @@ def solve_ppi_m_estimator(
         step = 1.0
         halvings = 0
         point = at(theta + step * direction)
-        value = point.objective()
-        while value > base and halvings < 60:
+        value, value_slack = point.objective()
+        while value > base + slack and halvings < 60:
             step *= 0.5
             halvings += 1
             point = at(theta + step * direction)
-            value = point.objective()
+            value, value_slack = point.objective()
         if halvings >= 60:
             raise ConvergenceError(
                 "step halving stalled before the score converged",
                 last_iterate=theta,
                 score_norm=norm,
             )
-        theta, base = point.theta, value
+        theta, base, slack = point.theta, value, value_slack
         g = point.score()
 
     raise ConvergenceError(
         f"no convergence in {MAX_ITERATIONS} iterations "
-        f"(score max-norm {float(np.max(np.abs(g))):.3e})",
+        f"(score max-norm {float(np.max(np.abs(g))):.3e}; "
+        f"the last step took {halvings} halvings)",
         last_iterate=theta,
         score_norm=float(np.max(np.abs(g))),
     )

@@ -24,10 +24,8 @@ import numpy as np
 from .core import (
     InsufficientDataError,
     LabeledDataset,
-    ParameterError,
     Predictor,
     UnlabeledDataset,
-    check_int,
     check_probability,
 )
 
@@ -57,19 +55,6 @@ class MeanEstimateReport:
     m: int
     method: Method
     notes: str = ""
-
-
-@dataclass(frozen=True)
-class R2Criterion:
-    """Is fine-tuning plus rectification worth it at this split?
-
-    ``gain = r2_s - fraction`` is positive exactly when the surrogate
-    route beats the plain sample mean (unlimited unlabeled pool).
-    """
-
-    r2_s: float
-    fraction: float
-    gain: float
 
 
 class VarianceParts(NamedTuple):
@@ -170,25 +155,6 @@ def ppi_mean_ci(
         method,
         _small_sample_note(labeled_ppi.n, unlabeled.m),
     )
-
-
-def r2_criterion(sigma_resid_sq: float, var_y: float, s: int, n: int) -> R2Criterion:
-    """Compare explained residual variance against the labeled share spent.
-
-    r2_s = 1 - sigma_resid_sq/var_y.  With an unlimited unlabeled pool the
-    surrogate route beats the sample mean iff r2_s exceeds s/n.
-    """
-    if not np.isfinite(var_y) or var_y <= 0:
-        raise ParameterError(f"var_y must be finite and > 0, got {var_y}")
-    if not np.isfinite(sigma_resid_sq) or sigma_resid_sq < 0:
-        raise ParameterError(f"sigma_resid_sq must be >= 0, got {sigma_resid_sq}")
-    n = check_int(n, "n", 2)
-    s = check_int(s, "s", 1)
-    if s >= n:
-        raise ParameterError(f"s must be < n = {n}, got {s}")
-    r2_s = 1.0 - sigma_resid_sq / var_y
-    fraction = s / n
-    return R2Criterion(r2_s=float(r2_s), fraction=float(fraction), gain=float(r2_s - fraction))
 
 
 def _column_report(

@@ -87,18 +87,6 @@ class ScalingFit:
     boundary: bool
 
 
-@dataclass(frozen=True)
-class LogLogDiagnostic:
-    """Points (log s, log(variance - b)) for a straight-line check.
-
-    Observations with variance <= b cannot be placed on the log-log plot;
-    they are dropped and counted instead of silently vanishing.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    dropped: int
-
-
 def eval_variance(law: ScalingLaw, s: int) -> float:
     """Evaluate the law at an integer fine-tuning size s >= 1."""
     try:
@@ -210,24 +198,6 @@ def fit_scaling_law(observations) -> ScalingFit:
         degenerate=False,
         boundary=min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) < _EDGE_TOL,
     )
-
-
-def log_log_diagnostic(fit: ScalingFit, observations) -> LogLogDiagnostic:
-    """Transform observations to (log s, log(variance - b)) coordinates.
-
-    Under the fitted law these points lie on a straight line with slope
-    ``-alpha``.  Points at or below the noise floor are dropped and counted.
-    """
-    obs = list(observations)
-    b = fit.law.b
-    points: list[tuple[float, float]] = []
-    dropped = 0
-    for o in obs:
-        if o.variance > b:
-            points.append((float(np.log(o.s)), float(np.log(o.variance - b))))
-        else:
-            dropped += 1
-    return LogLogDiagnostic(points=tuple(points), dropped=dropped)
 
 
 def fit_report_dict(fit: ScalingFit) -> dict:

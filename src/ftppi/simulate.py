@@ -353,10 +353,13 @@ def _replicates(fn, items: Sequence, workers: int) -> np.ndarray:
     ``core._forked_rows`` computes the first chunk here and the others in
     forked children, joining the rows in item order, so the result is
     byte-identical to the serial one.  The earliest chunk's error is
-    raised, as the serial loop would have raised it.
+    raised, as the serial loop would have raised it.  Where nothing can
+    fork (off Linux) every item runs here.
     """
     items = list(items)
     workers = _resolve_workers(workers, len(items))
+    if not _CAN_FORK:
+        workers = 1
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     return _forked_rows(
         [functools.partial(_rows, fn, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]

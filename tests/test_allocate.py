@@ -1,7 +1,5 @@
 """Tests for the labeled-budget split solver and feasibility checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +10,7 @@ from ftppi.allocate import (
     AllocationResult,
     FeasibilityInput,
     allocation_objective,
-    allocation_sensitivity,
     check_feasibility,
-    discriminant_peak,
     foc_residual,
     solve_optimal_allocation,
     variance_discriminant,
@@ -232,25 +228,14 @@ class TestFeasibility:
             sigma_sq = float(rng.uniform(0.05, 10))
             inp = FeasibilityInput(law=law, n=n, sigma_sq=sigma_sq)
             feasible, _ = check_feasibility(inp)
-            peak = discriminant_peak(inp)
+            # the unconstrained maximizer of the variance advantage
+            peak = (law.a * law.alpha * n / sigma_sq) ** (1.0 / (law.alpha + 1.0))
             if peak >= n:
                 # advantage is still rising at the right edge, where it is
                 # already negative; no split can work
                 assert feasible is False
             else:
                 assert feasible == (variance_discriminant(inp, peak) > 0)
-
-    def test_peak_is_a_local_max(self):
-        inp = FeasibilityInput(law=ScalingLaw(2.0, 0.8, 0.1), n=5000, sigma_sq=1.5)
-        peak = discriminant_peak(inp)
-        assert 0 < peak < inp.n
-        q0 = variance_discriminant(inp, peak)
-        for delta in (0.9, 1.1):
-            assert variance_discriminant(inp, peak * delta) <= q0
-
-    def test_peak_closed_form(self):
-        inp = FeasibilityInput(law=ScalingLaw(3.0, 1.0, 0.0), n=1200, sigma_sq=2.0)
-        assert discriminant_peak(inp) == pytest.approx(math.sqrt(3.0 * 1200 / 2.0))
 
     def test_input_validation(self):
         law = ScalingLaw(1.0, 1.0, 0.0)
@@ -264,57 +249,6 @@ class TestFeasibility:
             variance_discriminant(
                 FeasibilityInput(law=law, n=100, sigma_sq=1.0), 100.0
             )
-
-
-class TestSensitivity:
-    def test_signs(self):
-        rep = allocation_sensitivity(ScalingLaw(2.0, 0.6, 0.4), 5000)
-        assert rep.sign_a == 1
-        assert rep.sign_b == -1
-        assert rep.sign_n == 1
-
-    def test_signs_of_a_root_far_below_n(self):
-        # the root sits near 1.39 for n = 10^6 and moves by about 2.3e-6 under
-        # each bump: far beyond the bisection's resolution there, though far
-        # below any tolerance that scales with n
-        rep = allocation_sensitivity(ScalingLaw(1.0, 60.0, 0.1), 10**6)
-        assert (rep.sign_a, rep.sign_b, rep.sign_n) == (1, -1, 1)
-
-    def test_zero_floor_bump_is_noop(self):
-        rep = allocation_sensitivity(ScalingLaw(2.0, 0.6, 0.0), 5000)
-        assert rep.sign_b == 0
-
-    def test_closed_form_matches_finite_difference(self):
-        law = ScalingLaw(4.0, 0.45, 0.7)
-        n, dn = 20000, 20
-        rep = allocation_sensitivity(law, n)
-        lo = solve_optimal_allocation(law, n - dn).s_star_real
-        hi = solve_optimal_allocation(law, n + dn).s_star_real
-        assert rep.ds_dn_closed_form == pytest.approx((hi - lo) / (2 * dn), rel=1e-4)
-
-    def test_fraction_derivative_and_bound(self):
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            law = ScalingLaw(
-                float(rng.uniform(0.05, 50)),
-                float(rng.uniform(0.02, 0.99)),
-                float(rng.uniform(1e-4, 20)),
-            )
-            n = int(rng.integers(10, 200000))
-            rep = allocation_sensitivity(law, n)
-            assert rep.fraction_derivative <= 1e-15
-            assert rep.fraction_derivative_bound is not None
-            assert abs(rep.fraction_derivative) <= rep.fraction_derivative_bound * (
-                1 + 1e-9
-            )
-
-    def test_bound_absent_for_steep_laws(self):
-        rep = allocation_sensitivity(ScalingLaw(1.0, 1.3, 0.5), 1000)
-        assert rep.fraction_derivative_bound is None
-
-    def test_step_validation(self):
-        with pytest.raises(ParameterError):
-            allocation_sensitivity(ScalingLaw(1.0, 1.0, 0.0), 100, relative_step=0.5)
 
 
 class TestResultShape:

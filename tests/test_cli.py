@@ -1055,7 +1055,6 @@ class TestGlobalOptions:
         # each of the four files in parts for --threads 2, and again for 0
         assert len(joined) == 8 and joined[:4] == [2] * 4 and min(joined) >= 2
 
-    @pytest.mark.skipif(not core._CAN_FORK, reason="counts CPUs with os.sched_getaffinity")
     def test_threads_set_the_mnl_kernel_threads(self, capsys, tmp_path, monkeypatch):
         """A pool of three row blocks: the same bytes on one thread and on two."""
         rng = np.random.default_rng(6)
@@ -1089,7 +1088,7 @@ class TestGlobalOptions:
             return out
 
         monkeypatch.setattr(m_estim, "_threaded_blocks", spy)
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         outputs = []
         for threads in ("1", "2", "0"):
             ran.append(0)
@@ -1098,6 +1097,11 @@ class TestGlobalOptions:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
         assert ran == [1, 2, 2]  # most threads one kernel call ran on
+
+    def test_mnl_kernel_threads_need_no_fork(self, capsys, tmp_path, monkeypatch):
+        """Where nothing forks, --threads still sets the kernel threads."""
+        monkeypatch.setattr(core, "_CAN_FORK", False)
+        self.test_threads_set_the_mnl_kernel_threads(capsys, tmp_path, monkeypatch)
 
     def test_bad_env_threads_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("FTPPI_THREADS", "many")

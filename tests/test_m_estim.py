@@ -723,9 +723,9 @@ def _reference_solve(loss, labeled, unlabeled, f):
             direction = -g
         else:
             direction = np.linalg.solve(H, -g)
-        base = at(theta).objective()
+        base, slack = at(theta).objective()
         step = 1.0
-        while at(theta + step * direction).objective() > base:
+        while at(theta + step * direction).objective()[0] > base + slack:
             step *= 0.5
         theta = theta + step * direction
         g = at(theta).score()
@@ -819,6 +819,7 @@ class TestSolverEdges:
             solve_ppi_m_estimator(broken, labeled, unlabeled, f)
         assert exc.value.last_iterate is not None
         assert exc.value.score_norm == pytest.approx(1.0)
+        assert str(exc.value).endswith("the last step took 0 halvings)")
 
     def test_step_halving_stall_raises(self):
         # an enormous uphill score makes even the 60th halved step overshoot,
@@ -838,6 +839,32 @@ class TestSolverEdges:
         labeled, unlabeled, f = mean_instance(rng)
         with pytest.raises(ConvergenceError, match="halving"):
             solve_ppi_m_estimator(perverse, labeled, unlabeled, f)
+
+    def test_a_step_within_rounding_of_the_optimum_is_taken(self):
+        """A well-conditioned choice fit whose last Newton step moves the
+        objective by less than its rounding.  A solver that halves the step
+        whenever the objective rises at all stalls here at a score max-norm
+        of 2.5e-10 and runs out of iterations."""
+        K, d, theta = 3, 2, np.array([1.0, -0.5])
+        rng = np.random.default_rng(31)
+
+        def choices(x, scale):
+            u = scale * x.reshape(-1, K, d) @ theta
+            u = np.concatenate([np.zeros((len(x), 1)), u], axis=1)  # the outside option
+            return np.argmax(u + rng.gumbel(size=u.shape), axis=1).astype(float)
+
+        def surrogate(x, y):
+            """The true choice with probability 0.6, else its own sharper choice."""
+            return np.where(rng.random(len(x)) < 0.6, y, choices(x, 1.5))
+
+        xl, xu = rng.standard_normal((60, K * d)), rng.standard_normal((300, K * d))
+        yl, yu = choices(xl, 1.0), choices(xu, 1.0)
+        labeled, pool = LabeledDataset(xl, yl), UnlabeledDataset(xu)
+        f = Predictor.precomputed([(labeled, surrogate(xl, yl)), (pool, surrogate(xu, yu))])
+        loss = mnl_loss(K, d)
+        fitted = solve_ppi_m_estimator(loss, labeled, pool, f)
+        score = _rectified_pieces(loss, labeled, pool, f)(fitted).score()
+        assert np.max(np.abs(score)) < m_estim.SCORE_TOL
 
 
 class TestSandwichPieces:

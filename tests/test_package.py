@@ -20,7 +20,7 @@ import ftppi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUBMODULES = ("allocate", "core", "m_estim", "ppi_mean", "rampup", "scaling", "simulate")
 
-# The 87 names of the package's ``__all__`` when it re-exported them eagerly.
+# The 80 names of the package's ``__all__``.
 PUBLIC_NAMES = {
     "__version__",
     "DEFAULT_SEED",
@@ -46,25 +46,19 @@ PUBLIC_NAMES = {
     "ScalingLaw",
     "ScalingObservation",
     "ScalingFit",
-    "LogLogDiagnostic",
     "eval_variance",
     "fit_scaling_law",
-    "log_log_diagnostic",
     "fit_report_dict",
     "read_observations_csv",
     "AllocationResult",
     "FeasibilityInput",
-    "SensitivityReport",
     "foc_residual",
     "allocation_objective",
     "solve_optimal_allocation",
     "variance_discriminant",
-    "discriminant_peak",
     "check_feasibility",
-    "allocation_sensitivity",
     "Method",
     "MeanEstimateReport",
-    "R2Criterion",
     "VarianceParts",
     "normal_quantile",
     "ppi_mean_estimate",
@@ -72,7 +66,6 @@ PUBLIC_NAMES = {
     "ppi_mean_ci",
     "sample_mean_estimate",
     "ft_only_report",
-    "r2_criterion",
     "LossModel",
     "SandwichCovariance",
     "MEstimateReport",

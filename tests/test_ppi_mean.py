@@ -8,7 +8,6 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftppi.allocate import FeasibilityInput, variance_discriminant
 from ftppi.core import (
     InsufficientDataError,
     LabeledDataset,
@@ -23,10 +22,8 @@ from ftppi.ppi_mean import (
     ppi_mean_ci,
     ppi_mean_estimate,
     ppi_mean_variance_hat,
-    r2_criterion,
     sample_mean_estimate,
 )
-from ftppi.scaling import ScalingLaw, eval_variance
 
 
 def linear_predictor(slope: float = 1.0, intercept: float = 0.0, s: int = 1) -> Predictor:
@@ -221,45 +218,6 @@ class TestPpiMeanCi:
         coverage = hits / reps
         # 0.90 nominal; 3 binomial SEs is about 0.023 at 1500 reps
         assert 0.86 <= coverage <= 0.94
-
-
-class TestR2Criterion:
-    def test_hand_values(self):
-        crit = r2_criterion(1.0, 4.0, 100, 1000)
-        assert crit.r2_s == pytest.approx(0.75)
-        assert crit.fraction == pytest.approx(0.1)
-        assert crit.gain == pytest.approx(0.65)
-
-    def test_agrees_with_variance_discriminant(self):
-        # gain * var_y * n equals the variance-advantage discriminant
-        rng = np.random.default_rng(400)
-        for _ in range(200):
-            law = ScalingLaw(
-                float(rng.uniform(0.05, 10)),
-                float(rng.uniform(0.05, 2.0)),
-                float(rng.uniform(0.0, 2.0)),
-            )
-            n = int(rng.integers(10, 5000))
-            s = int(rng.integers(1, n))
-            var_y = float(rng.uniform(0.5, 12))
-            v_s = eval_variance(law, s)
-            crit = r2_criterion(v_s, var_y, s, n)
-            q = variance_discriminant(
-                FeasibilityInput(law=law, n=n, sigma_sq=var_y), float(s)
-            )
-            assert crit.gain * var_y * n == pytest.approx(q, rel=1e-9, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            r2_criterion(1.0, 0.0, 1, 10)
-        with pytest.raises(ParameterError):
-            r2_criterion(-0.5, 1.0, 1, 10)
-        with pytest.raises(ParameterError):
-            r2_criterion(1.0, 1.0, 0, 10)
-        with pytest.raises(ParameterError):
-            r2_criterion(1.0, 1.0, 10, 10)
-        with pytest.raises(ParameterError):
-            r2_criterion(1.0, 1.0, 2.5, 10)
 
 
 class TestBaselines:

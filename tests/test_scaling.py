@@ -13,14 +13,12 @@ from ftppi.scaling import (
     A_FLOOR,
     ALPHA_MAX,
     ALPHA_MIN,
-    LogLogDiagnostic,
     ScalingFit,
     ScalingLaw,
     ScalingObservation,
     eval_variance,
     fit_report_dict,
     fit_scaling_law,
-    log_log_diagnostic,
     read_observations_csv,
 )
 
@@ -371,27 +369,6 @@ class TestFitEdgeCases:
         assert fit.law.a > 0.0
         assert ALPHA_MIN <= fit.law.alpha <= ALPHA_MAX
         assert fit.law.b >= 0.0
-
-
-class TestLogLogDiagnostic:
-    def test_slope_matches_alpha_when_floor_known(self):
-        law = ScalingLaw(a=5.0, alpha=0.6, b=1.2)
-        obs = observations_from_law(law)
-        fit = fit_scaling_law(obs)
-        diag = log_log_diagnostic(fit, obs)
-        pts = np.array(diag.points)
-        slope = np.polyfit(pts[:, 0], pts[:, 1], 1)[0]
-        assert slope == pytest.approx(-law.alpha, rel=1e-4)
-        assert diag.dropped == 0
-
-    def test_drops_points_at_or_below_floor(self):
-        law = ScalingLaw(a=5.0, alpha=0.6, b=1.2)
-        obs = observations_from_law(law)
-        fit = fit_scaling_law(obs)
-        with_low = obs + [ScalingObservation(99999, fit.law.b * 0.999)]
-        diag = log_log_diagnostic(fit, with_low)
-        assert diag.dropped == 1
-        assert len(diag.points) == len(with_low) - 1
 
 
 class TestFitReportDict:

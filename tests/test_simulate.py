@@ -663,7 +663,7 @@ def assert_no_child_left():
 
 class TestWorkerCount:
     def test_capped_at_usable_cpus_and_items(self):
-        cpus = len(os.sched_getaffinity(0)) if simulate._CAN_FORK else 1
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert simulate._resolve_workers(10**6, 10**6) == cpus
         assert simulate._resolve_workers(0, 10**6) == cpus
         assert simulate._resolve_workers(10**6, 3) == min(cpus, 3)
@@ -674,6 +674,15 @@ class TestWorkerCount:
     def test_invalid_counts_rejected(self, workers):
         with pytest.raises(ParameterError, match="workers"):
             simulate._resolve_workers(workers, 10)
+
+    def test_replicates_run_here_where_nothing_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(simulate, "_CAN_FORK", False)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        rows = simulate._replicates(lambda i: [i, -i], range(5), workers=2)
+        assert rows.tolist() == [[i, -i] for i in range(5)]
 
 
 @pytest.mark.skipif(not simulate._CAN_FORK, reason="forked workers need Linux")
