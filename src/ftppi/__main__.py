@@ -1,6 +1,28 @@
+"""The ``ftppi`` program: ``python -m ftppi`` and the ``ftppi`` console script.
+
+The process is set up here, before ``.cli`` and so numpy are imported:
+
+* numpy's OpenBLAS gets one thread unless the caller set
+  ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.  Its worker thread
+  would otherwise start at import and spin beside the main thread while
+  the modules load, and compete with the CLI's own ``--threads`` workers
+  and kernel threads; the BLAS products the CLI runs are d x d-sized.
+* The collector is off while the modules load: almost nothing they
+  create is garbage.  ``entry`` freezes the import heap and turns the
+  collector back on.
+
+A library ``import ftppi`` never imports this module.
+"""
+
+import gc
+import os
 import sys
 
-from .cli import entry
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+gc.disable()
+
+from .cli import entry  # noqa: E402  (must follow the set-up above)
 
 if __name__ == "__main__":
     sys.exit(entry())

@@ -1161,6 +1161,7 @@ class TestGlobalOptions:
         try:
             assert cli.entry() == 0
             assert gc.get_freeze_count() > before
+            assert gc.isenabled()
         finally:
             gc.unfreeze()
         assert capsys.readouterr().out == golden("allocate_reference.json")
@@ -1173,3 +1174,34 @@ class TestGlobalOptions:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == golden("allocate_reference.json")
+
+    @staticmethod
+    def program_setup(**blas_env) -> list[str]:
+        """``gc.isenabled()``, ``OPENBLAS_NUM_THREADS`` and whether numpy is
+        loaded, after a fresh interpreter imports ``ftppi.__main__`` (the
+        console script's module) with ``blas_env`` as its only BLAS variables;
+        on Linux also the process's thread count."""
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        code = (
+            "import gc, os, sys; import ftppi.__main__; "
+            "print(gc.isenabled(), os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules); "
+            "os.path.exists('/proc/self/status') and print(*[line.split()[1] for line in "
+            "open('/proc/self/status') if line.startswith('Threads:')])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, **blas_env})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_program_loads_numpy_with_one_blas_thread_and_the_collector_off(self):
+        # ``import ftppi`` loads no numpy (test_package), so under
+        # ``python -m ftppi`` this set-up also runs before numpy loads.
+        setup = self.program_setup()
+        assert setup[:3] == ["False", "1", "True"]
+        if sys.platform.startswith("linux"):
+            assert setup[3:] == ["1"]
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_program_keeps_the_callers_blas_threads(self, name):
+        setup = self.program_setup(**{name: "2"})
+        assert setup[:3] == ["False", "2" if name == "OPENBLAS_NUM_THREADS" else "None", "True"]
