@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import json
 import math
@@ -624,21 +623,5 @@ def main(argv=None) -> int:
     return run_guarded(run)
 
 
-def entry() -> int:
-    """The ``ftppi`` program: ``main`` on ``sys.argv`` after freezing the import heap.
-
-    ``ftppi.__main__`` turns the collector off before the modules load.
-    ``gc.freeze`` then moves every object alive at this point (the modules
-    just imported, numpy's included) out of the collector's reach, so
-    neither the collections during the run nor the one at interpreter exit
-    walk them again, and ``gc.enable`` turns the collector back on for the
-    run.  ``main`` itself leaves the collector alone, for callers in a
-    longer-lived process.
-    """
-    gc.freeze()
-    gc.enable()
-    return main()
-
-
 if __name__ == "__main__":
-    sys.exit(entry())
+    sys.exit(main())

@@ -1153,18 +1153,20 @@ class TestGlobalOptions:
         assert code == 0 and out == ""
         assert dest.read_text() == golden("allocate_reference.json")
 
-    def test_only_the_entry_function_freezes_the_heap(self, capsys, monkeypatch):
+    def test_only_the_entry_function_freezes_the_heap(self, capsys):
         before = gc.get_freeze_count()
         assert run_cli(capsys, *TestAllocate.ARGS)[0] == 0
         assert gc.get_freeze_count() == before
-        monkeypatch.setattr(sys, "argv", ["ftppi", *TestAllocate.ARGS])
-        try:
-            assert cli.entry() == 0
-            assert gc.get_freeze_count() > before
-            assert gc.isenabled()
-        finally:
-            gc.unfreeze()
-        assert capsys.readouterr().out == golden("allocate_reference.json")
+        # A fresh interpreter: importing ``ftppi.__main__`` turns the
+        # collector off, and ``entry`` must freeze the heap and turn it on.
+        code = (
+            "import gc, sys; from ftppi.__main__ import entry; code = entry(); "
+            "print(code, gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *TestAllocate.ARGS],
+                              capture_output=True, text=True)
+        assert proc.stderr.split() == ["0", "True", "True"]
+        assert proc.stdout == golden("allocate_reference.json")
 
     def test_module_entry_point(self):
         proc = subprocess.run(
