@@ -9,9 +9,10 @@ The process is set up here, before ``.cli`` and so numpy are imported:
   and kernel threads.  The CLI's BLAS products gain nothing from it: the
   widest, the OLS Hessian and the sandwich covariance over a million
   rows, took the same time on one thread as on two on a 2-vCPU machine.
-* The collector is off while the modules load: almost nothing they
-  create is garbage.  ``entry`` freezes the import heap and turns the
-  collector back on.
+* The collector is off while ``.cli``, ``.core`` and numpy load: almost
+  nothing they create is garbage.  ``entry`` freezes the import heap and
+  turns the collector back on; each command's other modules load on
+  first use, during the run.
 
 A library ``import ftppi`` never imports this module.
 """
@@ -31,11 +32,11 @@ def entry() -> int:
     """The ``ftppi`` program: ``main`` on ``sys.argv`` after freezing the import heap.
 
     ``gc.freeze`` moves every object alive at this point (the modules just
-    imported, numpy's included) out of the collector's reach, so neither
-    the collections during the run nor the one at interpreter exit walk
-    them again; ``gc.enable`` then turns the collector back on for the
-    run.  ``main`` itself leaves the collector alone, for callers in a
-    longer-lived process.
+    imported: ``.cli``, ``.core`` and numpy) out of the collector's reach,
+    so neither the collections during the run nor the one at interpreter
+    exit walk them again; ``gc.enable`` then turns the collector back on
+    for the run.  ``main`` itself leaves the collector alone, for callers
+    in a longer-lived process.
     """
     gc.freeze()
     gc.enable()

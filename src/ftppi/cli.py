@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -21,7 +22,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .allocate import AllocationResult, solve_optimal_allocation
 from .core import (
     DEFAULT_SEED,
     FtppiError,
@@ -36,32 +36,28 @@ from .core import (
     read_predictions_csv,
     read_unlabeled_csv,
 )
-from .m_estim import (
-    builtin_loss,
-    m_estimate_ci,
-    read_choice_labeled_csv,
-    read_choice_unlabeled_csv,
-    sandwich_covariance,
-    solve_ppi_m_estimator,
-)
-from .ppi_mean import (
-    MeanEstimateReport,
-    Method,
-    ft_only_report,
-    ppi_mean_ci,
-    sample_mean_estimate,
-)
-from .rampup import RampUpPlan, rampup_final_estimate, run_rampup
-from .scaling import ScalingLaw, fit_report_dict, fit_scaling_law, read_observations_csv
-from .simulate import (
-    SimTrainer,
-    bootstrap_robustness,
-    brute_force_allocation,
-    external_ft_experiment,
-    generate_world_data,
-    run_estimator_comparison,
-    scenario_from_dict,
-    world_from_dict,
+
+
+def _lazy(name: str):
+    """Submodule ``name`` of this package, in ``sys.modules`` from now on
+    but run only when one of its attributes is first read; a module already
+    imported is returned as it is.
+
+    So ``ftppi --version`` runs only this module and ``.core``.  A lazy
+    module takes no lock when it runs: each handler reads its modules on
+    the main thread before any worker thread or process starts.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+allocate, m_estim, ppi_mean, rampup, scaling, simulate = map(
+    _lazy, ("allocate", "m_estim", "ppi_mean", "rampup", "scaling", "simulate")
 )
 
 
@@ -128,7 +124,7 @@ def _write_csv_file(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow(_round_floats(list(row)))
 
 
-def _mean_report_dict(report: MeanEstimateReport) -> dict:
+def _mean_report_dict(report: ppi_mean.MeanEstimateReport) -> dict:
     return {
         "estimate": report.estimate,
         "variance_hat": report.variance_hat,
@@ -142,7 +138,7 @@ def _mean_report_dict(report: MeanEstimateReport) -> dict:
     }
 
 
-def _allocation_dict(result: AllocationResult) -> dict:
+def _allocation_dict(result: allocate.AllocationResult) -> dict:
     return {
         "s_star": result.s_star_int,
         "fraction": result.fraction,
@@ -173,16 +169,16 @@ def _load_json_file(path: str, what: str) -> dict:
 
 
 def _cmd_fit_scaling(args, seed: RngSeed) -> dict:
-    observations = read_observations_csv(args.observations, workers=args.threads)
-    fit = fit_scaling_law(observations)
-    payload = fit_report_dict(fit)
+    observations = scaling.read_observations_csv(args.observations, workers=args.threads)
+    fit = scaling.fit_scaling_law(observations)
+    payload = scaling.fit_report_dict(fit)
     payload["n_observations"] = len(observations)
     return payload
 
 
 def _cmd_allocate(args, seed: RngSeed) -> dict:
-    law = ScalingLaw(a=args.a, alpha=args.alpha, b=args.b)
-    result = solve_optimal_allocation(law, args.n, sigma_sq=args.sigma_sq)
+    law = scaling.ScalingLaw(a=args.a, alpha=args.alpha, b=args.b)
+    result = allocate.solve_optimal_allocation(law, args.n, sigma_sq=args.sigma_sq)
     return _allocation_dict(result)
 
 
@@ -196,21 +192,6 @@ def _predictions(
     return preds
 
 
-def _pool_from_predictions(
-    path_features: str | None, preds: np.ndarray, workers: int
-) -> UnlabeledDataset:
-    """A stand-in pool: its features are never consulted when predictions
-    are precomputed, so a feature file is optional and only its row count
-    is checked."""
-    if path_features is not None:
-        m = read_unlabeled_csv(path_features, workers=workers).m
-        if m != preds.shape[0]:
-            raise ParameterError(
-                f"unlabeled features have {m} rows but predictions have {preds.shape[0]}"
-            )
-    return UnlabeledDataset._adopt(np.zeros((preds.shape[0], 1)))
-
-
 #: The estimate-mean options each method does not read, and so rejects.
 _UNUSED_BY_METHOD = {
     "sample-mean": ("unlabeled", "pred_labeled", "pred_unlabeled"),
@@ -219,24 +200,18 @@ _UNUSED_BY_METHOD = {
 
 
 def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
-    method = {
-        "ft-ppi": Method.FT_PPI,
-        "ppi-only": Method.PPI_ONLY,
-        "sample-mean": Method.SAMPLE_MEAN,
-        "ft-only": Method.FT_ONLY,
-    }[args.method]
     for name in _UNUSED_BY_METHOD.get(args.method, ()):
         if getattr(args, name) is not None:
             option = "--" + name.replace("_", "-")
             raise ParameterError(f"{option} does not apply to method {args.method}")
 
-    if method is Method.SAMPLE_MEAN:
+    if args.method == "sample-mean":
         if args.labeled is None:
             raise ParameterError("--labeled is required for method sample-mean")
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
-        return _mean_report_dict(sample_mean_estimate(labeled, args.delta))
+        return _mean_report_dict(ppi_mean.sample_mean_estimate(labeled, args.delta))
 
-    if method is Method.FT_ONLY:
+    if args.method == "ft-only":
         if args.pred_unlabeled is None:
             raise ParameterError("--pred-unlabeled is required for method ft-only")
         pairs = []
@@ -247,12 +222,22 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
     else:
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
         pairs = [(labeled, _predictions(args.pred_labeled, args.threads, "labeled", labeled.n))]
+    # The pool's feature file is optional and only its row count is checked,
+    # taken before the predictions are read so the two never share memory.
+    if args.unlabeled is not None:
+        m = read_unlabeled_csv(args.unlabeled, workers=args.threads).m
     preds_pool = _predictions(args.pred_unlabeled, args.threads)
-    pool = _pool_from_predictions(args.unlabeled, preds_pool, args.threads)
+    if args.unlabeled is not None and m != preds_pool.shape[0]:
+        raise ParameterError(
+            f"unlabeled features have {m} rows but predictions have {preds_pool.shape[0]}"
+        )
+    # a stand-in pool: its features are never consulted when predictions are precomputed
+    pool = UnlabeledDataset._adopt(np.zeros((preds_pool.shape[0], 1)))
     f = Predictor._adopt(pairs + [(pool, preds_pool)], label="cli")
-    if method is Method.FT_ONLY:
-        return _mean_report_dict(ft_only_report(pool, f, args.delta))
-    return _mean_report_dict(ppi_mean_ci(labeled, pool, f, args.delta, method=method))
+    if args.method == "ft-only":
+        return _mean_report_dict(ppi_mean.ft_only_report(pool, f, args.delta))
+    method = ppi_mean.Method[args.method.upper().replace("-", "_")]  # ft-ppi -> FT_PPI
+    return _mean_report_dict(ppi_mean.ppi_mean_ci(labeled, pool, f, args.delta, method=method))
 
 
 def _cmd_estimate_m(args, seed: RngSeed) -> dict:
@@ -261,8 +246,8 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
     if args.n_options is not None and args.loss != "mnl":
         raise ParameterError(f"--n-options applies only to loss mnl, not {args.loss}")
     if args.loss == "mnl":
-        labeled, k1, d1 = read_choice_labeled_csv(args.labeled, workers=args.threads)
-        pool, k2, d2 = read_choice_unlabeled_csv(args.unlabeled, workers=args.threads)
+        labeled, k1, d1 = m_estim.read_choice_labeled_csv(args.labeled, workers=args.threads)
+        pool, k2, d2 = m_estim.read_choice_unlabeled_csv(args.unlabeled, workers=args.threads)
         if (k1, d1) != (k2, d2):
             raise ParameterError(
                 f"labeled file has {k1} options x {d1} features but unlabeled has {k2} x {d2}"
@@ -277,7 +262,7 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
             )
         # each kernel call runs on no more threads than it has blocks
         workers = _resolve_workers(args.threads, max(labeled.n, pool.m))
-        loss = builtin_loss("mnl", n_options=k1, dim=d1, workers=workers)
+        loss = m_estim.builtin_loss("mnl", n_options=k1, dim=d1, workers=workers)
     else:
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
         pool = read_unlabeled_csv(args.unlabeled, workers=args.threads)
@@ -286,24 +271,24 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
                 f"labeled features are {labeled.dim}-dimensional but unlabeled are {pool.dim}"
             )
         if args.loss == "mean":
-            loss = builtin_loss("mean")
+            loss = m_estim.builtin_loss("mean")
         elif args.loss == "categorical":
             if args.dim is None:
                 raise ParameterError("--dim (number of classes) is required for loss categorical")
-            loss = builtin_loss("categorical", dim=args.dim)
+            loss = m_estim.builtin_loss("categorical", dim=args.dim)
         else:
             if args.dim is not None and args.dim != labeled.dim:
                 raise ParameterError(
                     f"--dim {args.dim} contradicts the files ({labeled.dim} features)"
                 )
-            loss = builtin_loss("ols", dim=labeled.dim)
+            loss = m_estim.builtin_loss("ols", dim=labeled.dim)
 
     preds_lab = _predictions(args.pred_labeled, args.threads, "labeled", labeled.n)
     preds_pool = _predictions(args.pred_unlabeled, args.threads, "unlabeled", pool.m)
     f = Predictor._adopt([(labeled, preds_lab), (pool, preds_pool)], label="cli")
-    theta = solve_ppi_m_estimator(loss, labeled, pool, f)
-    cov = sandwich_covariance(loss, labeled, pool, f, theta)
-    report = m_estimate_ci(cov, theta, args.delta)
+    theta = m_estim.solve_ppi_m_estimator(loss, labeled, pool, f)
+    cov = m_estim.sandwich_covariance(loss, labeled, pool, f, theta)
+    report = m_estim.m_estimate_ci(cov, theta, args.delta)
     return {
         "loss": loss.name,
         "theta_hat": report.theta_hat,
@@ -319,17 +304,18 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
 
 
 def _allocation_curve_rows(columns, world, n, m, seed, **section) -> list:
-    result = brute_force_allocation(world, n, m, seed=seed, **section)
+    result = simulate.brute_force_allocation(world, n, m, seed=seed, **section)
     return list(zip(result.fractions, result.variances))
 
 
 def _comparison_rows(columns, world, n, m, seed, **section) -> list:
-    report = run_estimator_comparison(world, n, m, seed=seed, **section)
+    report = simulate.run_estimator_comparison(world, n, m, seed=seed, **section)
     return [[getattr(row, name) for name in columns] for row in report.rows]
 
 
 def _bootstrap_rows(columns, world, n, m, seed, n_fit, **section) -> list:
-    report = bootstrap_robustness(world, n_fit=n if n_fit is None else n_fit, seed=seed, **section)
+    n_fit = n if n_fit is None else n_fit
+    report = simulate.bootstrap_robustness(world, n_fit=n_fit, seed=seed, **section)
     rows = [[name, q.median, q.ci_low, q.ci_high] for name, q in report.quantities.items()]
     rows.append(["fraction_var_data_sampling", report.data_sampling_part, "", ""])
     rows.append(["fraction_var_training", report.training_randomness_part, "", ""])
@@ -338,7 +324,7 @@ def _bootstrap_rows(columns, world, n, m, seed, n_fit, **section) -> list:
 
 
 def _external_rows(columns, world, n, m, seed, **section) -> list:
-    report = external_ft_experiment(world, n=n, m=m, seed=seed, **section)
+    report = simulate.external_ft_experiment(world, n=n, m=m, seed=seed, **section)
     return [[getattr(report, name) for name in columns]]
 
 
@@ -361,7 +347,7 @@ _SIMULATE_SECTIONS = (
 def _cmd_simulate(args, seed: RngSeed) -> dict:
     if args.out is None:
         raise ParameterError("simulate requires --out <directory> for its CSV outputs")
-    scenario = scenario_from_dict(_load_json_file(args.scenario, "scenario"))
+    scenario = simulate.scenario_from_dict(_load_json_file(args.scenario, "scenario"))
     world, n, m = scenario["world"], scenario["n"], scenario["m"]
     if args.seed is None and scenario["seed"] is not None:
         seed = RngSeed(scenario["seed"])
@@ -382,11 +368,11 @@ def _cmd_simulate(args, seed: RngSeed) -> dict:
 
 
 def _cmd_rampup(args, seed: RngSeed) -> dict:
-    world = world_from_dict(_load_json_file(args.world, "world"))
-    labeled, unlabeled = generate_world_data(world, args.n, args.m, seed.child(1))
-    trainer = SimTrainer(world, seed.child(2))
-    plan = RampUpPlan(schedule=_int_list(args.schedule, "--schedule"), n_v=args.n_v)
-    trace = run_rampup(labeled, plan, trainer, seed.child(3), cv_folds=args.cv_folds)
+    world = simulate.world_from_dict(_load_json_file(args.world, "world"))
+    labeled, unlabeled = simulate.generate_world_data(world, args.n, args.m, seed.child(1))
+    trainer = simulate.SimTrainer(world, seed.child(2))
+    plan = rampup.RampUpPlan(schedule=_int_list(args.schedule, "--schedule"), n_v=args.n_v)
+    trace = rampup.run_rampup(labeled, plan, trainer, seed.child(3), cv_folds=args.cv_folds)
 
     lines = [render_json(rec.as_dict(), indent=None) for rec in trace.records]
     final: dict = {
@@ -398,7 +384,7 @@ def _cmd_rampup(args, seed: RngSeed) -> dict:
         "error": trace.error,
     }
     if trace.completed:
-        report = rampup_final_estimate(trace, labeled, unlabeled, trainer, args.delta)
+        report = rampup.rampup_final_estimate(trace, labeled, unlabeled, trainer, args.delta)
         final["estimate"] = _mean_report_dict(report)
     lines.append(render_json({"final": final}, indent=None))
     _emit("".join(lines), args.out)
@@ -406,9 +392,9 @@ def _cmd_rampup(args, seed: RngSeed) -> dict:
 
 
 def _cmd_bootstrap(args, seed: RngSeed) -> dict:
-    world = world_from_dict(_load_json_file(args.world, "world"))
+    world = simulate.world_from_dict(_load_json_file(args.world, "world"))
     s_grid = _int_list(args.s_grid, "--s-grid") if args.s_grid else None
-    report = bootstrap_robustness(
+    report = simulate.bootstrap_robustness(
         world,
         n_datasets=args.n_datasets,
         n_training_seeds=args.n_training_seeds,

@@ -86,6 +86,7 @@ class LossModel:
     sandwich use.  ``loss``, ``score`` and ``hessian`` evaluate a single
     (x, y, theta) by running them on a one-row batch.  ``width`` is the
     feature length a row must have, or None when the loss ignores x.
+    ``batch_score`` returns a new array, which the sandwich may overwrite.
     """
 
     name: str
@@ -559,8 +560,10 @@ def solve_ppi_m_estimator(
 
 
 def _covariance(rows: np.ndarray) -> np.ndarray:
-    centered = rows - rows.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / (rows.shape[0] - 1)
+    """Sample covariance of ``rows``, which it centres in place: each caller
+    hands over a fresh array, so no pool-sized copy is made."""
+    rows -= rows.mean(axis=0, keepdims=True)
+    cov = rows.T @ rows / (rows.shape[0] - 1)
     return 0.5 * (cov + cov.T)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,6 +64,8 @@ class VarianceParts(NamedTuple):
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
+    from statistics import NormalDist  # loaded on first use: most runs need no quantile
+
     return NormalDist().inv_cdf(check_probability(p, "normal_quantile: p"))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ftppi.allocate import foc_residual, solve_optimal_allocation
-from ftppi import cli, core, m_estim
+from ftppi import cli, core, m_estim, ppi_mean
 from ftppi.cli import main as cli_main
 from ftppi.core import read_labeled_csv
 from ftppi.ppi_mean import Method, ppi_mean_ci
@@ -360,7 +360,7 @@ class TestEstimateMean:
             return ppi_mean_ci(*args, **kwargs)
 
         monkeypatch.setattr(cli, "read_unlabeled_csv", read_pool)
-        monkeypatch.setattr(cli, "ppi_mean_ci", check_then_estimate)
+        monkeypatch.setattr(ppi_mean, "ppi_mean_ci", check_then_estimate)
         code, out, err = run_cli(
             capsys, "estimate-mean",
             "--labeled", mean_files["labeled.csv"],

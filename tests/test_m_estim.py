@@ -948,10 +948,41 @@ class TestPeakMemory:
 
     def test_sandwich_builds_no_pool_probabilities(self, instance):
         theta = solve_ppi_m_estimator(*instance)
-        scores = 2 * self.M * self.D * 8  # the pool's score rows and their centred copy
+        scores = self.M * self.D * 8  # the pool's score rows, centred in place
         assert self.M * self.K * 8 > 2 * self.BLOCK  # so an (m, K) matrix would not fit
         peak = _traced_peak(sandwich_covariance, *instance, theta)
         assert peak < scores + 2 * self.BLOCK
+
+
+class TestCovariance:
+    """``_covariance`` centres its input in place, with the bits of a centred copy."""
+
+    @staticmethod
+    def _copying(rows):
+        centered = rows - rows.mean(axis=0, keepdims=True)
+        cov = centered.T @ centered / (rows.shape[0] - 1)
+        return 0.5 * (cov + cov.T)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (7, 3), (1000, 4), (50_000, 8)])
+    def test_same_bits_as_a_centred_copy(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        for scale, shift in ((1e-3, 0.0), (1.0, 5.0), (1e150, -1e150)):
+            rows = rng.standard_normal(shape) * scale + shift
+            want = self._copying(rows)
+            assert np.array_equal(m_estim._covariance(rows.copy()), want)
+
+    def test_wide_ols_sandwich_holds_one_pool_score_matrix(self):
+        """With d = 8 the pool's score rows are as big as its features; the
+        sandwich adds them, and no centred copy, to what it was handed."""
+        rng = np.random.default_rng(95)
+        n, m, d = 500, 100_000, 8
+        labeled = LabeledDataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+        pool = UnlabeledDataset(rng.standard_normal((m, d)))
+        f = Predictor.precomputed([(labeled, rng.standard_normal(n)), (pool, rng.standard_normal(m))])
+        loss = linear_regression_loss(d)
+        scores = m * d * 8
+        peak = _traced_peak(sandwich_covariance, loss, labeled, pool, f, rng.standard_normal(d))
+        assert scores < peak < 1.5 * scores
 
 
 class TestScalarize:

@@ -105,20 +105,35 @@ PUBLIC_NAMES = {
 }
 
 
-def loaded_after(statement):
-    """The ``ftppi`` modules and whether numpy is loaded after ``statement``
-    runs in a fresh interpreter on the source tree."""
+def in_fresh_interpreter(code):
+    """What ``code`` prints as JSON, run by a fresh interpreter on the source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    code = (
-        f"import sys, json; {statement}; print(json.dumps(["
-        "sorted(m for m in sys.modules if m.split('.')[0] == 'ftppi'), 'numpy' in sys.modules]))"
-    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def loaded_after(statement):
+    """The ``ftppi`` modules and whether numpy is loaded after ``statement``
+    runs in a fresh interpreter on the source tree."""
+    return in_fresh_interpreter(
+        f"import sys, json; {statement}; print(json.dumps(["
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'ftppi'), 'numpy' in sys.modules]))"
+    )
+
+
+def run_after(statements):
+    """The ``ftppi`` modules whose code has run after ``statements``, in a
+    fresh interpreter: a module registered lazily stays an instance of a
+    ``types.ModuleType`` subclass until its code runs."""
+    return in_fresh_interpreter(
+        "\n".join(["import json, sys, types", *statements, "print(json.dumps(sorted("
+                   "m for m, mod in sys.modules.items()"
+                   " if m.split('.')[0] == 'ftppi' and type(mod) is types.ModuleType)))"])
+    )
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():
@@ -169,6 +184,46 @@ def test_cli_falls_through_to_the_submodule_import():
 
     assert cli.__name__ == "ftppi.cli"
     assert cli.__version__ == ftppi.__version__
+
+
+class TestLazyCli:
+    """``ftppi.cli`` registers the six subcommand modules at import but runs
+    each only when a command first reads it."""
+
+    EAGER = ["ftppi", "ftppi.cli", "ftppi.core"]
+
+    def test_import_registers_every_module(self):
+        modules, numpy_loaded = loaded_after("import ftppi.cli")
+        assert modules == sorted(["ftppi", "ftppi.cli", *(f"ftppi.{m}" for m in SUBMODULES)])
+        assert numpy_loaded
+
+    def test_version_runs_no_lazy_module(self):
+        statements = [
+            "import contextlib, io",
+            "from ftppi.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):",
+            "    main(['--version'])",
+        ]
+        assert run_after(statements) == self.EAGER
+
+    def test_estimate_mean_runs_only_ppi_mean(self, tmp_path):
+        files = {"lab.csv": "y,x1\n1.0,0.5\n2.0,1.5\n3.0,-1.0\n",
+                 "fl.csv": "f\n1.5\n2.5\n2.0\n", "fu.csv": "f\n1.0\n2.0\n3.0\n4.0\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["estimate-mean", "--labeled", str(tmp_path / "lab.csv"),
+                "--pred-labeled", str(tmp_path / "fl.csv"),
+                "--pred-unlabeled", str(tmp_path / "fu.csv"), "--out", str(tmp_path / "out.json")]
+        statements = ["from ftppi.cli import main", f"assert main({argv!r}) == 0"]
+        assert run_after(statements) == sorted([*self.EAGER, "ftppi.ppi_mean"])
+        assert json.loads((tmp_path / "out.json").read_text())["m"] == 4
+
+    def test_a_module_imported_first_is_the_one_the_cli_uses(self):
+        statements = [
+            "import ftppi.simulate, ftppi.cli",
+            "assert ftppi.cli.simulate is ftppi.simulate is sys.modules['ftppi.simulate']",
+        ]
+        assert "ftppi.simulate" in run_after(statements)
 
 
 def test_unknown_name_is_attribute_error():
