@@ -30,7 +30,10 @@ point and array, and on raw features (the sandwich's pool scores) each
 block's are computed for that block alone.  Within a block they reduce
 over the K options in column passes, one per option, and pick each
 row's chosen option by its flat index; both give the same bits as the
-row-wise reductions and 2-d gathers they replace.  ``mnl_loss``'s
+row-wise reductions and 2-d gathers they replace.  Below
+``_PAIRWISE_FROM`` options the sum over them runs in column passes too.
+With d >= 2 features per option the solver's mean score is summed block
+by block (``_column_sums``) and no (n, d) score matrix is built.  ``mnl_loss``'s
 ``workers`` runs the blocks on that many threads (``core._threaded_blocks``):
 numpy releases the interpreter lock inside them, each block writes its
 own rows of the probabilities, loss terms and score rows, and the
@@ -41,6 +44,7 @@ thread, so every result has the same bits for any thread count.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,6 +79,9 @@ ROUNDING_SLACK = 8 * float(np.finfo(np.float64).eps)
 MAX_ITERATIONS = 200
 #: Rows per block of the multinomial-choice kernels.
 _BLOCK_ROWS = 8192
+#: numpy's sum adds fewer values than this one after another, and this
+#: many or more in eight partial sums (its pairwise summation; numpy 2.4).
+_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,14 @@ class LossModel:
         one point shares a single evaluation of them.
         """
         return xs
+
+    def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The column mean of ``batch_score``'s rows, which the solver uses.
+
+        The multinomial choice loss sums the rows block by block, with the
+        same bits, instead of building them all.
+        """
+        return self.batch_score(xs, ys, theta).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -241,20 +256,34 @@ def _spans(n: int) -> list[slice]:
 
 
 def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a block's choice probabilities at ``theta`` to ``out``; return its log-sum-exps."""
-    u = np.einsum("nkd,d->nk", X, theta)
-    # The max over options runs as K - 1 passes over columns: numpy
-    # reduces a short trailing axis slowly, and a max is exact in any
-    # order.  The sum stays a reduction: from K = 9 on numpy sums the
-    # options pairwise, which column passes would not reproduce.
+    """Write a block's choice probabilities at ``theta`` to ``out``; return its log-sum-exps.
+
+    The utilities are computed, and turned into probabilities, in ``out``.
+    """
+    u = np.einsum("nkd,d->nk", X, theta, out=out)
+    # The max and the sum over options run as K - 1 passes over columns:
+    # numpy reduces a short trailing axis slowly.  A max is exact in any
+    # order, and below _PAIRWISE_FROM options numpy's sum adds them in
+    # sequence, as the passes do; from there on it sums them pairwise,
+    # which the passes would not reproduce, so the reduction stays.
+    K = u.shape[1]
     top = np.maximum(0.0, u[:, 0])
-    for k in range(1, u.shape[1]):
+    for k in range(1, K):
         np.maximum(top, u[:, k], out=top)
     u -= top[:, None]
     np.exp(u, out=u)
-    denom = np.exp(-top) + u.sum(axis=1)
-    np.divide(u, denom[:, None], out=out)
-    return top + np.log(denom)
+    if K < _PAIRWISE_FROM:
+        denom = u[:, 0].copy()
+        for k in range(1, K):
+            denom += u[:, k]
+    else:
+        denom = u.sum(axis=1)
+    # exp(-top) + sum and top + log(denom), in place: addition commutes
+    denom += np.exp(-top)
+    u /= denom[:, None]
+    lse = np.log(denom, out=denom)
+    lse += top
+    return lse
 
 
 def _choice_rows(xs, theta, K: int, d: int, workers: int) -> _ChoiceRows:
@@ -286,20 +315,68 @@ def _choice_blocks(xs, theta, K: int, d: int):
     A ``_ChoiceRows`` built at ``theta`` lends each block its slice of the
     probabilities it carries.  For anything else each block's are computed
     for that block alone, into the layout ``_choice_rows`` gives them, so
-    both give the same bits and no (n, K) matrix is built.
+    both give the same bits and no (n, K) matrix is built.  With
+    ``own=True`` the probabilities are the caller's to overwrite: a copy
+    of a lent slice, or the block's own.
     """
     theta = np.asarray(theta, dtype=np.float64)
     feats = _features(xs)
     held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
 
-    def block(span):
+    def block(span, own=False):
         X = feats[span].reshape(-1, K, d)
         if held:
-            return X, xs.p[span], xs.lse[span]
+            return X, xs.p[span].copy() if own else xs.p[span], xs.lse[span]
         p = np.empty(X.shape[:2])
         return X, p, _block_probabilities(X, theta, p)
 
     return _spans(feats.shape[0]), block
+
+
+def _column_sums(rows_into, n: int, d: int, workers: int) -> np.ndarray:
+    """The column sums of an n-row array's blocks, with the bits of ``rows.sum(axis=0)``.
+
+    ``rows_into(span, out)`` writes a block's (rows, d) rows into the
+    head of ``out`` and returns them.  numpy adds the rows of a C-ordered
+    (n, d >= 2) array one after another, so each block's sum is seeded with
+    the running sum of the blocks before it, held in a leading row of its
+    worker's buffer.  The blocks' rows are computed on up to ``workers``
+    threads; each block is added by its worker once the one before it has
+    been, so the sums run in block order whatever the thread count.
+    """
+    spans = _spans(n)
+    w = min(workers, len(spans))
+    buffers = [np.empty((1 + min(n, _BLOCK_ROWS), d)) for _ in range(w)]
+    turn = threading.Condition()
+    added, failed, total = 0, len(spans), None  # blocks added, first failed block, their sum
+
+    def add(i):
+        nonlocal added, failed, total
+        if failed < i:  # an earlier block failed: its error is the one raised
+            return
+        try:
+            rows = rows_into(spans[i], buffers[i % w][1:])
+            with turn:
+                turn.wait_for(lambda: added == i or failed < i)
+            if failed < i:
+                return
+            if i:
+                seeded = buffers[i % w][: 1 + rows.shape[0]]
+                seeded[0] = total
+                total = seeded.sum(axis=0)
+            else:
+                total = rows.sum(axis=0)
+        except BaseException:
+            with turn:
+                failed = min(failed, i)
+                turn.notify_all()
+            raise
+        with turn:
+            added += 1
+            turn.notify_all()
+
+    _threaded_blocks(add, range(len(spans)), w)
+    return total
 
 
 def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +398,9 @@ class _ChoiceLoss(LossModel):
     def rows(self, xs: np.ndarray, theta: np.ndarray) -> _ChoiceRows:
         return _choice_rows(xs, theta, self.width // self.dim, self.dim, self.workers)
 
+    def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return self.batch_score(xs, ys, theta, True)
+
 
 def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel:
     """Multinomial choice likelihood with an outside option.
@@ -338,7 +418,9 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     it.  On raw features, or rows built at another theta, each block's
     probabilities are computed for that block alone, so nothing of size n
     is built but the result (the score rows, or the per-row loss terms the
-    mean is taken over).
+    mean is taken over).  ``batch_score`` takes a fourth argument,
+    ``mean``: if true it returns the score rows' column mean, which for
+    d >= 2 is summed block by block without building the rows.
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
@@ -358,18 +440,21 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
         _threaded_blocks(fill, spans, workers)
         return float(np.mean(terms))
 
-    def batch_score(xs, ys, theta):
+    def batch_score(xs, ys, theta, mean=False):
         spans, block = _choice_blocks(xs, theta, K, d)
-        out = np.empty((_features(xs).shape[0], d))
+        n = _features(xs).shape[0]
 
-        def fill(span):
-            X, p, _ = block(span)
-            resid = p.copy()
+        def rows_into(span, out):
+            X, resid, _ = block(span, own=True)
             resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
-            np.einsum("nkd,nk->nd", X, resid, out=out[span])
+            return np.einsum("nkd,nk->nd", X, resid, out=out[: X.shape[0]])
 
-        _threaded_blocks(fill, spans, workers)
-        return out
+        # numpy sums a single column pairwise: its mean needs the whole column
+        if mean and d > 1 and n:
+            return _column_sums(rows_into, n, d, workers) / n
+        out = np.empty((n, d))
+        _threaded_blocks(lambda span: rows_into(span, out[span]), spans, workers)
+        return out.mean(axis=0) if mean else out
 
     def batch_hessian_mean(xs, ys, theta):
         spans, block = _choice_blocks(xs, theta, K, d)
@@ -458,9 +543,6 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
     xu = unlabeled.xs
     fu = f.on(unlabeled)
 
-    def mean_score(xs, ys, theta):
-        return loss.batch_score(xs, ys, theta).mean(axis=0)
-
     def at(theta: np.ndarray) -> _Point:
         shared = functools.cache(lambda: (loss.rows(xl, theta), loss.rows(xu, theta)))
 
@@ -483,7 +565,7 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
         return _Point(
             theta,
             objective,
-            rectified(mean_score),
+            rectified(loss.mean_score),
             rectified(loss.batch_hessian_mean),
         )
 
@@ -611,14 +693,14 @@ def sandwich_covariance(
         raise InsufficientDataError(
             f"sandwich needs m >= dim+1 ({loss.dim + 1}), got {unlabeled.m}"
         )
+    # The labeled rows' work is done, and freed, before the pool's scores are built.
     rl = loss.rows(labeled_ppi.xs, theta_hat)
     yl, fl = labeled_ppi.ys, f.on(labeled_ppi)
-    delta_scores = loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat)
-    v_resid = _covariance(delta_scores)
-    pool_scores = loss.batch_score(unlabeled.xs, f.on(unlabeled), theta_hat)
-    v_pred = _covariance(pool_scores)
-
+    v_resid = _covariance(loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat))
     h_hat = loss.batch_hessian_mean(rl, yl, theta_hat)
+    del rl
+    v_pred = _covariance(loss.batch_score(unlabeled.xs, f.on(unlabeled), theta_hat))
+
     h_hat = 0.5 * (h_hat + h_hat.T)
     _check_condition(h_hat, "mean Hessian")
 

@@ -1,9 +1,9 @@
 """End-to-end checks of the command line, including golden outputs.
 
-Most tests drive cli.main() in-process for speed; one subprocess test
-covers the `python3 -m ftppi` entry point. Golden files live in
-tests/golden/ and are byte-for-byte: outputs round floats to 12
-significant digits, so they are stable across platforms.
+Most tests drive cli.main() in-process for speed; subprocess tests
+cover the `python3 -m ftppi` entry point and how the program ends.
+Golden files live in tests/golden/ and are byte-for-byte: outputs round
+floats to 12 significant digits, so they are stable across platforms.
 """
 
 import gc
@@ -1207,3 +1207,134 @@ class TestGlobalOptions:
     def test_program_keeps_the_callers_blas_threads(self, name):
         setup = self.program_setup(**{name: "2"})
         assert setup[:3] == ["False", "2" if name == "OPENBLAS_NUM_THREADS" else "None", "True"]
+
+
+class TestProgramEnd:
+    """``run`` ends the program without interpreter teardown, with the output
+    and exit code of the ``sys.exit(entry())`` it replaced.
+
+    Each program runs in a fresh interpreter whose audit hook writes
+    ``<teardown>`` to stderr when teardown clears the interpreter, so a
+    test can tell which way the process ended.
+    """
+
+    MARK = "<teardown>"
+    ENDINGS = {"teardown": "sys.exit(program.entry())", "run": "program.run()"}
+    CLEARED = ("cpython.PyInterpreterState_Clear", "cpython._PySys_ClearAuditHooks")
+
+    def program(self, ending, *argv, prelude="", env=None, **popen):
+        """(exit code, stdout, stderr without the marker, whether teardown ran)."""
+        code = "\n".join([
+            "import os, sys",
+            f"def hook(event, args, write=os.write, mark={self.MARK.encode()!r}):",
+            f"    event in {self.CLEARED!r} and write(2, mark)",
+            "sys.addaudithook(hook)",
+            "import ftppi.__main__ as program",
+            prelude,
+            self.ENDINGS[ending],
+        ])
+        popen.setdefault("stdout", subprocess.PIPE)
+        proc = subprocess.run([sys.executable, "-c", code, *argv], stderr=subprocess.PIPE,
+                              env=env, **popen)
+        err = proc.stderr.decode()
+        return proc.returncode, proc.stdout, err.replace(self.MARK, ""), self.MARK in err
+
+    def same_as_teardown(self, *argv, **kwargs):
+        """The run's result, after checking it against the teardown path's; returns
+        whether ``run`` took the teardown path itself."""
+        *want, torn_down = self.program("teardown", *argv, **kwargs)
+        *got, run_torn_down = self.program("run", *argv, **kwargs)
+        assert torn_down
+        assert got == want
+        return run_torn_down
+
+    def test_the_console_script_is_run(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'ftppi = "ftppi.__main__:run"\n' in fh.read()
+
+    def test_success(self):
+        assert not self.same_as_teardown(*TestAllocate.ARGS)
+        want = golden("allocate_reference.json").encode()
+        assert self.program("run", *TestAllocate.ARGS)[1] == want
+
+    def test_version(self):
+        assert not self.same_as_teardown("--version")
+        assert self.program("run", "--version")[:2] == (0, b"ftppi 0.1.0\n")
+
+    def test_usage_error(self):
+        assert not self.same_as_teardown("allocate", "--a", "1")
+        assert self.program("run", "allocate", "--a", "1")[0] == 2
+
+    def test_library_error(self):
+        argv = ("allocate", "--a", "1", "--alpha", "0.5", "--b", "0", "--n", "100")
+        env = {**os.environ, "FTPPI_SEED": "lots"}
+        assert not self.same_as_teardown(*argv, env=env)
+        code, _, err, _ = self.program("run", *argv, env=env)
+        assert code == 2 and "FTPPI_SEED" in json.loads(err)["message"]
+
+    def test_out_file(self, tmp_path):
+        written = []
+        for ending in self.ENDINGS:
+            dest = tmp_path / f"{ending}.json"
+            assert self.program(ending, *TestAllocate.ARGS, "--out", str(dest))[:3] == (0, b"", "")
+            written.append(dest.read_text())
+        assert written == [golden("allocate_reference.json")] * 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_pipe(self, unbuffered):
+        """Buffered output fails at the final flush: exit 120 and CPython's
+        message, by the teardown path.  Unbuffered, the write itself fails
+        inside ``main``: exit 2 with the error as JSON."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        results = []
+        for ending in self.ENDINGS:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                results.append(self.program(ending, *TestAllocate.ARGS, env=env, stdout=write_end))
+            finally:
+                os.close(write_end)
+        (code, _, err, torn_down), got = results
+        assert got[:3] == (code, None, err)
+        if unbuffered:
+            assert code == 2 and "Broken pipe" in json.loads(err)["message"]
+        else:
+            assert code == 120 and err.rstrip().endswith("BrokenPipeError: [Errno 32] Broken pipe")
+            assert torn_down and got[3]
+
+    def test_atexit_handlers_run(self):
+        prelude = "import atexit; atexit.register(os.write, 2, b'<atexit>')"
+        assert not self.same_as_teardown("--version", prelude=prelude)
+        assert self.program("run", "--version", prelude=prelude)[2] == "<atexit>"
+
+    def test_a_live_thread_takes_the_teardown_path(self):
+        prelude = "import threading, time; threading.Thread(target=time.sleep, args=(0.2,)).start()"
+        assert self.same_as_teardown(*TestAllocate.ARGS, prelude=prelude)
+
+    def test_a_failing_flush_takes_the_teardown_path(self):
+        prelude = "\n".join([
+            "class Failing:",
+            "    closed = False",
+            "    def __init__(self, stream): self.stream = stream",
+            "    def write(self, text): return self.stream.write(text)",
+            "    def flush(self): raise OSError('flush failed')",
+            "    def __repr__(self): return '<failing stdout>'",
+            "sys.stdout = Failing(sys.stdout)",
+        ])
+        assert self.same_as_teardown("--version", prelude=prelude)
+
+    def test_a_non_int_exit_takes_the_teardown_path(self):
+        prelude = "program.main = lambda: sys.exit('stopped')"
+        assert self.same_as_teardown(prelude=prelude)
+        assert self.program("run", prelude=prelude)[::2] == (1, "stopped\n")
+
+    def test_an_exception_takes_the_teardown_path(self):
+        prelude = "def main(): raise KeyboardInterrupt\nprogram.main = main"
+        *want, torn_down = self.program("teardown", prelude=prelude)
+        *got, run_torn_down = self.program("run", prelude=prelude)
+        # the traceback has one frame more, ``run``'s
+        assert got[0] == want[0] != 0 and torn_down and run_torn_down
+        assert got[2].splitlines()[-1] == want[2].splitlines()[-1] == "KeyboardInterrupt"

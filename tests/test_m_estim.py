@@ -1,6 +1,7 @@
 """Tests for rectified M-estimation: losses, solver, sandwich, CSV ingestion."""
 
 import dataclasses
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -38,6 +39,22 @@ from ftppi.m_estim import (
     solve_ppi_m_estimator,
 )
 from ftppi.ppi_mean import ppi_mean_estimate, ppi_mean_variance_hat
+
+
+def within_30_s(fn):
+    """``[fn()]``, run on a thread that must finish within 30 s, switching
+    threads as often as the interpreter allows."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    return result
 
 
 def fd_gradient(fn, theta, h=1e-6):
@@ -481,6 +498,35 @@ class TestChoiceKernels:
             model.batch_hessian_mean(feats, ys, theta)  # reads no labels
             assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_mean_score_reports_the_first_bad_block(self, monkeypatch, workers):
+        """The block-by-block mean score (d >= 2) raises block 1's error of
+        bad labels in blocks 1 and 3 of 5, and leaves no thread behind."""
+        model, theta = mnl_loss(2, 2, workers), np.array([0.3, -0.2])
+        xs = np.random.default_rng(9).standard_normal((4 * _BLOCK_ROWS + 5, 4))
+        ys = np.ones(xs.shape[0])
+        ys[_BLOCK_ROWS + 7], ys[3 * _BLOCK_ROWS + 1] = 7.0, -1.0
+        raised, label_indices = [], m_estim._label_indices
+
+        def spy(labels, d, what, base):
+            try:
+                return label_indices(labels, d, what, base)
+            except DomainError as exc:
+                raised.append((7.0 in labels, exc))
+                raise
+
+        monkeypatch.setattr(m_estim, "_label_indices", spy)
+        before = threading.active_count()
+        def first_error(feats):
+            with pytest.raises(DomainError) as info:
+                model.mean_score(feats, ys, theta)
+            return info.value
+
+        for feats in (xs, model.rows(xs, theta)):
+            raised.clear()
+            assert within_30_s(lambda: first_error(feats)) == [dict(raised)[True]]
+            assert threading.active_count() == before
+
     @pytest.mark.parametrize("bad", [3.0, -1.0, 0.5])
     def test_a_bad_label_in_the_last_block_is_caught(self, bad):
         """Labels are checked block by block, on raw features and on rows alike."""
@@ -579,9 +625,84 @@ class TestChoiceKernelsBitForBit:
                     assert np.array_equal(model.batch_loss_mean(feats, ys, theta), loss_mean)
                     assert np.array_equal(model.batch_score(feats, ys, theta), score)
                     assert np.array_equal(
+                        model.mean_score(feats, ys, theta), score.mean(axis=0)
+                    )
+                    assert np.array_equal(
                         model.batch_hessian_mean(feats, ys, theta), hessian_mean
                     )
             assert np.isfinite(rows.lse).all() and rows.lse.max() > 600.0
+
+
+class TestNumpySummationOrder:
+    """The orders of numpy's sums that the choice kernels reproduce.
+
+    A numpy release that changes either fails here, instead of silently
+    changing the kernels' bits.
+    """
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_option_sums_are_column_passes_below_the_pairwise_bound(self, K):
+        u = np.exp(3.0 * np.random.default_rng(K).standard_normal((_BLOCK_ROWS, K)))
+        passes = u[:, 0].copy()
+        for k in range(1, K):
+            passes += u[:, k]
+        assert np.array_equal(passes, u.sum(axis=1)) == (K < m_estim._PAIRWISE_FROM)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_row_sums_are_seeded_block_sums_from_two_columns(self, d):
+        rng = np.random.default_rng(d)
+        n = 4 * _BLOCK_ROWS + 3
+        rows = rng.standard_normal((n, d)) * np.exp(4.0 * rng.standard_normal((n, 1)))
+
+        def rows_into(span, out):
+            block = rows[span]
+            out[: block.shape[0]] = block
+            return out[: block.shape[0]]
+
+        for workers in (1, 2, 3):
+            got = m_estim._column_sums(rows_into, n, d, workers)
+            assert np.array_equal(got, rows.sum(axis=0)) == (d > 1)
+
+
+class TestColumnSumsUnderContention:
+    """``_column_sums`` on more threads than cores, switching threads as
+    often as the interpreter allows: the blocks are still added in order,
+    the earliest failing block's error is raised, and nothing hangs."""
+
+    N = 24 * _BLOCK_ROWS + 5
+
+    def test_blocks_are_added_in_order(self):
+        rng = np.random.default_rng(31)
+        rows = rng.standard_normal((self.N, 3)) * np.exp(4.0 * rng.standard_normal((self.N, 1)))
+
+        def rows_into(span, out):
+            block = rows[span]
+            out[: block.shape[0]] = block
+            return out[: block.shape[0]]
+
+        for _ in range(5):
+            got = within_30_s(lambda: m_estim._column_sums(rows_into, self.N, 3, workers=6))
+            assert len(got) == 1 and np.array_equal(got[0], rows.sum(axis=0))
+
+    def test_the_earliest_failure_is_raised(self):
+        bad = {3: ValueError("block 3"), 4: KeyError("block 4"), 17: ValueError("block 17")}
+
+        def rows_into(span, out):
+            i = span.start // _BLOCK_ROWS
+            if i in bad:
+                raise bad[i]
+            out[:2] = 1.0
+            return out[:2]
+
+        def run():
+            with pytest.raises(ValueError) as info:
+                m_estim._column_sums(rows_into, self.N, 2, workers=6)
+            return info.value
+
+        before = threading.active_count()
+        for _ in range(5):
+            assert within_30_s(run) == [bad[3]]
+            assert threading.active_count() == before
 
 
 def _reference_mean_callables():
@@ -945,6 +1066,24 @@ class TestPeakMemory:
         assert _traced_peak(solve_ppi_m_estimator, threaded, *data) < (
             point + score + 3 * self.BLOCK
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_builds_no_pool_score_rows(self, workers):
+        """With d >= 2 the mean score is summed block by block: the solver
+        holds one point and a block's temporaries per worker, and the pool's
+        (m, d) score rows would not fit."""
+        K, D, N, M = 5, 4, 1000, 200_000
+        block = _BLOCK_ROWS * (K * D + 2 * K) * 8
+        rng = np.random.default_rng(93)
+        labeled = LabeledDataset(rng.standard_normal((N, K * D)), rng.integers(0, K + 1, N))
+        pool = UnlabeledDataset(rng.standard_normal((M, K * D)))
+        f = Predictor.precomputed(
+            [(labeled, rng.integers(0, K + 1, N)), (pool, rng.integers(0, K + 1, M))]
+        )
+        point = (N + M) * (K + 1) * 8
+        assert M * D * 8 > (1 + workers) * block  # so the score rows cannot hide in the allowance
+        peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(K, D, workers), labeled, pool, f)
+        assert peak < point + (1 + workers) * block
 
     def test_sandwich_builds_no_pool_probabilities(self, instance):
         theta = solve_ppi_m_estimator(*instance)

@@ -1,6 +1,9 @@
 """Tests for rectified mean estimation and the normal quantile helper."""
 
 import math
+import subprocess
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -82,6 +85,24 @@ class TestNormalQuantile:
         for p in (0.0, 1.0, -0.5, 2.0, float("nan"), "0.5", None):
             with pytest.raises(ParameterError):
                 normal_quantile(p)
+
+    PS = [1e-300, 1e-12, 0.001, 0.025, 0.3, 0.5, 0.77, 0.975, 0.9999, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("c_function", [True, False])
+    def test_same_bits_as_statistics(self, monkeypatch, c_function):
+        """With the C function, and with ``statistics`` when it is missing."""
+        if not c_function:
+            monkeypatch.setitem(sys.modules, "_statistics", None)
+        for p in self.PS:
+            assert normal_quantile(p) == NormalDist().inv_cdf(p)
+
+    def test_loads_no_statistics_module(self):
+        code = (
+            "import sys; from ftppi.ppi_mean import normal_quantile; normal_quantile(0.975); "
+            "print(*[m in sys.modules for m in ('statistics', 'fractions', 'decimal')])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split() == ["False"] * 3, proc.stderr
 
 
 def small_case():
