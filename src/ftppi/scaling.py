@@ -97,37 +97,49 @@ def eval_variance(law: ScalingLaw, s: int) -> float:
 
 
 def _profile(
-    alphas: np.ndarray, log_s: np.ndarray, v: np.ndarray
+    alphas: np.ndarray, log_s: np.ndarray, v: np.ndarray, sv: np.float64
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best (a, b) with a >= A_FLOOR, b >= 0 at each alpha, and its SSE.
 
     At fixed alpha the law is linear in (a, b) with regressor
     x = s**(-alpha): closed-form 2x2 least squares with the constraints
-    clamped, one row per alpha.  Returns arrays (a, b, sse).
+    clamped, one row per alpha.  ``sv`` is ``v.sum()``.  Returns arrays
+    (a, b, sse).  A clamp is applied only where some alpha needs it: a
+    selection whose condition holds everywhere or nowhere keeps one
+    operand's bits.
     """
     x = np.exp(-alphas[:, None] * log_s)
     n = log_s.shape[0]
     sx = x.sum(axis=1)
     sxx = (x * x).sum(axis=1)
-    sv = v.sum()
     sxv = x @ v
     det = n * sxx - sx * sx
     # Where the regressor is nearly constant the slope is not identifiable.
     solvable = det > 1e-14 * np.maximum(1.0, n * sxx)
-    det = np.where(solvable, det, 1.0)
-    floor_b = np.maximum((sv - A_FLOOR * sx) / n, 0.0)
-    a = np.where(solvable, (n * sxv - sx * sv) / det, A_FLOOR)
-    b = np.where(solvable, (sv * sxx - sx * sxv) / det, floor_b)
+    clamped = not solvable.all()
+    if clamped:
+        det = np.where(solvable, det, 1.0)
+    a = (n * sxv - sx * sv) / det
+    b = (sv * sxx - sx * sxv) / det
+    if clamped:
+        a = np.where(solvable, a, A_FLOOR)
+        b = np.where(solvable, b, np.maximum((sv - A_FLOOR * sx) / n, 0.0))
     negative_b = b < 0.0
-    through_origin = np.divide(sxv, sxx, out=np.full_like(sxx, A_FLOOR), where=sxx > 0)
-    a = np.where(negative_b, through_origin, a)
-    b = np.where(negative_b, 0.0, b)
+    if negative_b.any():
+        through_origin = np.divide(sxv, sxx, out=np.full_like(sxx, A_FLOOR), where=sxx > 0)
+        a = np.where(negative_b, through_origin, a)
+        b = np.where(negative_b, 0.0, b)
     low_a = a < A_FLOOR
-    a = np.where(low_a, A_FLOOR, a)
-    b = np.where(low_a, floor_b, b)
+    if low_a.any():
+        a = np.where(low_a, A_FLOOR, a)
+        b = np.where(low_a, np.maximum((sv - A_FLOOR * sx) / n, 0.0), b)
     resid = v - (a[:, None] * x + b[:, None])
     return a, b, np.einsum("ij,ij->i", resid, resid)
 
+
+#: The first alpha grid of every fit, 120 points log-spaced over the search range.
+_FIRST_GRID = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
+_FIRST_GRID.setflags(write=False)
 
 #: A fitted alpha within this distance of ALPHA_MIN or ALPHA_MAX sits at
 #: the edge.  A fit whose SSE still falls at an edge returns that edge
@@ -176,10 +188,10 @@ def fit_scaling_law(observations) -> ScalingFit:
             boundary=False,
         )
 
-    log_s = np.log(s)
-    alphas = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
+    log_s, sv = np.log(s), v.sum()
+    alphas = _FIRST_GRID
     while True:
-        a, b, sse = _profile(alphas, log_s, v)
+        a, b, sse = _profile(alphas, log_s, v, sv)
         best = int(np.argmin(sse))  # ties resolve to the smaller alpha
         lo = alphas[max(best - 1, 0)]
         hi = alphas[min(best + 1, alphas.shape[0] - 1)]

@@ -46,7 +46,7 @@ from .core import (
     check_int,
     check_probability,
 )
-from .ppi_mean import _rectified_mean, ppi_mean_estimate
+from .ppi_mean import _rectified_mean
 from .scaling import ScalingLaw, ScalingObservation, eval_variance, fit_scaling_law
 
 _MIX_1 = np.uint64(0x9E3779B97F4A7C15)
@@ -72,15 +72,15 @@ def _splitmix(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
-def _gauss_field(xs: np.ndarray, key: int) -> np.ndarray:
+def _gauss_field(xs: np.ndarray, key: int, out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic standard normals, one per row, keyed by (row bytes, key).
 
     Per row, the Box-Muller pair of ``u1 = ((h >> 11) + 1) * 2**-53`` in
     (0, 1] and ``u2 = (h2 >> 11) * 2**-53`` in [0, 1), where ``h`` mixes the
-    key with each column's bits and ``h2`` mixes ``h`` with a salt.
+    key with each column's bits and ``h2`` mixes ``h`` with a salt; in ``out`` if given.
     """
     n_rows = xs.shape[0]
-    out = np.empty(n_rows, dtype=np.float64)
+    out = np.empty(n_rows, dtype=np.float64) if out is None else out
     h_buf = np.empty(min(n_rows, _FIELD_BLOCK), dtype=np.uint64)
     t_buf = np.empty_like(h_buf)
     u_buf = np.empty(h_buf.shape[0], dtype=np.float64)
@@ -147,12 +147,14 @@ class BiasProfile:
     def drifting(cls, slope: float) -> "BiasProfile":
         return cls("drifting", slope)
 
-    def offsets(self, xs: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(xs.shape[0])
-        if self.kind == "constant":
-            return np.full(xs.shape[0], self.value)
-        return self.value * (1.0 + xs[:, 0])
+    def offsets(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(xs.shape[0]) if out is None else out
+        if self.kind == "drifting":
+            np.add(xs[:, 0], 1.0, out=out)
+            out *= self.value
+        else:  # a zero profile's value is 0.0
+            out.fill(self.value)
+        return out
 
     @property
     def variance(self) -> float:
@@ -232,11 +234,15 @@ def generate_world_data(
 ) -> tuple[LabeledDataset, UnlabeledDataset]:
     """Draw n labeled and m unlabeled samples from the world."""
     n, m = check_int(n, "n", 1), check_int(m, "m", 1)
-    seed = as_seed(seed)
-    labeled = _generate_labeled(world, n, seed.child(1))
-    rng_u = seed.child(2).generator()
-    xu = rng_u.standard_normal((m, world.feature_dim))
-    return labeled, UnlabeledDataset(xu)
+    xu = np.empty((m, world.feature_dim))
+    labeled = _draw(world, n, as_seed(seed), xu)
+    return labeled, UnlabeledDataset._adopt(xu)
+
+
+def _draw(world: SyntheticWorld, n: int, seed: RngSeed, pool: np.ndarray) -> LabeledDataset:
+    """``generate_world_data``'s labeled draw; the pool's features go into ``pool``."""
+    seed.child(2).generator().standard_normal(out=pool)
+    return _generate_labeled(world, n, seed.child(1))
 
 
 def _generate_labeled(world: SyntheticWorld, n: int, seed: RngSeed) -> LabeledDataset:
@@ -251,9 +257,24 @@ def _generate_labeled(world: SyntheticWorld, n: int, seed: RngSeed) -> LabeledDa
 _Parts = tuple[np.ndarray, np.ndarray]
 
 
-def _parts(world: SyntheticWorld, key: int, xs: np.ndarray) -> _Parts:
-    base = world.true_mean + world.signal_sd * xs[:, 0] + world.bias.offsets(xs)
-    return base, _gauss_field(xs, key)
+def _base(world: SyntheticWorld, xs: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """``true_mean + signal_sd * x1 + bias.offsets(xs)``; ``scratch`` takes the offsets."""
+    out = np.multiply(xs[:, 0], world.signal_sd, out=out)
+    out += world.true_mean
+    out += world.bias.offsets(xs, scratch)
+    return out
+
+
+def _parts(world: SyntheticWorld, key: int, xs: np.ndarray, base=None, field=None) -> _Parts:
+    return _base(world, xs, base, field), _gauss_field(xs, key, field)
+
+
+def _checkpoint(parts: _Parts, pseudo_sd: float, out=None) -> np.ndarray:
+    """``base + pseudo_sd * field``: a checkpoint's predictions."""
+    base, field = parts
+    out = np.multiply(field, pseudo_sd, out=out)
+    out += base
+    return out
 
 
 def _pseudo_sd(pseudo_var: float, label: str) -> float:
@@ -269,8 +290,7 @@ def _sim_predictor(
     world: SyntheticWorld, key: int, pseudo_sd: float, s_tag: int, label: str
 ) -> Predictor:
     def fn(xs: np.ndarray) -> np.ndarray:
-        base, noise = _parts(world, key, xs)
-        return base + pseudo_sd * noise
+        return _checkpoint(_parts(world, key, xs), pseudo_sd)
 
     return Predictor(fn, s=s_tag, label=label)
 
@@ -296,13 +316,14 @@ class SimTrainer:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_key", _field_key(self.rng))
 
-    def parts(self, xs: np.ndarray) -> _Parts:
+    def parts(self, xs: np.ndarray, base=None, field=None) -> _Parts:
         """``(base, field)`` on the rows of ``xs``, computed afresh on every call.
 
         ``base = true_mean + signal_sd * x1 + bias.offsets(xs)`` and
-        ``field`` is the unscaled pseudo-noise; neither depends on s.
+        ``field`` is the unscaled pseudo-noise; neither depends on s.  Into
+        ``base`` and ``field`` if given.
         """
-        return _parts(self.world, self._key, xs)
+        return _parts(self.world, self._key, xs, base, field)
 
     def pseudo_sd(self, s: int) -> float:
         """Scale of the pseudo-noise field in the checkpoint at training size s."""
@@ -332,8 +353,13 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
     it exists even when the world's supported fine-tuning range starts
     above 1.
     """
+    return _sim_predictor(world, *_base_surrogate(world, seed), 0, "base")
+
+
+def _base_surrogate(world: SyntheticWorld, seed: RngSeed | int) -> tuple[int, float]:
+    """The field key and pseudo-noise scale of ``base_predictor(world, seed)``."""
     pseudo_sd = _pseudo_sd(world.residual_pseudo_noise_var(1), "base")
-    return _sim_predictor(world, _field_key(as_seed(seed)), pseudo_sd, 0, "base")
+    return _field_key(as_seed(seed)), pseudo_sd
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +367,36 @@ def base_predictor(world: SyntheticWorld, seed: RngSeed | int) -> Predictor:
 # ---------------------------------------------------------------------------
 
 
-def _rows(fn, items) -> np.ndarray:
-    return np.array([fn(item) for item in items], dtype=np.float64)
+def _rows(fn, items, workspace) -> np.ndarray:
+    buffers = workspace()  # the chunk's, freed on return
+    return np.array([fn(item, *buffers) for item in items], dtype=np.float64)
 
 
-def _replicates(fn, items: Sequence, workers: int) -> np.ndarray:
-    """``fn(item)`` for every item, as a float64 array with one row per item.
+def _replicates(fn, items: Sequence, workers: int, workspace=tuple) -> np.ndarray:
+    """``fn(item, *buffers)`` for every item, as a float64 array with one row per item.
 
-    ``fn`` must be a pure function of its item.  With more than one
-    worker the items are cut into contiguous chunks, one per worker, and
-    ``core._forked_rows`` computes the first chunk here and the others in
-    forked children, joining the rows in item order, so the result is
-    byte-identical to the serial one.  The earliest chunk's error is
-    raised, as the serial loop would have raised it.  Where nothing can
-    fork (off Linux) every item runs here.
+    ``fn`` must be a pure function of its item; ``buffers``, made by one
+    ``workspace()`` call per chunk in the process running it, are scratch
+    to write before reading.  With more than one worker the items are cut
+    into contiguous chunks, one per worker, and ``core._forked_rows``
+    computes the first chunk here and the others in forked children,
+    joining the rows in item order, so the result is byte-identical to
+    the serial one.  The earliest chunk's error is raised, as the serial
+    loop would have raised it.  Where nothing can fork (off Linux) every
+    item runs here.
     """
     items = list(items)
     workers = _resolve_workers(workers, len(items))
     if not _CAN_FORK:
         workers = 1
     bounds = [len(items) * w // workers for w in range(workers + 1)]
-    return _forked_rows(
-        [functools.partial(_rows, fn, items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    )
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return _forked_rows([functools.partial(_rows, fn, chunk, workspace) for chunk in chunks])
+
+
+def _workspace(*shapes):
+    """A chunk's buffers: one float64 array per shape."""
+    return lambda: tuple(np.empty(shape) for shape in shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +405,7 @@ def _replicates(fn, items: Sequence, workers: int) -> np.ndarray:
 
 
 def _split_estimate(
-    trainer: SimTrainer, ys: np.ndarray, lab: _Parts, pool: _Parts, perm: np.ndarray, s: int
+    trainer: SimTrainer, ys: np.ndarray, lab: _Parts, pool: _Parts, perm: np.ndarray, s: int, out
 ) -> float:
     """Rectified estimate after fine-tuning on ``perm[:s]`` and rectifying on the rest.
 
@@ -380,14 +413,16 @@ def _split_estimate(
     ``pool`` are ``trainer.parts`` of its features and of the pool's.
     The fine-tuning subset is never built: a simulated trainer reads only
     its size.  The predictions are the checkpoint's own floats, so this
-    equals ``ppi_mean_estimate`` on the rectification subset.
+    equals ``ppi_mean_estimate`` on the rectification subset.  The pool's
+    go into ``out``.
     """
     pseudo_sd = trainer.pseudo_sd(s)
     idx = np.sort(perm[s:])
     lab_base, lab_field = lab
-    pool_base, pool_field = pool
     return _rectified_mean(
-        ys[idx], lab_base[idx] + pseudo_sd * lab_field[idx], pool_base + pseudo_sd * pool_field
+        ys[idx],
+        _checkpoint((lab_base[idx], lab_field[idx]), pseudo_sd),
+        _checkpoint(pool, pseudo_sd, out),
     )
 
 
@@ -437,18 +472,20 @@ def brute_force_allocation(
     sizes = [min(max(int(round(f * n)), 1), n - 2) for f in fractions]
 
     pool_xs = seed.child(0).generator().standard_normal((m, world.feature_dim))
+    pool_base = _base(world, pool_xs)
 
-    def replicate(rep: RngSeed) -> list[float]:
+    def replicate(rep: RngSeed, field: np.ndarray, preds: np.ndarray) -> list[float]:
         labeled = _generate_labeled(world, n, rep.child(0))
         trainer = SimTrainer(world, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        lab, pool = trainer.parts(labeled.xs), trainer.parts(pool_xs)
-        return [_split_estimate(trainer, labeled.ys, lab, pool, perm, s) for s in sizes]
+        lab = trainer.parts(labeled.xs)
+        pool = pool_base, _gauss_field(pool_xs, trainer._key, field)
+        return [_split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds) for s in sizes]
 
     reps = [seed.child(r + 1) for r in range(replicates)]
     # One contiguous row per fraction: numpy sums a strided axis in another
     # order, which would move the variances' last bits.
-    estimates = np.ascontiguousarray(_replicates(replicate, reps, workers).T)
+    estimates = np.ascontiguousarray(_replicates(replicate, reps, workers, _workspace(m, m)).T)
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
     return BruteForceResult(
@@ -518,21 +555,26 @@ def run_estimator_comparison(
     alloc = solve_optimal_allocation(world.law, n)
     s_star = alloc.s_star_int
 
-    def replicate(rep: RngSeed) -> tuple[float, float, float, float]:
-        labeled, unlabeled = generate_world_data(world, n, m, rep.child(0))
+    def replicate(rep: RngSeed, xs, base, field, preds) -> tuple[float, float, float, float]:
+        labeled = _draw(world, n, rep.child(0), xs)
         trainer = SimTrainer(world, rep.child(1))
-        pool = trainer.parts(unlabeled.xs)
-        pool_base, pool_field = pool
-        ft_only = float(np.mean(pool_base + trainer.pseudo_sd(n) * pool_field))
-        ppi_only = ppi_mean_estimate(labeled, unlabeled, base_predictor(world, rep.child(2)))
+        lab, pool = trainer.parts(labeled.xs), trainer.parts(xs, base, field)
+        ft_only = float(np.mean(_checkpoint(pool, trainer.pseudo_sd(n), preds)))
         perm = rep.child(3).generator().permutation(n)
-        lab = trainer.parts(labeled.xs)
-        ft_ppi = _split_estimate(trainer, labeled.ys, lab, pool, perm, s_star)
+        ft_ppi = _split_estimate(trainer, labeled.ys, lab, pool, perm, s_star, preds)
+        # base_predictor's bases are the trainer's; its scale cannot fail if pseudo_sd(n) did not
+        key, pseudo_sd = _base_surrogate(world, rep.child(2))
+        ppi_only = _rectified_mean(
+            labeled.ys,
+            _checkpoint((lab[0], _gauss_field(labeled.xs, key)), pseudo_sd),
+            _checkpoint((base, _gauss_field(xs, key, field)), pseudo_sd, preds),
+        )
         return float(np.mean(labeled.ys)), ft_only, ppi_only, ft_ppi
 
     names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
     reps = [seed.child(r) for r in range(replicates)]
-    draws = np.ascontiguousarray(_replicates(replicate, reps, workers).T)  # as in brute force
+    ws = _workspace((m, world.feature_dim), m, m, m)
+    draws = np.ascontiguousarray(_replicates(replicate, reps, workers, ws).T)  # as in brute force
 
     rows = []
     for name, draw in zip(names, draws):
@@ -597,7 +639,7 @@ def _median(a: np.ndarray, axis: int) -> np.ndarray:
 
     numpy's own steps: one partition that also moves any NaN to the end,
     the mean of the middle one or two elements, and NaN wherever the
-    partitioned slice ends in one.
+    partitioned slice ends in one.  ``a`` is partitioned in place.
     """
     half = a.shape[axis] // 2
     middle = [slice(None)] * a.ndim
@@ -605,9 +647,9 @@ def _median(a: np.ndarray, axis: int) -> np.ndarray:
         kth, middle[axis] = [half, -1], slice(half, half + 1)
     else:
         kth, middle[axis] = [half - 1, half, -1], slice(half - 1, half + 1)
-    part = np.partition(a, kth, axis=axis)
-    last = np.take(part, -1, axis=axis)
-    return np.where(np.isnan(last), last, np.mean(part[tuple(middle)], axis=axis))
+    a.partition(kth, axis=axis)
+    last = np.take(a, -1, axis=axis)
+    return np.where(np.isnan(last), last, np.mean(a[tuple(middle)], axis=axis))
 
 
 def _percentiles(a: np.ndarray, q: Sequence[float]) -> np.ndarray:
@@ -635,10 +677,10 @@ def _percentiles(a: np.ndarray, q: Sequence[float]) -> np.ndarray:
 def _measure_law_outcome(
     val: LabeledDataset, s_grid: Sequence[int], trainer: SimTrainer, n_alloc: int
 ) -> tuple[float, float, float, float, float]:
-    base, noise = trainer.parts(val.xs)
+    parts = trainer.parts(val.xs)
     observations = []
     for s in s_grid:
-        resid = val.ys - (base + trainer.pseudo_sd(s) * noise)
+        resid = val.ys - _checkpoint(parts, trainer.pseudo_sd(s))
         observations.append(ScalingObservation(s, float(np.var(resid, ddof=1))))
     fit = fit_scaling_law(observations)
     alloc = solve_optimal_allocation(fit.law, n_alloc)
@@ -707,7 +749,7 @@ def bootstrap_robustness(
     for qi, name in enumerate(_BOOT_QUANTITIES):
         lo, hi = _percentiles(boot_medians[:, qi], [2.5, 97.5])
         quantities[name] = QuantitySummary(
-            median=float(_median(flat[:, qi], axis=0)), ci_low=float(lo), ci_high=float(hi)
+            median=float(_median(flat[:, qi].copy(), axis=0)), ci_low=float(lo), ci_high=float(hi)
         )
 
     fractions = outcomes[:, :, _BOOT_QUANTITIES.index("fraction")]
@@ -781,15 +823,15 @@ def external_ft_experiment(
     alloc_ext = solve_optimal_allocation(law2, n)
     s = alloc_ext.s_star_int
 
-    def replicate(rep: RngSeed) -> float:
-        labeled, unlabeled = generate_world_data(world2, n, m, rep.child(0))
+    def replicate(rep: RngSeed, xs, base, field, preds) -> float:
+        labeled = _draw(world2, n, rep.child(0), xs)
         trainer = SimTrainer(world2, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        return _split_estimate(
-            trainer, labeled.ys, trainer.parts(labeled.xs), trainer.parts(unlabeled.xs), perm, s
-        )
+        lab, pool = trainer.parts(labeled.xs), trainer.parts(xs, base, field)
+        return _split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds)
 
-    estimates = _replicates(replicate, [seed.child(r) for r in range(replicates)], workers)
+    reps = [seed.child(r) for r in range(replicates)]
+    estimates = _replicates(replicate, reps, workers, _workspace((m, world.feature_dim), m, m, m))
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ftppi import scaling
 from ftppi.core import (
     CsvFormatError,
     DomainError,
@@ -143,6 +144,84 @@ def golden_section_fit(observations):
         if csse < sse:
             alpha, a, b, sse = cand, ca, cb, csse
     return ScalingLaw(float(a), float(alpha), float(b)), False
+
+
+def where_profile(alphas, log_s, v):
+    """``scaling._profile`` with every clamp applied through ``np.where`` at
+    every alpha: the oracle of the clamps applied only where needed.  Also
+    returns which constraints bound at some alpha."""
+    x = np.exp(-alphas[:, None] * log_s)
+    n = log_s.shape[0]
+    sx = x.sum(axis=1)
+    sxx = (x * x).sum(axis=1)
+    sv = v.sum()
+    sxv = x @ v
+    det = n * sxx - sx * sx
+    solvable = det > 1e-14 * np.maximum(1.0, n * sxx)
+    det = np.where(solvable, det, 1.0)
+    floor_b = np.maximum((sv - A_FLOOR * sx) / n, 0.0)
+    a = np.where(solvable, (n * sxv - sx * sv) / det, A_FLOOR)
+    b = np.where(solvable, (sv * sxx - sx * sxv) / det, floor_b)
+    negative_b = b < 0.0
+    through_origin = np.divide(sxv, sxx, out=np.full_like(sxx, A_FLOOR), where=sxx > 0)
+    a = np.where(negative_b, through_origin, a)
+    b = np.where(negative_b, 0.0, b)
+    low_a = a < A_FLOOR
+    a = np.where(low_a, A_FLOOR, a)
+    b = np.where(low_a, floor_b, b)
+    resid = v - (a[:, None] * x + b[:, None])
+    bound = {"unsolvable": not solvable.all(), "negative_b": negative_b.any(), "low_a": low_a.any()}
+    return (a, b, np.einsum("ij,ij->i", resid, resid)), bound
+
+
+def profile_cases(count, seed):
+    """Seeded (alphas, log_s, v): noisy, flat, rising and below-floor data on
+    the first grid, on zoom grids and on a wide grid."""
+    rng = np.random.default_rng(seed)
+    first = np.geomspace(ALPHA_MIN, ALPHA_MAX, 120)
+    for i in range(count):
+        k = int(rng.integers(3, 12))
+        s = np.sort(rng.choice(np.arange(1, 20_000), size=k, replace=False)).astype(float)
+        a, alpha, b = rng.uniform(0.1, 50.0), rng.uniform(0.05, 1.9), rng.uniform(0.0, 3.0)
+        v = a * s**-alpha + b
+        shape = i % 5
+        if shape == 0:  # noisy
+            v = v + rng.normal(0.0, 0.1 * v.std() + 1e-3, k)
+        elif shape == 1:  # flat, or nearly: no slope to identify
+            v = np.full(k, b) + rng.choice([0.0, 1e-13]) * rng.standard_normal(k)
+        elif shape == 2:  # one size repeated: det is 0 at every alpha
+            s = np.full(k, s[0])
+        elif shape == 3:  # rising: the amplitude hits its floor
+            v = v[::-1].copy()
+        else:  # a steep drop below the floor: b would go negative
+            v = a * s**-alpha - rng.uniform(0.0, 1.0) * a * s[-1] ** -alpha
+        grid = i % 3
+        if grid == 0:
+            alphas = first
+        elif grid == 1:
+            j = int(rng.integers(1, 119))
+            alphas = np.linspace(first[j - 1], first[j + 1], 33)
+        else:
+            alphas = np.geomspace(1e-3, 60.0, 50)
+        yield alphas, np.log(s), v
+
+
+class TestProfileClamps:
+    def test_same_bits_as_unconditional_where(self):
+        bound_somewhere = set()
+        for alphas, log_s, v in profile_cases(3000, 77):
+            got = scaling._profile(alphas, log_s, v, v.sum())
+            want, bound = where_profile(alphas, log_s, v)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            bound_somewhere |= {name for name, hit in bound.items() if hit}
+            bound_somewhere |= {"none"} if not any(bound.values()) else set()
+        assert bound_somewhere == {"none", "unsolvable", "negative_b", "low_a"}
+
+    def test_first_grid_is_the_log_spaced_range(self):
+        grid = scaling._FIRST_GRID
+        assert grid.tobytes() == np.geomspace(ALPHA_MIN, ALPHA_MAX, 120).tobytes()
+        assert not grid.flags.writeable
 
 
 class TestScalingLaw:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ftppi.core import (
     UnlabeledDataset,
     UnsupportedSizeError,
 )
-from ftppi.ppi_mean import ppi_mean_estimate
+from ftppi.ppi_mean import _rectified_mean, ppi_mean_estimate
 from ftppi.scaling import ScalingLaw, ScalingObservation, eval_variance, fit_scaling_law
 from ftppi.simulate import (
     BiasProfile,
@@ -195,6 +196,15 @@ class TestGaussField:
             assert got.shape == (rows,) and got.dtype == np.float64
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("rows", [1, 8191, 8193, 20_000])
+    def test_dirty_out_is_written_over(self, rows):
+        xs = np.random.default_rng(rows).standard_normal((rows, 2))
+        for dirt in (np.nan, np.inf, 0.0):
+            out = np.full(rows, dirt)
+            got = simulate._gauss_field(xs, 17, out)
+            assert got is out
+            assert out.tobytes() == unblocked_field(xs, 17).tobytes()
+
 
 class TestTrainer:
     def test_residual_variance_matches_law(self):
@@ -295,9 +305,9 @@ def count_fields(monkeypatch):
     calls = []
     original = simulate._gauss_field
 
-    def counting(xs, key):
+    def counting(xs, key, out=None):
         calls.append((xs.shape[0], key))
-        return original(xs, key)
+        return original(xs, key, out)
 
     monkeypatch.setattr(simulate, "_gauss_field", counting)
     return calls
@@ -358,7 +368,8 @@ class TestSharedPartMemo:
         perm = np.random.default_rng(36).permutation(n)
         lab, pool = trainer.parts(labeled.xs), trainer.parts(unlabeled.xs)
         for s in (4, 37, 150, 298):
-            kernel = simulate._split_estimate(trainer, labeled.ys, lab, pool, perm, s)
+            preds = np.full(700, np.nan)  # the pool's predictions are written over it
+            kernel = simulate._split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds)
             ppi = labeled.subset(np.sort(perm[s:]))
             assert kernel == ppi_mean_estimate(ppi, unlabeled, trainer.train_size(s))
 
@@ -574,8 +585,9 @@ class TestOrderStatistics:
             # (resamples, N, q) along N, as the bootstrap takes it, and 1-d
             for a in _order_stat_samples(rng, (13, n, 5)):
                 with np.errstate(invalid="ignore", over="ignore"):
-                    assert _same_bits(simulate._median(a, axis=1), np.median(a, axis=1))
-                    assert _same_bits(simulate._median(a[0, :, 0], axis=0), np.median(a[0, :, 0]))
+                    assert _same_bits(simulate._median(a.copy(), axis=1), np.median(a, axis=1))
+                    want = np.median(a[0, :, 0])
+                    assert _same_bits(simulate._median(a[0, :, 0].copy(), axis=0), want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 39, 40, 41, 199, 200, 201])
     def test_percentiles_match_numpy(self, n):
@@ -750,6 +762,177 @@ class TestForkedReplicates:
         with pytest.raises(ChildProcessError, match="status 9"):
             simulate._replicates(fn, range(4), 2)
         assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# Per-chunk workspace against the per-replicate allocations it replaced
+# ---------------------------------------------------------------------------
+
+
+def fresh_split_estimate(trainer, ys, lab, pool, perm, s):
+    """The split kernel with every prediction array allocated afresh."""
+    pseudo_sd = trainer.pseudo_sd(s)
+    idx = np.sort(perm[s:])
+    (lab_base, lab_field), (pool_base, pool_field) = lab, pool
+    return _rectified_mean(
+        ys[idx], lab_base[idx] + pseudo_sd * lab_field[idx], pool_base + pseudo_sd * pool_field
+    )
+
+
+def reference_comparison(world, n, m, replicates, seed):
+    """``run_estimator_comparison``'s draws, each replicate drawing its own data,
+    parts and predictions, and PpiOnly from ``ppi_mean_estimate``."""
+    s_star = solve_optimal_allocation(world.law, n).s_star_int
+    rows = []
+    for r in range(replicates):
+        rep = RngSeed(seed).child(r)
+        labeled, unlabeled = generate_world_data(world, n, m, rep.child(0))
+        trainer = SimTrainer(world, rep.child(1))
+        pool_base, pool_field = pool = trainer.parts(unlabeled.xs)
+        ft_only = float(np.mean(pool_base + trainer.pseudo_sd(n) * pool_field))
+        ppi_only = ppi_mean_estimate(labeled, unlabeled, base_predictor(world, rep.child(2)))
+        perm = rep.child(3).generator().permutation(n)
+        lab = trainer.parts(labeled.xs)
+        ft_ppi = fresh_split_estimate(trainer, labeled.ys, lab, pool, perm, s_star)
+        rows.append((float(np.mean(labeled.ys)), ft_only, ppi_only, ft_ppi))
+    return np.array(rows)
+
+
+def reference_external(world, strength, n, m, replicates, seed):
+    world2 = dataclasses.replace(
+        world, law=shifted_law(world, strength), noise_floor=world.effective_noise_floor
+    )
+    s = solve_optimal_allocation(world2.law, n).s_star_int
+    rows = []
+    for r in range(replicates):
+        rep = RngSeed(seed).child(r)
+        labeled, unlabeled = generate_world_data(world2, n, m, rep.child(0))
+        trainer = SimTrainer(world2, rep.child(1))
+        perm = rep.child(2).generator().permutation(n)
+        lab, pool = trainer.parts(labeled.xs), trainer.parts(unlabeled.xs)
+        rows.append(fresh_split_estimate(trainer, labeled.ys, lab, pool, perm, s))
+    return np.array(rows)
+
+
+def reference_brute_force(world, n, m, fractions, replicates, seed):
+    sizes = [min(max(int(round(f * n)), 1), n - 2) for f in fractions]
+    pool_xs = RngSeed(seed).child(0).generator().standard_normal((m, world.feature_dim))
+    rows = []
+    for r in range(replicates):
+        rep = RngSeed(seed).child(r + 1)
+        labeled = simulate._generate_labeled(world, n, rep.child(0))
+        trainer = SimTrainer(world, rep.child(1))
+        perm = rep.child(2).generator().permutation(n)
+        lab, pool = trainer.parts(labeled.xs), trainer.parts(pool_xs)
+        rows.append([fresh_split_estimate(trainer, labeled.ys, lab, pool, perm, s) for s in sizes])
+    return np.array(rows)
+
+
+@pytest.fixture
+def captured_draws(monkeypatch):
+    """The rows of every ``_replicates`` call, with any worker count up to the item count.
+
+    The CPU cap is lifted so that three workers cut the replicates in three
+    chunks on any machine.
+    """
+    draws = []
+    original = simulate._replicates
+
+    def capture(*args):
+        rows = original(*args)
+        draws.append(rows.copy())
+        return rows
+
+    monkeypatch.setattr(simulate, "_replicates", capture)
+    monkeypatch.setattr(simulate, "_resolve_workers", lambda workers, items: min(workers, items))
+    return draws
+
+
+WORKSPACE_WORKERS = [1, 2, 3] if simulate._CAN_FORK else [1]
+
+
+@pytest.mark.parametrize("bias", PART_BIASES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("m", [500, simulate._FIELD_BLOCK + 808])
+class TestWorkspaceMatchesFreshArrays:
+    """Replicates that write into their chunk's buffers give the draws of
+    replicates that allocate every array afresh, bit for bit; with 5
+    replicates, 2 and 3 workers put chunk boundaries inside the list."""
+
+    def test_comparison(self, captured_draws, bias, dim, m):
+        w = plain_world(feature_dim=dim, bias=bias)
+        want = reference_comparison(w, 60, m, 5, 41)
+        for workers in WORKSPACE_WORKERS:
+            run_estimator_comparison(w, 60, m, 5, 41, workers)
+            assert captured_draws.pop().tobytes() == want.tobytes()
+
+    def test_external(self, captured_draws, bias, dim, m):
+        w = plain_world(feature_dim=dim, bias=bias, noise_floor=0.2)
+        want = reference_external(w, 0.5, 60, m, 5, 42)
+        for workers in WORKSPACE_WORKERS:
+            external_ft_experiment(w, 0.5, 60, m, 5, 42, workers)
+            assert captured_draws.pop().tobytes() == want.tobytes()
+
+    def test_brute_force(self, captured_draws, bias, dim, m):
+        w = plain_world(feature_dim=dim, bias=bias)
+        for workers in WORKSPACE_WORKERS:
+            result = brute_force_allocation(w, 60, m, 0.25, 5, 43, workers)
+            want = reference_brute_force(w, 60, m, result.fractions, 5, 43)
+            assert captured_draws.pop().tobytes() == want.tobytes()
+
+
+class TestWorkspace:
+    def test_one_workspace_per_chunk_made_where_it_runs(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_resolve_workers", lambda workers, items: min(workers, items))
+
+        def workspace():
+            return (np.array([os.getpid(), 0.0]),)
+
+        def fn(item, state):
+            state[1] += 1  # counts the replicates that share this workspace
+            return [state[0] == os.getpid(), state[1]]
+
+        for workers in WORKSPACE_WORKERS:
+            rows = simulate._replicates(fn, range(6), workers, workspace)
+            assert rows[:, 0].all()
+            assert rows[:, 1].tolist() == list(range(1, 6 // workers + 1)) * workers
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_results_never_alias_the_workspace(self, name, monkeypatch):
+        """Buffers scribbled over after every replicate, as the next replicate
+        would, leave every report the same bits."""
+        want = EXPERIMENTS[name](2)
+        original = simulate._rows
+
+        def scribbling_rows(fn, items, workspace):
+            def scribbled(item, *buffers):
+                row = fn(item, *buffers)
+                for buf in buffers:
+                    buf.fill(np.nan)
+                return row
+
+            return original(scribbled, items, workspace)
+
+        monkeypatch.setattr(simulate, "_rows", scribbling_rows)
+        assert_same_fields(EXPERIMENTS[name](2), want)
+
+    def test_comparison_peak_memory(self):
+        """With one worker the comparison holds its chunk's buffers (the pool's
+        features, base, field and predictions) and no pool-sized temporaries:
+        the tracemalloc peak is 4.2 pool arrays, where fresh arrays in every
+        replicate peaked at 6.0."""
+        w = plain_world(bias=BiasProfile.drifting(0.2))
+        m = 200_000
+        run_estimator_comparison(w, 200, 500, 2, 44)  # first-call allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_estimator_comparison(w, 200, m, 2, 44, workers=1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * m * 8
 
 
 def ftppi_errors(cls=FtppiError):

@@ -1,0 +1,248 @@
+#!/usr/bin/env python3
+"""Check that the command line gives the same bytes as another revision.
+
+    python tools/identity.py REF [--tree DIR] [--toy]
+
+REF is a git revision, extracted with ``git archive`` into a temporary
+directory, or a directory that holds a source tree.  The tree checked
+against it is this checkout, or ``--tree DIR``.  Each operation of one
+fixed list runs as ``python -m ftppi`` on the ``src/`` of each tree, in a
+fresh working directory of the same relative name, on inputs written
+once for both.  Every difference in exit code, standard output, standard
+error or the files an operation writes under ``--out`` is printed, and
+the exit status is 1; it is 0 when every operation matches.  ``--toy``
+shrinks every input, for tests.
+
+The list: the four benchmark workloads' operations on seeds 1 and 2, with
+inputs written by ``perfbench/inputs.py``; ``simulate`` on
+``configs/scenario_quick.json`` and on the sim-fresh scenario at
+``--threads`` 1, 2 and 0; ``rampup`` on both ``configs/`` worlds and with
+a failing first stage; ``bootstrap``; ``estimate-m`` with each loss at
+``--threads`` 1, 2 and 0; ``estimate-mean`` with each method;
+``fit-scaling``; ``allocate``, also on a steep law at n = 10**6.
+
+The program prints 12 significant digits, so a change in the last bits
+of a number shows only where an input amplifies it.  One input does so
+for the rectified mean: outcomes and predictions on an offset of 1e8
+that the estimate cancels.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+import run as bench  # noqa: E402  (perfbench/run.py, for the workloads' operations)
+
+#: Module constants of perfbench/inputs.py replaced by ``--toy``.
+TOY_INPUTS = {
+    "MEAN_N": 200,
+    "MEAN_M": 3_000,
+    "MNL_N": 1_000,
+    "MNL_M": 3_000,
+    "ORACLE": {"n": 400, "m": 2_000, "grid_step": 0.25, "replicates": 4},
+    "FRESH": {
+        "n": 400,
+        "m": 2_000,
+        "comparison": {"replicates": 4},
+        "bootstrap": {"n_datasets": 2, "n_training_seeds": 2, "resamples": 20},
+        "external": {"strength": 0.5, "replicates": 4},
+    },
+    "RAMPUP": {"n": 2_000, "m": 2_000, "schedule": (50, 100, 200), "n_v": 200},
+}
+TOY_QUICK = {"n": 400, "m": 2_000, "allocation_curve": {"grid_step": 0.25, "replicates": 4},
+             "comparison": {"replicates": 4},
+             "bootstrap": {"n_datasets": 2, "n_training_seeds": 2, "resamples": 20}}
+
+
+def _write_csv(path: str, header: str, columns: list[np.ndarray], fmt) -> str:
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
+    return path
+
+
+def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
+    """Write every input under ``root``; return each operation's name and arguments."""
+    saved = {name: getattr(inputs, name) for name in TOY_INPUTS}
+    if toy:
+        for name, value in TOY_INPUTS.items():
+            setattr(inputs, name, value)
+    ops, made = [], {}
+    try:
+        for seed in (1, 2):
+            for workload in ("csv-mean", "csv-mnl", "sim-oracle", "sim-fresh"):
+                where = os.path.join(root, f"{workload}-{seed}")
+                os.makedirs(where)
+                made[workload, seed] = inp = inputs.MAKERS[workload](seed, where)
+                for k, op in enumerate(bench.build_ops(workload, inp, ".")):
+                    ops.append((f"{workload} seed {seed} op {k}", op.args))
+    finally:
+        for name, value in saved.items():
+            setattr(inputs, name, value)
+
+    with open(os.path.join(ROOT, "configs", "scenario_quick.json"), encoding="utf-8") as fh:
+        quick = json.load(fh)
+    quick.update(TOY_QUICK if toy else {})
+    scenarios = {"quick": os.path.join(root, "scenario_quick.json"),
+                 "sim-fresh": made["sim-fresh", 1].files["scenario"]}
+    with open(scenarios["quick"], "w", encoding="utf-8") as fh:
+        json.dump(quick, fh)
+    for name, path in scenarios.items():
+        for threads in ("1", "2", "0"):
+            ops.append((f"simulate {name} threads {threads}",
+                        ["simulate", "--scenario", path, "--threads", threads, "--out", "out"]))
+
+    worlds = {}
+    for name in ("reference_world", "drifting_world"):
+        worlds[name] = shutil.copy(os.path.join(ROOT, "configs", f"{name}.json"), root)
+    ops += [
+        ("rampup reference", ["rampup", "--world", worlds["reference_world"], "--n", "600",
+                              "--m", "600", "--schedule", "20,40,80", "--n-v", "100"]),
+        ("rampup drifting", ["rampup", "--world", worlds["drifting_world"], "--n", "2000",
+                             "--m", "2000", "--schedule", "50,100,200", "--n-v", "200"]),
+        ("rampup failing stage", ["rampup", "--world", worlds["drifting_world"]]
+         + inputs.RAMPUP_FAULT_ARGS),
+        ("bootstrap", ["bootstrap", "--world", worlds["drifting_world"], "--n-datasets", "2",
+                       "--n-training-seeds", "1", "--n-fit", "400", "--resamples", "20"]),
+    ]
+
+    mean, mnl = made["csv-mean", 1].files, made["csv-mnl", 1].files
+    files = ["--labeled", mean["labeled"], "--unlabeled", mean["unlabeled"],
+             "--pred-labeled", mean["pred_labeled"], "--pred-unlabeled", mean["pred_unlabeled"]]
+    choices = ["--labeled", mnl["labeled"], "--unlabeled", mnl["unlabeled"],
+               "--pred-labeled", mnl["pred_labeled"], "--pred-unlabeled", mnl["pred_unlabeled"]]
+    rng = np.random.default_rng(0)
+    n, m = 300, 2_000
+    x = rng.standard_normal(n + m)
+    y = 1 + (x > -0.5) + (x > 0.7)  # classes 1..3
+    f = np.clip(y + rng.integers(-1, 2, n + m), 1, 3)
+    cat = os.path.join(root, "categorical")
+    categorical = [
+        "--labeled", _write_csv(cat + "_lab.csv", "y,x1", [y[:n], x[:n]], ["%d", "%.6f"]),
+        "--unlabeled", _write_csv(cat + "_unlab.csv", "x1", [x[n:]], "%.6f"),
+        "--pred-labeled", _write_csv(cat + "_f_lab.csv", "f", [f[:n]], "%d"),
+        "--pred-unlabeled", _write_csv(cat + "_f_unlab.csv", "f", [f[n:]], "%d"),
+        "--dim", "3",
+    ]
+    for loss, data in (("mean", files), ("categorical", categorical), ("ols", files),
+                       ("mnl", choices)):
+        for threads in ("1", "2", "0"):
+            ops.append((f"estimate-m {loss} threads {threads}",
+                        ["estimate-m", "--loss", loss, "--threads", threads] + data))
+    # Outcomes and their predictions on a common offset of 1e8, a pool without
+    # it: the rectified mean cancels the offset, and a change in how its terms
+    # are grouped moves about 1e-8, which the 12 printed digits show.
+    y = 1e8 + np.round(rng.standard_normal(n), 6)
+    f = np.round(y + 0.5 * rng.standard_normal(n), 6)
+    offset = os.path.join(root, "offset")
+    offsets = [
+        "--labeled", _write_csv(offset + "_lab.csv", "y,x1", [y, x[:n]], "%.6f"),
+        "--pred-labeled", _write_csv(offset + "_f_lab.csv", "f", [f], "%.6f"),
+        "--pred-unlabeled", _write_csv(offset + "_f_unlab.csv", "f", [x[n:]], "%.6f"),
+    ]
+    ops += [
+        ("estimate-mean ft-ppi offset", ["estimate-mean", "--method", "ft-ppi"] + offsets),
+        ("estimate-mean ft-ppi", ["estimate-mean", "--method", "ft-ppi"] + files),
+        ("estimate-mean ppi-only", ["estimate-mean", "--method", "ppi-only"] + files),
+        ("estimate-mean sample-mean", ["estimate-mean", "--method", "sample-mean",
+                                       "--labeled", mean["labeled"]]),
+        ("estimate-mean ft-only", ["estimate-mean", "--method", "ft-only",
+                                   "--pred-unlabeled", mean["pred_unlabeled"]]),
+    ]
+
+    sizes = np.array([50, 100, 200, 400, 800, 1600, 3200])
+    variances = 2.0 * sizes**-0.7 + 0.1 + rng.normal(0.0, 1e-3, sizes.shape[0])
+    observations = _write_csv(os.path.join(root, "observations.csv"), "s,variance",
+                              [sizes, variances], ["%d", "%.9f"])
+    ops.append(("fit-scaling", ["fit-scaling", "--observations", observations]))
+    for budget in ("10000", "1"):  # 1 is below any split: an error
+        ops.append((f"allocate n {budget}", ["allocate", "--a", "10.21", "--alpha", "0.21",
+                                             "--b", "1.98", "--n", budget, "--sigma-sq", "12.19"]))
+    ops.append(("allocate steep law", ["allocate", "--a", "1", "--alpha", "60", "--b", "0.1",
+                                       "--n", "1000000"]))
+    return ops
+
+
+def _start(tree: str, args: list[str], cwd: str) -> subprocess.Popen:
+    os.makedirs(cwd)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FTPPI_")}
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    return subprocess.Popen([sys.executable, "-m", "ftppi", *args], cwd=cwd, env=env,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+def _files(cwd: str) -> dict[str, bytes]:
+    found = {}
+    for where, _, names in os.walk(cwd):
+        for name in names:
+            path = os.path.join(where, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, cwd)] = fh.read()
+    return found
+
+
+def differences(trees: list[tuple[str, str]], ops, work: str) -> list[str]:
+    """Run every operation on every tree, given as (name, directory), one
+    operation at a time with the trees side by side; describe each way a
+    tree's run differs from the first's.  Each operation's name and exit
+    code on the first tree go to stderr."""
+    names, trees = zip(*trees)
+    found = []
+    for k, (name, args) in enumerate(ops):
+        cwds = [os.path.join(work, f"tree{t}", f"op{k}") for t in range(len(trees))]
+        procs = [_start(tree, args, cwd) for tree, cwd in zip(trees, cwds)]
+        runs = []
+        for proc, cwd in zip(procs, cwds):
+            out, err = proc.communicate()
+            runs.append({"exit code": proc.returncode, "stdout": out, "stderr": err,
+                         "--out files": _files(cwd)})
+        print(f"{name}: exit {runs[0]['exit code']}", file=sys.stderr)
+        for t, other in enumerate(runs[1:], 1):
+            for what, value in other.items():
+                if value != runs[0][what]:
+                    found.append(f"{name}: {what} differs between {names[0]} and {names[t]}")
+    return found
+
+
+def extract(ref: str, into: str) -> str:
+    """The source tree of ``ref``: the directory itself, or ``git archive ref`` extracted."""
+    if os.path.isdir(ref):
+        return os.path.abspath(ref)
+    target = os.path.join(into, "ref")
+    os.makedirs(target)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", ref],
+                             check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", target], input=archive, check=True)
+    return target
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", help="git revision or source directory to compare against")
+    parser.add_argument("--tree", default=ROOT, help="source tree to check (default: this one)")
+    parser.add_argument("--toy", action="store_true", help="shrink every input")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="ftppi-identity-") as tmp:
+        trees = [(args.tree, os.path.abspath(args.tree)), (args.ref, extract(args.ref, tmp))]
+        os.makedirs(os.path.join(tmp, "inputs"))
+        ops = operations(os.path.join(tmp, "inputs"), args.toy)
+        found = differences(trees, ops, os.path.join(tmp, "runs"))
+    for line in found:
+        print(line)
+    print(f"{len(ops)} operations, {len(found)} differences", file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
