@@ -105,15 +105,29 @@ def _solve_root(law: ScalingLaw, n: float) -> float:
     hi = n - BRACKET_EPS * n
     f_lo = foc(lo)
     f_hi = foc(hi)
-    if not (f_lo > 0.0 and f_hi < 0.0):
-        # Mathematically impossible for valid laws; guard against overflow
-        # pathologies rather than return a wrong root.
+    # foc is alpha * n > 0 at 0 and negative at n, so a root the bracket
+    # misses (alpha below about 1e-9 or above about 1e9, for b = 0) lies
+    # beyond an end: that end bounds it, and the bracket's other end moves
+    # from it halfway toward 0 or n at a time until it passes the root.
+    while f_lo <= 0.0 < lo:
+        hi, f_hi, lo = lo, f_lo, 0.5 * lo
+        f_lo = foc(lo)
+    gap = n - hi
+    while f_hi > 0.0 < gap:
+        lo, f_lo, gap = hi, f_hi, 0.5 * gap
+        hi = n - gap
+        f_hi = foc(hi)
+    if not (f_lo > 0.0 >= f_hi and lo > 0.0):
+        # a root below the smallest float, or overflow pathologies: refuse
+        # rather than return a wrong root
         raise DomainError(
             f"stationarity residual does not bracket a root on ({lo}, {hi}): "
             f"f(lo)={f_lo}, f(hi)={f_hi}"
         )
     while hi - lo > BRACKET_TOL * min(n, 100.0 * lo):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is down to adjacent floats
+            break
         if foc(mid) > 0.0:
             lo = mid
         else:

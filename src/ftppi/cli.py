@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
 import math
 import os
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -70,10 +72,14 @@ def _round_floats(obj):
     """Normalize a report tree for serialization.
 
     Floats are rounded to 12 significant digits (then kept as numbers),
-    numpy scalars and arrays become plain Python values, and non-finite
-    numbers are rejected: a NaN in a report is a bug upstream, not
-    something to print.
+    numpy scalars and arrays, dataclasses (their fields, in order) and
+    enum members become plain Python values, and non-finite numbers are
+    rejected: a NaN in a report is a bug upstream, not something to print.
     """
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        obj = obj.value
     if isinstance(obj, dict):
         return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -94,12 +100,12 @@ def _round_floats(obj):
     raise NumericalError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def render_json(payload: dict, indent: int | None = 2) -> str:
+def render_json(payload, indent: int | None = 2) -> str:
     return json.dumps(_round_floats(payload), indent=indent) + "\n"
 
 
-def render_csv(payload: dict) -> str:
-    """Flat dict as a two-line CSV; only the flat-report subcommands take ``--format``."""
+def render_csv(payload) -> str:
+    """Flat report as a two-line CSV; only the flat-report subcommands take ``--format``."""
     clean = _round_floats(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -122,20 +128,6 @@ def _write_csv_file(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(_round_floats(list(row)))
-
-
-def _mean_report_dict(report: ppi_mean.MeanEstimateReport) -> dict:
-    return {
-        "estimate": report.estimate,
-        "variance_hat": report.variance_hat,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "delta": report.delta,
-        "n_ppi": report.n_ppi,
-        "m": report.m,
-        "method": report.method.value,
-        "notes": report.notes,
-    }
 
 
 def _allocation_dict(result: allocate.AllocationResult) -> dict:
@@ -163,8 +155,8 @@ def _load_json_file(path: str, what: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns a payload dict, or None if it already
-# wrote its own output)
+# Subcommand handlers (each returns a payload, a dict or a report dataclass,
+# or an empty dict if it already wrote its own output)
 # ---------------------------------------------------------------------------
 
 
@@ -199,7 +191,7 @@ _UNUSED_BY_METHOD = {
 }
 
 
-def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
+def _cmd_estimate_mean(args, seed: RngSeed) -> ppi_mean.MeanEstimateReport:
     for name in _UNUSED_BY_METHOD.get(args.method, ()):
         if getattr(args, name) is not None:
             option = "--" + name.replace("_", "-")
@@ -209,7 +201,7 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
         if args.labeled is None:
             raise ParameterError("--labeled is required for method sample-mean")
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
-        return _mean_report_dict(ppi_mean.sample_mean_estimate(labeled, args.delta))
+        return ppi_mean.sample_mean_estimate(labeled, args.delta)
 
     if args.method == "ft-only":
         if args.pred_unlabeled is None:
@@ -235,9 +227,9 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> dict:
     pool = UnlabeledDataset._adopt(np.zeros((preds_pool.shape[0], 1)))
     f = Predictor._adopt(pairs + [(pool, preds_pool)], label="cli")
     if args.method == "ft-only":
-        return _mean_report_dict(ppi_mean.ft_only_report(pool, f, args.delta))
+        return ppi_mean.ft_only_report(pool, f, args.delta)
     method = ppi_mean.Method[args.method.upper().replace("-", "_")]  # ft-ppi -> FT_PPI
-    return _mean_report_dict(ppi_mean.ppi_mean_ci(labeled, pool, f, args.delta, method=method))
+    return ppi_mean.ppi_mean_ci(labeled, pool, f, args.delta, method=method)
 
 
 def _cmd_estimate_m(args, seed: RngSeed) -> dict:
@@ -368,6 +360,8 @@ def _cmd_simulate(args, seed: RngSeed) -> dict:
 
 
 def _cmd_rampup(args, seed: RngSeed) -> dict:
+    if (args.n_v is None) == (args.cv_folds is None):
+        raise ParameterError("--n-v is required without --cv-folds, and does not apply with it")
     world = simulate.world_from_dict(_load_json_file(args.world, "world"))
     labeled, unlabeled = simulate.generate_world_data(world, args.n, args.m, seed.child(1))
     trainer = simulate.SimTrainer(world, seed.child(2))
@@ -385,7 +379,7 @@ def _cmd_rampup(args, seed: RngSeed) -> dict:
     }
     if trace.completed:
         report = rampup.rampup_final_estimate(trace, labeled, unlabeled, trainer, args.delta)
-        final["estimate"] = _mean_report_dict(report)
+        final["estimate"] = report
     lines.append(render_json({"final": final}, indent=None))
     _emit("".join(lines), args.out)
     return {}
@@ -407,10 +401,7 @@ def _cmd_bootstrap(args, seed: RngSeed) -> dict:
         workers=args.threads,
     )
     return {
-        "quantities": {
-            name: {"median": q.median, "ci_low": q.ci_low, "ci_high": q.ci_high}
-            for name, q in report.quantities.items()
-        },
+        "quantities": report.quantities,
         "fraction_variance": {
             "data_sampling": report.data_sampling_part,
             "training_randomness": report.training_randomness_part,
@@ -557,9 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="labeled budget to draw")
     p.add_argument("--m", type=int, required=True, help="unlabeled pool to draw")
     p.add_argument("--schedule", required=True, help="comma-separated stage sizes")
-    p.add_argument("--n-v", type=int, required=True, help="measurement holdout size")
+    p.add_argument("--n-v", type=int, default=None,
+                   help="measurement holdout size (required without --cv-folds, not"
+                   " accepted with it)")
     p.add_argument("--cv-folds", type=int, default=None,
-                   help="use K-fold residuals instead of a holdout")
+                   help="use K-fold residuals instead of a --n-v holdout")
     p.add_argument("--delta", type=float, default=0.05, help="miscoverage level (default 0.05)")
     p.set_defaults(handler=_cmd_rampup)
 

@@ -424,27 +424,28 @@ def _child_error(pid: int, code: int, data: bytes) -> BaseException:
     return ChildProcessError(f"worker {pid} exited with status {code}")
 
 
-def _threaded_blocks(fn: Callable[[_T], _U], items: Sequence[_T], workers: int) -> list[_U]:
-    """``[fn(item) for item in items]``, run on up to ``workers`` threads.
+def _threaded_blocks(fn: Callable[..., _U], items: Sequence, workers: int, scratch=()) -> list[_U]:
+    """``[fn(item, *buffers) for item in items]``, run on up to ``workers`` threads.
 
     With ``w = min(workers, len(items))`` threads, item i runs on worker
-    ``i % w`` and worker 0 is the calling thread, so a caller may give
-    each worker its own buffer by the item's index.  Only numpy's
+    ``i % w`` and worker 0 is the calling thread.  A worker's ``buffers``,
+    one float64 array per shape in ``scratch``, are scratch for its items,
+    all allocated here before any thread starts: what a worker thread
+    allocates and frees stays in its own malloc arena.  Only numpy's
     GIL-free work (ufuncs, einsum, BLAS) overlaps; a worker stops at its
     first failing item.  Every thread is started here and joined before
     this returns, so none outlives the call, and the earliest failing
     item's error is raised, as a serial loop would have raised it.
     """
     w = max(1, min(workers, len(items)))
-    if w == 1:
-        return [fn(item) for item in items]
+    buffers = [[np.empty(shape) for shape in scratch] for _ in range(w)]
     results: list = [None] * len(items)
     errors: list = [None] * len(items)
 
     def run(k: int) -> None:
         for i in range(k, len(items), w):
             try:
-                results[i] = fn(items[i])
+                results[i] = fn(items[i], *buffers[k])
             except BaseException as exc:  # raised below, in the calling thread
                 errors[i] = exc
                 return

@@ -345,23 +345,21 @@ def _column_sums(rows_into, n: int, d: int, workers: int) -> np.ndarray:
     been, so the sums run in block order whatever the thread count.
     """
     spans = _spans(n)
-    w = min(workers, len(spans))
-    buffers = [np.empty((1 + min(n, _BLOCK_ROWS), d)) for _ in range(w)]
     turn = threading.Condition()
     added, failed, total = 0, len(spans), None  # blocks added, first failed block, their sum
 
-    def add(i):
+    def add(i, buffer):
         nonlocal added, failed, total
         if failed < i:  # an earlier block failed: its error is the one raised
             return
         try:
-            rows = rows_into(spans[i], buffers[i % w][1:])
+            rows = rows_into(spans[i], buffer[1:])
             with turn:
                 turn.wait_for(lambda: added == i or failed < i)
             if failed < i:
                 return
             if i:
-                seeded = buffers[i % w][: 1 + rows.shape[0]]
+                seeded = buffer[: 1 + rows.shape[0]]
                 seeded[0] = total
                 total = seeded.sum(axis=0)
             else:
@@ -375,7 +373,7 @@ def _column_sums(rows_into, n: int, d: int, workers: int) -> np.ndarray:
             added += 1
             turn.notify_all()
 
-    _threaded_blocks(add, range(len(spans)), w)
+    _threaded_blocks(add, range(len(spans)), workers, [(1 + min(n, _BLOCK_ROWS), d)])
     return total
 
 
@@ -459,22 +457,18 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     def batch_hessian_mean(xs, ys, theta):
         spans, block = _choice_blocks(xs, theta, K, d)
         n = _features(xs).shape[0]
-        # One buffer per worker for the (rows, K, d) product, allocated
-        # here (item i runs on worker i % w): what a worker thread
-        # allocates and frees stays in its own malloc arena.
-        w = min(workers, len(spans))
-        products = [np.empty((min(n, _BLOCK_ROWS), K, d)) for _ in range(w)]
+        scratch = [(min(n, _BLOCK_ROWS), K, d)]  # each worker's (rows, K, d) product
 
-        def partial(i):
-            X, p, _ = block(spans[i])
-            Xp = np.multiply(X, p[:, :, None], out=products[i % w][: X.shape[0]])
+        def partial(span, product):
+            X, p, _ = block(span)
+            Xp = np.multiply(X, p[:, :, None], out=product[: X.shape[0]])
             g = np.einsum("nkd,nk->nd", X, p)
             return Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g
 
         # summed in block order, so the sum is the serial loop's
         full = np.zeros((d, d))
         outer = np.zeros((d, d))
-        for block_full, block_outer in _threaded_blocks(partial, range(len(spans)), w):
+        for block_full, block_outer in _threaded_blocks(partial, spans, workers, scratch):
             full += block_full
             outer += block_outer
         return full / n - outer / n

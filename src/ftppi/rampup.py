@@ -39,12 +39,12 @@ class RampUpPlan:
 
     ``schedule`` must be strictly increasing with at least three entries
     (the law needs three points before the first fit).  ``n_v`` is the
-    holdout used to measure residual variance after each stage; it is
-    ignored when the run uses cross-validation instead.
+    holdout used to measure residual variance after each stage; a run
+    that uses cross-validation instead ignores it, and it may be None.
     """
 
     schedule: tuple[int, ...]
-    n_v: int
+    n_v: int | None
 
     def __post_init__(self) -> None:
         sched = tuple(check_int(s, "schedule size", 1) for s in self.schedule)
@@ -55,7 +55,8 @@ class RampUpPlan:
             )
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ParameterError(f"schedule must be strictly increasing, got {sched}")
-        object.__setattr__(self, "n_v", check_int(self.n_v, "n_v", 2))
+        if self.n_v is not None:
+            object.__setattr__(self, "n_v", check_int(self.n_v, "n_v", 2))
 
     @property
     def stages(self) -> int:
@@ -161,6 +162,8 @@ def run_rampup(
             )
         budget = sched[-1]
         n_v = 0
+    elif plan.n_v is None:
+        raise PlanError("a holdout run needs the plan's n_v; without one, give cv_folds")
     else:
         budget = sched[-1] + plan.n_v
         n_v = plan.n_v

@@ -367,23 +367,23 @@ def _base_surrogate(world: SyntheticWorld, seed: RngSeed | int) -> tuple[int, fl
 # ---------------------------------------------------------------------------
 
 
-def _rows(fn, items, workspace) -> np.ndarray:
-    buffers = workspace()  # the chunk's, freed on return
+def _rows(fn, items, scratch) -> np.ndarray:
+    buffers = [np.empty(shape) for shape in scratch]  # the chunk's, freed on return
     return np.array([fn(item, *buffers) for item in items], dtype=np.float64)
 
 
-def _replicates(fn, items: Sequence, workers: int, workspace=tuple) -> np.ndarray:
+def _replicates(fn, items: Sequence, workers: int, scratch: Sequence = ()) -> np.ndarray:
     """``fn(item, *buffers)`` for every item, as a float64 array with one row per item.
 
-    ``fn`` must be a pure function of its item; ``buffers``, made by one
-    ``workspace()`` call per chunk in the process running it, are scratch
-    to write before reading.  With more than one worker the items are cut
-    into contiguous chunks, one per worker, and ``core._forked_rows``
-    computes the first chunk here and the others in forked children,
-    joining the rows in item order, so the result is byte-identical to
-    the serial one.  The earliest chunk's error is raised, as the serial
-    loop would have raised it.  Where nothing can fork (off Linux) every
-    item runs here.
+    ``fn`` must be a pure function of its item; ``buffers``, one float64
+    array per shape in ``scratch`` made once per chunk in the process
+    running it, are scratch to write before reading.  With more than one
+    worker the items are cut into contiguous chunks, one per worker, and
+    ``core._forked_rows`` computes the first chunk here and the others in
+    forked children, joining the rows in item order, so the result is
+    byte-identical to the serial one.  The earliest chunk's error is
+    raised, as the serial loop would have raised it.  Where nothing can
+    fork (off Linux) every item runs here.
     """
     items = list(items)
     workers = _resolve_workers(workers, len(items))
@@ -391,12 +391,7 @@ def _replicates(fn, items: Sequence, workers: int, workspace=tuple) -> np.ndarra
         workers = 1
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return _forked_rows([functools.partial(_rows, fn, chunk, workspace) for chunk in chunks])
-
-
-def _workspace(*shapes):
-    """A chunk's buffers: one float64 array per shape."""
-    return lambda: tuple(np.empty(shape) for shape in shapes)
+    return _forked_rows([functools.partial(_rows, fn, chunk, scratch) for chunk in chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +480,7 @@ def brute_force_allocation(
     reps = [seed.child(r + 1) for r in range(replicates)]
     # One contiguous row per fraction: numpy sums a strided axis in another
     # order, which would move the variances' last bits.
-    estimates = np.ascontiguousarray(_replicates(replicate, reps, workers, _workspace(m, m)).T)
+    estimates = np.ascontiguousarray(_replicates(replicate, reps, workers, [m, m]).T)
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
     return BruteForceResult(
@@ -573,7 +568,7 @@ def run_estimator_comparison(
 
     names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
     reps = [seed.child(r) for r in range(replicates)]
-    ws = _workspace((m, world.feature_dim), m, m, m)
+    ws = [(m, world.feature_dim), m, m, m]  # the pool's features, base, field and predictions
     draws = np.ascontiguousarray(_replicates(replicate, reps, workers, ws).T)  # as in brute force
 
     rows = []
@@ -831,7 +826,7 @@ def external_ft_experiment(
         return _split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds)
 
     reps = [seed.child(r) for r in range(replicates)]
-    estimates = _replicates(replicate, reps, workers, _workspace((m, world.feature_dim), m, m, m))
+    estimates = _replicates(replicate, reps, workers, [(m, world.feature_dim), m, m, m])
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))

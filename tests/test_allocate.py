@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftppi.allocate import (
+    BRACKET_EPS,
     BRACKET_TOL,
     AllocationResult,
     FeasibilityInput,
@@ -160,6 +161,23 @@ class TestSolveOptimalAllocation:
         assert 1.0 < s < 2.0
         assert foc_residual(law, n, s - tol) > 0 > foc_residual(law, n, s + tol)
         assert res.s_star_int == 2
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-12, 2e9, 1e12])
+    @pytest.mark.parametrize("n", [10, 100, 1_000_000])
+    def test_root_beyond_first_bracket_at_extreme_alpha(self, alpha, n):
+        # Without a floor the root is alpha * n / (alpha + 1): at these alphas
+        # it lies outside (1e-9 * n, n - 1e-9 * n), and is still in (0, n).
+        res = solve_optimal_allocation(ScalingLaw(1.0, alpha, 0.0), n)
+        assert res.s_star_real == pytest.approx(alpha * n / (alpha + 1.0), rel=1e-8, abs=0)
+        assert res.s_star_int == (1 if alpha < 1.0 else n - 2)
+        assert f"integer optimum clamped to [1, {n - 2}]" in res.diagnostics
+
+    @pytest.mark.parametrize("n", [100, 1_000_000])
+    def test_floor_law_solves_at_tiny_alpha(self, n):
+        law = ScalingLaw(1.0, 1e-9, 1.0)
+        s = solve_optimal_allocation(law, n).s_star_real
+        assert 0.0 < s < BRACKET_EPS * n
+        assert foc_residual(law, n, s * (1 - 1e-7)) > 0 > foc_residual(law, n, s * (1 + 1e-7))
 
     def test_n_validation(self):
         law = ScalingLaw(1.0, 1.0, 0.0)

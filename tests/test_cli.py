@@ -6,9 +6,11 @@ Golden files live in tests/golden/ and are byte-for-byte: outputs round
 floats to 12 significant digits, so they are stable across platforms.
 """
 
+import enum
 import gc
 import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +141,29 @@ class TestAllocate:
         assert payload["s_star"] == 2
         assert payload["s_star_real"] == s_star_real
 
+    @pytest.mark.parametrize("alpha, b", [("1e-9", "1"), ("1e-9", "0"), ("2e9", "0")])
+    def test_extreme_alpha_solves(self, capsys, alpha, b):
+        code, out, err = run_cli(
+            capsys, "allocate", "--a", "1", "--alpha", alpha, "--b", b, "--n", "100"
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["s_star"] == (1 if float(alpha) < 1 else 98)
+        assert "integer optimum clamped to [1, 98]" in payload["diagnostics"]
+
+    def test_subnormal_root_solves(self):
+        # The root, 1e-315, is a subnormal float: the bisection's relative
+        # stopping width is below the float spacing there, so it ends where
+        # its bracket is down to adjacent floats.  A fresh process, so that a
+        # bisection that never ends fails on the timeout.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ftppi", "allocate", "--a", "1", "--alpha", "1e-317",
+             "--b", "0", "--n", "100"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["s_star_real"] == pytest.approx(1e-315, rel=1e-5)
+
     def test_small_root_is_resolved_relative_to_itself(self):
         # The root sits at 1.4e-6 * n: an absolute stopping width of
         # 1e-10 * n would leave it uncertain in the fifth digit.
@@ -190,6 +215,37 @@ class TestFitScaling:
         )
         assert code == 2
         assert json.loads(err)["error"] in ("OSError", "DataFormatError", "CsvFormatError")
+
+
+class TestSerialization:
+    def test_dataclass_becomes_its_fields_in_order(self):
+        report = ppi_mean.MeanEstimateReport(
+            estimate=1.0 / 3.0, variance_hat=0.25, ci_low=0.0, ci_high=np.float64(1.0),
+            delta=0.05, n_ppi=np.int64(8), m=12, method=Method.FT_PPI,
+        )
+        clean = cli._round_floats({"final": report})["final"]
+        assert list(clean.items()) == [
+            ("estimate", 0.333333333333), ("variance_hat", 0.25), ("ci_low", 0.0),
+            ("ci_high", 1.0), ("delta", 0.05), ("n_ppi", 8), ("m", 12),
+            ("method", "FtPpi"), ("notes", ""),
+        ]
+        assert type(clean["method"]) is str and type(clean["n_ppi"]) is int
+
+    def test_enum_member_becomes_its_value(self):
+        plain = enum.Enum("Plain", {"ONE": 1.0 / 7.0, "TWO": "two"})
+        assert cli._round_floats([plain.ONE, plain.TWO, Method.SAMPLE_MEAN]) == [
+            0.142857142857, "two", "SampleMean",
+        ]
+        assert cli.render_csv(ppi_mean.MeanEstimateReport(
+            1.0, 0.5, 0.0, 2.0, 0.05, 3, 4, Method.FT_ONLY, "a note",
+        )).splitlines()[1] == "1.0,0.5,0.0,2.0,0.05,3,4,FtOnly,a note"
+
+    def test_non_finite_field_refused(self):
+        report = ppi_mean.MeanEstimateReport(
+            math.nan, 0.5, 0.0, 2.0, 0.05, 3, 4, Method.FT_ONLY,
+        )
+        with pytest.raises(core.NumericalError, match="non-finite"):
+            cli.render_json(report)
 
 
 class TestEstimateMean:
@@ -858,12 +914,23 @@ class TestRampup:
     def test_cv_mode(self, capsys, world_file):
         code, out, err = run_cli(
             capsys, "rampup", "--world", world_file, "--n", "400", "--m", "300",
-            "--schedule", "20,40,80", "--n-v", "2", "--cv-folds", "4", "--seed", "5",
+            "--schedule", "20,40,80", "--cv-folds", "4", "--seed", "5",
         )
         assert code == 0, err
         final = json.loads(out.splitlines()[-1])["final"]
         assert final["mode"] == "cv" and final["n_v"] == 0
         assert final["estimate"]["n_ppi"] == 400 - final["s_final"]
+
+    @pytest.mark.parametrize("holdout", [("--n-v", "100", "--cv-folds", "2"), ()])
+    def test_n_v_only_without_cv_folds(self, capsys, world_file, holdout):
+        """--n-v is refused with --cv-folds, which ignores it, and required without."""
+        code, out, err = run_cli(
+            capsys, "rampup", "--world", world_file, "--n", "600", "--m", "600",
+            "--schedule", "20,40,80", *holdout,
+        )
+        assert code == 2 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "ParameterError" and "--n-v" in msg["message"]
 
     def test_env_seed_matches_explicit_flag(self, capsys, world_file, monkeypatch):
         _, with_flag, _ = run_cli(
@@ -1076,14 +1143,14 @@ class TestGlobalOptions:
         ]
         ran, threaded_blocks = [], m_estim._threaded_blocks
 
-        def spy(fn, items, workers):
+        def spy(fn, items, workers, scratch=()):
             threads = set()
 
-            def on_a_thread(item):
+            def on_a_thread(item, *buffers):
                 threads.add(threading.current_thread())
-                return fn(item)
+                return fn(item, *buffers)
 
-            out = threaded_blocks(on_a_thread, items, workers)
+            out = threaded_blocks(on_a_thread, items, workers, scratch)
             ran[-1] = max(ran[-1], len(threads))
             return out
 

@@ -344,7 +344,7 @@ COUNT_ARGUMENTS = [
     ),
     ("schedule size", lambda v: RampUpPlan((v, 20, 30), 10), 10, False),
     ("schedule size", lambda v: RampUpPlan((10, 20, v), 10), 30, False),
-    ("n_v", lambda v: RampUpPlan((10, 20, 30), v), 10, False),
+    ("n_v", lambda v: RampUpPlan((10, 20, 30), v), 10, True),
     ("cv_folds", _rampup, 2, True),
     ("ScalingObservation.s", lambda v: ScalingObservation(v, 1.0), 10, False),
     ("feature_dim", lambda v: SyntheticWorld(1.5, 4.0, v, LAW), 2, False),
@@ -383,7 +383,7 @@ _NON_COUNTS = [
     pytest.param(what, call, bad, id=f"{name}-{bad!r}")
     for name, (what, call, _, none_ok) in zip(_COUNT_IDS, COUNT_ARGUMENTS)
     for bad in (True, 2.5, "3", None)
-    if not (bad is None and none_ok)  # None is then the argument's default
+    if not (bad is None and none_ok)  # None is then the argument's default, or allowed
 ]
 
 
@@ -446,4 +446,50 @@ class TestThreadedBlocks:
         before = threading.active_count()
         with pytest.raises(ValueError, match="item 2"):
             _threaded_blocks(fn, range(6), workers)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_scratch_is_each_workers_own(self, workers):
+        """Items i and i + w get the same buffers, of the shapes asked for;
+        different workers get different ones."""
+        got = {}
+
+        def fn(item, row, grid):
+            got[item] = (row, grid)
+            return item
+
+        assert _threaded_blocks(fn, range(7), workers, [5, (2, 3)]) == list(range(7))
+        w = min(workers, 7)
+        for i, (row, grid) in got.items():
+            assert row.shape == (5,) and grid.shape == (2, 3) and row.dtype == np.float64
+            assert row is got[i % w][0] and grid is got[i % w][1]
+        buffers = [id(buf) for i in range(w) for buf in got[i]]
+        assert len(set(buffers)) == 2 * w
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_scratch_allocated_before_any_thread_starts(self, workers, monkeypatch):
+        made = []
+        empty = np.empty
+
+        def spy(shape, *args, **kwargs):
+            made.append((shape, threading.current_thread(), threading.active_count()))
+            return empty(shape, *args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np, "empty", spy)
+        _threaded_blocks(lambda item, buf: buf.fill(item), range(6), workers, [4])
+        monkeypatch.undo()
+        assert made == [(4, threading.current_thread(), before)] * workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_earliest_error_raised_with_scratch(self, workers):
+        def fn(item, buf):
+            buf[0] = item
+            if item in (2, 4):
+                raise ValueError(f"item {item}")
+            return item
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 2"):
+            _threaded_blocks(fn, range(6), workers, [3])
         assert threading.active_count() == before

@@ -237,6 +237,18 @@ class TestBudgetsAndModes:
         trace = run_rampup(data, plan, trainer, seed=1, cv_folds=4)
         assert trace.completed
 
+    def test_n_v_may_be_none_for_cv_only(self):
+        plan = RampUpPlan(schedule=(20, 40, 80), n_v=None)
+        world = SyntheticWorld(0.5, 4.0, 1, ScalingLaw(3.0, 0.5, 0.5), s_min=4)
+        data, _ = generate_world_data(world, 100, 1, 8)
+        trainer = SimTrainer(world, RngSeed(9))
+        with pytest.raises(PlanError, match="n_v"):
+            run_rampup(data, plan, trainer, seed=1)
+        with_n_v = run_rampup(data, RampUpPlan((20, 40, 80), 50), trainer, seed=1, cv_folds=4)
+        trace = run_rampup(data, plan, trainer, seed=1, cv_folds=4)
+        assert trace.completed and trace.n_v == 0
+        assert [r.as_dict() for r in trace.records] == [r.as_dict() for r in with_n_v.records]
+
     def test_cv_folds_validation(self):
         plan = RampUpPlan(schedule=(4, 8, 16), n_v=5)
         data = id_dataset(100)

@@ -884,16 +884,22 @@ class TestWorkspaceMatchesFreshArrays:
 class TestWorkspace:
     def test_one_workspace_per_chunk_made_where_it_runs(self, monkeypatch):
         monkeypatch.setattr(simulate, "_resolve_workers", lambda workers, items: min(workers, items))
+        empty = np.empty
 
-        def workspace():
-            return (np.array([os.getpid(), 0.0]),)
+        def stamped(shape, *args, **kwargs):
+            buf = empty(shape, *args, **kwargs)
+            if shape == (2, 1):  # the scratch below: stamped with the pid that makes it
+                buf[:, 0] = os.getpid(), 0.0
+            return buf
+
+        monkeypatch.setattr(np, "empty", stamped)
 
         def fn(item, state):
             state[1] += 1  # counts the replicates that share this workspace
-            return [state[0] == os.getpid(), state[1]]
+            return [state[0, 0] == os.getpid(), state[1, 0]]
 
         for workers in WORKSPACE_WORKERS:
-            rows = simulate._replicates(fn, range(6), workers, workspace)
+            rows = simulate._replicates(fn, range(6), workers, [(2, 1)])
             assert rows[:, 0].all()
             assert rows[:, 1].tolist() == list(range(1, 6 // workers + 1)) * workers
         assert_no_child_left()
@@ -905,14 +911,14 @@ class TestWorkspace:
         want = EXPERIMENTS[name](2)
         original = simulate._rows
 
-        def scribbling_rows(fn, items, workspace):
+        def scribbling_rows(fn, items, scratch):
             def scribbled(item, *buffers):
                 row = fn(item, *buffers)
                 for buf in buffers:
                     buf.fill(np.nan)
                 return row
 
-            return original(scribbled, items, workspace)
+            return original(scribbled, items, scratch)
 
         monkeypatch.setattr(simulate, "_rows", scribbling_rows)
         assert_same_fields(EXPERIMENTS[name](2), want)

@@ -6,12 +6,24 @@
 REF is a git revision, extracted with ``git archive`` into a temporary
 directory, or a directory that holds a source tree.  The tree checked
 against it is this checkout, or ``--tree DIR``.  Each operation of one
-fixed list runs as ``python -m ftppi`` on the ``src/`` of each tree, in a
-fresh working directory of the same relative name, on inputs written
-once for both.  Every difference in exit code, standard output, standard
-error or the files an operation writes under ``--out`` is printed, and
-the exit status is 1; it is 0 when every operation matches.  ``--toy``
-shrinks every input, for tests.
+fixed list runs on the ``src/`` of each tree, in a fresh working
+directory of the same relative name, on inputs written once for both.
+It runs twice, on two legs:
+
+* as ``python -m ftppi``, the program as users run it.  This leg proves
+  that the two trees give the same exit codes, standard error and
+  output bytes, with every number rounded to the 12 significant digits
+  the program prints;
+* through ``tools/full_precision.py``, which prints every float with all
+  its bits.  This leg proves that every printed number is the same
+  float in both trees, so a change in the last bits of a result shows
+  even where 12 digits hide it.
+
+Every difference in exit code, standard output, standard error or the
+files an operation writes under ``--out`` is printed, and the exit
+status is 1; it is 0 when every operation matches on both legs.  If the
+launcher cannot find the rounding it replaces in a tree, the check
+stops with status 2.  ``--toy`` shrinks every input, for tests.
 
 The list: the four benchmark workloads' operations on seeds 1 and 2, with
 inputs written by ``perfbench/inputs.py``; ``simulate`` on
@@ -21,10 +33,9 @@ a failing first stage; ``bootstrap``; ``estimate-m`` with each loss at
 ``--threads`` 1, 2 and 0; ``estimate-mean`` with each method;
 ``fit-scaling``; ``allocate``, also on a steep law at n = 10**6.
 
-The program prints 12 significant digits, so a change in the last bits
-of a number shows only where an input amplifies it.  One input does so
-for the rectified mean: outcomes and predictions on an offset of 1e8
-that the estimate cancels.
+On the 12-digit leg a change in the last bits of a number shows only
+where an input amplifies it.  One input does so for the rectified mean:
+outcomes and predictions on an offset of 1e8 that the estimate cancels.
 """
 
 from __future__ import annotations
@@ -44,6 +55,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 import run as bench  # noqa: E402  (perfbench/run.py, for the workloads' operations)
+
+LAUNCHER = os.path.join(ROOT, "tools", "full_precision.py")
+#: The two legs: how each starts the program, and its tag in the differences it finds.
+LEGS = ((["-m", "ftppi"], ""), ([LAUNCHER], " at full precision"))
 
 #: Module constants of perfbench/inputs.py replaced by ``--toy``.
 TOY_INPUTS = {
@@ -173,13 +188,29 @@ def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
     return ops
 
 
-def _start(tree: str, args: list[str], cwd: str) -> subprocess.Popen:
-    os.makedirs(cwd)
+def _env(tree: str) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("FTPPI_")}
     env["PYTHONPATH"] = os.path.join(tree, "src")
-    return subprocess.Popen([sys.executable, "-m", "ftppi", *args], cwd=cwd, env=env,
+    return env
+
+
+def _start(tree: str, program: list[str], args: list[str], cwd: str) -> subprocess.Popen:
+    os.makedirs(cwd)
+    return subprocess.Popen([sys.executable, *program, *args], cwd=cwd, env=_env(tree),
                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
+
+
+def launcher_failures(trees: list[tuple[str, str]]) -> list[str]:
+    """The message of each tree, given as (name, directory), on which the
+    full-precision launcher cannot find the rounding it replaces."""
+    failures = []
+    for name, tree in trees:
+        proc = subprocess.run([sys.executable, LAUNCHER, "--version"], env=_env(tree),
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        if proc.returncode:
+            failures.append(f"{name}: {proc.stderr.strip()}")
+    return failures
 
 
 def _files(cwd: str) -> dict[str, bytes]:
@@ -193,25 +224,30 @@ def _files(cwd: str) -> dict[str, bytes]:
 
 
 def differences(trees: list[tuple[str, str]], ops, work: str) -> list[str]:
-    """Run every operation on every tree, given as (name, directory), one
-    operation at a time with the trees side by side; describe each way a
-    tree's run differs from the first's.  Each operation's name and exit
-    code on the first tree go to stderr."""
+    """Run every operation on every tree, given as (name, directory), on
+    both legs, one operation and leg at a time with the trees side by side;
+    describe each way a tree's run differs from the first's.  Each
+    operation's name and exit code on the first tree go to stderr."""
     names, trees = zip(*trees)
     found = []
     for k, (name, args) in enumerate(ops):
-        cwds = [os.path.join(work, f"tree{t}", f"op{k}") for t in range(len(trees))]
-        procs = [_start(tree, args, cwd) for tree, cwd in zip(trees, cwds)]
-        runs = []
-        for proc, cwd in zip(procs, cwds):
-            out, err = proc.communicate()
-            runs.append({"exit code": proc.returncode, "stdout": out, "stderr": err,
-                         "--out files": _files(cwd)})
-        print(f"{name}: exit {runs[0]['exit code']}", file=sys.stderr)
-        for t, other in enumerate(runs[1:], 1):
-            for what, value in other.items():
-                if value != runs[0][what]:
-                    found.append(f"{name}: {what} differs between {names[0]} and {names[t]}")
+        for leg, (program, tag) in enumerate(LEGS):
+            cwds = [os.path.join(work, f"tree{t}", f"leg{leg}", f"op{k}")
+                    for t in range(len(trees))]
+            procs = [_start(tree, program, args, cwd) for tree, cwd in zip(trees, cwds)]
+            runs = []
+            for proc, cwd in zip(procs, cwds):
+                out, err = proc.communicate()
+                runs.append({"exit code": proc.returncode, "stdout": out, "stderr": err,
+                             "--out files": _files(cwd)})
+            if not leg:
+                print(f"{name}: exit {runs[0]['exit code']}", file=sys.stderr)
+            for t, other in enumerate(runs[1:], 1):
+                for what, value in other.items():
+                    if value != runs[0][what]:
+                        found.append(
+                            f"{name}: {what}{tag} differs between {names[0]} and {names[t]}"
+                        )
     return found
 
 
@@ -235,6 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ftppi-identity-") as tmp:
         trees = [(args.tree, os.path.abspath(args.tree)), (args.ref, extract(args.ref, tmp))]
+        failures = launcher_failures(trees)
+        if failures:
+            print("\n".join(failures), file=sys.stderr)
+            return 2
         os.makedirs(os.path.join(tmp, "inputs"))
         ops = operations(os.path.join(tmp, "inputs"), args.toy)
         found = differences(trees, ops, os.path.join(tmp, "runs"))
