@@ -88,18 +88,29 @@ def _solve_root(law: ScalingLaw, n: float) -> float:
 
     The residual is bisected times s**(alpha+1)/a > 0: same sign, but no
     negative power of s to overflow near s = 0, and the floor term
-    saturates to +inf where s**(alpha+1) overflows.  The bracket stops at
-    width BRACKET_TOL * min(n, 100 * lo), so a root below n / 100 is known
-    to the same relative precision, 1e-8, as a root at n / 100.
+    saturates to +inf where s**(alpha+1) overflows.  Where b/a overflows,
+    the residual's two terms are compared by their logs instead, which
+    gives the same sign.  The bracket stops at width
+    BRACKET_TOL * min(n, 100 * lo), so a root below n / 100 is known to the
+    same relative precision, 1e-8, as a root at n / 100.
     """
     alpha, b_over_a = law.alpha, law.b / law.a
+    if math.isinf(b_over_a):
+        log_b_over_a = math.log(law.b) - math.log(law.a)
 
-    def foc(s: float) -> float:
-        try:
-            floor_term = b_over_a * s ** (alpha + 1.0) if b_over_a else 0.0
-        except OverflowError:
-            floor_term = math.inf
-        return alpha * n - (alpha + 1.0) * s - floor_term
+        def foc(s: float) -> float:
+            head = alpha * n - (alpha + 1.0) * s
+            if head <= 0.0 or s == 0.0:
+                return head  # the residual's sign, which is all the bisection reads
+            return math.log(head) - log_b_over_a - (alpha + 1.0) * math.log(s)
+    else:
+
+        def foc(s: float) -> float:
+            try:
+                floor_term = b_over_a * s ** (alpha + 1.0) if b_over_a else 0.0
+            except OverflowError:
+                floor_term = math.inf
+            return alpha * n - (alpha + 1.0) * s - floor_term
 
     lo = BRACKET_EPS * n
     hi = n - BRACKET_EPS * n

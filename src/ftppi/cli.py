@@ -362,6 +362,7 @@ def _cmd_simulate(args, seed: RngSeed) -> dict:
 def _cmd_rampup(args, seed: RngSeed) -> dict:
     if (args.n_v is None) == (args.cv_folds is None):
         raise ParameterError("--n-v is required without --cv-folds, and does not apply with it")
+    check_int(args.m, "--m", 2)  # the final interval needs the pool's variance
     world = simulate.world_from_dict(_load_json_file(args.world, "world"))
     labeled, unlabeled = simulate.generate_world_data(world, args.n, args.m, seed.child(1))
     trainer = simulate.SimTrainer(world, seed.child(2))

@@ -104,35 +104,24 @@ class RampUpTrace:
     s_final: int | None
     mode: str  # "holdout" | "cv"
     n: int
-    n_v: int  # 0 in cv mode
+    n_v: int | None  # None in cv mode
     validation_indices: np.ndarray | None
     pool_order: np.ndarray
     error: str | None = None
 
 
-def _cv_residuals(
-    data: LabeledDataset,
-    stage_order: np.ndarray,
-    trainer,
-    folds: int,
-) -> np.ndarray:
-    """K-fold residuals pooled over the stage subset.
+def _residuals(data: LabeledDataset, folds, trainer) -> np.ndarray:
+    """Residuals of every fold, joined in fold order.
 
-    ``stage_order`` is already randomly permuted, so contiguous chunks
-    are valid folds.  Each fold's labels are predicted by a model trained
-    on the rest of the stage subset; training size dips below the
-    nominal stage size by one fold's worth, the usual K-fold bias.
+    A fold is a ``(train, held)`` pair of index arrays: a model trained on
+    the ``train`` rows predicts the ``held`` rows, both taken in sorted order.
     """
-    chunks = np.array_split(np.arange(stage_order.shape[0]), folds)
-    residuals = np.empty(stage_order.shape[0])
-    for chunk in chunks:
-        mask = np.ones(stage_order.shape[0], dtype=bool)
-        mask[chunk] = False
-        train_idx = np.sort(stage_order[mask])
-        f = trainer.train(data.subset(train_idx))
-        held = data.subset(np.sort(stage_order[chunk]))
-        residuals[chunk] = held.ys - f.on(held)
-    return residuals
+    parts = []
+    for train, held in folds:
+        f = trainer.train(data.subset(np.sort(train)))
+        held_data = data.subset(np.sort(held))
+        parts.append(held_data.ys - f.on(held_data))
+    return np.concatenate(parts)
 
 
 def run_rampup(
@@ -154,58 +143,63 @@ def run_rampup(
     """
     n = data.n
     sched = plan.schedule
+    n_v = plan.n_v if cv_folds is None else None
     if cv_folds is not None:
         cv_folds = check_int(cv_folds, "cv_folds", 2)
         if cv_folds > sched[0]:
             raise ParameterError(
                 f"cv_folds ({cv_folds}) exceeds the smallest stage size ({sched[0]})"
             )
-        budget = sched[-1]
-        n_v = 0
-    elif plan.n_v is None:
+    elif n_v is None:
         raise PlanError("a holdout run needs the plan's n_v; without one, give cv_folds")
-    else:
-        budget = sched[-1] + plan.n_v
-        n_v = plan.n_v
+    budget = sched[-1] + (n_v or 0)
     if budget > n - 2:
         raise PlanError(
             f"plan needs {budget} labels but must leave 2 of {n} for rectification"
         )
 
-    rng = as_seed(seed).generator()
-    perm = rng.permutation(n)
-    if cv_folds is None:
-        validation_indices = np.sort(perm[:n_v])
-        validation = data.subset(validation_indices)
-        pool_order = perm[n_v:]
-        mode = "holdout"
+    perm = as_seed(seed).generator().permutation(n)
+    if n_v is None:
+        validation_indices, pool_order = None, perm
+
+        def folds(stage: np.ndarray) -> list:
+            # the pool order is random, so contiguous chunks are valid folds; each
+            # model trains on one fold fewer than the stage, the usual K-fold bias
+            chunks = np.array_split(np.arange(stage.shape[0]), cv_folds)
+            return [(np.delete(stage, chunk), stage[chunk]) for chunk in chunks]
     else:
-        validation_indices = None
-        validation = None
-        pool_order = perm
-        mode = "cv"
+        validation_indices, pool_order = np.sort(perm[:n_v]), perm[n_v:]
+
+        def folds(stage: np.ndarray) -> list:  # a holdout stage is one fold
+            return [(stage, validation_indices)]
 
     records: list[StageRecord] = []
     observations: list[ScalingObservation] = []
-    completed = False
-    stop_stage: int | None = None
-    s_final: int | None = None
-    error: str | None = None
+
+    def trace(error: str | None = None) -> RampUpTrace:
+        """The trace of a run that ended at its last record: a stop, or an error."""
+        completed = error is None
+        return RampUpTrace(
+            records=tuple(records),
+            completed=completed,
+            stop_stage=records[-1].stage if completed else None,
+            s_final=records[-1].size if completed else None,
+            mode="cv" if n_v is None else "holdout",
+            n=n,
+            n_v=n_v,
+            validation_indices=validation_indices,
+            pool_order=pool_order,
+            error=error,
+        )
 
     for stage_ix, size in enumerate(sched, start=1):
         try:
-            if cv_folds is None:
-                ft_idx = np.sort(pool_order[:size])
-                f = trainer.train(data.subset(ft_idx))
-                residuals = validation.ys - f.on(validation)
-            else:
-                residuals = _cv_residuals(data, pool_order[:size], trainer, cv_folds)
+            residuals = _residuals(data, folds(pool_order[:size]), trainer)
         except FtppiError as exc:
-            error = f"stage {stage_ix} (size {size}): {exc}"
             records.append(
                 StageRecord(stage_ix, size, float("nan"), float("nan"), None, None, "error")
             )
-            break
+            return trace(f"stage {stage_ix} (size {size}): {exc}")
 
         mean_res = float(np.mean(residuals))
         var_res = float(np.var(residuals, ddof=1))
@@ -223,23 +217,8 @@ def run_rampup(
             StageRecord(stage_ix, size, mean_res, var_res, fit, s_hat, decision)
         )
         if should_stop:
-            completed = True
-            stop_stage = stage_ix
-            s_final = size
             break
-
-    return RampUpTrace(
-        records=tuple(records),
-        completed=completed,
-        stop_stage=stop_stage,
-        s_final=s_final,
-        mode=mode,
-        n=n,
-        n_v=n_v,
-        validation_indices=validation_indices,
-        pool_order=pool_order,
-        error=error,
-    )
+    return trace()
 
 
 def rampup_final_estimate(

@@ -1,5 +1,7 @@
 """Tests for the labeled-budget split solver and feasibility checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,27 @@ class TestSolveOptimalAllocation:
         s = solve_optimal_allocation(law, n).s_star_real
         assert 0.0 < s < BRACKET_EPS * n
         assert foc_residual(law, n, s * (1 - 1e-7)) > 0 > foc_residual(law, n, s * (1 + 1e-7))
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e10), (1e-200, 1e200)])
+    def test_law_whose_b_over_a_overflows_solves(self, a, b):
+        # b / a overflows, and for the second law a / b underflows too
+        law, n = ScalingLaw(a, 0.5, b), 100
+        assert math.isinf(b / a)
+
+        def log_residual(t: float) -> float:  # the stationarity residual's sign at s = e^t
+            head = law.alpha * n - (law.alpha + 1.0) * math.exp(t)
+            if head <= 0.0:
+                return -math.inf
+            return math.log(head) - math.log(b) + math.log(a) - (law.alpha + 1.0) * t
+
+        lo, hi = math.log(1e-320), math.log(n)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if log_residual(mid) > 0.0 else (lo, mid)
+        res = solve_optimal_allocation(law, n)
+        assert res.s_star_real == pytest.approx(math.exp(0.5 * (lo + hi)), rel=1e-8, abs=0)
+        assert res.s_star_int == 1
+        assert f"integer optimum clamped to [1, {n - 2}]" in res.diagnostics
 
     def test_n_validation(self):
         law = ScalingLaw(1.0, 1.0, 0.0)

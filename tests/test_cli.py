@@ -918,7 +918,7 @@ class TestRampup:
         )
         assert code == 0, err
         final = json.loads(out.splitlines()[-1])["final"]
-        assert final["mode"] == "cv" and final["n_v"] == 0
+        assert final["mode"] == "cv" and final["n_v"] is None
         assert final["estimate"]["n_ppi"] == 400 - final["s_final"]
 
     @pytest.mark.parametrize("holdout", [("--n-v", "100", "--cv-folds", "2"), ()])
@@ -931,6 +931,18 @@ class TestRampup:
         assert code == 2 and out == ""
         msg = json.loads(err)
         assert msg["error"] == "ParameterError" and "--n-v" in msg["message"]
+
+    def test_pool_of_one_row_refused_before_any_stage(self, capsys, world_file, monkeypatch):
+        """The final interval reads the pool's variance, so --m 1 is refused up front."""
+        calls = []
+        monkeypatch.setattr("ftppi.rampup.run_rampup", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(
+            capsys, "rampup", "--world", world_file, "--n", "400", "--m", "1",
+            "--schedule", "20,40,80", "--n-v", "50",
+        )
+        assert code == 2 and out == "" and calls == []
+        msg = json.loads(err)
+        assert msg["error"] == "ParameterError" and "--m" in msg["message"]
 
     def test_env_seed_matches_explicit_flag(self, capsys, world_file, monkeypatch):
         _, with_flag, _ = run_cli(

@@ -7,18 +7,21 @@ import pytest
 
 from ftppi.allocate import solve_optimal_allocation
 from ftppi.core import (
+    FtppiError,
     LabeledDataset,
     ParameterError,
     PlanError,
     RngSeed,
     UnlabeledDataset,
+    as_seed,
 )
 from ftppi.rampup import (
     RampUpPlan,
+    StageRecord,
     rampup_final_estimate,
     run_rampup,
 )
-from ftppi.scaling import ScalingLaw, eval_variance
+from ftppi.scaling import ScalingLaw, ScalingObservation, eval_variance, fit_scaling_law
 from ftppi.simulate import SimTrainer, SyntheticWorld, generate_world_data
 
 
@@ -220,7 +223,7 @@ class TestBudgetsAndModes:
         trainer = SimTrainer(world, RngSeed(9))
         trace = run_rampup(data, plan, trainer, seed=10, cv_folds=4)
         assert trace.mode == "cv"
-        assert trace.n_v == 0
+        assert trace.n_v is None
         assert trace.validation_indices is None
         assert trace.pool_order.shape == (400,)
         for rec in trace.records:
@@ -246,7 +249,7 @@ class TestBudgetsAndModes:
             run_rampup(data, plan, trainer, seed=1)
         with_n_v = run_rampup(data, RampUpPlan((20, 40, 80), 50), trainer, seed=1, cv_folds=4)
         trace = run_rampup(data, plan, trainer, seed=1, cv_folds=4)
-        assert trace.completed and trace.n_v == 0
+        assert trace.completed and trace.n_v is None
         assert [r.as_dict() for r in trace.records] == [r.as_dict() for r in with_n_v.records]
 
     def test_cv_folds_validation(self):
@@ -257,6 +260,109 @@ class TestBudgetsAndModes:
             run_rampup(data, plan, trainer, 1, cv_folds=1)
         with pytest.raises(ParameterError, match="smallest stage"):
             run_rampup(data, plan, trainer, 1, cv_folds=5)
+
+
+def reference_rampup(data, plan, trainer, seed, cv_folds=None):
+    """The ramp-up with holdout and K-fold residuals measured by two separate
+    formulations: a holdout stage trains once and predicts the holdout, a
+    cross-validated stage fills each fold's residuals in place.
+
+    Returns the records, pool order, holdout indices and error string.
+    """
+    n = data.n
+    perm = as_seed(seed).generator().permutation(n)
+    if cv_folds is None:
+        validation_indices = np.sort(perm[: plan.n_v])
+        validation = data.subset(validation_indices)
+        pool_order = perm[plan.n_v :]
+    else:
+        validation_indices, pool_order = None, perm
+    records, observations = [], []
+    for stage_ix, size in enumerate(plan.schedule, start=1):
+        try:
+            if cv_folds is None:
+                f = trainer.train(data.subset(np.sort(pool_order[:size])))
+                residuals = validation.ys - f.on(validation)
+            else:
+                stage_order = pool_order[:size]
+                residuals = np.empty(size)
+                for chunk in np.array_split(np.arange(size), cv_folds):
+                    mask = np.ones(size, dtype=bool)
+                    mask[chunk] = False
+                    f = trainer.train(data.subset(np.sort(stage_order[mask])))
+                    held = data.subset(np.sort(stage_order[chunk]))
+                    residuals[chunk] = held.ys - f.on(held)
+        except FtppiError as exc:
+            nan = float("nan")
+            records.append(StageRecord(stage_ix, size, nan, nan, None, None, "error"))
+            return records, pool_order, validation_indices, f"stage {stage_ix} (size {size}): {exc}"
+        var_res = float(np.var(residuals, ddof=1))
+        observations.append(ScalingObservation(size, var_res))
+        fit = fit_scaling_law(observations) if stage_ix >= 3 else None
+        s_hat = None if fit is None else solve_optimal_allocation(fit.law, n).s_star_real
+        stop = stage_ix == plan.stages or (s_hat is not None and s_hat <= size)
+        decision = "stop" if stop else "continue"
+        mean_res = float(np.mean(residuals))
+        records.append(StageRecord(stage_ix, size, mean_res, var_res, fit, s_hat, decision))
+        if stop:
+            return records, pool_order, validation_indices, None
+
+
+def raw_fields(rec: StageRecord) -> tuple:
+    """Every field of a record, floats by repr: equal tuples mean equal bits, NaN included."""
+    fit = rec.fit
+    if fit is not None:
+        law = fit.law
+        fit = (repr(law.a), repr(law.alpha), repr(law.b), repr(fit.r_squared),
+               fit.residuals.tobytes(), fit.alpha_ge_one, fit.degenerate, fit.boundary)
+    floats = (rec.mean_residual, rec.residual_variance, rec.s_hat)
+    return (rec.stage, rec.size, *map(repr, floats), fit, rec.decision)
+
+
+class TestOneFoldLoop:
+    """Holdout and cross-validated stages, measured by one fold loop, give the
+    records of the two separate formulations bit for bit."""
+
+    N = 3000
+    PLAN = RampUpPlan(schedule=(21, 43, 87, 175, 351, 701), n_v=301)
+    WORLD = SyntheticWorld(0.5, 4.0, 1, ScalingLaw(3.0, 0.5, 0.5), s_min=4)
+    LAW = ScalingLaw(10.21, 0.21, 1.98)
+
+    def case(self, kind):
+        if kind == "sim":
+            data, _ = generate_world_data(self.WORLD, self.N, 1, 8)
+            return data, lambda: SimTrainer(self.WORLD, RngSeed(9))
+        if kind == "scripted":
+            return id_dataset(self.N), lambda: ScriptedTrainer(self.LAW)
+        return id_dataset(self.N), lambda: FailingTrainer(self.LAW, fail_at_size=150)
+
+    @pytest.mark.parametrize("cv_folds", [None, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["scripted", "sim", "failing"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_separate_formulations(self, kind, cv_folds, seed):
+        data, make_trainer = self.case(kind)
+        trainer, ref_trainer = make_trainer(), make_trainer()
+        trace = run_rampup(data, self.PLAN, trainer, seed, cv_folds=cv_folds)
+        records, pool_order, validation_indices, error = reference_rampup(
+            data, self.PLAN, ref_trainer, seed, cv_folds
+        )
+        assert [r.as_dict() for r in trace.records] == [r.as_dict() for r in records]
+        assert [raw_fields(r) for r in trace.records] == [raw_fields(r) for r in records]
+        assert trace.pool_order.dtype == pool_order.dtype
+        assert np.array_equal(trace.pool_order, pool_order)
+        if cv_folds is None:
+            assert np.array_equal(trace.validation_indices, validation_indices)
+            assert trace.mode == "holdout" and trace.n_v == self.PLAN.n_v
+        else:
+            assert trace.validation_indices is None and validation_indices is None
+            assert trace.mode == "cv" and trace.n_v is None
+        assert trace.error == error
+        assert trace.completed == (error is None)
+        assert (trace.records[-1].decision == "error") == (kind == "failing")
+        if kind != "sim":  # the same training subsets, in the same order
+            assert len(trainer.trained_ids) == len(ref_trainer.trained_ids)
+            for ids, ref_ids in zip(trainer.trained_ids, ref_trainer.trained_ids):
+                assert np.array_equal(ids, ref_ids)
 
 
 class TestTrainerFailure:
