@@ -214,17 +214,22 @@ def _cmd_estimate_mean(args, seed: RngSeed) -> ppi_mean.MeanEstimateReport:
     else:
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
         pairs = [(labeled, _predictions(args.pred_labeled, args.threads, "labeled", labeled.n))]
-    # The pool's feature file is optional and only its row count is checked,
-    # taken before the predictions are read so the two never share memory.
+    # The pool's feature file is optional: every row is parsed and checked,
+    # but the estimate reads only the predictions, so only its shape is kept.
+    pool = None
     if args.unlabeled is not None:
-        m = read_unlabeled_csv(args.unlabeled, workers=args.threads).m
+        pool = read_unlabeled_csv(args.unlabeled, workers=args.threads, features=False)
+        if args.labeled is not None and labeled.dim != pool.dim:
+            raise ParameterError(
+                f"labeled features are {labeled.dim}-dimensional but unlabeled are {pool.dim}"
+            )
     preds_pool = _predictions(args.pred_unlabeled, args.threads)
-    if args.unlabeled is not None and m != preds_pool.shape[0]:
+    if pool is None:
+        pool = UnlabeledDataset._shape_only(preds_pool.shape[0], 1)
+    elif pool.m != preds_pool.shape[0]:
         raise ParameterError(
-            f"unlabeled features have {m} rows but predictions have {preds_pool.shape[0]}"
+            f"unlabeled features have {pool.m} rows but predictions have {preds_pool.shape[0]}"
         )
-    # a stand-in pool: its features are never consulted when predictions are precomputed
-    pool = UnlabeledDataset._adopt(np.zeros((preds_pool.shape[0], 1)))
     f = Predictor._adopt(pairs + [(pool, preds_pool)], label="cli")
     if args.method == "ft-only":
         return ppi_mean.ft_only_report(pool, f, args.delta)
@@ -257,7 +262,10 @@ def _cmd_estimate_m(args, seed: RngSeed) -> dict:
         loss = m_estim.builtin_loss("mnl", n_options=k1, dim=d1, workers=workers)
     else:
         labeled = read_labeled_csv(args.labeled, workers=args.threads)
-        pool = read_unlabeled_csv(args.unlabeled, workers=args.threads)
+        # the mean and categorical losses never read the pool's features
+        pool = read_unlabeled_csv(
+            args.unlabeled, workers=args.threads, features=args.loss == "ols"
+        )
         if labeled.dim != pool.dim:
             raise ParameterError(
                 f"labeled features are {labeled.dim}-dimensional but unlabeled are {pool.dim}"
@@ -501,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", default=None,
                    help="CSV with header y,x1,...,xd (not accepted for ft-only)")
     p.add_argument("--unlabeled", default=None,
-                   help="optional CSV with header x1,...,xd (features are not needed"
-                   " when predictions are precomputed; not accepted for sample-mean)")
+                   help="optional CSV with header x1,...,xd, parsed and checked in full;"
+                   " only its row count and width are used (not accepted for sample-mean)")
     p.add_argument("--pred-labeled", default=None, help="CSV with header f: predictions"
                    " for the labeled rows (ft-ppi and ppi-only only)")
     p.add_argument("--pred-unlabeled", default=None, help="CSV with header f: predictions"

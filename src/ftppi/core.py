@@ -244,6 +244,15 @@ class UnlabeledDataset(_Dataset):
         out._xs = _as_feature_matrix(mat, "UnlabeledDataset", adopt=True)
         return out
 
+    @classmethod
+    def _shape_only(cls, m: int, d: int) -> "UnlabeledDataset":
+        """A pool of ``m`` rows of ``d`` features that holds none: its ``xs``
+        is a read-only zero-stride view of one 0.0.  For a pool whose
+        predictions are precomputed and whose features are never read."""
+        out = cls.__new__(cls)
+        out._xs = np.broadcast_to(0.0, (m, d))
+        return out
+
     m = property(len)
 
     def __repr__(self) -> str:
@@ -548,6 +557,10 @@ def _load_body(source, skiprows: int, n_cols: int) -> np.ndarray | None:
 #: in at most ``k + 1`` parts, so a small file forks few workers on any machine.
 _SPLIT_MIN_BYTES = 1 << 20
 
+#: A body read for per-part summaries is cut in parts of at most about this
+#: size, so each worker holds one part's matrix at a time, whatever the file's size.
+_PART_BYTES = 1 << 20
+
 #: Bytes per read while looking for a cut or checking a part: below glibc's
 #: 128 KiB mmap threshold, so these buffers neither map memory nor raise it.
 _CHUNK_BYTES = 1 << 16
@@ -597,33 +610,51 @@ def _load_part(fd: int, start: int, stop: int, skiprows: int, n_cols: int) -> np
     return mat
 
 
-def _load_fd(fd: int, skiprows: int, n_cols: int, workers: int) -> np.ndarray | None:
+def _load_run(fd: int, spans, skiprows: int, n_cols: int, summarize) -> np.ndarray:
+    """The parts ``spans`` of ``fd``, ``(start, stop)`` byte ranges, each parsed
+    by ``_load_part`` in turn (the file's first part with ``skiprows``) and
+    passed to ``summarize`` if given; the results joined in order."""
+    done = []
+    for lo, hi in spans:
+        mat = _load_part(fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
+        done.append(mat if summarize is None else summarize(mat))
+    return done[0] if len(done) == 1 else np.concatenate(done)
+
+
+def _load_fd(
+    fd: int, skiprows: int, n_cols: int, workers: int, summarize=None
+) -> np.ndarray | None:
     """The lines of the file open on ``fd`` after the first ``skiprows``, as
     ``_load_body`` gives them, parsed in parts by up to ``workers`` processes
-    (0: every usable CPU; fewer for a small file, see ``_SPLIT_MIN_BYTES``).
+    (0: every usable CPU; fewer for a small file, see ``_SPLIT_MIN_BYTES``);
+    None if the body must be parsed whole.
 
     The file is cut at the first ``\\n`` at or after each ``size * k /
     parts`` bytes, a line boundary whether lines end in LF, CRLF or CR.
     Each part goes through ``_load_part``, the first with ``skiprows``, and
-    the rows are joined in file order.  A single part, a part that is not
-    plain or does not parse, or a worker that failed leaves the body to
-    ``_load_body`` whole, through ``/proc/self/fd``: the file is never
-    looked up by name again.
+    the rows are joined in file order.  With ``summarize``, there are also
+    at least ``size / _PART_BYTES`` parts, each worker parses a contiguous
+    run of them one at a time, and ``summarize(part)``, a few rows, takes
+    each part's place.  A single part, a part that is not plain or does not
+    parse, or a worker that failed gives None.
     """
     size = os.fstat(fd).st_size
-    parts = _resolve_workers(workers, size // _SPLIT_MIN_BYTES + 1)
+    workers = _resolve_workers(workers, size // _SPLIT_MIN_BYTES + 1)
+    parts = workers if summarize is None else max(workers, -(-size // _PART_BYTES))
     cuts = {_after_newline(fd, size * k // parts, size) for k in range(1, parts)}
     bounds = [0, *sorted(cuts - {size}), size]
-    if len(bounds) > 2:
-        tasks = [
-            functools.partial(_load_part, fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        try:
-            return _forked_rows(tasks)
-        except (_NotPlain, ChildProcessError, OSError):  # the whole body decides
-            pass
-    return _load_body(f"/proc/self/fd/{fd}", skiprows, n_cols)
+    spans = list(zip(bounds, bounds[1:]))
+    if len(spans) < 2:
+        return None
+    ends = [len(spans) * k // workers for k in range(workers + 1)]
+    tasks = [
+        functools.partial(_load_run, fd, spans[lo:hi], skiprows, n_cols, summarize)
+        for lo, hi in zip(ends, ends[1:]) if lo < hi
+    ]
+    try:
+        return _forked_rows(tasks)
+    except (_NotPlain, ChildProcessError, OSError):  # the whole body decides
+        return None
 
 
 def _rereadable(fh):
@@ -651,6 +682,7 @@ def _read_csv(
     check_header: Callable[[str, list[str]], _T],
     convert: Callable[[_T, np.ndarray], _U] = lambda checked, mat: mat,
     workers: int = 1,
+    summarize: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[_T, _U]:
     """Read a numeric CSV: ``(checked, body)`` with ``checked = check_header(path, header)``.
 
@@ -659,13 +691,18 @@ def _read_csv(
     temporary file.  The body goes through ``np.loadtxt``: on Linux,
     ``_load_fd`` reads the opened file through its descriptor, in parts by
     ``workers`` forked processes (0: every usable CPU) when the file is
-    large and its text plain, and never looks the name up again; elsewhere
-    it is read from the open handle.  Whatever that rejects is re-read row
-    by row from the same handle, which returns the same matrix or raises a
-    row- and column-addressed CsvFormatError.  ``body`` is
+    large and its text plain, and never looks the name up again; elsewhere,
+    or where the parts fail, it is read whole.  Whatever that rejects is
+    re-read row by row from the same handle, which returns the same matrix
+    or raises a row- and column-addressed CsvFormatError.  ``body`` is
     ``convert(checked, matrix)``, the matrix itself by default; a _RowError
     it raises becomes a CsvFormatError at that row.  Rows are numbered by
     file line, so blank lines count.
+
+    With ``summarize``, ``convert`` gets ``summarize(part)`` of each part of
+    the matrix, joined in file order, in place of the matrix.  A body read
+    in parts is cut in parts of at most about ``_PART_BYTES``, so no process
+    holds more than one part's matrix; a body read whole is one part.
     """
     check_int(workers, "workers", 0)
     try:
@@ -676,15 +713,19 @@ def _read_csv(
                 raise CsvFormatError(f"{path}: file is empty")
             header = [cell.strip() for cell in header]
             checked = check_header(path, header)
+            mat, source, skip = None, text, 0
             if _CAN_FORK:  # the opened file (or a pipe's copy), never its name again
-                mat = _load_fd(text.fileno(), reader.line_num, len(header), workers)
-            else:
-                mat = _load_body(text, 0, len(header))
+                source, skip = f"/proc/self/fd/{text.fileno()}", reader.line_num
+                mat = _load_fd(text.fileno(), skip, len(header), workers, summarize)
             if mat is None:
-                header, rows, lines = _read_rows(path, text)
-                if not rows:
-                    raise CsvFormatError(f"{path}: no data rows")
-                mat = _parse_matrix(path, header, rows, lines)
+                mat = _load_body(source, skip, len(header))
+                if mat is None:
+                    header, rows, lines = _read_rows(path, text)
+                    if not rows:
+                        raise CsvFormatError(f"{path}: no data rows")
+                    mat = _parse_matrix(path, header, rows, lines)
+                if summarize is not None:
+                    mat = summarize(mat)
             try:
                 return checked, convert(checked, mat)
             except _RowError as bad:
@@ -732,12 +773,34 @@ def read_labeled_csv(path: str, workers: int = 1) -> LabeledDataset:
     return LabeledDataset(mat[:, 1:], mat[:, 0])
 
 
-def read_unlabeled_csv(path: str, workers: int = 1) -> UnlabeledDataset:
-    """Read an unlabeled dataset from a CSV with header ``x1,...,xd``."""
-    _, mat = _read_csv(
-        path, lambda p, header: _expect_feature_header(p, header, 0), workers=workers
-    )
-    return UnlabeledDataset._adopt(mat)
+def _check_unlabeled_header(path: str, header: list[str]) -> int:
+    _expect_feature_header(path, header, 0)
+    return len(header)
+
+
+def _rows_and_finite(mat: np.ndarray) -> np.ndarray:
+    """One row: ``mat``'s row count, and 1.0 if all its cells are finite, else 0.0."""
+    return np.array([[mat.shape[0], np.isfinite(mat).all()]], dtype=np.float64)
+
+
+def read_unlabeled_csv(path: str, workers: int = 1, features: bool = True) -> UnlabeledDataset:
+    """Read an unlabeled dataset from a CSV with header ``x1,...,xd``.
+
+    With ``features=False`` every row is parsed and checked as it is with
+    True, and the same errors are raised, but only the row count and the
+    width are kept: the body is parsed in parts of bounded size, each
+    dropped once counted, and the dataset is ``UnlabeledDataset._shape_only``.
+    For a pool whose predictions are precomputed and whose features no
+    estimate reads.
+    """
+    if features:
+        _, mat = _read_csv(path, _check_unlabeled_header, workers=workers)
+        return UnlabeledDataset._adopt(mat)
+    width, parts = _read_csv(path, _check_unlabeled_header, workers=workers,
+                             summarize=_rows_and_finite)
+    if not parts[:, 1].all():  # worded as _as_feature_matrix words it
+        raise DomainError("UnlabeledDataset: features contain non-finite values")
+    return UnlabeledDataset._shape_only(int(parts[:, 0].sum()), width)
 
 
 def read_predictions_csv(path: str, workers: int = 1) -> np.ndarray:

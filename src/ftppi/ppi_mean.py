@@ -80,6 +80,36 @@ def normal_quantile(p: float) -> float:
     return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
+#: The largest block of deviations ``_var`` squares and sums at a time.
+_VAR_BLOCK = 1 << 16
+
+
+def _var(x: np.ndarray, ddof: int) -> float:
+    """``np.var(x, ddof=ddof)`` of a 1-d float64 array, bit for bit, without
+    its array-sized copy of the squared deviations.
+
+    The mean is taken as ``np.var`` takes it.  ``np.var`` then sums the
+    contiguous squares by numpy's pairwise summation, which splits n
+    values at ``n // 2`` rounded down to a multiple of 8.  Taking those
+    splits down to blocks of at most ``_VAR_BLOCK`` and summing each
+    block's squares with ``np.add.reduce`` in one reused buffer gives the
+    same sum.
+    """
+    mean = np.add.reduce(x, keepdims=True)
+    mean /= x.shape[0]
+    buf = np.empty(min(x.shape[0], _VAR_BLOCK))
+
+    def total(lo: int, n: int):
+        if n > _VAR_BLOCK:
+            half = n // 2
+            half -= half % 8
+            return total(lo, half) + total(lo + half, n - half)
+        dev = np.subtract(x[lo:lo + n], mean, out=buf[:n])
+        return np.add.reduce(np.square(dev, out=dev))
+
+    return float(total(0, x.shape[0]) / (x.shape[0] - ddof))
+
+
 def ppi_mean_estimate(
     labeled_ppi: LabeledDataset, unlabeled: UnlabeledDataset, f: Predictor
 ) -> float:
@@ -107,7 +137,7 @@ def ppi_mean_variance_hat(
     resid = labeled_ppi.ys - f.on(labeled_ppi)
     preds = f.on(unlabeled)
     sigma_resid_sq = float(np.var(resid, ddof=1))
-    sigma_f_sq = float(np.var(preds, ddof=1))
+    sigma_f_sq = _var(preds, 1)
     total = sigma_resid_sq / labeled_ppi.n + sigma_f_sq / unlabeled.m
     return VarianceParts(sigma_resid_sq, sigma_f_sq, float(total))
 
@@ -185,7 +215,7 @@ def _column_report(
     small = _small_sample_note(n_ppi or SMALL_SAMPLE_THRESHOLD, m)
     return _normal_report(
         float(np.mean(values)),
-        float(np.var(values, ddof=1)) / size,
+        _var(values, 1) / size,
         delta,
         n_ppi,
         m,

@@ -15,7 +15,7 @@ import os
 import subprocess
 import sys
 import threading
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,21 +399,37 @@ class TestEstimateMean:
         assert code == 2
         assert "2 rows but predictions have 12" in json.loads(err)["message"]
 
+    def test_pool_width_must_match_the_labeled_files(self, capsys, tmp_path):
+        """As estimate-m does: a pool of another width is not the labeled rows' population."""
+        for name, text in [("lab.csv", "y,x1\n1,0.5\n2,1.5\n3,2.5\n4,3.5\n"),
+                           ("pool.csv", "x1,x2\n0,1\n1,2\n2,3\n3,4\n"),
+                           ("f.csv", "f\n1\n2\n3\n4\n")]:
+            (tmp_path / name).write_text(text)
+        files = ["--labeled", str(tmp_path / "lab.csv"), "--unlabeled", str(tmp_path / "pool.csv"),
+                 "--pred-labeled", str(tmp_path / "f.csv"),
+                 "--pred-unlabeled", str(tmp_path / "f.csv")]
+        for command in (["estimate-mean"], ["estimate-mean", "--method", "ppi-only"],
+                        ["estimate-m", "--loss", "mean"]):
+            code, out, err = run_cli(capsys, *command, *files)
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "ParameterError"
+            assert payload["message"] == "labeled features are 1-dimensional but unlabeled are 2"
+
     def test_pool_features_are_dropped_after_the_row_check(
         self, capsys, mean_files, tmp_path, monkeypatch
     ):
         feats = tmp_path / "pool.csv"
         feats.write_text("x1\n" + "".join(f"{i}.5\n" for i in range(12)))
-        pools, alive = [], []
+        kept, pools = [], []
 
-        def read_pool(path, workers):
-            pool = core.read_unlabeled_csv(path, workers=workers)
-            pools.append(weakref.ref(pool))
-            return pool
+        def read_pool(path, workers, features=True):
+            kept.append(features)
+            return core.read_unlabeled_csv(path, workers=workers, features=features)
 
-        def check_then_estimate(*args, **kwargs):
-            alive.append(pools[0]() is not None)
-            return ppi_mean_ci(*args, **kwargs)
+        def check_then_estimate(labeled, pool, *args, **kwargs):
+            pools.append(pool)
+            return ppi_mean_ci(labeled, pool, *args, **kwargs)
 
         monkeypatch.setattr(cli, "read_unlabeled_csv", read_pool)
         monkeypatch.setattr(ppi_mean, "ppi_mean_ci", check_then_estimate)
@@ -426,7 +442,10 @@ class TestEstimateMean:
             "--delta", "0.1",
         )
         assert code == 0, err
-        assert alive == [False]  # only the row count of the parsed features was kept
+        # every row was parsed, but only the shape was kept: the estimate's pool holds no feature
+        assert kept == [False]
+        [pool] = pools
+        assert (pool.m, pool.dim) == (12, 1) and pool.xs.strides == (0, 0)
         assert out == golden("estimate_mean_small.json")
 
     def test_malformed_cell_addressed_by_row(self, capsys, tmp_path, mean_files):
@@ -1062,6 +1081,52 @@ class TestBootstrap:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+class TestPeakMemory:
+    """The bytes numpy reports to tracemalloc while a mean estimate reads a
+    200k-row pool of four features, per pool row.
+
+    The pool's file is parsed and checked, but its features are not kept,
+    and the pool's variance is taken without a copy of its deviations.
+    Holding the feature matrix costs 32 bytes a row and the copy 8.
+    """
+
+    M, D = 200_000, 4
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("pool")
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2000 + self.M, self.D))
+        f = x @ np.arange(1.0, self.D + 1)
+        y = f + rng.standard_normal(f.shape[0])
+        names = ",".join(f"x{j + 1}" for j in range(self.D))
+        for name, header, cols in [("lab.csv", "y," + names, [y[:2000], x[:2000]]),
+                                   ("pool.csv", names, [x[2000:]]),
+                                   ("f_lab.csv", "f", [f[:2000]]),
+                                   ("f_pool.csv", "f", [f[2000:]])]:
+            np.savetxt(where / name, np.column_stack(cols), fmt="%.6f", delimiter=",",
+                       header=header, comments="")
+        return ["--labeled", str(where / "lab.csv"), "--unlabeled", str(where / "pool.csv"),
+                "--pred-labeled", str(where / "f_lab.csv"),
+                "--pred-unlabeled", str(where / "f_pool.csv"), "--threads", "1"]
+
+    @pytest.mark.parametrize("command, bytes_per_row", [
+        (["estimate-mean"], 24),  # the predictions' 8, and room for one part of the file
+        (["estimate-m", "--loss", "mean"], 48),  # also the solver's and sandwich's columns
+    ], ids=["estimate-mean", "estimate-m-mean"])
+    def test_pool_features_never_held(self, capsys, files, command, bytes_per_row):
+        run_cli(capsys, *command, *files)  # first-call allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            code, _, err = run_cli(capsys, *command, *files)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < bytes_per_row * self.M
 
 
 class TestGlobalOptions:

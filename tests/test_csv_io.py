@@ -727,3 +727,106 @@ class TestSplitReader:
         [got] = _split_outcomes(path, workers=(2,))
         assert got.shape == (50 + bool(last), 2)
         _assert_nothing_left(fds)
+
+
+#: A small pool file: 24 rows of two features, about 14 bytes a row.
+SHAPE_ROWS = [f"{i}.25,{-i}.5" for i in range(24)]
+
+
+def _pool_text(rows=SHAPE_ROWS, end="\n", final=True):
+    return end.join(["x1,x2", *rows]) + (end if final else "")
+
+
+def _with(k, row):
+    rows = list(SHAPE_ROWS)
+    rows[k] = row
+    return _pool_text(rows)
+
+
+SHAPE_INPUTS = {
+    "lf": _pool_text(),
+    "crlf": _pool_text(end="\r\n"),
+    "cr": _pool_text(end="\r"),
+    "blank-lines": _pool_text(SHAPE_ROWS[:5] + ["", ""] + SHAPE_ROWS[5:] + [""]),
+    "no-final-newline": _pool_text(final=False),
+    "quoted": _with(17, '"17.25",-17.5'),
+    "non-ascii": _with(20, "١٢,3"),
+    "header-only": "x1,x2\n",
+    "non-finite": _with(13, "nan,1"),
+    "non-finite-then-bad-cell": _with(3, "inf,1").replace("21.25,-21.5", "21.25,oops"),
+    "wide-row": _with(19, "1,2,3"),
+    **{f"bad-cell-row-{k}": _with(k, f"{k},oops") for k in range(0, 24, 3)},
+}
+
+
+def _shape(path, workers, features):
+    def read():
+        pool = read_unlabeled_csv(str(path), workers=workers, features=features)
+        return pool.m, pool.dim
+
+    return _outcome(read)
+
+
+@pytest.mark.skipif(not core._CAN_FORK, reason="forked workers need Linux")
+class TestShapeOnlyReader:
+    """``read_unlabeled_csv(features=False)`` parses every row in parts of at
+    most ``_PART_BYTES`` (here 40 bytes, three rows or so) and keeps only
+    the shape: the same ``m`` and ``dim``, or the same error, as the matrix."""
+
+    @pytest.fixture(autouse=True)
+    def small_parts(self, monkeypatch):
+        monkeypatch.setattr(core, "_PART_BYTES", 40)
+        monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
+
+    @pytest.mark.parametrize("name", SHAPE_INPUTS)
+    @pytest.mark.parametrize("workers", [1, 2, 0])
+    def test_same_shape_or_error_as_the_matrix(self, tmp_path, name, workers):
+        path = tmp_path / "pool.csv"
+        _write(path, SHAPE_INPUTS[name])
+        want = _shape(path, 1, True)
+        assert _shape(path, workers, False) == want
+        if name in ("lf", "crlf", "cr", "no-final-newline", "quoted", "non-ascii"):
+            assert want == (24, 2)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("name", ["lf", "quoted", "non-finite", "bad-cell-row-21"])
+    def test_named_pipe(self, tmp_path, name):
+        path = tmp_path / "pool.csv"
+        _write(path, SHAPE_INPUTS[name])
+        pipe = tmp_path / "pool.pipe"
+        os.mkfifo(pipe)
+        got = _through_pipe(pipe, SHAPE_INPUTS[name], lambda: read_unlabeled_csv(
+            str(pipe), workers=2, features=False).xs.shape)
+        want = _shape(path, 1, True)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            want = (want[0], want[1].replace(str(path), str(pipe)))
+        assert got == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plain_file_is_parsed_in_bounded_parts(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "pool.csv"
+        _write(path, SHAPE_INPUTS["crlf"])
+        parts, bodies = [], []
+        load_part, load_body = core._load_part, core._load_body
+
+        def part_spy(fd, start, stop, skiprows, n_cols):
+            mat = load_part(fd, start, stop, skiprows, n_cols)
+            parts.append((stop - start, mat.shape[0]))
+            return mat
+
+        def body_spy(*args):
+            bodies.append(args)
+            return load_body(*args)
+
+        monkeypatch.setattr(core, "_load_part", part_spy)
+        monkeypatch.setattr(core, "_load_body", body_spy)
+        monkeypatch.setattr(core, "_read_rows", _refuse)
+        pool = read_unlabeled_csv(str(path), workers=workers, features=False)
+        assert (pool.m, pool.dim) == (24, 2)
+        assert pool.xs.strides == (0, 0) and not pool.xs.flags.writeable and not pool.xs.any()
+        # this process parsed its own parts, each at most a line past _PART_BYTES,
+        # and never the whole body: all of them with one worker, the first run with two
+        sizes, rows = zip(*parts)
+        assert len(bodies) == len(parts) and max(sizes) <= 40 + len("23.25,-23.5\r\n")
+        assert sum(rows) == 24 if workers == 1 else 0 < sum(rows) < 24
+        assert len(parts) >= 8 // workers

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -19,7 +20,9 @@ from ftppi.core import (
     UnlabeledDataset,
 )
 from ftppi.ppi_mean import (
+    _VAR_BLOCK,
     Method,
+    _var,
     ft_only_report,
     normal_quantile,
     ppi_mean_ci,
@@ -186,6 +189,59 @@ class TestVarianceHat:
             ppi_mean_variance_hat(one_l, unlabeled, f)
         with pytest.raises(InsufficientDataError):
             ppi_mean_variance_hat(labeled, one_u, f)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestBlockVariance:
+    """``_var`` against ``np.var``, bit for bit, on values whose mean is far from 0."""
+
+    SIZES = (2, 7, 8, 9, 127, 128, 129, _VAR_BLOCK - 1, _VAR_BLOCK, _VAR_BLOCK + 1,
+             2**20 + 3, 1_200_000)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ddof", [0, 1])
+    def test_same_bits_as_numpy(self, n, ddof):
+        x = 1e8 + np.random.default_rng(n).standard_normal(n)
+        assert _bits(_var(x, ddof)) == _bits(np.var(x, ddof=ddof))
+
+    @pytest.mark.parametrize("extra", [5, 9, 11, 13, 17])
+    def test_split_rounds_down_to_eight_as_numpy_does(self, extra):
+        # n // 2 is not a multiple of 8 here, and the deviations are heavy-tailed:
+        # a split at n // 2 itself regroups a value and gives other bits
+        n = 2 * _VAR_BLOCK + extra
+        x = 1e8 + np.random.default_rng(n).lognormal(0.0, 3.0, n)
+        assert _bits(_var(x, 1)) == _bits(np.var(x, ddof=1))
+
+    @pytest.mark.parametrize("step", [2, 3, 7])
+    def test_strided_column(self, step):
+        x = (1e8 + np.random.default_rng(step).lognormal(0.0, 3.0, 300_001 * step))[::step]
+        assert _bits(_var(x, 1)) == _bits(np.var(x, ddof=1))
+
+    def test_scratch_is_one_block(self):
+        x = 1e8 + np.random.default_rng(1).standard_normal(1_200_000)
+        _var(x, 1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _var(x, 1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _VAR_BLOCK + 4096 < x.nbytes / 10
+
+    def test_pool_terms_have_numpys_bits(self):
+        rng = np.random.default_rng(5)
+        m = 3 * _VAR_BLOCK + 11
+        labeled = LabeledDataset(rng.standard_normal((40, 1)), 1e8 + rng.standard_normal(40))
+        pool = UnlabeledDataset(rng.standard_normal((m, 1)))
+        f = linear_predictor(slope=3.0, intercept=1e8)
+        preds = f.on(pool)
+        want = np.var(preds, ddof=1)
+        assert _bits(ppi_mean_variance_hat(labeled, pool, f).sigma_f_sq) == _bits(want)
+        assert _bits(ft_only_report(pool, f, 0.1).variance_hat) == _bits(want / m)
 
 
 class TestPpiMeanCi:

@@ -28,9 +28,11 @@ stops with status 2.  ``--toy`` shrinks every input, for tests.
 The list: the four benchmark workloads' operations on seeds 1 and 2, with
 inputs written by ``perfbench/inputs.py``; ``simulate`` on
 ``configs/scenario_quick.json`` and on the sim-fresh scenario at
-``--threads`` 1, 2 and 0; ``rampup`` on both ``configs/`` worlds and with
-a failing first stage; ``bootstrap``; ``estimate-m`` with each loss at
-``--threads`` 1, 2 and 0; ``estimate-mean`` with each method;
+``--threads`` 1, 2 and 0; ``rampup`` on both ``configs/`` worlds, cross-
+validated and with a failing first stage; ``bootstrap``; ``estimate-m``
+with each loss at ``--threads`` 1, 2 and 0; ``estimate-mean`` with each
+method, and at ``--threads`` 1 and 2 on a pool file with a bad cell in
+its last part, with a non-finite cell, with a row too wide, or quoted;
 ``fit-scaling``; ``allocate``, also on a steep law at n = 10**6.
 
 On the 12-digit leg a change in the last bits of a number shows only
@@ -123,6 +125,8 @@ def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
     ops += [
         ("rampup reference", ["rampup", "--world", worlds["reference_world"], "--n", "600",
                               "--m", "600", "--schedule", "20,40,80", "--n-v", "100"]),
+        ("rampup reference cv", ["rampup", "--world", worlds["reference_world"], "--n", "600",
+                                 "--m", "600", "--schedule", "20,40,80", "--cv-folds", "4"]),
         ("rampup drifting", ["rampup", "--world", worlds["drifting_world"], "--n", "2000",
                              "--m", "2000", "--schedule", "50,100,200", "--n-v", "200"]),
         ("rampup failing stage", ["rampup", "--world", worlds["drifting_world"]]
@@ -174,6 +178,27 @@ def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
         ("estimate-mean ft-only", ["estimate-mean", "--method", "ft-only",
                                    "--pred-unlabeled", mean["pred_unlabeled"]]),
     ]
+
+    # The benchmark's pool with one fault each, or quoted (read whole, not in
+    # parts); every row of the file is still parsed and checked.
+    with open(mean["unlabeled"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    last, middle = len(lines) - 1, len(lines) // 2
+    faults = {
+        "bad cell in the last part": (last, lambda line: "oops," + line.split(",", 1)[1]),
+        "non-finite cell": (middle, lambda line: "nan," + line.split(",", 1)[1]),
+        "row too wide": (middle, lambda line: line.rstrip("\n") + ",0\n"),
+        "quoted": (last, lambda line: '"{}",{}'.format(*line.split(",", 1))),
+    }
+    for name, (row, edit) in faults.items():
+        path = os.path.join(root, name.replace(" ", "_") + ".csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:row] + [edit(lines[row])] + lines[row + 1:])
+        pool = files[:]
+        pool[pool.index("--unlabeled") + 1] = path
+        for threads in ("1", "2"):
+            ops.append((f"estimate-mean pool {name} threads {threads}",
+                        ["estimate-mean", "--threads", threads] + pool))
 
     sizes = np.array([50, 100, 200, 400, 800, 1600, 3200])
     variances = 2.0 * sizes**-0.7 + 0.1 + rng.normal(0.0, 1e-3, sizes.shape[0])
