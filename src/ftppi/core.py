@@ -10,7 +10,6 @@ outcomes, with per-dataset caching of their evaluations.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import os
 import shutil
@@ -350,33 +349,47 @@ def _resolve_workers(workers: int, items: int) -> int:
     return max(1, min(workers or cpus, cpus, items))
 
 
-def _forked_rows(tasks: Sequence[Callable[[], np.ndarray]]) -> np.ndarray:
-    """The rows of ``task()`` for every task, joined in task order.
+def _forked_rows(fn: Callable[..., object], items: Sequence, workers: int, scratch=()) -> np.ndarray:
+    """The rows of ``fn(item, *buffers)`` for every item, joined in item order.
 
-    Each task returns a C-contiguous float64 array whose rows have the
-    first task's trailing shape.  This process runs the first task while
-    one forked child per later task sends its row count and raw rows
-    through a pipe.  The first result is then grown in place
-    (``ndarray.resize``, which realloc does without a copy for a large
-    block) and each child's rows are read straight into its tail, so the
-    joined array is never held twice.  A child that fails sends its
+    A 2-d result contributes its rows; any other result, a number or a
+    sequence of numbers, is one row.  Rows are float64 and share the first
+    item's trailing shape; the result for no items is empty.  ``fn`` must
+    be a pure function of its item.
+
+    The items are cut into contiguous chunks, one per worker: ``workers``
+    resolved as ``_resolve_workers`` does, and 1 where nothing can fork.
+    The process that runs a chunk makes its ``buffers`` once, one float64
+    array per shape in ``scratch``, as scratch to write before reading.
+    This process runs the first chunk while one forked child per later
+    chunk sends its row count and raw rows through a pipe.  The first
+    chunk's rows are then grown in place (``ndarray.resize``, which realloc
+    does without a copy for a large block) and each child's rows are read
+    straight into their tail, so the joined array is never held twice.  A
+    chunk of one 2-d result gives that array itself, which must then be
+    C-contiguous float64 and own its memory.  A child that fails sends its
     pickled exception instead.  After an error, the children not yet read
-    from are killed; once every child is reaped, the earliest task's error
+    from are killed; once every child is reaped, the earliest item's error
     is raised, as a serial loop would have raised it.
     """
+    if not items:
+        return np.empty(0)
+    workers = _resolve_workers(workers, len(items) if _CAN_FORK else 1)
+    bounds = [len(items) * k // workers for k in range(workers + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     pipes, pids, read = [], [], 0
     try:
-        for task in tasks[1:]:
+        for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _forked_child(task, write_fd)
+                    _forked_child(fn, chunk, scratch, write_fd)
             finally:  # reached in this process only: the child leaves by os._exit
                 os.close(write_fd)
             pids.append(pid)
-        out, failed = tasks[0](), None
+        out, failed = _chunk_rows(fn, chunks[0], scratch), None
         for k, pipe in enumerate(pipes):
             head = pipe.read(8)
             rows = int.from_bytes(head, "little", signed=True) if len(head) == 8 else -1
@@ -401,13 +414,23 @@ def _forked_rows(tasks: Sequence[Callable[[], np.ndarray]]) -> np.ndarray:
     return out
 
 
-def _forked_child(task, write_fd: int) -> None:
-    """Body of a forked worker: send the row count and rows (exit 0), or -1
-    and the pickled error (exit 1)."""
+def _chunk_rows(fn, items: Sequence, scratch) -> np.ndarray:
+    """One chunk of ``_forked_rows``: its buffers made here, its rows joined."""
+    buffers = [np.empty(shape) for shape in scratch]  # the chunk's, freed on return
+    rows = [
+        out if np.ndim(out) == 2 else np.array([out], dtype=np.float64)
+        for out in (fn(item, *buffers) for item in items)
+    ]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _forked_child(fn, items: Sequence, scratch, write_fd: int) -> None:
+    """Body of a forked worker: send its chunk's row count and rows (exit 0),
+    or -1 and the pickled error (exit 1)."""
     status = 2
     try:
         try:
-            rows = task()
+            rows = _chunk_rows(fn, items, scratch)
             head, payload, done = rows.shape[0], rows, 0
         except BaseException as exc:  # every error goes back to the parent
             import pickle
@@ -610,17 +633,6 @@ def _load_part(fd: int, start: int, stop: int, skiprows: int, n_cols: int) -> np
     return mat
 
 
-def _load_run(fd: int, spans, skiprows: int, n_cols: int, summarize) -> np.ndarray:
-    """The parts ``spans`` of ``fd``, ``(start, stop)`` byte ranges, each parsed
-    by ``_load_part`` in turn (the file's first part with ``skiprows``) and
-    passed to ``summarize`` if given; the results joined in order."""
-    done = []
-    for lo, hi in spans:
-        mat = _load_part(fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
-        done.append(mat if summarize is None else summarize(mat))
-    return done[0] if len(done) == 1 else np.concatenate(done)
-
-
 def _load_fd(
     fd: int, skiprows: int, n_cols: int, workers: int, summarize=None
 ) -> np.ndarray | None:
@@ -646,13 +658,14 @@ def _load_fd(
     spans = list(zip(bounds, bounds[1:]))
     if len(spans) < 2:
         return None
-    ends = [len(spans) * k // workers for k in range(workers + 1)]
-    tasks = [
-        functools.partial(_load_run, fd, spans[lo:hi], skiprows, n_cols, summarize)
-        for lo, hi in zip(ends, ends[1:]) if lo < hi
-    ]
+
+    def part(span: tuple[int, int]) -> np.ndarray:
+        lo, hi = span
+        mat = _load_part(fd, lo, hi, skiprows if lo == 0 else 0, n_cols)
+        return mat if summarize is None else summarize(mat)
+
     try:
-        return _forked_rows(tasks)
+        return _forked_rows(part, spans, workers)
     except (_NotPlain, ChildProcessError, OSError):  # the whole body decides
         return None
 

@@ -24,7 +24,6 @@ split) is known in closed form.
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -39,9 +38,7 @@ from .core import (
     RngSeed,
     UnlabeledDataset,
     UnsupportedSizeError,
-    _CAN_FORK,
     _forked_rows,
-    _resolve_workers,
     as_seed,
     check_int,
     check_probability,
@@ -363,39 +360,9 @@ def _base_surrogate(world: SyntheticWorld, seed: RngSeed | int) -> tuple[int, fl
 
 
 # ---------------------------------------------------------------------------
-# Replicate kernel
-# ---------------------------------------------------------------------------
-
-
-def _rows(fn, items, scratch) -> np.ndarray:
-    buffers = [np.empty(shape) for shape in scratch]  # the chunk's, freed on return
-    return np.array([fn(item, *buffers) for item in items], dtype=np.float64)
-
-
-def _replicates(fn, items: Sequence, workers: int, scratch: Sequence = ()) -> np.ndarray:
-    """``fn(item, *buffers)`` for every item, as a float64 array with one row per item.
-
-    ``fn`` must be a pure function of its item; ``buffers``, one float64
-    array per shape in ``scratch`` made once per chunk in the process
-    running it, are scratch to write before reading.  With more than one
-    worker the items are cut into contiguous chunks, one per worker, and
-    ``core._forked_rows`` computes the first chunk here and the others in
-    forked children, joining the rows in item order, so the result is
-    byte-identical to the serial one.  The earliest chunk's error is
-    raised, as the serial loop would have raised it.  Where nothing can
-    fork (off Linux) every item runs here.
-    """
-    items = list(items)
-    workers = _resolve_workers(workers, len(items))
-    if not _CAN_FORK:
-        workers = 1
-    bounds = [len(items) * w // workers for w in range(workers + 1)]
-    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return _forked_rows([functools.partial(_rows, fn, chunk, scratch) for chunk in chunks])
-
-
-# ---------------------------------------------------------------------------
-# Experiments
+# Experiments.  Their replicates run through core._forked_rows, which cuts them
+# into one contiguous chunk per worker, makes each chunk's scratch buffers and
+# joins the rows in order.
 # ---------------------------------------------------------------------------
 
 
@@ -480,7 +447,7 @@ def brute_force_allocation(
     reps = [seed.child(r + 1) for r in range(replicates)]
     # One contiguous row per fraction: numpy sums a strided axis in another
     # order, which would move the variances' last bits.
-    estimates = np.ascontiguousarray(_replicates(replicate, reps, workers, [m, m]).T)
+    estimates = np.ascontiguousarray(_forked_rows(replicate, reps, workers, [m, m]).T)
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
     return BruteForceResult(
@@ -569,7 +536,7 @@ def run_estimator_comparison(
     names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
     reps = [seed.child(r) for r in range(replicates)]
     ws = [(m, world.feature_dim), m, m, m]  # the pool's features, base, field and predictions
-    draws = np.ascontiguousarray(_replicates(replicate, reps, workers, ws).T)  # as in brute force
+    draws = np.ascontiguousarray(_forked_rows(replicate, reps, workers, ws).T)  # as in brute force
 
     rows = []
     for name, draw in zip(names, draws):
@@ -734,7 +701,7 @@ def bootstrap_robustness(
         return _measure_law_outcome(vals[j], grid, trainer, n_alloc)
 
     pairs = [(j, k) for j in range(n_datasets) for k in range(n_training_seeds)]
-    outcomes = _replicates(outcome, pairs, workers).reshape(n_datasets, n_training_seeds, -1)
+    outcomes = _forked_rows(outcome, pairs, workers).reshape(n_datasets, n_training_seeds, -1)
     flat = outcomes.reshape(-1, len(_BOOT_QUANTITIES))
     rng = seed.child(3).generator()
     idx = rng.integers(0, flat.shape[0], size=(resamples, flat.shape[0]))
@@ -826,7 +793,7 @@ def external_ft_experiment(
         return _split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds)
 
     reps = [seed.child(r) for r in range(replicates)]
-    estimates = _replicates(replicate, reps, workers, [(m, world.feature_dim), m, m, m])
+    estimates = _forked_rows(replicate, reps, workers, [(m, world.feature_dim), m, m, m])
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))

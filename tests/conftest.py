@@ -1,4 +1,5 @@
 import hypothesis
+import pytest
 
 hypothesis.settings.register_profile(
     "ci",
@@ -7,6 +8,29 @@ hypothesis.settings.register_profile(
     max_examples=60,
 )
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture
+def forked_chunks(monkeypatch):
+    """The number of chunks each ``core._forked_rows`` call cut its items
+    into: one run in this process, plus one per child it forked."""
+    from ftppi import core
+
+    chunks, forked_rows, fork = [], core._forked_rows, core.os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            chunks[-1] += 1
+        return pid
+
+    def counted(*args, **kwargs):
+        chunks.append(1)
+        return forked_rows(*args, **kwargs)
+
+    monkeypatch.setattr(core.os, "fork", counted_fork)
+    monkeypatch.setattr(core, "_forked_rows", counted)
+    return chunks
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

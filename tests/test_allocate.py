@@ -300,3 +300,93 @@ class TestResultShape:
         assert isinstance(res.s_star_real, float)
         assert res.threshold is not None
         assert 0 < res.s_star_int < 1000
+
+
+def two_form_root(law: ScalingLaw, n: float) -> float:
+    """The split solver as it was before it read every law through the log
+    form: the residual times s**(alpha+1)/a, with a saturating floor term,
+    and the log form only where b/a overflows."""
+    alpha, b_over_a = law.alpha, law.b / law.a
+    if math.isinf(b_over_a):
+        log_b_over_a = math.log(law.b) - math.log(law.a)
+
+        def foc(s: float) -> float:
+            head = alpha * n - (alpha + 1.0) * s
+            if head <= 0.0 or s == 0.0:
+                return head
+            return math.log(head) - log_b_over_a - (alpha + 1.0) * math.log(s)
+    else:
+
+        def foc(s: float) -> float:
+            try:
+                floor_term = b_over_a * s ** (alpha + 1.0) if b_over_a else 0.0
+            except OverflowError:
+                floor_term = math.inf
+            return alpha * n - (alpha + 1.0) * s - floor_term
+
+    lo = BRACKET_EPS * n
+    hi = n - BRACKET_EPS * n
+    f_lo = foc(lo)
+    f_hi = foc(hi)
+    while f_lo <= 0.0 < lo:
+        hi, f_hi, lo = lo, f_lo, 0.5 * lo
+        f_lo = foc(lo)
+    gap = n - hi
+    while f_hi > 0.0 < gap:
+        lo, f_lo, gap = hi, f_hi, 0.5 * gap
+        hi = n - gap
+        f_hi = foc(hi)
+    if not (f_lo > 0.0 >= f_hi and lo > 0.0):
+        raise DomainError("no bracket")
+    while hi - lo > BRACKET_TOL * min(n, 100.0 * lo):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if foc(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _random_laws(count: int, seed: int):
+    """Laws and budgets over wide ranges: a and b log-uniform on [1e-6, 1e6]
+    with one b in ten zero, alpha log-uniform on [1e-3, 16], n from 3 to 1e7."""
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-6, 6, count)
+    b = np.where(rng.random(count) < 0.1, 0.0, 10.0 ** rng.uniform(-6, 6, count))
+    alpha = 10.0 ** rng.uniform(-3, math.log10(16), count)
+    n = np.round(10.0 ** rng.uniform(math.log10(3), 7, count)).astype(int)
+    return [(ScalingLaw(*map(float, law)), int(k)) for *law, k in zip(a, alpha, b, n)]
+
+
+class TestLogFormAgainstTwoForms:
+    """The split solver reads every law's residual through its log form; its
+    roots keep the bits of the plain form it replaced."""
+
+    @staticmethod
+    def _assert_same_root(law: ScalingLaw, n: int) -> None:
+        want = two_form_root(law, float(n))
+        got = solve_optimal_allocation(law, n).s_star_real
+        assert got.hex() == want.hex(), (law, n)
+
+    def test_random_laws(self):
+        for law, n in _random_laws(3000, 20260):
+            self._assert_same_root(law, n)
+
+    @pytest.mark.parametrize(
+        "a, alpha, b, n",
+        [
+            (1e-300, 0.5, 1e10, 100),  # b / a overflows
+            (1e-200, 0.5, 1e200, 100),  # and a / b underflows
+            (1.0, 1e-9, 0.0, 100),  # b = 0: the root alpha n / (alpha + 1), below the bracket
+            (1.0, 1e-9, 0.0, 1_000_000),
+            (1.0, 2e9, 0.0, 100),  # and above it
+            (1.0, 2e9, 0.0, 1_000_000),
+            (1.0, 1e-317, 0.0, 100),  # a subnormal root
+            (1.0, 60.0, 0.1, 1_000_000),  # s**(alpha+1) spans hundreds of decades
+            (1.0, 1e-9, 1.0, 100),
+        ],
+    )
+    def test_edge_laws(self, a, alpha, b, n):
+        self._assert_same_root(ScalingLaw(a, alpha, b), n)

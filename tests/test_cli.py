@@ -1162,7 +1162,7 @@ class TestGlobalOptions:
         reason="needs two usable CPUs for forked workers",
     )
     @pytest.mark.parametrize("loss", ["mean", "ols", "mnl"])
-    def test_threads_set_the_csv_workers(self, capsys, tmp_path, monkeypatch, loss):
+    def test_threads_set_the_csv_workers(self, capsys, tmp_path, monkeypatch, forked_chunks, loss):
         rng = np.random.default_rng(5)
         outcome, names = ("choice", "x_1_1,x_1_2,x_2_1,x_2_2") if loss == "mnl" else ("y", "x1,x2")
         for name, cols, rows in [("lab", f"{outcome},{names}", 40), ("unlab", names, 60)]:
@@ -1182,14 +1182,7 @@ class TestGlobalOptions:
             "--pred-labeled", str(tmp_path / "f_lab.csv"),
             "--pred-unlabeled", str(tmp_path / "f_unlab.csv"),
         ]
-        joined, forked_rows = [], core._forked_rows
-
-        def count(tasks):
-            joined.append(len(tasks))
-            return forked_rows(tasks)
-
         monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
-        monkeypatch.setattr(core, "_forked_rows", count)
         outputs = []
         for threads in ("1", "2", "0"):
             code, out, err = run_cli(capsys, *argv, "--threads", threads)
@@ -1197,6 +1190,7 @@ class TestGlobalOptions:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
         # each of the four files in parts for --threads 2, and again for 0
+        joined = forked_chunks
         assert len(joined) == 8 and joined[:4] == [2] * 4 and min(joined) >= 2
 
     def test_threads_set_the_mnl_kernel_threads(self, capsys, tmp_path, monkeypatch):

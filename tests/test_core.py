@@ -1,4 +1,5 @@
 import gc
+import os
 import pickle
 import threading
 import weakref
@@ -12,6 +13,7 @@ from ftppi.allocate import (
     foc_residual,
     solve_optimal_allocation,
 )
+from ftppi import core
 from ftppi.core import (
     CsvFormatError,
     DomainError,
@@ -21,6 +23,8 @@ from ftppi.core import (
     Predictor,
     RngSeed,
     UnlabeledDataset,
+    _forked_rows,
+    _resolve_workers,
     _threaded_blocks,
     as_seed,
     check_int,
@@ -493,3 +497,154 @@ class TestThreadedBlocks:
         with pytest.raises(ValueError, match="item 2"):
             _threaded_blocks(fn, range(6), workers, [3])
         assert threading.active_count() == before
+
+
+class TestWorkerCount:
+    def test_capped_at_usable_cpus_and_items(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert _resolve_workers(10**6, 10**6) == cpus
+        assert _resolve_workers(0, 10**6) == cpus
+        assert _resolve_workers(10**6, 3) == min(cpus, 3)
+        assert _resolve_workers(1, 10**6) == 1
+        assert _resolve_workers(4, 1) == 1
+
+    @pytest.mark.parametrize("workers", [-1, 1.0, True, "2"])
+    def test_invalid_counts_rejected(self, workers):
+        with pytest.raises(ParameterError, match="workers"):
+            _resolve_workers(workers, 10)
+        with pytest.raises(ParameterError, match="workers"):
+            _forked_rows(lambda item: item, range(3), workers)
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(forked_chunks, monkeypatch):
+    """``forked_chunks``, with the CPU cap lifted so that w workers cut the
+    items in w chunks on any machine."""
+    monkeypatch.setattr(core, "_resolve_workers", lambda workers, items: min(workers, items))
+    return forked_chunks
+
+
+class TestForkedRowsConvention:
+    """The fork kernel's contract, which holds where nothing forks too."""
+
+    def test_no_items(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        rows = _forked_rows(lambda item: 1 / 0, [], 3, [4])
+        assert rows.shape == (0,) and rows.dtype == np.float64
+
+    def test_one_chunk_where_nothing_forks(self, monkeypatch):
+        made = []
+        empty = np.empty
+
+        def spy(shape, *args, **kwargs):
+            made.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(core, "_CAN_FORK", False)
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        monkeypatch.setattr(np, "empty", spy)
+        rows = _forked_rows(lambda i, buf: [i, -i], range(5), 2, [3])
+        monkeypatch.undo()
+        assert rows.tolist() == [[i, -i] for i in range(5)]
+        assert made == [3]  # one chunk, one set of buffers
+
+    def test_one_row_per_number_or_sequence(self):
+        numbers = _forked_rows(lambda i: 0.5 * i, range(4), 1)
+        assert numbers.shape == (4,) and numbers.tolist() == [0.0, 0.5, 1.0, 1.5]
+        pairs = _forked_rows(lambda i: (i, np.float64(0.1 * i)), range(4), 1)
+        assert pairs.shape == (4, 2) and pairs.dtype == np.float64
+        assert pairs.tobytes() == np.array([(i, 0.1 * i) for i in range(4)]).tobytes()
+
+    def test_a_lone_matrix_is_returned_as_is(self):
+        mat = np.arange(6.0).reshape(3, 2)
+        assert _forked_rows(lambda item: mat, ["only"], 4) is mat
+
+
+@pytest.mark.skipif(not core._CAN_FORK, reason="forked workers need Linux")
+class TestForkedRows:
+    """Contiguous chunks, one per worker: the first here, the rest in children."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_rows_keep_item_order(self, forks, workers):
+        items = list(range(7))
+        rows = core._forked_rows(lambda i: [i, 0.1 * i], items, workers)
+        assert rows.shape == (7, 2)
+        assert rows.tobytes() == np.array([[i, 0.1 * i] for i in items]).tobytes()
+        assert forks == [min(workers, 7)]
+        _assert_no_child_left()
+
+    def test_fewer_items_than_workers(self, forks):
+        rows = core._forked_rows(lambda i: [i, -i], [7], 2)
+        assert rows.tobytes() == np.array([[7.0, -7.0]]).tobytes()
+        rows = core._forked_rows(lambda i: [i, -i], [7, 8, 9], 8)
+        assert rows.tolist() == [[i, -i] for i in (7, 8, 9)] and forks == [1, 3]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matrices_give_their_rows(self, forks, workers):
+        """Item i gives i rows (none for item 0), joined with the rows of the
+        items before it; a number gives the same as a one-row matrix."""
+
+        def matrix(i):
+            return np.full((i, 2), float(i))
+
+        rows = core._forked_rows(matrix, range(6), workers)
+        assert rows.tobytes() == np.concatenate([matrix(i) for i in range(6)]).tobytes()
+        numbers = core._forked_rows(lambda i: float(i), range(6), workers)
+        as_matrices = core._forked_rows(lambda i: np.full((1, 1), float(i)), range(6), workers)
+        assert numbers.tolist() == as_matrices.ravel().tolist() == [float(i) for i in range(6)]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_scratch_made_once_per_chunk_where_it_runs(self, forks, workers, monkeypatch):
+        empty = np.empty
+
+        def stamped(shape, *args, **kwargs):
+            buf = empty(shape, *args, **kwargs)
+            if shape == (2, 1):  # the scratch below: stamped with the pid that makes it
+                buf[:, 0] = os.getpid(), 0.0
+            return buf
+
+        monkeypatch.setattr(np, "empty", stamped)
+
+        def fn(item, state, row):
+            state[1] += 1  # counts the items that share this chunk's buffers
+            assert row.shape == (3,) and row.dtype == np.float64
+            return [state[0, 0] == os.getpid(), state[1, 0]]
+
+        rows = core._forked_rows(fn, range(6), workers, [(2, 1), 3])
+        assert rows[:, 0].all()
+        assert rows[:, 1].tolist() == list(range(1, 6 // workers + 1)) * workers
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, first", [((1, 4), 1), ((4,), 4), ((3, 5), 3)])
+    def test_the_earliest_items_error_is_raised(self, forks, failing, first):
+        def fn(i):
+            if i in failing:
+                raise KeyError(f"item {i}")
+            return [float(i)]
+
+        for workers in (1, 2, 3):  # 2 workers: items 0-2 here, 3-5 in the child
+            with pytest.raises(KeyError) as exc:
+                core._forked_rows(fn, range(6), workers)
+            assert exc.value.args == (f"item {first}",)
+            _assert_no_child_left()
+
+    def test_worker_that_dies_is_reported(self, forks):
+        def fn(i):
+            if i == 3:
+                os._exit(9)
+            return [float(i)]
+
+        with pytest.raises(ChildProcessError, match="status 9"):
+            core._forked_rows(fn, range(4), 2)
+        _assert_no_child_left()

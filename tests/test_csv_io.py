@@ -538,18 +538,12 @@ class TestSplitReader:
         [(source, skiprows)] = sources
         assert source.startswith("/proc/self/fd/") and skiprows == 3
 
-    def test_parts_grow_with_the_file(self, tmp_path, monkeypatch):
+    def test_parts_grow_with_the_file(self, tmp_path, monkeypatch, forked_chunks):
         path = tmp_path / "pool.csv"
         _write(path, "c1\n" + "".join(f"{i}\n" for i in range(200)))
         size = os.path.getsize(path)
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)))
-        parts, forked_rows = [], core._forked_rows
-
-        def count(tasks):
-            parts.append(len(tasks))
-            return forked_rows(tasks)
-
-        monkeypatch.setattr(core, "_forked_rows", count)
+        parts = forked_chunks
         # eight CPUs, but a file of k thresholds gets at most k + 1 parts
         for min_bytes, want in [(size + 1, []), (size, [2]), (size // 3, [4])]:
             parts.clear()
@@ -645,7 +639,7 @@ class TestSplitReader:
         _assert_same(got, read_unlabeled_csv(str(regular), workers=2).xs)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_named_pipe_copy_is_parsed_in_parts(self, tmp_path, monkeypatch):
+    def test_named_pipe_copy_is_parsed_in_parts(self, tmp_path, monkeypatch, forked_chunks):
         text = "x1,x2\n" + "".join(f"{i},{i / 7!r}\n" for i in range(5000))
         pipe = tmp_path / "pool.pipe"
         os.mkfifo(pipe)
@@ -656,19 +650,14 @@ class TestSplitReader:
             )
 
         expected = read(1)
-        sources, parts = [], []
-        load_body, forked_rows = core._load_body, core._forked_rows
+        sources, parts = [], forked_chunks
+        load_body = core._load_body
 
         def spy(source, skiprows, n_cols):
             sources.append(source)
             return load_body(source, skiprows, n_cols)
 
-        def count(tasks):
-            parts.append(len(tasks))
-            return forked_rows(tasks)
-
         monkeypatch.setattr(core, "_load_body", spy)
-        monkeypatch.setattr(core, "_forked_rows", count)
         monkeypatch.setattr(core, "_SPLIT_MIN_BYTES", 1)
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
         fds = _open_fds()

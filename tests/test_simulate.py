@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ftppi import simulate
+from ftppi import core, simulate
 from ftppi.allocate import solve_optimal_allocation
 from ftppi.core import (
     ConvergenceError,
@@ -630,7 +630,7 @@ class TestExternalFt:
 
 
 # ---------------------------------------------------------------------------
-# Replicate kernel: forked workers against the serial loop
+# Replicates on forked workers against the serial loop
 # ---------------------------------------------------------------------------
 
 #: Each experiment at toy sizes; 5 replicates split 2 + 3 over two workers.
@@ -673,31 +673,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestWorkerCount:
-    def test_capped_at_usable_cpus_and_items(self):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert simulate._resolve_workers(10**6, 10**6) == cpus
-        assert simulate._resolve_workers(0, 10**6) == cpus
-        assert simulate._resolve_workers(10**6, 3) == min(cpus, 3)
-        assert simulate._resolve_workers(1, 10**6) == 1
-        assert simulate._resolve_workers(4, 1) == 1
-
-    @pytest.mark.parametrize("workers", [-1, 1.0, True, "2"])
-    def test_invalid_counts_rejected(self, workers):
-        with pytest.raises(ParameterError, match="workers"):
-            simulate._resolve_workers(workers, 10)
-
-    def test_replicates_run_here_where_nothing_forks(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(simulate, "_CAN_FORK", False)
-        monkeypatch.setattr(os, "fork", no_fork, raising=False)
-        rows = simulate._replicates(lambda i: [i, -i], range(5), workers=2)
-        assert rows.tolist() == [[i, -i] for i in range(5)]
-
-
-@pytest.mark.skipif(not simulate._CAN_FORK, reason="forked workers need Linux")
+@pytest.mark.skipif(not core._CAN_FORK, reason="forked workers need Linux")
 class TestForkedReplicates:
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_two_workers_match_the_serial_run(self, name):
@@ -708,17 +684,7 @@ class TestForkedReplicates:
     def test_fewer_replicates_than_workers(self):
         serial = brute_force_allocation(plain_world(), 60, 300, 0.25, 2, 8)
         assert_same_fields(serial, brute_force_allocation(plain_world(), 60, 300, 0.25, 2, 8, 3))
-        rows = simulate._replicates(lambda i: [i, -i], [7], 2)
-        assert rows.tobytes() == np.array([[7.0, -7.0]]).tobytes()
         assert_no_child_left()
-
-    def test_rows_keep_item_order(self):
-        items = list(range(7))
-        serial = simulate._replicates(lambda i: [i, 0.1 * i], items, 1)
-        forked = simulate._replicates(lambda i: [i, 0.1 * i], items, 2)
-        assert forked.shape == (7, 2) and forked.tobytes() == serial.tobytes()
-        scalars = simulate._replicates(lambda i: 0.5 * i, items, 2)
-        assert scalars.shape == (7,) and scalars.tolist() == [0.5 * i for i in items]
 
     def test_failure_in_a_child_reraises_the_serial_error(self, monkeypatch):
         failing = RngSeed(7).child(3).child(1)  # replicate 3: in the second worker's chunk
@@ -738,29 +704,6 @@ class TestForkedReplicates:
         serial, forked = errors
         assert str(forked) == str(serial) == "replicate 3 gave up"
         assert forked.last_iterate.tolist() == [1.0, 2.0] and forked.score_norm == 0.25
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("failing, first", [((1, 4), 1), ((4,), 4)])
-    def test_earliest_chunk_error_wins(self, failing, first):
-        def fn(i):
-            if i in failing:
-                raise KeyError(f"item {i}")
-            return [float(i)]
-
-        for workers in (1, 2):  # items 0-2 run here, 3-5 in the child
-            with pytest.raises(KeyError) as exc:
-                simulate._replicates(fn, range(6), workers)
-            assert exc.value.args == (f"item {first}",)
-        assert_no_child_left()
-
-    def test_worker_that_dies_is_reported(self):
-        def fn(i):
-            if i == 3:
-                os._exit(9)
-            return [float(i)]
-
-        with pytest.raises(ChildProcessError, match="status 9"):
-            simulate._replicates(fn, range(4), 2)
         assert_no_child_left()
 
 
@@ -830,25 +773,25 @@ def reference_brute_force(world, n, m, fractions, replicates, seed):
 
 @pytest.fixture
 def captured_draws(monkeypatch):
-    """The rows of every ``_replicates`` call, with any worker count up to the item count.
+    """The rows of every replicate kernel call, with any worker count up to the item count.
 
     The CPU cap is lifted so that three workers cut the replicates in three
     chunks on any machine.
     """
     draws = []
-    original = simulate._replicates
+    original = simulate._forked_rows
 
     def capture(*args):
         rows = original(*args)
         draws.append(rows.copy())
         return rows
 
-    monkeypatch.setattr(simulate, "_replicates", capture)
-    monkeypatch.setattr(simulate, "_resolve_workers", lambda workers, items: min(workers, items))
+    monkeypatch.setattr(simulate, "_forked_rows", capture)
+    monkeypatch.setattr(core, "_resolve_workers", lambda workers, items: min(workers, items))
     return draws
 
 
-WORKSPACE_WORKERS = [1, 2, 3] if simulate._CAN_FORK else [1]
+WORKSPACE_WORKERS = [1, 2, 3] if core._CAN_FORK else [1]
 
 
 @pytest.mark.parametrize("bias", PART_BIASES, ids=lambda b: b.kind)
@@ -882,45 +825,23 @@ class TestWorkspaceMatchesFreshArrays:
 
 
 class TestWorkspace:
-    def test_one_workspace_per_chunk_made_where_it_runs(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_resolve_workers", lambda workers, items: min(workers, items))
-        empty = np.empty
-
-        def stamped(shape, *args, **kwargs):
-            buf = empty(shape, *args, **kwargs)
-            if shape == (2, 1):  # the scratch below: stamped with the pid that makes it
-                buf[:, 0] = os.getpid(), 0.0
-            return buf
-
-        monkeypatch.setattr(np, "empty", stamped)
-
-        def fn(item, state):
-            state[1] += 1  # counts the replicates that share this workspace
-            return [state[0, 0] == os.getpid(), state[1, 0]]
-
-        for workers in WORKSPACE_WORKERS:
-            rows = simulate._replicates(fn, range(6), workers, [(2, 1)])
-            assert rows[:, 0].all()
-            assert rows[:, 1].tolist() == list(range(1, 6 // workers + 1)) * workers
-        assert_no_child_left()
-
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_results_never_alias_the_workspace(self, name, monkeypatch):
         """Buffers scribbled over after every replicate, as the next replicate
         would, leave every report the same bits."""
         want = EXPERIMENTS[name](2)
-        original = simulate._rows
+        original = simulate._forked_rows
 
-        def scribbling_rows(fn, items, scratch):
+        def scribbling_rows(fn, items, workers, scratch=()):
             def scribbled(item, *buffers):
                 row = fn(item, *buffers)
                 for buf in buffers:
                     buf.fill(np.nan)
                 return row
 
-            return original(scribbled, items, scratch)
+            return original(scribbled, items, workers, scratch)
 
-        monkeypatch.setattr(simulate, "_rows", scribbling_rows)
+        monkeypatch.setattr(simulate, "_forked_rows", scribbling_rows)
         assert_same_fields(EXPERIMENTS[name](2), want)
 
     def test_comparison_peak_memory(self):
