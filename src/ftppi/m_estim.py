@@ -22,23 +22,25 @@ the objective, score and Hessian there, for both the true and the
 predicted labels, share its result.  The value of an accepted trial step
 is the next iteration's baseline.  One point is alive at a time: the
 accepted point's work is freed once its score and Hessian are taken,
-before the trial point's is built.  The multinomial-choice kernels walk
-the rows, and check the labels, in blocks of ``_BLOCK_ROWS``, so their
-temporaries stay bounded whatever the pool size; their ``rows`` carries
-the choice probabilities at the point, so each is computed once per
-point and array, and on raw features (the sandwich's pool scores) each
-block's are computed for that block alone.  Within a block they reduce
-over the K options in column passes, one per option, and pick each
-row's chosen option by its flat index; both give the same bits as the
-row-wise reductions and 2-d gathers they replace.  Below
-``_PAIRWISE_FROM`` options the sum over them runs in column passes too.
-With d >= 2 features per option the solver's mean score is summed block
-by block (``_column_sums``) and no (n, d) score matrix is built.  ``mnl_loss``'s
-``workers`` runs the blocks on that many threads (``core._threaded_blocks``):
-numpy releases the interpreter lock inside them, each block writes its
-own rows of the probabilities, loss terms and score rows, and the
-Hessian's per-block sums are added in block order by the calling
-thread, so every result has the same bits for any thread count.
+before the trial point's is built.
+
+No pool-sized matrix is built past the features: the sandwich's V_pred
+is summed block by block, and so is the mean score with d >= 2
+(``_column_sums``; numpy sums one column pairwise, so with d = 1 it is
+built whole); the squared losses write their loss terms into one
+column.  The multinomial-choice kernels walk the rows, and check the
+labels, in blocks of ``_BLOCK_ROWS``, each block's choice probabilities
+computed into its worker's scratch.  Their ``rows`` holds the per-row
+log-sum-exps, which the objective reads, and the mean Hessian, summed
+in the same walk; the score computes each block's probabilities again.
+Within a block they reduce over the K options in column passes, one per
+option, and pick each row's chosen option by its flat index; both give
+the same bits as the row-wise reductions and 2-d gathers they replace.
+Below ``_PAIRWISE_FROM`` options the sum over them runs in column passes
+too.  ``workers`` runs the blocks on that many threads
+(``core._threaded_blocks``): numpy releases the interpreter lock inside
+them, each block writes its own rows, and block sums are added in block
+order, so every result has the same bits for any thread count.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ SCORE_TOL = 1e-10
 #: by more than this many machine epsilons of the three means it sums.
 ROUNDING_SLACK = 8 * float(np.finfo(np.float64).eps)
 MAX_ITERATIONS = 200
-#: Rows per block of the multinomial-choice kernels.
+#: Rows per block of the block-wise kernels and sums.
 _BLOCK_ROWS = 8192
 #: numpy's sum adds fewer values than this one after another, and this
 #: many or more in eight partial sums (its pairwise summation; numpy 2.4).
@@ -94,6 +96,7 @@ class LossModel:
     (x, y, theta) by running them on a one-row batch.  ``width`` is the
     feature length a row must have, or None when the loss ignores x.
     ``batch_score`` returns a new array, which the sandwich may overwrite.
+    ``workers`` is the thread count of the block-wise score sums.
     """
 
     name: str
@@ -102,6 +105,7 @@ class LossModel:
     batch_score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     batch_hessian_mean: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     width: int | None = None
+    workers: int = 1
 
     def _one_row(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -121,19 +125,31 @@ class LossModel:
     def rows(self, xs: np.ndarray, theta: np.ndarray):
         """Features for the ``batch_*`` callables at ``theta``, with any work they share.
 
-        ``xs`` itself here.  The multinomial choice loss bundles the choice
-        probabilities at ``theta`` with its features, so that every call at
-        one point shares a single evaluation of them.
+        ``xs`` itself here.  The multinomial choice loss bundles its
+        features with the per-row log-sum-exps and the mean Hessian at
+        ``theta``, so that every call at one point shares them.
         """
         return xs
 
     def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """The column mean of ``batch_score``'s rows, which the solver uses.
+        """The column mean of ``batch_score``'s rows, which the solver and the sandwich use.
 
-        The multinomial choice loss sums the rows block by block, with the
-        same bits, instead of building them all.
+        numpy sums a single column pairwise, so with dim 1 the column is
+        built whole.  With dim >= 2 the rows are built and summed block by
+        block (``_column_sums``), on up to ``workers`` threads, with the
+        bits of the whole matrix's mean.
         """
-        return self.batch_score(xs, ys, theta).mean(axis=0)
+        n = ys.shape[0]
+        if self.dim < 2 or not n:
+            return self.batch_score(xs, ys, theta).mean(axis=0)
+        feats = _features(xs)
+
+        def rows_into(span, out):
+            rows = self.batch_score(feats[span], ys[span], theta)
+            out[: rows.shape[0]] = rows
+            return out[: rows.shape[0]]
+
+        return _column_sums(rows_into, n, self.dim, self.workers) / n
 
 
 @dataclass(frozen=True)
@@ -166,6 +182,11 @@ class MEstimateReport:
 # ---------------------------------------------------------------------------
 
 
+def _spans(n: int) -> list[slice]:
+    """The row slice of each block of an n-row array."""
+    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS)]
+
+
 def _label_indices(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
     """Integer labels in [base, d], or DomainError."""
     labs = np.rint(ys).astype(np.int64)
@@ -188,13 +209,17 @@ def _squared_loss(name: str, d: int, target: Callable[[np.ndarray], np.ndarray])
     """Squared distance to a target row per outcome: loss = |target(y) - theta|^2 / 2.
 
     The minimizer is the mean target row; ``target`` maps n outcomes to an
-    (n, d) matrix.
+    (n, d) matrix.  The objective takes it block by block, and keeps only
+    the per-row loss terms.
     """
     eye = np.eye(d)
 
     def batch_loss_mean(xs, ys, theta):
-        diff = target(ys) - theta[None, :]
-        return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
+        terms = np.empty(ys.shape[0])
+        for span in _spans(ys.shape[0]):
+            diff = target(ys[span]) - theta[None, :]
+            terms[span] = 0.5 * np.sum(diff * diff, axis=1)
+        return float(np.mean(terms))
 
     def batch_score(xs, ys, theta):
         return theta[None, :] - target(ys)
@@ -237,22 +262,17 @@ def linear_regression_loss(d: int) -> LossModel:
 
 
 class _ChoiceRows(NamedTuple):
-    """Choice features with the probabilities every mnl callable needs at one theta."""
+    """Choice features with what every mnl callable shares at one theta."""
 
     xs: np.ndarray
-    theta: bytes  # float64 bytes of the theta that p and lse belong to
-    p: np.ndarray  # choice probabilities, n x K
+    theta: bytes  # float64 bytes of the theta that lse and hessian belong to
     lse: np.ndarray  # per-row log-sum-exp of the utilities, the outside option's being 0
+    hessian: np.ndarray  # the mean Hessian, its blocks' partial sums added in block order
 
 
 def _features(xs) -> np.ndarray:
     """The feature matrix of ``xs``, raw or a ``_ChoiceRows``."""
     return xs.xs if isinstance(xs, _ChoiceRows) else xs
-
-
-def _spans(n: int) -> list[slice]:
-    """The row slice of each block of an n-row array."""
-    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS)]
 
 
 def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,50 +307,41 @@ def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> n
 
 
 def _choice_rows(xs, theta, K: int, d: int, workers: int) -> _ChoiceRows:
-    """``xs``, raw or a ``_ChoiceRows``, with its choice probabilities at ``theta``.
+    """``xs``, raw or a ``_ChoiceRows``, with its log-sum-exps and mean Hessian at ``theta``.
 
     A ``_ChoiceRows`` built at this very theta is returned as it is; one
-    built at another theta is recomputed from its features, its blocks on
-    up to ``workers`` threads.
+    built at another theta is recomputed from its features.  One walk over
+    the blocks, on up to ``workers`` threads, computes each block's
+    probabilities into its worker's scratch, keeps their log-sum-exps and
+    returns the block's Hessian partial sums, which are added in block
+    order; no (n, K) matrix is built.
     """
     theta = np.asarray(theta, dtype=np.float64)
     key = theta.tobytes()
     if isinstance(xs, _ChoiceRows) and xs.theta == key:
         return xs
     xs = _features(xs)
-    p = np.empty((xs.shape[0], K))
-    lse = np.empty(xs.shape[0])
+    n = xs.shape[0]
+    lse = np.empty(n)
 
-    def fill(span):
-        lse[span] = _block_probabilities(xs[span].reshape(-1, K, d), theta, p[span])
+    def partial(span, p, product):
+        X = xs[span].reshape(-1, K, d)
+        p = p[: X.shape[0]]
+        lse[span] = _block_probabilities(X, theta, p)
+        # sum_i X_i' diag(p_i) X_i and sum_i g_i g_i', with g_i = X_i' p_i
+        Xp = np.multiply(X, p[:, :, None], out=product[: X.shape[0]])
+        g = np.einsum("nkd,nk->nd", X, p)
+        return Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g
 
-    _threaded_blocks(fill, _spans(xs.shape[0]), workers)
-    return _ChoiceRows(xs, key, p, lse)
-
-
-def _choice_blocks(xs, theta, K: int, d: int):
-    """The row slices of ``xs``'s blocks, and a function from one of them to
-    (its rows as (rows, K, d), their probabilities and log-sum-exps at ``theta``).
-
-    A ``_ChoiceRows`` built at ``theta`` lends each block its slice of the
-    probabilities it carries.  For anything else each block's are computed
-    for that block alone, into the layout ``_choice_rows`` gives them, so
-    both give the same bits and no (n, K) matrix is built.  With
-    ``own=True`` the probabilities are the caller's to overwrite: a copy
-    of a lent slice, or the block's own.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    feats = _features(xs)
-    held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
-
-    def block(span, own=False):
-        X = feats[span].reshape(-1, K, d)
-        if held:
-            return X, xs.p[span].copy() if own else xs.p[span], xs.lse[span]
-        p = np.empty(X.shape[:2])
-        return X, p, _block_probabilities(X, theta, p)
-
-    return _spans(feats.shape[0]), block
+    rows = min(n, _BLOCK_ROWS)
+    full = np.zeros((d, d))
+    outer = np.zeros((d, d))
+    for block_full, block_outer in _threaded_blocks(
+        partial, _spans(n), workers, [(rows, K), (rows, K, d)]
+    ):
+        full += block_full
+        outer += block_outer
+    return _ChoiceRows(xs, key, lse, full / n - outer / n)
 
 
 def _column_sums(rows_into, n: int, d: int, workers: int) -> np.ndarray:
@@ -389,15 +400,10 @@ def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _ChoiceLoss(LossModel):
-    """The model ``mnl_loss`` builds: its ``rows`` carry the choice probabilities."""
-
-    workers: int = 1
+    """The model ``mnl_loss`` builds: its ``rows`` carry the log-sum-exps and the Hessian."""
 
     def rows(self, xs: np.ndarray, theta: np.ndarray) -> _ChoiceRows:
         return _choice_rows(xs, theta, self.width // self.dim, self.dim, self.workers)
-
-    def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return self.batch_score(xs, ys, theta, True)
 
 
 def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel:
@@ -411,67 +417,53 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     The callables work through the rows, and check the labels, in blocks
     of ``_BLOCK_ROWS``, on up to ``workers`` threads; every result is the
     same bits for any ``workers``.  They take raw features or the model's
-    ``rows(xs, theta)``, which carries the (n, K) probability matrix:
-    calls on one ``rows`` value at its theta share a single evaluation of
-    it.  On raw features, or rows built at another theta, each block's
-    probabilities are computed for that block alone, so nothing of size n
-    is built but the result (the score rows, or the per-row loss terms the
-    mean is taken over).  ``batch_score`` takes a fourth argument,
-    ``mean``: if true it returns the score rows' column mean, which for
-    d >= 2 is summed block by block without building the rows.
+    ``rows(xs, theta)``, which holds the per-row log-sum-exps and the mean
+    Hessian at theta: on it the objective reads the log-sum-exps and the
+    Hessian is the one held.  Anything else, and the score, computes each
+    block's probabilities for that block alone, so nothing of size n is
+    built but the result (the score rows, or the per-row loss terms or
+    log-sum-exps a mean is taken over).
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
     workers = check_int(workers, "mnl_loss: workers", 1)
 
     def batch_loss_mean(xs, ys, theta):
-        spans, block = _choice_blocks(xs, theta, K, d)
-        terms = np.empty(_features(xs).shape[0])
+        theta = np.asarray(theta, dtype=np.float64)
+        feats = _features(xs)
+        n = feats.shape[0]
+        held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
+        terms = np.empty(n)
 
-        def fill(span):
-            X, _, lse = block(span)
+        def fill(span, *scratch):
+            X = feats[span].reshape(-1, K, d)
+            lse = xs.lse[span] if held else _block_probabilities(X, theta, scratch[0][: X.shape[0]])
             chose, flat = _chosen(ys[span], K)
-            picked = np.zeros(lse.shape[0])
+            picked = np.zeros(X.shape[0])
             picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
             terms[span] = lse - picked
 
-        _threaded_blocks(fill, spans, workers)
+        _threaded_blocks(fill, _spans(n), workers, [] if held else [(min(n, _BLOCK_ROWS), K)])
         return float(np.mean(terms))
 
-    def batch_score(xs, ys, theta, mean=False):
-        spans, block = _choice_blocks(xs, theta, K, d)
-        n = _features(xs).shape[0]
-
-        def rows_into(span, out):
-            X, resid, _ = block(span, own=True)
-            resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
-            return np.einsum("nkd,nk->nd", X, resid, out=out[: X.shape[0]])
-
-        # numpy sums a single column pairwise: its mean needs the whole column
-        if mean and d > 1 and n:
-            return _column_sums(rows_into, n, d, workers) / n
+    def batch_score(xs, ys, theta):
+        theta = np.asarray(theta, dtype=np.float64)
+        feats = _features(xs)
+        n = feats.shape[0]
         out = np.empty((n, d))
-        _threaded_blocks(lambda span: rows_into(span, out[span]), spans, workers)
-        return out.mean(axis=0) if mean else out
+
+        def fill(span, p):
+            X = feats[span].reshape(-1, K, d)
+            resid = p[: X.shape[0]]
+            _block_probabilities(X, theta, resid)
+            resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
+            np.einsum("nkd,nk->nd", X, resid, out=out[span])
+
+        _threaded_blocks(fill, _spans(n), workers, [(min(n, _BLOCK_ROWS), K)])
+        return out
 
     def batch_hessian_mean(xs, ys, theta):
-        spans, block = _choice_blocks(xs, theta, K, d)
-        n = _features(xs).shape[0]
-        scratch = [(min(n, _BLOCK_ROWS), K, d)]  # each worker's (rows, K, d) product
-
-        def partial(span, product):
-            X, p, _ = block(span)
-            Xp = np.multiply(X, p[:, :, None], out=product[: X.shape[0]])
-            g = np.einsum("nkd,nk->nd", X, p)
-            return Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g
-
-        # summed in block order, so the sum is the serial loop's
-        full = np.zeros((d, d))
-        outer = np.zeros((d, d))
-        for block_full, block_outer in _threaded_blocks(partial, spans, workers, scratch):
-            full += block_full
-            outer += block_outer
-        return full / n - outer / n
+        return _choice_rows(xs, theta, K, d, workers).hessian
 
     return _ChoiceLoss(
         "mnl", d, batch_loss_mean, batch_score, batch_hessian_mean, width=K * d, workers=workers
@@ -672,9 +664,9 @@ def sandwich_covariance(
     V_resid is the covariance of per-sample score differences
     score(x, y) - score(x, f(x)) on the rectification subset (divisor
     n_ppi - 1); V_pred is the covariance of score(x~, f(x~)) on the pool
-    (divisor m - 1); H is the mean Hessian on the rectification subset
-    with true labels.  The product H^-1 (...) H^-1 is formed by linear
-    solves, never an explicit inverse.
+    (divisor m - 1), summed block by block; H is the mean Hessian on the
+    rectification subset with true labels.  The product H^-1 (...) H^-1
+    is formed by linear solves, never an explicit inverse.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64).reshape(-1)
     if theta_hat.shape != (loss.dim,):
@@ -687,13 +679,28 @@ def sandwich_covariance(
         raise InsufficientDataError(
             f"sandwich needs m >= dim+1 ({loss.dim + 1}), got {unlabeled.m}"
         )
-    # The labeled rows' work is done, and freed, before the pool's scores are built.
+    # The labeled rows' work is done, and freed, before the pool's are taken.
     rl = loss.rows(labeled_ppi.xs, theta_hat)
     yl, fl = labeled_ppi.ys, f.on(labeled_ppi)
     v_resid = _covariance(loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat))
     h_hat = loss.batch_hessian_mean(rl, yl, theta_hat)
     del rl
-    v_pred = _covariance(loss.batch_score(unlabeled.xs, f.on(unlabeled), theta_hat))
+    # V_pred without the (m, d) score matrix: the rows are centred on
+    # mean_score, the bits of the matrix's column mean, and each block's
+    # cross-product is added in block order, so the bits are the same for
+    # any thread count.  They differ from _covariance's in the last bits
+    # only: BLAS blocks one large product differently.
+    xu, fu = unlabeled.xs, f.on(unlabeled)
+    mean = loss.mean_score(xu, fu, theta_hat)
+
+    def cross(span):
+        rows = loss.batch_score(xu[span], fu[span], theta_hat)
+        rows -= mean
+        return rows.T @ rows
+
+    blocks = _threaded_blocks(cross, _spans(unlabeled.m), loss.workers)
+    v_pred = sum(blocks, np.zeros((loss.dim, loss.dim))) / (unlabeled.m - 1)
+    v_pred = 0.5 * (v_pred + v_pred.T)
 
     h_hat = 0.5 * (h_hat + h_hat.T)
     _check_condition(h_hat, "mean Hessian")

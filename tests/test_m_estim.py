@@ -583,13 +583,13 @@ def _rowwise_mnl(xs, ys, theta, K, d):
         full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
         g = np.einsum("nkd,nk->nd", X, pb)
         outer += g.T @ g
-    return (p, lse), float(np.mean(lse - picked)), score, full / n - outer / n
+    return lse, float(np.mean(lse - picked)), score, full / n - outer / n
 
 
 class TestChoiceKernelsBitForBit:
     """The column-pass choice kernels give the bits of the row-wise ones,
-    on the model's rows and on raw features, whose probabilities each
-    block computes for itself."""
+    on the model's rows, whose log-sum-exps and Hessian are held, and on
+    raw features, whose probabilities each block computes for itself."""
 
     SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
 
@@ -619,8 +619,9 @@ class TestChoiceKernelsBitForBit:
             for n in self.SIZES:
                 xs, ys, theta = self._batch(rng, n, K, d)
                 rows = model.rows(xs, theta)
-                probs, loss_mean, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
-                assert np.array_equal(rows.p, probs[0]) and np.array_equal(rows.lse, probs[1])
+                lse, loss_mean, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
+                assert np.array_equal(rows.lse, lse)
+                assert np.array_equal(rows.hessian, hessian_mean)
                 for feats in (rows, xs):
                     assert np.array_equal(model.batch_loss_mean(feats, ys, theta), loss_mean)
                     assert np.array_equal(model.batch_score(feats, ys, theta), score)
@@ -1030,15 +1031,19 @@ def _traced_peak(fn, *args):
 class TestPeakMemory:
     """The solver and the sandwich on a choice pool, by the bytes numpy reports to tracemalloc.
 
-    Few features per option keep the score rows small, so that a second
-    Newton point's probabilities, or an (m, K) matrix in the sandwich,
-    would not fit in what a block's temporaries are allowed.
+    A point holds the per-row log-sum-exps and the mean Hessian, not the
+    (n, K) choice probabilities.  Few features per option keep the score
+    rows small, so that a point's probabilities, or an (m, K) matrix in
+    the sandwich, would not fit in what the per-row columns and a block's
+    temporaries per worker are allowed.
     """
 
     K, D, N, M = 8, 1, 1000, 60_000
     #: A block's largest temporaries: the Hessian's (rows, K, d) product
     #: and two (rows, K) arrays.
     BLOCK = _BLOCK_ROWS * (K * D + 2 * K) * 8
+    #: What a point with the probabilities held, as the choice loss once kept them, would cost.
+    PROBABILITIES = (N + M) * (K + 1) * 8
 
     @pytest.fixture(scope="class")
     def instance(self):
@@ -1051,27 +1056,22 @@ class TestPeakMemory:
         )
         return mnl_loss(K, D), labeled, pool, f
 
-    def test_solver_holds_one_point(self, instance):
-        point = (self.N + self.M) * (self.K + 1) * 8  # probabilities and log-sum-exps
-        score = self.M * self.D * 8
-        assert point > 2 * self.BLOCK  # so a second point cannot hide in the allowance
-        assert _traced_peak(solve_ppi_m_estimator, *instance) < point + score + 2 * self.BLOCK
-
-    def test_two_threads_add_one_block(self, instance):
-        """A second worker holds its own block's temporaries, one block more."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_holds_one_point_of_log_sum_exps(self, instance, workers):
+        """One point's log-sum-exps, the pool's loss terms or score column,
+        and a block's temporaries per worker."""
         _, *data = instance
-        point = (self.N + self.M) * (self.K + 1) * 8
-        score = self.M * self.D * 8
-        threaded = mnl_loss(self.K, self.D, workers=2)
-        assert _traced_peak(solve_ppi_m_estimator, threaded, *data) < (
-            point + score + 3 * self.BLOCK
-        )
+        allowed = (self.N + self.M) * 8 + self.M * self.D * 8 + workers * self.BLOCK
+        assert self.PROBABILITIES > allowed  # so the probabilities cannot hide in the allowance
+        peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(self.K, self.D, workers), *data)
+        assert peak < allowed
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_builds_no_pool_score_rows(self, workers):
         """With d >= 2 the mean score is summed block by block: the solver
-        holds one point and a block's temporaries per worker, and the pool's
-        (m, d) score rows would not fit."""
+        holds one point's log-sum-exps, the pool's loss terms and a block's
+        temporaries per worker, and the pool's (m, d) score rows would not
+        fit."""
         K, D, N, M = 5, 4, 1000, 200_000
         block = _BLOCK_ROWS * (K * D + 2 * K) * 8
         rng = np.random.default_rng(93)
@@ -1080,17 +1080,69 @@ class TestPeakMemory:
         f = Predictor.precomputed(
             [(labeled, rng.integers(0, K + 1, N)), (pool, rng.integers(0, K + 1, M))]
         )
-        point = (N + M) * (K + 1) * 8
-        assert M * D * 8 > (1 + workers) * block  # so the score rows cannot hide in the allowance
+        allowed = (N + M) * 8 + M * 8 + (1 + workers) * block
+        assert M * D * 8 > allowed - (N + M) * 8 - M * 8  # so the score rows cannot hide in it
         peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(K, D, workers), labeled, pool, f)
-        assert peak < point + (1 + workers) * block
+        assert peak < allowed
 
     def test_sandwich_builds_no_pool_probabilities(self, instance):
         theta = solve_ppi_m_estimator(*instance)
-        scores = self.M * self.D * 8  # the pool's score rows, centred in place
-        assert self.M * self.K * 8 > 2 * self.BLOCK  # so an (m, K) matrix would not fit
+        column = self.M * self.D * 8  # the pool's one score column, for its mean
+        assert self.M * self.K * 8 > self.BLOCK  # so an (m, K) matrix would not fit
         peak = _traced_peak(sandwich_covariance, *instance, theta)
-        assert peak < scores + 2 * self.BLOCK
+        assert peak < column + self.BLOCK
+
+
+def _squared_loss_instance(name, d, m, n=1000):
+    """(loss, labeled, pool, f) for the mean, categorical or ols loss on an m-row pool."""
+    rng = np.random.default_rng(92)
+    if name == "categorical":
+        xl, xu = rng.standard_normal((n, 1)), rng.standard_normal((m, 1))
+        yl, fl, fu = (rng.integers(1, d + 1, k).astype(float) for k in (n, n, m))
+        loss = categorical_loss(d)
+    else:
+        xl, xu = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+        yl = xl.sum(axis=1) + rng.standard_normal(n)
+        fl, fu = 0.9 * xl.sum(axis=1), 0.9 * xu.sum(axis=1)
+        loss = linear_regression_loss(d) if name == "ols" else mean_loss()
+    labeled, pool = LabeledDataset(xl, yl), UnlabeledDataset(xu)
+    return loss, labeled, pool, Predictor.precomputed([(labeled, fl), (pool, fu)])
+
+
+class TestPoolBytesPerRow:
+    """The solver and the sandwich of the mean, categorical and ols losses
+    on a big pool, by traced bytes: what grows with the pool is at most the
+    loss's per-row columns, and the rest is a few blocks' temporaries.
+
+    The allowance is ``per_row`` bytes per pool row plus ``columns`` float64
+    block columns of ``_BLOCK_ROWS`` rows each.  The ols objective keeps its
+    residual column and, folded in place by numpy, its square: 16 bytes a
+    row.  The mean and categorical objectives keep one column of loss
+    terms, and the mean's score is one column: 8 bytes a row.  Neither the
+    solver's mean score nor the sandwich's V_pred builds an (m, d) matrix
+    for d >= 2.
+    """
+
+    M = 200_000
+
+    @pytest.mark.parametrize(
+        "name, d, per_row, columns, parent",
+        [
+            # the (m, 16) score matrix the solver and the sandwich once built
+            ("ols", 16, 16, 3 * 16, 16 * 8),
+            # the objective's three pool-sized temporaries
+            ("mean", 1, 8, 12, 3 * 8),
+            # the (m, 4) one-hot targets and their differences
+            ("categorical", 4, 8, 6 * 4, 2 * 4 * 8),
+        ],
+    )
+    def test_solver_and_sandwich(self, name, d, per_row, columns, parent):
+        loss, labeled, pool, f = _squared_loss_instance(name, d, self.M)
+        allowed = per_row * self.M + columns * _BLOCK_ROWS * 8
+        assert parent * self.M > allowed  # the cost of the pool-sized temporaries does not fit
+        assert _traced_peak(solve_ppi_m_estimator, loss, labeled, pool, f) < allowed
+        theta = solve_ppi_m_estimator(loss, labeled, pool, f)
+        assert _traced_peak(sandwich_covariance, loss, labeled, pool, f, theta) < allowed
 
 
 class TestCovariance:
@@ -1110,18 +1162,43 @@ class TestCovariance:
             want = self._copying(rows)
             assert np.array_equal(m_estim._covariance(rows.copy()), want)
 
-    def test_wide_ols_sandwich_holds_one_pool_score_matrix(self):
-        """With d = 8 the pool's score rows are as big as its features; the
-        sandwich adds them, and no centred copy, to what it was handed."""
-        rng = np.random.default_rng(95)
-        n, m, d = 500, 100_000, 8
-        labeled = LabeledDataset(rng.standard_normal((n, d)), rng.standard_normal(n))
-        pool = UnlabeledDataset(rng.standard_normal((m, d)))
-        f = Predictor.precomputed([(labeled, rng.standard_normal(n)), (pool, rng.standard_normal(m))])
-        loss = linear_regression_loss(d)
-        scores = m * d * 8
-        peak = _traced_peak(sandwich_covariance, loss, labeled, pool, f, rng.standard_normal(d))
-        assert scores < peak < 1.5 * scores
+
+class TestBlockwiseVPred:
+    """The sandwich's V_pred, summed block by block, against ``_covariance``
+    of the whole (m, d) score matrix, for every built-in loss: within 1e-12
+    relative, with the same bits for any thread count."""
+
+    @staticmethod
+    def _instance(name, d, m, workers):
+        if name != "mnl":
+            loss, labeled, pool, f = _squared_loss_instance(name, d, m, n=200)
+            return dataclasses.replace(loss, workers=workers), labeled, pool, f
+        K = 3
+        rng = np.random.default_rng(91)
+        labeled = LabeledDataset(rng.standard_normal((200, K * d)), rng.integers(0, K + 1, 200))
+        pool = UnlabeledDataset(rng.standard_normal((m, K * d)))
+        f = Predictor.precomputed(
+            [(labeled, rng.integers(0, K + 1, 200)), (pool, rng.integers(0, K + 1, m))]
+        )
+        return mnl_loss(K, d, workers), labeled, pool, f
+
+    @pytest.mark.parametrize(
+        "name, d",
+        [("mean", 1), ("categorical", 3), ("ols", 1), ("ols", 5), ("mnl", 1), ("mnl", 2)],
+    )
+    @pytest.mark.parametrize("m", [1000, 3 * _BLOCK_ROWS + 17])
+    def test_matches_the_dense_covariance(self, name, d, m):
+        theta = np.random.default_rng(m + d).standard_normal(d) * 0.3 + 0.25
+        got = []
+        for workers in (1, 2, 3):
+            loss, labeled, pool, f = self._instance(name, d, m, workers)
+            got.append(sandwich_covariance(loss, labeled, pool, f, theta).v_pred)
+        assert all(np.array_equal(got[0], v) for v in got[1:])
+        dense = m_estim._covariance(loss.batch_score(pool.xs, f.on(pool), theta))
+        assert got[0].shape == dense.shape == (d, d)
+        assert np.max(np.abs(got[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+        if m <= _BLOCK_ROWS:  # one block: its cross-product is the dense one
+            assert np.array_equal(got[0], dense)
 
 
 class TestScalarize:

@@ -987,6 +987,26 @@ SHIPPED_CONFIGS = {
         },
         "external": None,
     },
+    "scenario_allocation_curve.json": {
+        "world": REFERENCE_WORLD,
+        "n": 4000,
+        "m": 40000,
+        "seed": 18,
+        "allocation_curve": {"grid_step": 0.05, "replicates": 100},
+        "comparison": None,
+        "bootstrap": None,
+        "external": None,
+    },
+    "scenario_comparison.json": {
+        "world": REFERENCE_WORLD,
+        "n": 2000,
+        "m": 20000,
+        "seed": 1729,
+        "allocation_curve": None,
+        "comparison": {"replicates": 500},
+        "bootstrap": None,
+        "external": None,
+    },
 }
 
 

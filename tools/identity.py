@@ -30,7 +30,8 @@ inputs written by ``perfbench/inputs.py``; ``simulate`` on
 ``configs/scenario_quick.json`` and on the sim-fresh scenario at
 ``--threads`` 1, 2 and 0; ``rampup`` on both ``configs/`` worlds, cross-
 validated and with a failing first stage; ``bootstrap``; ``estimate-m``
-with each loss at ``--threads`` 1, 2 and 0; ``estimate-mean`` with each
+with each loss at ``--threads`` 1, 2 and 0, and with ``ols`` on a pool
+as large as its labeled set; ``estimate-mean`` with each
 method, and at ``--threads`` 1 and 2 on a pool file with a bad cell in
 its last part, with a non-finite cell, with a row too wide, or quoted;
 ``fit-scaling``; ``allocate``, also on a steep law at n = 10**6.
@@ -158,6 +159,23 @@ def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
         for threads in ("1", "2", "0"):
             ops.append((f"estimate-m {loss} threads {threads}",
                         ["estimate-m", "--loss", loss, "--threads", threads] + data))
+    # A regression whose pool is as large as its labeled set: V_pred / m
+    # weighs as much as V_resid / n in sigma_hat, so a change in V_pred's
+    # last bits shows there.  The pool spans two blocks of m_estim's sums.
+    ols_rng = np.random.default_rng(1)
+    size = 12_000
+    xo = ols_rng.standard_normal((2 * size, 3))
+    fo = xo @ np.array([1.0, -0.5, 0.25])
+    yo = fo + ols_rng.standard_normal(2 * size)
+    fo += 0.5 * ols_rng.standard_normal(2 * size)
+    small = os.path.join(root, "ols_small_pool")
+    ops.append(("estimate-m ols pool as large as the labeled set", [
+        "estimate-m", "--loss", "ols",
+        "--labeled", _write_csv(small + "_lab.csv", "y,x1,x2,x3", [yo[:size], xo[:size]], "%.6f"),
+        "--unlabeled", _write_csv(small + "_unlab.csv", "x1,x2,x3", [xo[size:]], "%.6f"),
+        "--pred-labeled", _write_csv(small + "_f_lab.csv", "f", [fo[:size]], "%.6f"),
+        "--pred-unlabeled", _write_csv(small + "_f_unlab.csv", "f", [fo[size:]], "%.6f"),
+    ]))
     # Outcomes and their predictions on a common offset of 1e8, a pool without
     # it: the rectified mean cancels the offset, and a change in how its terms
     # are grouped moves about 1e-8, which the 12 printed digits show.
