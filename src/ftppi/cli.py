@@ -34,6 +34,7 @@ from .core import (
     UnlabeledDataset,
     _resolve_workers,
     check_int,
+    check_probability,
     read_labeled_csv,
     read_predictions_csv,
     read_unlabeled_csv,
@@ -601,6 +602,8 @@ def main(argv=None) -> int:
     def run() -> int:
         threads = args.threads if args.threads is not None else _env_int("FTPPI_THREADS", 0)
         args.threads = check_int(threads, "--threads", 0)
+        if hasattr(args, "delta"):  # refused before a handler reads any input
+            check_probability(args.delta, "delta")
         seed_value = args.seed if args.seed is not None else _env_int("FTPPI_SEED", DEFAULT_SEED)
         payload = args.handler(args, RngSeed(seed_value))
         if payload:

@@ -24,29 +24,28 @@ is the next iteration's baseline.  One point is alive at a time: the
 accepted point's work is freed once its score and Hessian are taken,
 before the trial point's is built.
 
-No pool-sized matrix is built past the features: the sandwich's V_pred
-is summed block by block, and so is the mean score with d >= 2
-(``_column_sums``; numpy sums one column pairwise, so with d = 1 it is
-built whole); the squared losses write their loss terms into one
-column.  The multinomial-choice kernels walk the rows, and check the
-labels, in blocks of ``_BLOCK_ROWS``, each block's choice probabilities
-computed into its worker's scratch.  Their ``rows`` holds the per-row
-log-sum-exps, which the objective reads, and the mean Hessian, summed
-in the same walk; the score computes each block's probabilities again.
-Within a block they reduce over the K options in column passes, one per
-option, and pick each row's chosen option by its flat index; both give
-the same bits as the row-wise reductions and 2-d gathers they replace.
-Below ``_PAIRWISE_FROM`` options the sum over them runs in column passes
-too.  ``workers`` runs the blocks on that many threads
+No pool-sized array is built past the features: every sum over a
+feature array's rows (the objectives, the mean score, the sandwich's
+V_pred and the choice Hessian) is ``_block_sum``'s, one partial sum per
+block of ``_BLOCK_ROWS`` rows, added in block order.  The
+multinomial-choice kernels walk the rows, and check the labels, in those
+blocks, each block's choice probabilities computed into its worker's
+scratch.  Their ``rows`` holds the per-row log-sum-exps, which the
+objective reads, and the mean Hessian, summed in the same walk; the
+score computes each block's probabilities again.  Within a block they
+reduce over the K options in column passes, one per option, and pick
+each row's chosen option by its flat index; both give the same bits as
+the row-wise reductions and 2-d gathers they replace.  Below
+``_PAIRWISE_FROM`` options the sum over them runs in column passes too.
+``workers`` runs the blocks on that many threads
 (``core._threaded_blocks``): numpy releases the interpreter lock inside
-them, each block writes its own rows, and block sums are added in block
-order, so every result has the same bits for any thread count.
+them and each block writes its own rows, so every result has the same
+bits for any thread count.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -134,22 +133,15 @@ class LossModel:
     def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The column mean of ``batch_score``'s rows, which the solver and the sandwich use.
 
-        numpy sums a single column pairwise, so with dim 1 the column is
-        built whole.  With dim >= 2 the rows are built and summed block by
-        block (``_column_sums``), on up to ``workers`` threads, with the
-        bits of the whole matrix's mean.
+        The rows are built and summed block by block (``_block_sum``), on
+        up to ``workers`` threads.
         """
-        n = ys.shape[0]
-        if self.dim < 2 or not n:
-            return self.batch_score(xs, ys, theta).mean(axis=0)
         feats = _features(xs)
 
-        def rows_into(span, out):
-            rows = self.batch_score(feats[span], ys[span], theta)
-            out[: rows.shape[0]] = rows
-            return out[: rows.shape[0]]
+        def block(span):
+            return self.batch_score(feats[span], ys[span], theta).sum(axis=0)
 
-        return _column_sums(rows_into, n, self.dim, self.workers) / n
+        return _block_sum(block, ys.shape[0], self.workers) / ys.shape[0]
 
 
 @dataclass(frozen=True)
@@ -187,6 +179,19 @@ def _spans(n: int) -> list[slice]:
     return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS)]
 
 
+def _block_sum(fn, n: int, workers: int, scratch=()):
+    """The sum of ``fn(span, *buffers)`` over the blocks of an n-row array.
+
+    The blocks run on up to ``workers`` threads, each with its own
+    ``buffers`` (``core._threaded_blocks``), and their results are added
+    in block order, so the sum has the same bits for any thread count.
+    """
+    total = 0.0
+    for part in _threaded_blocks(fn, _spans(n), workers, scratch):
+        total = total + part
+    return total
+
+
 def _label_indices(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
     """Integer labels in [base, d], or DomainError."""
     labs = np.rint(ys).astype(np.int64)
@@ -209,17 +214,16 @@ def _squared_loss(name: str, d: int, target: Callable[[np.ndarray], np.ndarray])
     """Squared distance to a target row per outcome: loss = |target(y) - theta|^2 / 2.
 
     The minimizer is the mean target row; ``target`` maps n outcomes to an
-    (n, d) matrix.  The objective takes it block by block, and keeps only
-    the per-row loss terms.
+    (n, d) matrix, which the objective builds block by block.
     """
     eye = np.eye(d)
 
     def batch_loss_mean(xs, ys, theta):
-        terms = np.empty(ys.shape[0])
-        for span in _spans(ys.shape[0]):
+        def block(span):
             diff = target(ys[span]) - theta[None, :]
-            terms[span] = 0.5 * np.sum(diff * diff, axis=1)
-        return float(np.mean(terms))
+            return np.sum(0.5 * np.sum(diff * diff, axis=1))
+
+        return float(_block_sum(block, ys.shape[0], 1) / ys.shape[0])
 
     def batch_score(xs, ys, theta):
         return theta[None, :] - target(ys)
@@ -249,8 +253,11 @@ def linear_regression_loss(d: int) -> LossModel:
     d = check_int(d, "linear_regression_loss: d", 1)
 
     def batch_loss_mean(xs, ys, theta):
-        r = ys - xs @ theta
-        return float(np.mean(0.5 * r * r))
+        def block(span):
+            r = ys[span] - xs[span] @ theta
+            return np.sum(0.5 * r * r)
+
+        return float(_block_sum(block, ys.shape[0], 1) / ys.shape[0])
 
     def batch_score(xs, ys, theta):
         return xs * (xs @ theta - ys)[:, None]
@@ -313,8 +320,7 @@ def _choice_rows(xs, theta, K: int, d: int, workers: int) -> _ChoiceRows:
     built at another theta is recomputed from its features.  One walk over
     the blocks, on up to ``workers`` threads, computes each block's
     probabilities into its worker's scratch, keeps their log-sum-exps and
-    returns the block's Hessian partial sums, which are added in block
-    order; no (n, K) matrix is built.
+    sums the Hessian (``_block_sum``); no (n, K) matrix is built.
     """
     theta = np.asarray(theta, dtype=np.float64)
     key = theta.tobytes()
@@ -331,61 +337,11 @@ def _choice_rows(xs, theta, K: int, d: int, workers: int) -> _ChoiceRows:
         # sum_i X_i' diag(p_i) X_i and sum_i g_i g_i', with g_i = X_i' p_i
         Xp = np.multiply(X, p[:, :, None], out=product[: X.shape[0]])
         g = np.einsum("nkd,nk->nd", X, p)
-        return Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g
+        return np.stack((Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g))
 
     rows = min(n, _BLOCK_ROWS)
-    full = np.zeros((d, d))
-    outer = np.zeros((d, d))
-    for block_full, block_outer in _threaded_blocks(
-        partial, _spans(n), workers, [(rows, K), (rows, K, d)]
-    ):
-        full += block_full
-        outer += block_outer
-    return _ChoiceRows(xs, key, lse, full / n - outer / n)
-
-
-def _column_sums(rows_into, n: int, d: int, workers: int) -> np.ndarray:
-    """The column sums of an n-row array's blocks, with the bits of ``rows.sum(axis=0)``.
-
-    ``rows_into(span, out)`` writes a block's (rows, d) rows into the
-    head of ``out`` and returns them.  numpy adds the rows of a C-ordered
-    (n, d >= 2) array one after another, so each block's sum is seeded with
-    the running sum of the blocks before it, held in a leading row of its
-    worker's buffer.  The blocks' rows are computed on up to ``workers``
-    threads; each block is added by its worker once the one before it has
-    been, so the sums run in block order whatever the thread count.
-    """
-    spans = _spans(n)
-    turn = threading.Condition()
-    added, failed, total = 0, len(spans), None  # blocks added, first failed block, their sum
-
-    def add(i, buffer):
-        nonlocal added, failed, total
-        if failed < i:  # an earlier block failed: its error is the one raised
-            return
-        try:
-            rows = rows_into(spans[i], buffer[1:])
-            with turn:
-                turn.wait_for(lambda: added == i or failed < i)
-            if failed < i:
-                return
-            if i:
-                seeded = buffer[: 1 + rows.shape[0]]
-                seeded[0] = total
-                total = seeded.sum(axis=0)
-            else:
-                total = rows.sum(axis=0)
-        except BaseException:
-            with turn:
-                failed = min(failed, i)
-                turn.notify_all()
-            raise
-        with turn:
-            added += 1
-            turn.notify_all()
-
-    _threaded_blocks(add, range(len(spans)), workers, [(1 + min(n, _BLOCK_ROWS), d)])
-    return total
+    full, outer = _block_sum(partial, n, workers, [(rows, K), (rows, K, d)]) / n
+    return _ChoiceRows(xs, key, lse, full - outer)
 
 
 def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -421,8 +377,7 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     Hessian at theta: on it the objective reads the log-sum-exps and the
     Hessian is the one held.  Anything else, and the score, computes each
     block's probabilities for that block alone, so nothing of size n is
-    built but the result (the score rows, or the per-row loss terms or
-    log-sum-exps a mean is taken over).
+    built but the result: the score rows, or the log-sum-exps.
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
@@ -433,18 +388,17 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
         feats = _features(xs)
         n = feats.shape[0]
         held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
-        terms = np.empty(n)
 
-        def fill(span, *scratch):
+        def block(span, *scratch):
             X = feats[span].reshape(-1, K, d)
             lse = xs.lse[span] if held else _block_probabilities(X, theta, scratch[0][: X.shape[0]])
             chose, flat = _chosen(ys[span], K)
             picked = np.zeros(X.shape[0])
             picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
-            terms[span] = lse - picked
+            return np.sum(lse - picked)
 
-        _threaded_blocks(fill, _spans(n), workers, [] if held else [(min(n, _BLOCK_ROWS), K)])
-        return float(np.mean(terms))
+        scratch = [] if held else [(min(n, _BLOCK_ROWS), K)]
+        return float(_block_sum(block, n, workers, scratch) / n)
 
     def batch_score(xs, ys, theta):
         theta = np.asarray(theta, dtype=np.float64)
@@ -685,11 +639,9 @@ def sandwich_covariance(
     v_resid = _covariance(loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat))
     h_hat = loss.batch_hessian_mean(rl, yl, theta_hat)
     del rl
-    # V_pred without the (m, d) score matrix: the rows are centred on
-    # mean_score, the bits of the matrix's column mean, and each block's
-    # cross-product is added in block order, so the bits are the same for
-    # any thread count.  They differ from _covariance's in the last bits
-    # only: BLAS blocks one large product differently.
+    # V_pred without the (m, d) score matrix: the sum of each block's
+    # cross-product of its score rows, centred on mean_score.  It differs
+    # from _covariance's in the last bits only.
     xu, fu = unlabeled.xs, f.on(unlabeled)
     mean = loss.mean_score(xu, fu, theta_hat)
 
@@ -698,8 +650,7 @@ def sandwich_covariance(
         rows -= mean
         return rows.T @ rows
 
-    blocks = _threaded_blocks(cross, _spans(unlabeled.m), loss.workers)
-    v_pred = sum(blocks, np.zeros((loss.dim, loss.dim))) / (unlabeled.m - 1)
+    v_pred = _block_sum(cross, unlabeled.m, loss.workers) / (unlabeled.m - 1)
     v_pred = 0.5 * (v_pred + v_pred.T)
 
     h_hat = 0.5 * (h_hat + h_hat.T)

@@ -1114,7 +1114,7 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("command, bytes_per_row", [
         (["estimate-mean"], 24),  # the predictions' 8, and room for one part of the file
-        (["estimate-m", "--loss", "mean"], 48),  # also the solver's and sandwich's columns
+        (["estimate-m", "--loss", "mean"], 16),  # the predictions' 8 and a part; no pool column
     ], ids=["estimate-mean", "estimate-m-mean"])
     def test_pool_features_never_held(self, capsys, files, command, bytes_per_row):
         run_cli(capsys, *command, *files)  # first-call allocations
@@ -1140,6 +1140,42 @@ class TestGlobalOptions:
         with pytest.raises(SystemExit) as exc:
             cli_main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("delta", ["2", "0"])
+    @pytest.mark.parametrize("command", [
+        ["rampup", "--n", "400", "--m", "300", "--schedule", "20,40,80", "--n-v", "50"],
+        ["estimate-m", "--loss", "ols"],
+        ["estimate-m", "--loss", "mnl"],
+        ["estimate-mean"],
+    ], ids=["rampup", "estimate-m-ols", "estimate-m-mnl", "estimate-mean"])
+    def test_bad_delta_refused_before_any_input_is_read(
+        self, capsys, monkeypatch, world_file, command, delta
+    ):
+        """--delta is checked once, up front: no ramp-up stage runs and no CSV file is read."""
+        reached = []
+
+        def refuse(name):
+            def fn(*args, **kwargs):
+                reached.append(name)
+                raise core.ParameterError(f"{name} reached")
+
+            return fn
+
+        for target in [
+            "rampup.run_rampup", "cli.read_labeled_csv", "cli.read_unlabeled_csv",
+            "cli.read_predictions_csv", "m_estim.read_choice_labeled_csv",
+            "m_estim.read_choice_unlabeled_csv",
+        ]:
+            monkeypatch.setattr("ftppi." + target, refuse(target))
+        inputs = ["--world", world_file] if command[0] == "rampup" else [
+            "--labeled", "lab.csv", "--unlabeled", "unlab.csv",
+            "--pred-labeled", "f_lab.csv", "--pred-unlabeled", "f_unlab.csv",
+        ]
+        code, out, err = run_cli(capsys, *command, *inputs, "--delta", delta)
+        assert reached == [] and code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"delta must lie in (0, 1), got {float(delta)!r}"
+        }
 
     def test_negative_threads_rejected(self, capsys):
         code, _, err = run_cli(

@@ -500,7 +500,7 @@ class TestChoiceKernels:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_the_mean_score_reports_the_first_bad_block(self, monkeypatch, workers):
-        """The block-by-block mean score (d >= 2) raises block 1's error of
+        """The block-by-block mean score raises block 1's error of
         bad labels in blocks 1 and 3 of 5, and leaves no thread behind."""
         model, theta = mnl_loss(2, 2, workers), np.array([0.3, -0.2])
         xs = np.random.default_rng(9).standard_normal((4 * _BLOCK_ROWS + 5, 4))
@@ -542,6 +542,14 @@ class TestChoiceKernels:
                     kernel(feats, ys, theta)
 
 
+def _blockwise_mean(rows):
+    """The mean of ``rows`` by ``m_estim``'s rule: each block's sum, added in block order."""
+    total = 0.0
+    for lo in range(0, rows.shape[0], _BLOCK_ROWS):
+        total = total + rows[lo : lo + _BLOCK_ROWS].sum(axis=0)
+    return total / rows.shape[0]
+
+
 def _rowwise_choice_probs(xs, theta, K, d):
     """The choice probabilities as computed before the column passes.
 
@@ -562,7 +570,7 @@ def _rowwise_choice_probs(xs, theta, K, d):
 
 
 def _rowwise_mnl(xs, ys, theta, K, d):
-    """Loss mean, score rows and Hessian mean with 2-d (row, option) gathers."""
+    """Log-sum-exps, loss terms, score rows and Hessian mean with 2-d (row, option) gathers."""
     p, lse = _rowwise_choice_probs(xs, theta, K, d)
     labs = np.rint(ys).astype(np.int64)
     n = xs.shape[0]
@@ -583,7 +591,7 @@ def _rowwise_mnl(xs, ys, theta, K, d):
         full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
         g = np.einsum("nkd,nk->nd", X, pb)
         outer += g.T @ g
-    return lse, float(np.mean(lse - picked)), score, full / n - outer / n
+    return lse, lse - picked, score, full / n - outer / n
 
 
 class TestChoiceKernelsBitForBit:
@@ -619,14 +627,15 @@ class TestChoiceKernelsBitForBit:
             for n in self.SIZES:
                 xs, ys, theta = self._batch(rng, n, K, d)
                 rows = model.rows(xs, theta)
-                lse, loss_mean, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
+                lse, terms, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
+                loss_mean = float(_blockwise_mean(terms))
                 assert np.array_equal(rows.lse, lse)
                 assert np.array_equal(rows.hessian, hessian_mean)
                 for feats in (rows, xs):
                     assert np.array_equal(model.batch_loss_mean(feats, ys, theta), loss_mean)
                     assert np.array_equal(model.batch_score(feats, ys, theta), score)
                     assert np.array_equal(
-                        model.mean_score(feats, ys, theta), score.mean(axis=0)
+                        model.mean_score(feats, ys, theta), _blockwise_mean(score)
                     )
                     assert np.array_equal(
                         model.batch_hessian_mean(feats, ys, theta), hessian_mean
@@ -635,9 +644,9 @@ class TestChoiceKernelsBitForBit:
 
 
 class TestNumpySummationOrder:
-    """The orders of numpy's sums that the choice kernels reproduce.
+    """The order of numpy's sum over options that the choice kernels reproduce.
 
-    A numpy release that changes either fails here, instead of silently
+    A numpy release that changes it fails here, instead of silently
     changing the kernels' bits.
     """
 
@@ -649,68 +658,13 @@ class TestNumpySummationOrder:
             passes += u[:, k]
         assert np.array_equal(passes, u.sum(axis=1)) == (K < m_estim._PAIRWISE_FROM)
 
-    @pytest.mark.parametrize("d", range(1, 7))
-    def test_row_sums_are_seeded_block_sums_from_two_columns(self, d):
-        rng = np.random.default_rng(d)
-        n = 4 * _BLOCK_ROWS + 3
-        rows = rng.standard_normal((n, d)) * np.exp(4.0 * rng.standard_normal((n, 1)))
-
-        def rows_into(span, out):
-            block = rows[span]
-            out[: block.shape[0]] = block
-            return out[: block.shape[0]]
-
-        for workers in (1, 2, 3):
-            got = m_estim._column_sums(rows_into, n, d, workers)
-            assert np.array_equal(got, rows.sum(axis=0)) == (d > 1)
-
-
-class TestColumnSumsUnderContention:
-    """``_column_sums`` on more threads than cores, switching threads as
-    often as the interpreter allows: the blocks are still added in order,
-    the earliest failing block's error is raised, and nothing hangs."""
-
-    N = 24 * _BLOCK_ROWS + 5
-
-    def test_blocks_are_added_in_order(self):
-        rng = np.random.default_rng(31)
-        rows = rng.standard_normal((self.N, 3)) * np.exp(4.0 * rng.standard_normal((self.N, 1)))
-
-        def rows_into(span, out):
-            block = rows[span]
-            out[: block.shape[0]] = block
-            return out[: block.shape[0]]
-
-        for _ in range(5):
-            got = within_30_s(lambda: m_estim._column_sums(rows_into, self.N, 3, workers=6))
-            assert len(got) == 1 and np.array_equal(got[0], rows.sum(axis=0))
-
-    def test_the_earliest_failure_is_raised(self):
-        bad = {3: ValueError("block 3"), 4: KeyError("block 4"), 17: ValueError("block 17")}
-
-        def rows_into(span, out):
-            i = span.start // _BLOCK_ROWS
-            if i in bad:
-                raise bad[i]
-            out[:2] = 1.0
-            return out[:2]
-
-        def run():
-            with pytest.raises(ValueError) as info:
-                m_estim._column_sums(rows_into, self.N, 2, workers=6)
-            return info.value
-
-        before = threading.active_count()
-        for _ in range(5):
-            assert within_30_s(run) == [bad[3]]
-            assert threading.active_count() == before
-
 
 def _reference_mean_callables():
-    """The mean loss's callables as written on their own, before the shared squared-loss builder."""
+    """The mean loss's callables as written on their own, before the shared squared-loss
+    builder, with the mean taken by the block rule."""
 
     def batch_loss_mean(xs, ys, theta):
-        return float(np.mean(0.5 * (ys - theta[0]) ** 2))
+        return float(_blockwise_mean(0.5 * (ys - theta[0]) ** 2))
 
     def batch_score(xs, ys, theta):
         return (theta[0] - ys)[:, None]
@@ -722,7 +676,8 @@ def _reference_mean_callables():
 
 
 def _reference_categorical_callables(d):
-    """The categorical loss's callables as written on their own, before the shared builder."""
+    """The categorical loss's callables as written on their own, before the shared builder,
+    with the mean taken by the block rule."""
     eye = np.eye(d)
 
     def one_hot(ys):
@@ -733,7 +688,7 @@ def _reference_categorical_callables(d):
 
     def batch_loss_mean(xs, ys, theta):
         diff = one_hot(ys) - theta[None, :]
-        return float(np.mean(0.5 * np.sum(diff * diff, axis=1)))
+        return float(_blockwise_mean(0.5 * np.sum(diff * diff, axis=1)))
 
     def batch_score(xs, ys, theta):
         return theta[None, :] - one_hot(ys)
@@ -747,7 +702,7 @@ def _reference_categorical_callables(d):
 class TestSquaredLossesBitForBit:
     """The mean and categorical losses give the bits of their stand-alone callables."""
 
-    SIZES = (1, 2, 7, 1000)
+    SIZES = (1, 2, 7, 1000, 2 * _BLOCK_ROWS + 5)
 
     @staticmethod
     def _assert_same(model, reference, xs, ys, theta):
@@ -1032,16 +987,17 @@ class TestPeakMemory:
     """The solver and the sandwich on a choice pool, by the bytes numpy reports to tracemalloc.
 
     A point holds the per-row log-sum-exps and the mean Hessian, not the
-    (n, K) choice probabilities.  Few features per option keep the score
-    rows small, so that a point's probabilities, or an (m, K) matrix in
-    the sandwich, would not fit in what the per-row columns and a block's
+    (n, K) choice probabilities, and no column of the pool's loss terms or
+    score rows is built.  Few features per option keep the blocks small,
+    so that a point's probabilities, or an (m, K) matrix or one pool column
+    in the sandwich, would not fit in what the log-sum-exps and a block's
     temporaries per worker are allowed.
     """
 
-    K, D, N, M = 8, 1, 1000, 60_000
-    #: A block's largest temporaries: the Hessian's (rows, K, d) product
-    #: and two (rows, K) arrays.
-    BLOCK = _BLOCK_ROWS * (K * D + 2 * K) * 8
+    K, D, N, M = 4, 1, 1000, 300_000
+    #: A block's largest temporaries: the Hessian's (rows, K, d) product,
+    #: two (rows, K) arrays and four columns.
+    BLOCK = _BLOCK_ROWS * (K * D + 2 * K + 4) * 8
     #: What a point with the probabilities held, as the choice loss once kept them, would cost.
     PROBABILITIES = (N + M) * (K + 1) * 8
 
@@ -1058,21 +1014,20 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_holds_one_point_of_log_sum_exps(self, instance, workers):
-        """One point's log-sum-exps, the pool's loss terms or score column,
-        and a block's temporaries per worker."""
+        """One point's log-sum-exps and a block's temporaries per worker."""
         _, *data = instance
-        allowed = (self.N + self.M) * 8 + self.M * self.D * 8 + workers * self.BLOCK
+        allowed = (self.N + self.M) * 8 + workers * self.BLOCK
         assert self.PROBABILITIES > allowed  # so the probabilities cannot hide in the allowance
+        assert self.M * 8 > workers * self.BLOCK  # nor a column of the pool's loss terms
         peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(self.K, self.D, workers), *data)
         assert peak < allowed
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_builds_no_pool_score_rows(self, workers):
-        """With d >= 2 the mean score is summed block by block: the solver
-        holds one point's log-sum-exps, the pool's loss terms and a block's
-        temporaries per worker, and the pool's (m, d) score rows would not
-        fit."""
-        K, D, N, M = 5, 4, 1000, 200_000
+        """With d >= 2 too: the solver holds one point's log-sum-exps and a
+        block's temporaries per worker, and neither the pool's (m, d) score
+        rows nor its loss terms would fit."""
+        K, D, N, M = 2, 2, 1000, 300_000
         block = _BLOCK_ROWS * (K * D + 2 * K) * 8
         rng = np.random.default_rng(93)
         labeled = LabeledDataset(rng.standard_normal((N, K * D)), rng.integers(0, K + 1, N))
@@ -1080,17 +1035,16 @@ class TestPeakMemory:
         f = Predictor.precomputed(
             [(labeled, rng.integers(0, K + 1, N)), (pool, rng.integers(0, K + 1, M))]
         )
-        allowed = (N + M) * 8 + M * 8 + (1 + workers) * block
-        assert M * D * 8 > allowed - (N + M) * 8 - M * 8  # so the score rows cannot hide in it
+        allowed = (N + M) * 8 + (1 + workers) * block
+        assert M * 8 > (1 + workers) * block  # so neither can hide in it
         peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(K, D, workers), labeled, pool, f)
         assert peak < allowed
 
     def test_sandwich_builds_no_pool_probabilities(self, instance):
         theta = solve_ppi_m_estimator(*instance)
-        column = self.M * self.D * 8  # the pool's one score column, for its mean
-        assert self.M * self.K * 8 > self.BLOCK  # so an (m, K) matrix would not fit
+        assert self.M * self.D * 8 > self.BLOCK  # so neither an (m, K) matrix nor a column fits
         peak = _traced_peak(sandwich_covariance, *instance, theta)
-        assert peak < column + self.BLOCK
+        assert peak < self.BLOCK
 
 
 def _squared_loss_instance(name, d, m, n=1000):
@@ -1111,35 +1065,30 @@ def _squared_loss_instance(name, d, m, n=1000):
 
 class TestPoolBytesPerRow:
     """The solver and the sandwich of the mean, categorical and ols losses
-    on a big pool, by traced bytes: what grows with the pool is at most the
-    loss's per-row columns, and the rest is a few blocks' temporaries.
-
-    The allowance is ``per_row`` bytes per pool row plus ``columns`` float64
-    block columns of ``_BLOCK_ROWS`` rows each.  The ols objective keeps its
-    residual column and, folded in place by numpy, its square: 16 bytes a
-    row.  The mean and categorical objectives keep one column of loss
-    terms, and the mean's score is one column: 8 bytes a row.  Neither the
-    solver's mean score nor the sandwich's V_pred builds an (m, d) matrix
-    for d >= 2.
+    on a big pool, by traced bytes: nothing grows with the pool, and all
+    they build is a few blocks' temporaries, ``columns`` float64 columns of
+    ``_BLOCK_ROWS`` rows.  ``parent`` is the bytes per pool row that the
+    objectives' per-row terms and residuals, and the mean's one-column
+    score, once cost, which must not fit.
     """
 
     M = 200_000
 
     @pytest.mark.parametrize(
-        "name, d, per_row, columns, parent",
+        "name, d, columns, parent",
         [
-            # the (m, 16) score matrix the solver and the sandwich once built
-            ("ols", 16, 16, 3 * 16, 16 * 8),
-            # the objective's three pool-sized temporaries
-            ("mean", 1, 8, 12, 3 * 8),
-            # the (m, 4) one-hot targets and their differences
-            ("categorical", 4, 8, 6 * 4, 2 * 4 * 8),
+            # the residual column and its square
+            ("ols", 16, 2 * 16, 2 * 8),
+            # the loss-terms column and the score column
+            ("mean", 1, 6, 2 * 8),
+            # the loss-terms column
+            ("categorical", 4, 3 * 4, 8),
         ],
     )
-    def test_solver_and_sandwich(self, name, d, per_row, columns, parent):
+    def test_solver_and_sandwich(self, name, d, columns, parent):
         loss, labeled, pool, f = _squared_loss_instance(name, d, self.M)
-        allowed = per_row * self.M + columns * _BLOCK_ROWS * 8
-        assert parent * self.M > allowed  # the cost of the pool-sized temporaries does not fit
+        allowed = columns * _BLOCK_ROWS * 8
+        assert parent * self.M > allowed
         assert _traced_peak(solve_ppi_m_estimator, loss, labeled, pool, f) < allowed
         theta = solve_ppi_m_estimator(loss, labeled, pool, f)
         assert _traced_peak(sandwich_covariance, loss, labeled, pool, f, theta) < allowed
@@ -1164,16 +1113,24 @@ class TestCovariance:
 
 
 class TestBlockwiseVPred:
-    """The sandwich's V_pred, summed block by block, against ``_covariance``
-    of the whole (m, d) score matrix, for every built-in loss: within 1e-12
-    relative, with the same bits for any thread count."""
+    """The pool sums, taken block by block, against numpy's dense ones for
+    every built-in loss, with the same bits for any thread count: the
+    sandwich's V_pred against ``_covariance`` of the whole (m, d) score
+    matrix, within 1e-12 relative; ``mean_score`` and ``batch_loss_mean``
+    against ``np.mean`` of the whole score matrix and loss-terms column,
+    within 1e-12 and 1e-13 relative.  numpy adds the rows of an (m, d >= 2)
+    matrix one after another: on the categorical pool of 3 blocks that
+    dense mean is itself 3.5e-13 off the exact one, the block sums' 1.6e-13."""
 
-    @staticmethod
-    def _instance(name, d, m, workers):
+    CASES = [("mean", 1), ("categorical", 3), ("ols", 1), ("ols", 5), ("mnl", 1), ("mnl", 2)]
+    K = 3  # options of the choice pools
+
+    @classmethod
+    def _instance(cls, name, d, m, workers):
         if name != "mnl":
             loss, labeled, pool, f = _squared_loss_instance(name, d, m, n=200)
             return dataclasses.replace(loss, workers=workers), labeled, pool, f
-        K = 3
+        K = cls.K
         rng = np.random.default_rng(91)
         labeled = LabeledDataset(rng.standard_normal((200, K * d)), rng.integers(0, K + 1, 200))
         pool = UnlabeledDataset(rng.standard_normal((m, K * d)))
@@ -1182,10 +1139,18 @@ class TestBlockwiseVPred:
         )
         return mnl_loss(K, d, workers), labeled, pool, f
 
-    @pytest.mark.parametrize(
-        "name, d",
-        [("mean", 1), ("categorical", 3), ("ols", 1), ("ols", 5), ("mnl", 1), ("mnl", 2)],
-    )
+    @classmethod
+    def _loss_terms(cls, name, xs, ys, theta):
+        """Each row's loss, computed for the whole array at once."""
+        if name == "mnl":
+            return _rowwise_mnl(xs, ys, theta, cls.K, theta.shape[0])[1]
+        if name == "categorical":
+            diff = m_estim._one_hot_matrix(ys, theta.shape[0]) - theta[None, :]
+            return 0.5 * np.sum(diff * diff, axis=1)
+        r = ys - (xs @ theta if name == "ols" else theta[0])
+        return 0.5 * r * r
+
+    @pytest.mark.parametrize("name, d", CASES)
     @pytest.mark.parametrize("m", [1000, 3 * _BLOCK_ROWS + 17])
     def test_matches_the_dense_covariance(self, name, d, m):
         theta = np.random.default_rng(m + d).standard_normal(d) * 0.3 + 0.25
@@ -1199,6 +1164,29 @@ class TestBlockwiseVPred:
         assert np.max(np.abs(got[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
         if m <= _BLOCK_ROWS:  # one block: its cross-product is the dense one
             assert np.array_equal(got[0], dense)
+
+    @pytest.mark.parametrize("name, d", CASES)
+    @pytest.mark.parametrize("m", [1000, 3 * _BLOCK_ROWS + 17])
+    def test_means_match_the_dense_means(self, name, d, m):
+        """On the pool's features and on its ``rows``, with its predictions as labels."""
+        theta = np.random.default_rng(m + d).standard_normal(d) * 0.3 + 0.25
+        got = []
+        for workers in (1, 2, 3):
+            loss, _, pool, f = self._instance(name, d, m, workers)
+            xs, ys = pool.xs, f.on(pool)
+            for feats in (xs, loss.rows(xs, theta)):
+                got.append(
+                    (loss.mean_score(feats, ys, theta), loss.batch_loss_mean(feats, ys, theta))
+                )
+        assert all(
+            np.array_equal(score, got[0][0]) and loss_mean == got[0][1] for score, loss_mean in got
+        )
+        score, loss_mean = got[0]
+        dense_score = loss.batch_score(xs, ys, theta).mean(axis=0)
+        dense_loss = float(np.mean(self._loss_terms(name, xs, ys, theta)))
+        assert score.shape == dense_score.shape == (d,) and type(loss_mean) is float
+        assert np.max(np.abs(score - dense_score)) <= 1e-12 * np.max(np.abs(dense_score))
+        assert loss_mean == pytest.approx(dense_loss, rel=1e-13, abs=0.0)
 
 
 class TestScalarize:

@@ -30,8 +30,9 @@ inputs written by ``perfbench/inputs.py``; ``simulate`` on
 ``configs/scenario_quick.json`` and on the sim-fresh scenario at
 ``--threads`` 1, 2 and 0; ``rampup`` on both ``configs/`` worlds, cross-
 validated and with a failing first stage; ``bootstrap``; ``estimate-m``
-with each loss at ``--threads`` 1, 2 and 0, and with ``ols`` on a pool
-as large as its labeled set; ``estimate-mean`` with each
+with each loss at ``--threads`` 1, 2 and 0 (the categorical pool spans
+four of its 8192-row blocks), and with ``ols`` on a pool as large as its
+labeled set; ``estimate-mean`` with each
 method, and at ``--threads`` 1 and 2 on a pool file with a bad cell in
 its last part, with a non-finite cell, with a row too wide, or quoted;
 ``fit-scaling``; ``allocate``, also on a steep law at n = 10**6.
@@ -142,7 +143,9 @@ def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
     choices = ["--labeled", mnl["labeled"], "--unlabeled", mnl["unlabeled"],
                "--pred-labeled", mnl["pred_labeled"], "--pred-unlabeled", mnl["pred_unlabeled"]]
     rng = np.random.default_rng(0)
-    n, m = 300, 2_000
+    # The categorical pool spans four of m_estim's 8192-row blocks, so its
+    # sums add block sums.
+    n, m = 300, 3 * 8192 + 1_000
     x = rng.standard_normal(n + m)
     y = 1 + (x > -0.5) + (x > 0.7)  # classes 1..3
     f = np.clip(y + rng.integers(-1, 2, n + m), 1, 3)
