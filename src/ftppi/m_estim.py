@@ -17,30 +17,34 @@ Categorical outcomes are integer labels 1..d; choice outcomes are
 labels for these discrete losses.
 
 The damped Newton solver evaluates the rectified risk one point at a
-time: ``LossModel.rows`` runs once per feature array at each point, and
-the objective, score and Hessian there, for both the true and the
-predicted labels, share its result.  The value of an accepted trial step
-is the next iteration's baseline.  One point is alive at a time: the
-accepted point's work is freed once its score and Hessian are taken,
-before the trial point's is built.
+time: ``LossModel.rows(xs, theta, labels)`` runs once per feature array
+at each point, given the label vectors the point asks about, and the
+objective, score and Hessian there share its result.  The value of an
+accepted trial step is the next iteration's baseline.  One point is
+alive at a time: the accepted point's work is freed once its score and
+Hessian are taken, before the trial point's is built.
 
 No pool-sized array is built past the features: every sum over a
 feature array's rows (the objectives, the mean score, the sandwich's
-V_pred and the choice Hessian) is ``_block_sum``'s, one partial sum per
-block of ``_BLOCK_ROWS`` rows, added in block order.  The
-multinomial-choice kernels walk the rows, and check the labels, in those
-blocks, each block's choice probabilities computed into its worker's
-scratch.  Their ``rows`` holds the per-row log-sum-exps, which the
-objective reads, and the mean Hessian, summed in the same walk; the
-score computes each block's probabilities again.  Within a block they
-reduce over the K options in column passes, one per option, and pick
-each row's chosen option by its flat index; both give the same bits as
-the row-wise reductions and 2-d gathers they replace.  Below
+V_pred and the choice Hessian) adds one partial sum per block of
+``_BLOCK_ROWS`` rows, in block order (``_ordered_sum``).  The sandwich
+walks the pool once: per block, its row count, score sum and score
+cross-product centred on the block's own mean, merged in block order.
+The multinomial-choice kernels walk the rows, and check the labels, in
+those blocks, each block's choice probabilities computed into its
+worker's scratch.  Their ``rows`` computes each block's probabilities
+once and sums from them, in one walk, every label vector's loss terms
+and score rows and the Hessian; it holds only those means, which the
+objective, ``mean_score`` and the Hessian read.  Within a block the
+kernels reduce over the K options in column passes, one per option, and
+pick each row's chosen option by its flat index; both give the same bits
+as the row-wise reductions and 2-d gathers they replace.  Below
 ``_PAIRWISE_FROM`` options the sum over them runs in column passes too.
 ``workers`` runs the blocks on that many threads
 (``core._threaded_blocks``): numpy releases the interpreter lock inside
 them and each block writes its own rows, so every result has the same
-bits for any thread count.
+bits for any thread count.  A mean over zero rows raises
+InsufficientDataError naming the loss (``_nonempty``).
 """
 
 from __future__ import annotations
@@ -121,19 +125,21 @@ class LossModel:
     def hessian(self, x, y: float, theta: np.ndarray) -> np.ndarray:
         return self.batch_hessian_mean(*self._one_row(x, y), theta)
 
-    def rows(self, xs: np.ndarray, theta: np.ndarray):
+    def rows(self, xs: np.ndarray, theta: np.ndarray, labels: tuple = ()):
         """Features for the ``batch_*`` callables at ``theta``, with any work they share.
 
         ``xs`` itself here.  The multinomial choice loss bundles its
-        features with the per-row log-sum-exps and the mean Hessian at
-        ``theta``, so that every call at one point shares them.
+        features with the mean Hessian at ``theta`` and, for each label
+        vector in ``labels``, the loss mean and the mean score, all taken
+        in one walk over the rows, so that every call at one point reads
+        them.
         """
         return xs
 
     def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The column mean of ``batch_score``'s rows, which the solver and the sandwich use.
 
-        The rows are built and summed block by block (``_block_sum``), on
+        The rows are built and summed block by block (``_block_mean``), on
         up to ``workers`` threads.
         """
         feats = _features(xs)
@@ -141,7 +147,7 @@ class LossModel:
         def block(span):
             return self.batch_score(feats[span], ys[span], theta).sum(axis=0)
 
-        return _block_sum(block, ys.shape[0], self.workers) / ys.shape[0]
+        return _block_mean(self.name, block, ys.shape[0], self.workers)
 
 
 @dataclass(frozen=True)
@@ -179,23 +185,40 @@ def _spans(n: int) -> list[slice]:
     return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS)]
 
 
-def _block_sum(fn, n: int, workers: int, scratch=()):
-    """The sum of ``fn(span, *buffers)`` over the blocks of an n-row array.
+def _ordered_sum(parts):
+    """The sum of ``parts``, added one after another from 0.0.
 
-    The blocks run on up to ``workers`` threads, each with its own
-    ``buffers`` (``core._threaded_blocks``), and their results are added
-    in block order, so the sum has the same bits for any thread count.
+    Every pool sum here adds its blocks' partial sums this way, in block
+    order, so that it has the same bits for any thread count.
     """
     total = 0.0
-    for part in _threaded_blocks(fn, _spans(n), workers, scratch):
+    for part in parts:
         total = total + part
     return total
 
 
+def _nonempty(name: str, n: int) -> int:
+    """``n``, or InsufficientDataError naming the loss when there are no rows to average."""
+    if n == 0:
+        raise InsufficientDataError(f"{name}: no rows to average over")
+    return n
+
+
+def _block_mean(name: str, fn, n: int, workers: int, scratch=()):
+    """The mean over n rows whose blocks ``fn(span, *buffers)`` sums.
+
+    The blocks run on up to ``workers`` threads, each with its own
+    ``buffers`` (``core._threaded_blocks``), and their sums are added in
+    block order (``_ordered_sum``).
+    """
+    parts = _threaded_blocks(fn, _spans(_nonempty(name, n)), workers, scratch)
+    return _ordered_sum(parts) / n
+
+
 def _label_indices(ys: np.ndarray, d: int, what: str, base: int) -> np.ndarray:
-    """Integer labels in [base, d], or DomainError."""
+    """Integer labels in [base, d], or DomainError; no labels pass."""
     labs = np.rint(ys).astype(np.int64)
-    if np.max(np.abs(ys - labs)) > 1e-6 or labs.min() < base or labs.max() > d:
+    if labs.size and (np.max(np.abs(ys - labs)) > 1e-6 or labs.min() < base or labs.max() > d):
         raise DomainError(
             f"{what}: labels must be integers in [{base}, {d}]"
         )
@@ -223,12 +246,13 @@ def _squared_loss(name: str, d: int, target: Callable[[np.ndarray], np.ndarray])
             diff = target(ys[span]) - theta[None, :]
             return np.sum(0.5 * np.sum(diff * diff, axis=1))
 
-        return float(_block_sum(block, ys.shape[0], 1) / ys.shape[0])
+        return float(_block_mean(name, block, ys.shape[0], 1))
 
     def batch_score(xs, ys, theta):
         return theta[None, :] - target(ys)
 
     def batch_hessian_mean(xs, ys, theta):
+        _nonempty(name, ys.shape[0])
         return eye.copy()
 
     return LossModel(name, d, batch_loss_mean, batch_score, batch_hessian_mean)
@@ -257,13 +281,13 @@ def linear_regression_loss(d: int) -> LossModel:
             r = ys[span] - xs[span] @ theta
             return np.sum(0.5 * r * r)
 
-        return float(_block_sum(block, ys.shape[0], 1) / ys.shape[0])
+        return float(_block_mean("ols", block, ys.shape[0], 1))
 
     def batch_score(xs, ys, theta):
         return xs * (xs @ theta - ys)[:, None]
 
     def batch_hessian_mean(xs, ys, theta):
-        return xs.T @ xs / xs.shape[0]
+        return xs.T @ xs / _nonempty("ols", xs.shape[0])
 
     return LossModel("ols", d, batch_loss_mean, batch_score, batch_hessian_mean, width=d)
 
@@ -272,14 +296,24 @@ class _ChoiceRows(NamedTuple):
     """Choice features with what every mnl callable shares at one theta."""
 
     xs: np.ndarray
-    theta: bytes  # float64 bytes of the theta that lse and hessian belong to
-    lse: np.ndarray  # per-row log-sum-exp of the utilities, the outside option's being 0
+    theta: bytes  # float64 bytes of the theta that the rest belongs to
+    labels: tuple  # the label vectors whose means are held, by identity
+    means: np.ndarray  # per label vector, its loss mean, then its mean score
     hessian: np.ndarray  # the mean Hessian, its blocks' partial sums added in block order
 
 
 def _features(xs) -> np.ndarray:
     """The feature matrix of ``xs``, raw or a ``_ChoiceRows``."""
     return xs.xs if isinstance(xs, _ChoiceRows) else xs
+
+
+def _held(xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray | None:
+    """The loss mean and mean score that ``xs`` holds for this very ``ys`` at ``theta``, if any."""
+    if isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes():
+        for labels, means in zip(xs.labels, xs.means):
+            if labels is ys:
+                return means
+    return None
 
 
 def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -313,35 +347,76 @@ def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> n
     return lse
 
 
-def _choice_rows(xs, theta, K: int, d: int, workers: int) -> _ChoiceRows:
-    """``xs``, raw or a ``_ChoiceRows``, with its log-sum-exps and mean Hessian at ``theta``.
+def _loss_sum(X: np.ndarray, lse: np.ndarray, ys: np.ndarray, theta: np.ndarray):
+    """A block's summed loss terms for labels ``ys``, and each choice's flat index.
 
-    A ``_ChoiceRows`` built at this very theta is returned as it is; one
-    built at another theta is recomputed from its features.  One walk over
-    the blocks, on up to ``workers`` threads, computes each block's
-    probabilities into its worker's scratch, keeps their log-sum-exps and
-    sums the Hessian (``_block_sum``); no (n, K) matrix is built.
+    The flat index of a row that chose an option is row * K + label - 1
+    (``_chosen``).
+    """
+    chose, flat = _chosen(ys, X.shape[1])
+    picked = np.zeros(X.shape[0])
+    picked[chose] = np.take(X.reshape(-1, X.shape[2]), flat, axis=0) @ theta
+    return np.sum(lse - picked), flat
+
+
+def _score_rows(X: np.ndarray, resid: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A block's score rows X_i' (p_i - e_{y_i}) in ``out``.
+
+    ``resid`` holds the block's probabilities; the chosen options'
+    indicators are taken from it in place.
+    """
+    resid.reshape(-1)[flat] -= 1.0
+    return np.einsum("nkd,nk->nd", X, resid, out=out)
+
+
+def _choice_rows(xs, theta, K: int, d: int, workers: int, labels: tuple = ()) -> _ChoiceRows:
+    """``xs``, raw or a ``_ChoiceRows``, with its mean Hessian at ``theta`` and, for each
+    label vector in ``labels``, its loss mean and mean score.
+
+    A ``_ChoiceRows`` built at this very theta for these very labels is
+    returned as it is; any other is recomputed from its features.  One
+    walk over the blocks, on up to ``workers`` threads, computes each
+    block's probabilities once, into its worker's scratch, and sums from
+    them every label vector's loss terms and score rows, with the
+    arithmetic of ``batch_loss_mean`` and ``batch_score``, and the
+    Hessian; the blocks' sums are added in block order (``_block_mean``).
+    No (n, K) matrix and no per-row column is kept.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    key = theta.tobytes()
-    if isinstance(xs, _ChoiceRows) and xs.theta == key:
+    if (
+        isinstance(xs, _ChoiceRows)
+        and xs.theta == theta.tobytes()
+        and all(_held(xs, ys, theta) is not None for ys in labels)
+    ):
         return xs
     xs = _features(xs)
     n = xs.shape[0]
-    lse = np.empty(n)
 
-    def partial(span, p, product):
+    def partial(span, p, scratch):
         X = xs[span].reshape(-1, K, d)
-        p = p[: X.shape[0]]
-        lse[span] = _block_probabilities(X, theta, p)
+        rows = X.shape[0]
+        p = p[:rows]
+        lse = _block_probabilities(X, theta, p)
         # sum_i X_i' diag(p_i) X_i and sum_i g_i g_i', with g_i = X_i' p_i
-        Xp = np.multiply(X, p[:, :, None], out=product[: X.shape[0]])
+        Xp = np.multiply(X, p[:, :, None], out=scratch[: rows * K * d].reshape(rows, K, d))
         g = np.einsum("nkd,nk->nd", X, p)
-        return np.stack((Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g))
+        hessian = np.stack((Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g))
+        # then the scratch holds each label vector's residuals and score rows in turn
+        resid = scratch[: rows * K].reshape(rows, K)
+        score = scratch[rows * K : rows * (K + d)].reshape(rows, d)
+        means = np.empty((len(labels), 1 + d))
+        for j, ys in enumerate(labels):
+            means[j, 0], flat = _loss_sum(X, lse, ys[span], theta)
+            np.copyto(resid, p)
+            means[j, 1:] = _score_rows(X, resid, flat, score).sum(axis=0)
+        return np.concatenate((hessian.reshape(-1), means.reshape(-1)))
 
     rows = min(n, _BLOCK_ROWS)
-    full, outer = _block_sum(partial, n, workers, [(rows, K), (rows, K, d)]) / n
-    return _ChoiceRows(xs, key, lse, full - outer)
+    scratch = [(rows, K), (rows * max(K * d, K + d),)]
+    sums = _block_mean("mnl", partial, n, workers, scratch)
+    full, outer = sums[: 2 * d * d].reshape(2, d, d)
+    means = sums[2 * d * d :].reshape(len(labels), 1 + d)
+    return _ChoiceRows(xs, theta.tobytes(), tuple(labels), means, full - outer)
 
 
 def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +431,14 @@ def _chosen(ys: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _ChoiceLoss(LossModel):
-    """The model ``mnl_loss`` builds: its ``rows`` carry the log-sum-exps and the Hessian."""
+    """The model ``mnl_loss`` builds: its ``rows`` carry the means and the Hessian of a point."""
 
-    def rows(self, xs: np.ndarray, theta: np.ndarray) -> _ChoiceRows:
-        return _choice_rows(xs, theta, self.width // self.dim, self.dim, self.workers)
+    def rows(self, xs: np.ndarray, theta: np.ndarray, labels: tuple = ()) -> _ChoiceRows:
+        return _choice_rows(xs, theta, self.width // self.dim, self.dim, self.workers, labels)
+
+    def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        held = _held(xs, ys, np.asarray(theta, dtype=np.float64))
+        return held[1:].copy() if held is not None else super().mean_score(xs, ys, theta)
 
 
 def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel:
@@ -373,11 +452,12 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     The callables work through the rows, and check the labels, in blocks
     of ``_BLOCK_ROWS``, on up to ``workers`` threads; every result is the
     same bits for any ``workers``.  They take raw features or the model's
-    ``rows(xs, theta)``, which holds the per-row log-sum-exps and the mean
-    Hessian at theta: on it the objective reads the log-sum-exps and the
-    Hessian is the one held.  Anything else, and the score, computes each
-    block's probabilities for that block alone, so nothing of size n is
-    built but the result: the score rows, or the log-sum-exps.
+    ``rows(xs, theta, labels)``, which holds the mean Hessian at theta
+    and each label vector's loss mean and mean score: on it, the objective
+    and ``mean_score`` of a held label vector, and the Hessian, are the
+    values held.  Anything else computes each block's probabilities for
+    that block alone, so nothing of size n is built but the score rows
+    that ``batch_score`` returns.
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
@@ -385,20 +465,17 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
 
     def batch_loss_mean(xs, ys, theta):
         theta = np.asarray(theta, dtype=np.float64)
+        held = _held(xs, ys, theta)
+        if held is not None:
+            return float(held[0])
         feats = _features(xs)
         n = feats.shape[0]
-        held = isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes()
 
-        def block(span, *scratch):
+        def block(span, p):
             X = feats[span].reshape(-1, K, d)
-            lse = xs.lse[span] if held else _block_probabilities(X, theta, scratch[0][: X.shape[0]])
-            chose, flat = _chosen(ys[span], K)
-            picked = np.zeros(X.shape[0])
-            picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
-            return np.sum(lse - picked)
+            return _loss_sum(X, _block_probabilities(X, theta, p[: X.shape[0]]), ys[span], theta)[0]
 
-        scratch = [] if held else [(min(n, _BLOCK_ROWS), K)]
-        return float(_block_sum(block, n, workers, scratch) / n)
+        return float(_block_mean("mnl", block, n, workers, [(min(n, _BLOCK_ROWS), K)]))
 
     def batch_score(xs, ys, theta):
         theta = np.asarray(theta, dtype=np.float64)
@@ -410,8 +487,7 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
             X = feats[span].reshape(-1, K, d)
             resid = p[: X.shape[0]]
             _block_probabilities(X, theta, resid)
-            resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
-            np.einsum("nkd,nk->nd", X, resid, out=out[span])
+            _score_rows(X, resid, _chosen(ys[span], K)[1], out[span])
 
         _threaded_blocks(fill, _spans(n), workers, [(min(n, _BLOCK_ROWS), K)])
         return out
@@ -471,9 +547,9 @@ class _Point(NamedTuple):
 def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[np.ndarray], _Point]:
     """Evaluator of the rectified risk, one point at a time.
 
-    At each theta, ``loss.rows`` runs once on the labeled features and
-    once on the pool's; all three pieces, and both label vectors of the
-    labeled rows, share those results.  A point runs them when a piece is
+    At each theta, ``loss.rows`` runs once on the labeled features, with
+    their labels and predictions, and once on the pool's, with its
+    predictions; all three pieces share those results.  A point runs them when a piece is
     first asked for, not when it is made, so a caller that rebinds one
     name to each new point frees the old point's work before the new
     point's is built.
@@ -484,7 +560,9 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
     fu = f.on(unlabeled)
 
     def at(theta: np.ndarray) -> _Point:
-        shared = functools.cache(lambda: (loss.rows(xl, theta), loss.rows(xu, theta)))
+        shared = functools.cache(
+            lambda: (loss.rows(xl, theta, (yl, fl)), loss.rows(xu, theta, (fu,)))
+        )
 
         def means(mean_over):
             rl, ru = shared()
@@ -618,9 +696,9 @@ def sandwich_covariance(
     V_resid is the covariance of per-sample score differences
     score(x, y) - score(x, f(x)) on the rectification subset (divisor
     n_ppi - 1); V_pred is the covariance of score(x~, f(x~)) on the pool
-    (divisor m - 1), summed block by block; H is the mean Hessian on the
-    rectification subset with true labels.  The product H^-1 (...) H^-1
-    is formed by linear solves, never an explicit inverse.
+    (divisor m - 1), taken in one walk over its blocks; H is the mean
+    Hessian on the rectification subset with true labels.  The product
+    H^-1 (...) H^-1 is formed by linear solves, never an explicit inverse.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64).reshape(-1)
     if theta_hat.shape != (loss.dim,):
@@ -639,18 +717,27 @@ def sandwich_covariance(
     v_resid = _covariance(loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat))
     h_hat = loss.batch_hessian_mean(rl, yl, theta_hat)
     del rl
-    # V_pred without the (m, d) score matrix: the sum of each block's
-    # cross-product of its score rows, centred on mean_score.  It differs
-    # from _covariance's in the last bits only.
+    # V_pred in one walk, without the (m, d) score matrix: each block's
+    # row count, column sum and cross-product of its score rows centred on
+    # their own mean, merged in block order by adding n_k (mu_k - mu)(mu_k
+    # - mu)' per block (Chan, Golub & LeVeque 1983).  mu has mean_score's
+    # bits; V_pred differs from _covariance's in the last bits only.
     xu, fu = unlabeled.xs, f.on(unlabeled)
-    mean = loss.mean_score(xu, fu, theta_hat)
 
-    def cross(span):
+    def moments(span):
         rows = loss.batch_score(xu[span], fu[span], theta_hat)
-        rows -= mean
-        return rows.T @ rows
+        total = rows.sum(axis=0)
+        rows -= total / rows.shape[0]
+        return rows.shape[0], total, rows.T @ rows
 
-    v_pred = _block_sum(cross, unlabeled.m, loss.workers) / (unlabeled.m - 1)
+    parts = _threaded_blocks(moments, _spans(unlabeled.m), loss.workers)
+    mean = _ordered_sum(total for _, total, _ in parts) / unlabeled.m
+
+    def merged(count, total, cross):
+        shift = total / count - mean
+        return cross + count * np.outer(shift, shift)
+
+    v_pred = _ordered_sum(merged(*part) for part in parts) / (unlabeled.m - 1)
     v_pred = 0.5 * (v_pred + v_pred.T)
 
     h_hat = 0.5 * (h_hat + h_hat.T)

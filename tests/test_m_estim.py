@@ -1,10 +1,13 @@
 """Tests for rectified M-estimation: losses, solver, sandwich, CSV ingestion."""
 
+import contextlib
 import dataclasses
 import sys
+import warnings
 import threading
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,6 +204,25 @@ class TestLossDerivatives:
             builtin_loss("mnl", n_options=3)
         with pytest.raises(ParameterError):
             builtin_loss("huber")
+
+
+class TestEmptyBatch:
+    """A mean over zero rows is refused with InsufficientDataError naming the loss,
+    with no warning, by every built-in loss's means."""
+
+    @pytest.mark.parametrize("name", ["mean", "categorical", "ols", "mnl"])
+    def test_means_over_zero_rows_are_refused(self, name):
+        model, x, _, theta = random_point(name, np.random.default_rng(3))
+        xs, ys = np.empty((0, np.size(x))), np.empty(0)
+        means = [model.batch_loss_mean, model.mean_score, model.batch_hessian_mean]
+        if name == "mnl":
+            means.append(lambda xs, ys, theta: model.rows(xs, theta, (ys,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mean in means:
+                with pytest.raises(InsufficientDataError, match=rf"^{model.name}: no rows"):
+                    mean(xs, ys, theta)
+            assert model.batch_score(xs, ys, theta).shape == (0, model.dim)
 
 
 def mean_instance(rng, n=40, m=120):
@@ -596,8 +618,8 @@ def _rowwise_mnl(xs, ys, theta, K, d):
 
 class TestChoiceKernelsBitForBit:
     """The column-pass choice kernels give the bits of the row-wise ones,
-    on the model's rows, whose log-sum-exps and Hessian are held, and on
-    raw features, whose probabilities each block computes for itself."""
+    on the model's rows, whose means and Hessian are held, and on raw
+    features, whose probabilities each block computes for itself."""
 
     SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
 
@@ -626,10 +648,10 @@ class TestChoiceKernelsBitForBit:
             model = mnl_loss(K, d, workers)
             for n in self.SIZES:
                 xs, ys, theta = self._batch(rng, n, K, d)
-                rows = model.rows(xs, theta)
+                rows = model.rows(xs, theta, (ys,))
                 lse, terms, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
                 loss_mean = float(_blockwise_mean(terms))
-                assert np.array_equal(rows.lse, lse)
+                assert np.array_equal(rows.means, [[loss_mean, *_blockwise_mean(score)]])
                 assert np.array_equal(rows.hessian, hessian_mean)
                 for feats in (rows, xs):
                     assert np.array_equal(model.batch_loss_mean(feats, ys, theta), loss_mean)
@@ -640,7 +662,7 @@ class TestChoiceKernelsBitForBit:
                     assert np.array_equal(
                         model.batch_hessian_mean(feats, ys, theta), hessian_mean
                     )
-            assert np.isfinite(rows.lse).all() and rows.lse.max() > 600.0
+            assert np.isfinite(lse).all() and lse.max() > 600.0
 
 
 class TestNumpySummationOrder:
@@ -782,6 +804,76 @@ class TestRows:
         assert m.batch_loss_mean(ds.xs, ys, theta) == fresh
 
 
+@contextlib.contextmanager
+def _probability_passes():
+    """Record (features, theta bytes) of every block whose choice probabilities are computed."""
+    seen, original = [], m_estim._block_probabilities
+
+    def spy(X, theta, out):
+        seen.append((X, theta.tobytes()))
+        return original(X, theta, out)
+
+    with mock.patch.object(m_estim, "_block_probabilities", spy):
+        yield seen
+
+
+class TestHeldMeans:
+    """What ``rows(xs, theta, labels)`` holds, taken in one walk over the
+    blocks, against the callables on raw features, which compute every
+    block's probabilities for themselves: the same bits, for any thread
+    count.  A label array that is not held, and rows built at another
+    theta, are computed afresh."""
+
+    @staticmethod
+    def _check(K, d, xs, ys, fs, theta, shift):
+        held = []
+        for workers in (1, 2, 3):
+            model = mnl_loss(K, d, workers)
+            with _probability_passes() as passes:
+                rows = model.rows(xs, theta, (ys, fs))
+            assert len(passes) == -(-xs.shape[0] // _BLOCK_ROWS)  # one pass per block
+            with _probability_passes() as passes:
+                for labels in (ys, fs):
+                    got = (
+                        model.batch_loss_mean(rows, labels, theta),
+                        model.mean_score(rows, labels, theta),
+                        model.batch_hessian_mean(rows, labels, theta),
+                    )
+                    held.append(got)
+            assert passes == []  # all three are read from the rows
+            for labels, got in zip((ys, fs), held[-2:]):
+                fresh = (
+                    model.batch_loss_mean(xs, labels, theta),
+                    model.mean_score(xs, labels, theta),
+                    model.batch_hessian_mean(xs, labels, theta),
+                )
+                assert type(got[0]) is float and got[0] == fresh[0]
+                assert np.array_equal(got[1], fresh[1]) and np.array_equal(got[2], fresh[2])
+                # a copy of the labels is not held, nor are rows at another theta
+                elsewhere = model.rows(xs, theta + shift, (ys, fs))
+                for feats, labs in ((rows, labels.copy()), (elsewhere, labels)):
+                    with _probability_passes() as passes:
+                        assert model.batch_loss_mean(feats, labs, theta) == fresh[0]
+                        assert np.array_equal(model.mean_score(feats, labs, theta), fresh[1])
+                    assert len(passes) == 2 * -(-xs.shape[0] // _BLOCK_ROWS)
+        assert all(
+            a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+            for a, b in zip(held, held[2:])
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(choice_batches(), st.floats(0.125, 1.0))
+    def test_matches_the_callables_on_features(self, batch, shift):
+        self._check(*batch, shift)
+
+    @pytest.mark.parametrize("K", [3, 9])
+    def test_matches_the_callables_on_four_blocks(self, K):
+        rng, d, n = np.random.default_rng(K), 2, 3 * _BLOCK_ROWS + 17
+        xs = rng.standard_normal((n, K * d))
+        ys, fs = _choice_labels(rng, n, K), _choice_labels(rng, n, K)
+        self._check(K, d, xs, ys, fs, rng.standard_normal(d), 0.5)
+
+
 def _reference_solve(loss, labeled, unlabeled, f):
     """The damped Newton loop before it carried the accepted objective.
 
@@ -838,31 +930,41 @@ LOSS_NAMES = ["mean", "categorical", "ols", "mnl"]
 
 
 class TestSolverEvaluations:
-    def test_objective_evaluated_once_per_point(self):
-        """Calls made through ``dataclasses.replace``d callables, for every built-in loss.
+    def test_objective_evaluated_once_per_point(self, monkeypatch):
+        """Calls made through ``dataclasses.replace``d callables and the
+        loss's ``mean_score``, for every built-in loss.
 
         Three calls per point and piece (y and f(x) on the labeled rows, f
         on the pool): objective evaluations are loss calls / 3, and Newton
-        iterations are Hessian calls / 3.
+        iterations are Hessian calls / 3.  The choice loss's solve never
+        calls ``batch_score``: its points hold their mean scores.
         """
         for name in LOSS_NAMES:
             loss, labeled, unlabeled, f = _solver_instance(name, np.random.default_rng(95))
-            calls = {"batch_loss_mean": [], "batch_score": [], "batch_hessian_mean": []}
+            calls = {"batch_loss_mean": [], "mean_score": [], "batch_hessian_mean": []}
+            scored = []
 
-            def counted(field, fn):
+            def counted(record, fn):
                 def wrapper(*args):
-                    calls[field].append(args[2].tobytes())
+                    record.append(args[-1].tobytes())
                     return fn(*args)
 
                 return wrapper
 
+            fields = {field: counted(calls[field], getattr(loss, field)) for field in
+                      ("batch_loss_mean", "batch_hessian_mean")}
             traced = dataclasses.replace(
-                loss, **{field: counted(field, getattr(loss, field)) for field in calls}
+                loss, batch_score=counted(scored, loss.batch_score), **fields
             )
-            theta = solve_ppi_m_estimator(traced, labeled, unlabeled, f)
+            with monkeypatch.context() as patch:
+                mean_score = type(loss).mean_score
+                patch.setattr(type(loss), "mean_score", counted(calls["mean_score"], mean_score))
+                theta = solve_ppi_m_estimator(traced, labeled, unlabeled, f)
             per_point = {field: Counter(points) for field, points in calls.items()}
             for field, counts in per_point.items():
                 assert set(counts.values()) == {3}, (name, field)
+            # one block each: the other losses' mean score is one batch_score call
+            assert scored == ([] if name == "mnl" else calls["mean_score"]), name
             objective, score, hessian = (set(per_point[field]) for field in calls)
             # the score is taken at the start and after every accepted step,
             # the Hessian at each of those points but the converged last one
@@ -875,6 +977,69 @@ class TestSolverEvaluations:
         loss, labeled, unlabeled, f = _solver_instance(name, np.random.default_rng(96))
         want = _reference_solve(loss, labeled, unlabeled, f)
         assert np.array_equal(solve_ppi_m_estimator(loss, labeled, unlabeled, f), want)
+
+    def test_a_halved_first_step_matches_the_reference_loop(self):
+        """A choice fit whose first Newton step overshoots: at theta = 0 the
+        twelfth option, the only one with a feature, has probability 1/13 and
+        little curvature, but it is chosen half the time.  The step is
+        halved once, and the solve keeps the reference loop's bits."""
+        K, n, m = 12, 200, 3000
+        rng = np.random.default_rng(5)
+
+        def rows(k):
+            x = np.zeros((k, K))
+            x[:, -1] = 1.0 + 0.1 * rng.standard_normal(k)
+            return x
+
+        def labels(k):
+            return np.where(rng.random(k) < 0.5, float(K), rng.integers(0, K, k).astype(float))
+
+        xl, xu = rows(n), rows(m)
+        yl = labels(n)
+        fl = np.where(rng.random(n) < 0.8, yl, labels(n))
+        labeled, pool = LabeledDataset(xl, yl), UnlabeledDataset(xu)
+        f = Predictor.precomputed([(labeled, fl), (pool, labels(m))])
+        loss, points = mnl_loss(K, 1), []
+
+        def objective(xs, ys, theta):
+            points.append(np.array(theta))
+            return loss.batch_loss_mean(xs, ys, theta)
+
+        traced = dataclasses.replace(loss, batch_loss_mean=objective)
+        theta = solve_ppi_m_estimator(traced, labeled, pool, f)
+        first, trial, halved = points[0:9:3]
+        assert not first.any() and np.array_equal(halved, 0.5 * trial)
+        assert np.array_equal(theta, _reference_solve(loss, labeled, pool, f))
+
+
+class TestProbabilityPasses:
+    """The choice probabilities are computed once per feature array and
+    point in the solve, and in one walk over the pool in the sandwich."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pass_per_array_and_point(self, workers):
+        K, d, n, m = 3, 2, _BLOCK_ROWS + 100, 2 * _BLOCK_ROWS + 17
+        labeled, pool, f = _choice_instance(np.random.default_rng(90), K, d, n, m)
+        loss = mnl_loss(K, d, workers)
+        objectives = []
+
+        def objective(xs, ys, theta):
+            objectives.append(theta.tobytes())
+            return loss.batch_loss_mean(xs, ys, theta)
+
+        traced = dataclasses.replace(loss, batch_loss_mean=objective)
+        with _probability_passes() as passes:
+            theta = solve_ppi_m_estimator(traced, labeled, pool, f)
+        points = set(objectives)
+        assert len(objectives) == 3 * len(points) >= 6
+        on = lambda data: Counter(t for X, t in passes if np.may_share_memory(X, data.xs))
+        assert on(labeled) == dict.fromkeys(points, 2) and on(pool) == dict.fromkeys(points, 3)
+        assert len(passes) == 5 * len(points)
+        with _probability_passes() as passes:
+            sandwich_covariance(loss, labeled, pool, f, theta)
+        # the labeled rows' Hessian and both score columns, and one pool walk
+        assert on(labeled) == {theta.tobytes(): 3 * 2} and on(pool) == {theta.tobytes(): 3}
+        assert len(passes) == 9
 
 
 class TestSolverEdges:
@@ -986,18 +1151,18 @@ def _traced_peak(fn, *args):
 class TestPeakMemory:
     """The solver and the sandwich on a choice pool, by the bytes numpy reports to tracemalloc.
 
-    A point holds the per-row log-sum-exps and the mean Hessian, not the
-    (n, K) choice probabilities, and no column of the pool's loss terms or
-    score rows is built.  Few features per option keep the blocks small,
-    so that a point's probabilities, or an (m, K) matrix or one pool column
-    in the sandwich, would not fit in what the log-sum-exps and a block's
-    temporaries per worker are allowed.
+    A point holds its means and mean Hessian: no per-row column and not
+    the (n, K) choice probabilities, and no column of the pool's loss
+    terms or score rows is built.  Few features per option keep the blocks
+    small, so that a point's probabilities or log-sum-exps, or an (m, K)
+    matrix or one pool column in the sandwich, would not fit in what a
+    block's temporaries per worker are allowed.
     """
 
     K, D, N, M = 4, 1, 1000, 300_000
-    #: A block's largest temporaries: the Hessian's (rows, K, d) product,
-    #: two (rows, K) arrays and four columns.
-    BLOCK = _BLOCK_ROWS * (K * D + 2 * K + 4) * 8
+    #: A block's largest temporaries: its worker's (rows, max(K d, K + d))
+    #: scratch, two (rows, K) arrays and four columns.
+    BLOCK = _BLOCK_ROWS * (max(K * D, K + D) + 2 * K + 4) * 8
     #: What a point with the probabilities held, as the choice loss once kept them, would cost.
     PROBABILITIES = (N + M) * (K + 1) * 8
 
@@ -1013,30 +1178,31 @@ class TestPeakMemory:
         return mnl_loss(K, D), labeled, pool, f
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_solver_holds_one_point_of_log_sum_exps(self, instance, workers):
-        """One point's log-sum-exps and a block's temporaries per worker."""
+    def test_solver_holds_no_pool_column(self, instance, workers):
+        """A block's temporaries per worker, and nothing per row."""
         _, *data = instance
-        allowed = (self.N + self.M) * 8 + workers * self.BLOCK
+        allowed = workers * self.BLOCK
         assert self.PROBABILITIES > allowed  # so the probabilities cannot hide in the allowance
-        assert self.M * 8 > workers * self.BLOCK  # nor a column of the pool's loss terms
+        assert (self.N + self.M) * 8 > allowed  # nor a point's log-sum-exps
         peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(self.K, self.D, workers), *data)
         assert peak < allowed
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_builds_no_pool_score_rows(self, workers):
-        """With d >= 2 too: the solver holds one point's log-sum-exps and a
-        block's temporaries per worker, and neither the pool's (m, d) score
-        rows nor its loss terms would fit."""
+        """With d >= 2 too: the solver holds a block's temporaries per
+        worker, its (rows, K d) scratch, two (rows, K) and two (rows, d)
+        arrays and four columns, and neither a point's log-sum-exps nor the
+        pool's score rows or loss terms would fit."""
         K, D, N, M = 2, 2, 1000, 300_000
-        block = _BLOCK_ROWS * (K * D + 2 * K) * 8
+        block = _BLOCK_ROWS * (K * D + 2 * K + 2 * D + 4) * 8
         rng = np.random.default_rng(93)
         labeled = LabeledDataset(rng.standard_normal((N, K * D)), rng.integers(0, K + 1, N))
         pool = UnlabeledDataset(rng.standard_normal((M, K * D)))
         f = Predictor.precomputed(
             [(labeled, rng.integers(0, K + 1, N)), (pool, rng.integers(0, K + 1, M))]
         )
-        allowed = (N + M) * 8 + (1 + workers) * block
-        assert M * 8 > (1 + workers) * block  # so neither can hide in it
+        allowed = workers * block
+        assert M * 8 > allowed  # so none can hide in it
         peak = _traced_peak(solve_ppi_m_estimator, mnl_loss(K, D, workers), labeled, pool, f)
         assert peak < allowed
 
@@ -1115,8 +1281,8 @@ class TestCovariance:
 class TestBlockwiseVPred:
     """The pool sums, taken block by block, against numpy's dense ones for
     every built-in loss, with the same bits for any thread count: the
-    sandwich's V_pred against ``_covariance`` of the whole (m, d) score
-    matrix, within 1e-12 relative; ``mean_score`` and ``batch_loss_mean``
+    sandwich's one-walk V_pred against ``_covariance`` of the whole (m, d)
+    score matrix, within 1e-12 relative; ``mean_score`` and ``batch_loss_mean``
     against ``np.mean`` of the whole score matrix and loss-terms column,
     within 1e-12 and 1e-13 relative.  numpy adds the rows of an (m, d >= 2)
     matrix one after another: on the categorical pool of 3 blocks that
@@ -1164,6 +1330,34 @@ class TestBlockwiseVPred:
         assert np.max(np.abs(got[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
         if m <= _BLOCK_ROWS:  # one block: its cross-product is the dense one
             assert np.array_equal(got[0], dense)
+
+    @pytest.mark.parametrize("name, d", CASES)
+    def test_one_walk_matches_the_two_pass_sum(self, name, d):
+        """V_pred takes each pool block's score rows once, and agrees within
+        1e-13 relative with the block-ordered sum of cross-products centred
+        on ``mean_score``, which walks the pool a second time."""
+        m = 3 * _BLOCK_ROWS + 17
+        theta = np.random.default_rng(m + d).standard_normal(d) * 0.3 + 0.25
+        loss, labeled, pool, f = self._instance(name, d, m, 2)
+        xs, fu = pool.xs, f.on(pool)
+        walked = []
+
+        def batch_score(xs, ys, theta):
+            if np.may_share_memory(ys, fu):
+                walked.append(ys.shape[0])
+            return loss.batch_score(xs, ys, theta)
+
+        traced = dataclasses.replace(loss, batch_score=batch_score)
+        v_pred = sandwich_covariance(traced, labeled, pool, f, theta).v_pred
+        assert sorted(walked) == [17] + [_BLOCK_ROWS] * 3
+        mean, two_pass = loss.mean_score(xs, fu, theta), 0.0
+        for lo in range(0, m, _BLOCK_ROWS):
+            r = loss.batch_score(xs[lo : lo + _BLOCK_ROWS], fu[lo : lo + _BLOCK_ROWS], theta)
+            r -= mean
+            two_pass = two_pass + r.T @ r
+        two_pass = two_pass / (m - 1)
+        two_pass = 0.5 * (two_pass + two_pass.T)
+        assert np.max(np.abs(v_pred - two_pass)) <= 1e-13 * np.max(np.abs(two_pass))
 
     @pytest.mark.parametrize("name, d", CASES)
     @pytest.mark.parametrize("m", [1000, 3 * _BLOCK_ROWS + 17])

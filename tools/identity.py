@@ -31,8 +31,9 @@ inputs written by ``perfbench/inputs.py``; ``simulate`` on
 ``--threads`` 1, 2 and 0; ``rampup`` on both ``configs/`` worlds, cross-
 validated and with a failing first stage; ``bootstrap``; ``estimate-m``
 with each loss at ``--threads`` 1, 2 and 0 (the categorical pool spans
-four of its 8192-row blocks), and with ``ols`` on a pool as large as its
-labeled set; ``estimate-mean`` with each
+four of its 8192-row blocks), with ``ols`` on a pool as large as its
+labeled set, and with ``mnl`` on nine options and a pool of three blocks;
+``estimate-mean`` with each
 method, and at ``--threads`` 1 and 2 on a pool file with a bad cell in
 its last part, with a non-finite cell, with a row too wide, or quoted;
 ``fit-scaling``; ``allocate``, also on a steep law at n = 10**6.
@@ -178,6 +179,24 @@ def operations(root: str, toy: bool) -> list[tuple[str, list[str]]]:
         "--unlabeled", _write_csv(small + "_unlab.csv", "x1,x2,x3", [xo[size:]], "%.6f"),
         "--pred-labeled", _write_csv(small + "_f_lab.csv", "f", [fo[:size]], "%.6f"),
         "--pred-unlabeled", _write_csv(small + "_f_unlab.csv", "f", [fo[size:]], "%.6f"),
+    ]))
+    # A choice model with nine options, whose sums over options are numpy's
+    # pairwise ones (m_estim._PAIRWISE_FROM), on a pool of three blocks.
+    K, d, size = 9, 2, 2_000
+    mnl_rng = np.random.default_rng(2)
+    xc = np.round(mnl_rng.standard_normal((size + 2 * 8192 + 500, K, d)), 6)
+    yc = inputs._mnl_choices(xc, np.array([0.6, -0.4]), mnl_rng.gumbel(size=(len(xc), K + 1)))
+    fc = inputs._mnl_choices(xc, np.array([0.5, -0.3]), mnl_rng.gumbel(size=(len(xc), K + 1)))
+    xc = xc.reshape(len(xc), K * d)
+    names = ",".join(f"x_{k}_{j}" for k in range(1, K + 1) for j in range(1, d + 1))
+    wide = os.path.join(root, "mnl_nine_options")
+    ops.append(("estimate-m mnl nine options", [
+        "estimate-m", "--loss", "mnl",
+        "--labeled", _write_csv(wide + "_lab.csv", "choice," + names, [yc[:size], xc[:size]],
+                                ["%d"] + ["%.6f"] * (K * d)),
+        "--unlabeled", _write_csv(wide + "_unlab.csv", names, [xc[size:]], "%.6f"),
+        "--pred-labeled", _write_csv(wide + "_f_lab.csv", "f", [fc[:size]], "%d"),
+        "--pred-unlabeled", _write_csv(wide + "_f_unlab.csv", "f", [fc[size:]], "%d"),
     ]))
     # Outcomes and their predictions on a common offset of 1e8, a pool without
     # it: the rectified mean cancels the offset, and a change in how its terms
