@@ -18,17 +18,16 @@ labels for these discrete losses.
 
 The damped Newton solver evaluates the rectified risk one point at a
 time: ``LossModel.rows(xs, theta, labels)`` runs once per feature array
-at each point, given the label vectors the point asks about, and the
-objective, score and Hessian there share its result.  The value of an
-accepted trial step is the next iteration's baseline.  One point is
-alive at a time: the accepted point's work is freed once its score and
-Hessian are taken, before the trial point's is built.
+when a point is made, given the label vectors the point asks about, and
+the objective, score and Hessian there share its result.  The value of
+an accepted trial step is the next iteration's baseline.
 
 No pool-sized array is built past the features: every sum over a
 feature array's rows (the objectives, the mean score, the sandwich's
-V_pred and the choice Hessian) adds one partial sum per block of
-``_BLOCK_ROWS`` rows, in block order (``_ordered_sum``).  The sandwich
-walks the pool once: per block, its row count, score sum and score
+V_resid and V_pred and the choice Hessian) adds one partial sum per
+block of ``_BLOCK_ROWS`` rows, in block order (``_ordered_sum``).  Both
+of the sandwich's covariances are taken in one walk over their rows
+(``_score_covariance``): per block, its row count, score sum and score
 cross-product centred on the block's own mean, merged in block order.
 The multinomial-choice kernels walk the rows, and check the labels, in
 those blocks, each block's choice probabilities computed into its
@@ -49,7 +48,6 @@ InsufficientDataError naming the loss (``_nonempty``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -142,10 +140,8 @@ class LossModel:
         The rows are built and summed block by block (``_block_mean``), on
         up to ``workers`` threads.
         """
-        feats = _features(xs)
-
         def block(span):
-            return self.batch_score(feats[span], ys[span], theta).sum(axis=0)
+            return self.batch_score(xs[span], ys[span], theta).sum(axis=0)
 
         return _block_mean(self.name, block, ys.shape[0], self.workers)
 
@@ -307,13 +303,15 @@ def _features(xs) -> np.ndarray:
     return xs.xs if isinstance(xs, _ChoiceRows) else xs
 
 
-def _held(xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray | None:
-    """The loss mean and mean score that ``xs`` holds for this very ``ys`` at ``theta``, if any."""
-    if isinstance(xs, _ChoiceRows) and xs.theta == theta.tobytes():
-        for labels, means in zip(xs.labels, xs.means):
-            if labels is ys:
-                return means
-    return None
+def _held(xs, ys: np.ndarray, theta, K: int, d: int, workers: int) -> np.ndarray:
+    """The loss mean, then the mean score, of labels ``ys`` at ``theta``.
+
+    They are the values ``xs`` holds, if it is a ``_ChoiceRows`` built at
+    this theta for this very ``ys``; else those of one ``_choice_rows``
+    walk for ``ys`` alone.
+    """
+    rows = _choice_rows(xs, theta, K, d, workers, (ys,))
+    return next(means for labels, means in zip(rows.labels, rows.means) if labels is ys)
 
 
 def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -347,18 +345,6 @@ def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> n
     return lse
 
 
-def _loss_sum(X: np.ndarray, lse: np.ndarray, ys: np.ndarray, theta: np.ndarray):
-    """A block's summed loss terms for labels ``ys``, and each choice's flat index.
-
-    The flat index of a row that chose an option is row * K + label - 1
-    (``_chosen``).
-    """
-    chose, flat = _chosen(ys, X.shape[1])
-    picked = np.zeros(X.shape[0])
-    picked[chose] = np.take(X.reshape(-1, X.shape[2]), flat, axis=0) @ theta
-    return np.sum(lse - picked), flat
-
-
 def _score_rows(X: np.ndarray, resid: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A block's score rows X_i' (p_i - e_{y_i}) in ``out``.
 
@@ -373,20 +359,20 @@ def _choice_rows(xs, theta, K: int, d: int, workers: int, labels: tuple = ()) ->
     """``xs``, raw or a ``_ChoiceRows``, with its mean Hessian at ``theta`` and, for each
     label vector in ``labels``, its loss mean and mean score.
 
-    A ``_ChoiceRows`` built at this very theta for these very labels is
-    returned as it is; any other is recomputed from its features.  One
-    walk over the blocks, on up to ``workers`` threads, computes each
-    block's probabilities once, into its worker's scratch, and sums from
-    them every label vector's loss terms and score rows, with the
-    arithmetic of ``batch_loss_mean`` and ``batch_score``, and the
-    Hessian; the blocks' sums are added in block order (``_block_mean``).
-    No (n, K) matrix and no per-row column is kept.
+    A ``_ChoiceRows`` built at this very theta for these very label
+    arrays is returned as it is; any other is recomputed from its
+    features.  One walk over the blocks, on up to ``workers`` threads,
+    computes each block's probabilities once, into its worker's scratch,
+    and sums from them every label vector's loss terms and score rows,
+    the latter with ``batch_score``'s arithmetic, and the Hessian; the
+    blocks' sums are added in block order (``_block_mean``).  No (n, K)
+    matrix and no per-row column is kept.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if (
         isinstance(xs, _ChoiceRows)
         and xs.theta == theta.tobytes()
-        and all(_held(xs, ys, theta) is not None for ys in labels)
+        and all(any(ys is held for held in xs.labels) for ys in labels)
     ):
         return xs
     xs = _features(xs)
@@ -406,7 +392,12 @@ def _choice_rows(xs, theta, K: int, d: int, workers: int, labels: tuple = ()) ->
         score = scratch[rows * K : rows * (K + d)].reshape(rows, d)
         means = np.empty((len(labels), 1 + d))
         for j, ys in enumerate(labels):
-            means[j, 0], flat = _loss_sum(X, lse, ys[span], theta)
+            # the loss terms lse_i - u_{i, y_i}, whose chosen utilities sit at
+            # the flat indices row * K + label - 1 (``_chosen``)
+            chose, flat = _chosen(ys[span], K)
+            picked = np.zeros(rows)
+            picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
+            means[j, 0] = np.sum(lse - picked)
             np.copyto(resid, p)
             means[j, 1:] = _score_rows(X, resid, flat, score).sum(axis=0)
         return np.concatenate((hessian.reshape(-1), means.reshape(-1)))
@@ -437,8 +428,7 @@ class _ChoiceLoss(LossModel):
         return _choice_rows(xs, theta, self.width // self.dim, self.dim, self.workers, labels)
 
     def mean_score(self, xs, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        held = _held(xs, ys, np.asarray(theta, dtype=np.float64))
-        return held[1:].copy() if held is not None else super().mean_score(xs, ys, theta)
+        return _held(xs, ys, theta, self.width // self.dim, self.dim, self.workers)[1:].copy()
 
 
 def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel:
@@ -455,27 +445,16 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     ``rows(xs, theta, labels)``, which holds the mean Hessian at theta
     and each label vector's loss mean and mean score: on it, the objective
     and ``mean_score`` of a held label vector, and the Hessian, are the
-    values held.  Anything else computes each block's probabilities for
-    that block alone, so nothing of size n is built but the score rows
-    that ``batch_score`` returns.
+    values held.  Anything else runs the same walk (``_choice_rows``) for
+    that label vector alone, so nothing of size n is built but the score
+    rows that ``batch_score`` returns.
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
     workers = check_int(workers, "mnl_loss: workers", 1)
 
     def batch_loss_mean(xs, ys, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        held = _held(xs, ys, theta)
-        if held is not None:
-            return float(held[0])
-        feats = _features(xs)
-        n = feats.shape[0]
-
-        def block(span, p):
-            X = feats[span].reshape(-1, K, d)
-            return _loss_sum(X, _block_probabilities(X, theta, p[: X.shape[0]]), ys[span], theta)[0]
-
-        return float(_block_mean("mnl", block, n, workers, [(min(n, _BLOCK_ROWS), K)]))
+        return float(_held(xs, ys, theta, K, d, workers)[0])
 
     def batch_score(xs, ys, theta):
         theta = np.asarray(theta, dtype=np.float64)
@@ -547,12 +526,9 @@ class _Point(NamedTuple):
 def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[np.ndarray], _Point]:
     """Evaluator of the rectified risk, one point at a time.
 
-    At each theta, ``loss.rows`` runs once on the labeled features, with
-    their labels and predictions, and once on the pool's, with its
-    predictions; all three pieces share those results.  A point runs them when a piece is
-    first asked for, not when it is made, so a caller that rebinds one
-    name to each new point frees the old point's work before the new
-    point's is built.
+    When a point is made, ``loss.rows`` runs once on the labeled
+    features, with their labels and predictions, and once on the pool's,
+    with its predictions; all three pieces share those results.
     """
     xl, yl = labeled_ppi.xs, labeled_ppi.ys
     fl = f.on(labeled_ppi)
@@ -560,12 +536,9 @@ def _rectified_pieces(loss: LossModel, labeled_ppi, unlabeled, f) -> Callable[[n
     fu = f.on(unlabeled)
 
     def at(theta: np.ndarray) -> _Point:
-        shared = functools.cache(
-            lambda: (loss.rows(xl, theta, (yl, fl)), loss.rows(xu, theta, (fu,)))
-        )
+        rl, ru = loss.rows(xl, theta, (yl, fl)), loss.rows(xu, theta, (fu,))
 
         def means(mean_over):
-            rl, ru = shared()
             return mean_over(rl, yl, theta), mean_over(rl, fl, theta), mean_over(ru, fu, theta)
 
         def rectified(mean_over):
@@ -611,9 +584,6 @@ def solve_ppi_m_estimator(
     """
     theta = np.zeros(loss.dim)
     at = _rectified_pieces(loss, labeled_ppi, unlabeled, f)
-
-    # Rebinding ``point`` frees the previous point's shared work before
-    # the next point builds its own, so one point's is alive at a time.
     point = at(theta)
     g = point.score()
     base, slack = point.objective()
@@ -659,11 +629,32 @@ def solve_ppi_m_estimator(
 # ---------------------------------------------------------------------------
 
 
-def _covariance(rows: np.ndarray) -> np.ndarray:
-    """Sample covariance of ``rows``, which it centres in place: each caller
-    hands over a fresh array, so no pool-sized copy is made."""
-    rows -= rows.mean(axis=0, keepdims=True)
-    cov = rows.T @ rows / (rows.shape[0] - 1)
+def _score_covariance(scores, n: int, workers: int) -> np.ndarray:
+    """Sample covariance (divisor n - 1) of n score rows, taken in one walk over their blocks.
+
+    ``scores(span)`` returns a block's rows as a new array, which is
+    centred in place.  Each block gives its row count, column sum and the
+    cross-product of its rows centred on their own mean; these are merged
+    in block order by adding n_k (mu_k - mu)(mu_k - mu)' per block (Chan,
+    Golub & LeVeque 1983), so no (n, d) matrix is built.  The blocks run
+    on up to ``workers`` threads; the result has the same bits for any
+    count, and below one block the bits of the dense covariance.
+    """
+
+    def moments(span):
+        rows = scores(span)
+        total = rows.sum(axis=0)
+        rows -= total / rows.shape[0]
+        return rows.shape[0], total, rows.T @ rows
+
+    parts = _threaded_blocks(moments, _spans(n), workers)
+    mean = _ordered_sum(total for _, total, _ in parts) / n
+
+    def merged(count, total, cross):
+        shift = total / count - mean
+        return cross + count * np.outer(shift, shift)
+
+    cov = _ordered_sum(merged(*part) for part in parts) / (n - 1)
     return 0.5 * (cov + cov.T)
 
 
@@ -696,9 +687,10 @@ def sandwich_covariance(
     V_resid is the covariance of per-sample score differences
     score(x, y) - score(x, f(x)) on the rectification subset (divisor
     n_ppi - 1); V_pred is the covariance of score(x~, f(x~)) on the pool
-    (divisor m - 1), taken in one walk over its blocks; H is the mean
-    Hessian on the rectification subset with true labels.  The product
-    H^-1 (...) H^-1 is formed by linear solves, never an explicit inverse.
+    (divisor m - 1); each is taken in one walk over its rows' blocks
+    (``_score_covariance``).  H is the mean Hessian on the rectification
+    subset with true labels.  The product H^-1 (...) H^-1 is formed by
+    linear solves, never an explicit inverse.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64).reshape(-1)
     if theta_hat.shape != (loss.dim,):
@@ -711,35 +703,19 @@ def sandwich_covariance(
         raise InsufficientDataError(
             f"sandwich needs m >= dim+1 ({loss.dim + 1}), got {unlabeled.m}"
         )
-    # The labeled rows' work is done, and freed, before the pool's are taken.
-    rl = loss.rows(labeled_ppi.xs, theta_hat)
-    yl, fl = labeled_ppi.ys, f.on(labeled_ppi)
-    v_resid = _covariance(loss.batch_score(rl, yl, theta_hat) - loss.batch_score(rl, fl, theta_hat))
-    h_hat = loss.batch_hessian_mean(rl, yl, theta_hat)
-    del rl
-    # V_pred in one walk, without the (m, d) score matrix: each block's
-    # row count, column sum and cross-product of its score rows centred on
-    # their own mean, merged in block order by adding n_k (mu_k - mu)(mu_k
-    # - mu)' per block (Chan, Golub & LeVeque 1983).  mu has mean_score's
-    # bits; V_pred differs from _covariance's in the last bits only.
+    xl, yl, fl = labeled_ppi.xs, labeled_ppi.ys, f.on(labeled_ppi)
     xu, fu = unlabeled.xs, f.on(unlabeled)
 
-    def moments(span):
-        rows = loss.batch_score(xu[span], fu[span], theta_hat)
-        total = rows.sum(axis=0)
-        rows -= total / rows.shape[0]
-        return rows.shape[0], total, rows.T @ rows
+    def residuals(span):
+        on_y = loss.batch_score(xl[span], yl[span], theta_hat)
+        on_y -= loss.batch_score(xl[span], fl[span], theta_hat)
+        return on_y
 
-    parts = _threaded_blocks(moments, _spans(unlabeled.m), loss.workers)
-    mean = _ordered_sum(total for _, total, _ in parts) / unlabeled.m
-
-    def merged(count, total, cross):
-        shift = total / count - mean
-        return cross + count * np.outer(shift, shift)
-
-    v_pred = _ordered_sum(merged(*part) for part in parts) / (unlabeled.m - 1)
-    v_pred = 0.5 * (v_pred + v_pred.T)
-
+    v_resid = _score_covariance(residuals, labeled_ppi.n, loss.workers)
+    v_pred = _score_covariance(
+        lambda span: loss.batch_score(xu[span], fu[span], theta_hat), unlabeled.m, loss.workers
+    )
+    h_hat = loss.batch_hessian_mean(xl, yl, theta_hat)
     h_hat = 0.5 * (h_hat + h_hat.T)
     _check_condition(h_hat, "mean Hessian")
 

@@ -616,6 +616,12 @@ def _rowwise_mnl(xs, ys, theta, K, d):
     return lse, lse - picked, score, full / n - outer / n
 
 
+def _rowwise_means(xs, ys, theta, K, d):
+    """The loss mean, mean score and mean Hessian from ``_rowwise_mnl``, by the block rule."""
+    _, terms, score, hessian = _rowwise_mnl(xs, ys, theta, K, d)
+    return float(_blockwise_mean(terms)), _blockwise_mean(score), hessian
+
+
 class TestChoiceKernelsBitForBit:
     """The column-pass choice kernels give the bits of the row-wise ones,
     on the model's rows, whose means and Hessian are held, and on raw
@@ -783,11 +789,18 @@ class TestRows:
     @settings(max_examples=40, deadline=None)
     @given(choice_batches(), st.floats(0.125, 1.0))
     def test_mnl_rows_match_raw_features_bit_for_bit(self, batch, shift):
+        """And the means held for a label array are the row-wise reference's."""
         K, d, xs, ys, fs, theta = batch
         model = mnl_loss(K, d)
-        rows = model.rows(xs, theta)
-        assert model.rows(rows, theta) is rows
+        rows = model.rows(xs, theta, (ys, fs))
+        assert model.rows(rows, theta) is rows and model.rows(rows, theta, (fs,)) is rows
+        assert model.rows(rows, theta, (ys.copy(),)) is not rows
         _assert_same_on_rows(model, xs, (ys, fs), theta, rows)
+        for labels in (ys, fs):
+            loss_mean, score, hessian = _rowwise_means(xs, labels, theta, K, d)
+            assert model.batch_loss_mean(rows, labels, theta) == loss_mean
+            assert np.array_equal(model.mean_score(rows, labels, theta), score)
+            assert np.array_equal(model.batch_hessian_mean(rows, labels, theta), hessian)
         # rows built at another theta are recomputed, never reused
         _assert_same_on_rows(model, xs, (ys, fs), theta, model.rows(xs, theta + shift))
 
@@ -819,47 +832,41 @@ def _probability_passes():
 
 class TestHeldMeans:
     """What ``rows(xs, theta, labels)`` holds, taken in one walk over the
-    blocks, against the callables on raw features, which compute every
-    block's probabilities for themselves: the same bits, for any thread
-    count.  A label array that is not held, and rows built at another
-    theta, are computed afresh."""
+    blocks, against the row-wise reference (``_rowwise_mnl``): the same
+    bits, for any thread count.  The callables on raw features, on a label
+    array that is not held and on rows built at another theta run the same
+    walk for that label array alone, with one probability pass per block
+    and callable."""
 
     @staticmethod
     def _check(K, d, xs, ys, fs, theta, shift):
-        held = []
+        blocks = -(-xs.shape[0] // _BLOCK_ROWS)
+        want = [_rowwise_means(xs, labels, theta, K, d) for labels in (ys, fs)]
         for workers in (1, 2, 3):
             model = mnl_loss(K, d, workers)
             with _probability_passes() as passes:
                 rows = model.rows(xs, theta, (ys, fs))
-            assert len(passes) == -(-xs.shape[0] // _BLOCK_ROWS)  # one pass per block
+            assert len(passes) == blocks  # one pass per block
             with _probability_passes() as passes:
-                for labels in (ys, fs):
-                    got = (
+                held = [
+                    (
                         model.batch_loss_mean(rows, labels, theta),
                         model.mean_score(rows, labels, theta),
                         model.batch_hessian_mean(rows, labels, theta),
                     )
-                    held.append(got)
+                    for labels in (ys, fs)
+                ]
             assert passes == []  # all three are read from the rows
-            for labels, got in zip((ys, fs), held[-2:]):
-                fresh = (
-                    model.batch_loss_mean(xs, labels, theta),
-                    model.mean_score(xs, labels, theta),
-                    model.batch_hessian_mean(xs, labels, theta),
-                )
-                assert type(got[0]) is float and got[0] == fresh[0]
-                assert np.array_equal(got[1], fresh[1]) and np.array_equal(got[2], fresh[2])
+            elsewhere = model.rows(xs, theta + shift, (ys, fs))
+            for labels, got, (loss_mean, score, hessian) in zip((ys, fs), held, want):
+                assert type(got[0]) is float and got[0] == loss_mean
+                assert np.array_equal(got[1], score) and np.array_equal(got[2], hessian)
                 # a copy of the labels is not held, nor are rows at another theta
-                elsewhere = model.rows(xs, theta + shift, (ys, fs))
-                for feats, labs in ((rows, labels.copy()), (elsewhere, labels)):
+                for feats, labs in ((rows, labels.copy()), (elsewhere, labels), (xs, labels)):
                     with _probability_passes() as passes:
-                        assert model.batch_loss_mean(feats, labs, theta) == fresh[0]
-                        assert np.array_equal(model.mean_score(feats, labs, theta), fresh[1])
-                    assert len(passes) == 2 * -(-xs.shape[0] // _BLOCK_ROWS)
-        assert all(
-            a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
-            for a, b in zip(held, held[2:])
-        )
+                        assert model.batch_loss_mean(feats, labs, theta) == loss_mean
+                        assert np.array_equal(model.mean_score(feats, labs, theta), score)
+                    assert len(passes) == 2 * blocks
 
     @settings(max_examples=30, deadline=None)
     @given(choice_batches(), st.floats(0.125, 1.0))
@@ -1259,51 +1266,63 @@ class TestPoolBytesPerRow:
         theta = solve_ppi_m_estimator(loss, labeled, pool, f)
         assert _traced_peak(sandwich_covariance, loss, labeled, pool, f, theta) < allowed
 
+    def test_sandwich_on_a_big_labeled_set(self):
+        """V_resid is taken in blocks of the labeled rows too: the sandwich
+        on 200k labeled rows builds at most three blocks' (rows, d) score
+        arrays, and no (n, d) score matrix (taken whole, the score
+        matrices on the labels and on the predictions peak at two)."""
+        n, d = 200_000, 16
+        loss, labeled, pool, f = _squared_loss_instance("ols", d, 1000, n)
+        allowed = 3 * d * _BLOCK_ROWS * 8
+        assert n * d * 8 > allowed
+        theta = np.full(d, 0.9)
+        assert _traced_peak(sandwich_covariance, loss, labeled, pool, f, theta) < allowed
 
-class TestCovariance:
-    """``_covariance`` centres its input in place, with the bits of a centred copy."""
 
-    @staticmethod
-    def _copying(rows):
-        centered = rows - rows.mean(axis=0, keepdims=True)
-        cov = centered.T @ centered / (rows.shape[0] - 1)
-        return 0.5 * (cov + cov.T)
-
-    @pytest.mark.parametrize("shape", [(2, 1), (7, 3), (1000, 4), (50_000, 8)])
-    def test_same_bits_as_a_centred_copy(self, shape):
-        rng = np.random.default_rng(shape[0] + shape[1])
-        for scale, shift in ((1e-3, 0.0), (1.0, 5.0), (1e150, -1e150)):
-            rows = rng.standard_normal(shape) * scale + shift
-            want = self._copying(rows)
-            assert np.array_equal(m_estim._covariance(rows.copy()), want)
+def _dense_covariance(rows):
+    """Sample covariance of the whole score matrix ``rows``, centred on numpy's column mean."""
+    centered = rows - rows.mean(axis=0, keepdims=True)
+    cov = centered.T @ centered / (rows.shape[0] - 1)
+    return 0.5 * (cov + cov.T)
 
 
 class TestBlockwiseVPred:
-    """The pool sums, taken block by block, against numpy's dense ones for
-    every built-in loss, with the same bits for any thread count: the
-    sandwich's one-walk V_pred against ``_covariance`` of the whole (m, d)
-    score matrix, within 1e-12 relative; ``mean_score`` and ``batch_loss_mean``
-    against ``np.mean`` of the whole score matrix and loss-terms column,
-    within 1e-12 and 1e-13 relative.  numpy adds the rows of an (m, d >= 2)
-    matrix one after another: on the categorical pool of 3 blocks that
-    dense mean is itself 3.5e-13 off the exact one, the block sums' 1.6e-13."""
+    """The sums over the pool and the labeled rows, taken block by block,
+    against numpy's dense ones for every built-in loss, with the same bits
+    for any thread count: the sandwich's one-walk V_pred and V_resid
+    against ``_dense_covariance`` of the whole score matrix, within 1e-12
+    and 1e-13 relative, and with its bits below one block; ``mean_score``
+    and ``batch_loss_mean`` against ``np.mean`` of the whole score matrix
+    and loss-terms column, within 1e-12 and 1e-13 relative.  numpy adds
+    the rows of an (m, d >= 2) matrix one after another: on the
+    categorical pool of 3 blocks that dense mean is itself 3.5e-13 off the
+    exact one, the block sums' 1.6e-13."""
 
     CASES = [("mean", 1), ("categorical", 3), ("ols", 1), ("ols", 5), ("mnl", 1), ("mnl", 2)]
     K = 3  # options of the choice pools
 
     @classmethod
-    def _instance(cls, name, d, m, workers):
+    def _instance(cls, name, d, m, workers, n=200):
         if name != "mnl":
-            loss, labeled, pool, f = _squared_loss_instance(name, d, m, n=200)
+            loss, labeled, pool, f = _squared_loss_instance(name, d, m, n)
             return dataclasses.replace(loss, workers=workers), labeled, pool, f
         K = cls.K
         rng = np.random.default_rng(91)
-        labeled = LabeledDataset(rng.standard_normal((200, K * d)), rng.integers(0, K + 1, 200))
+        labeled = LabeledDataset(rng.standard_normal((n, K * d)), rng.integers(0, K + 1, n))
         pool = UnlabeledDataset(rng.standard_normal((m, K * d)))
         f = Predictor.precomputed(
-            [(labeled, rng.integers(0, K + 1, 200)), (pool, rng.integers(0, K + 1, m))]
+            [(labeled, rng.integers(0, K + 1, n)), (pool, rng.integers(0, K + 1, m))]
         )
         return mnl_loss(K, d, workers), labeled, pool, f
+
+    @staticmethod
+    def _assert_near_dense(got, dense, rows, rel):
+        """``got`` (one result per thread count) against the dense covariance of ``rows`` rows."""
+        assert all(np.array_equal(got[0], v) for v in got[1:])
+        assert got[0].shape == dense.shape
+        assert np.max(np.abs(got[0] - dense)) <= rel * np.max(np.abs(dense))
+        if rows <= _BLOCK_ROWS:  # one block: its cross-product is the dense one
+            assert np.array_equal(got[0], dense)
 
     @classmethod
     def _loss_terms(cls, name, xs, ys, theta):
@@ -1324,12 +1343,25 @@ class TestBlockwiseVPred:
         for workers in (1, 2, 3):
             loss, labeled, pool, f = self._instance(name, d, m, workers)
             got.append(sandwich_covariance(loss, labeled, pool, f, theta).v_pred)
-        assert all(np.array_equal(got[0], v) for v in got[1:])
-        dense = m_estim._covariance(loss.batch_score(pool.xs, f.on(pool), theta))
-        assert got[0].shape == dense.shape == (d, d)
-        assert np.max(np.abs(got[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
-        if m <= _BLOCK_ROWS:  # one block: its cross-product is the dense one
-            assert np.array_equal(got[0], dense)
+        dense = _dense_covariance(loss.batch_score(pool.xs, f.on(pool), theta))
+        assert dense.shape == (d, d)
+        self._assert_near_dense(got, dense, m, 1e-12)
+
+    @pytest.mark.parametrize("name, d", CASES)
+    @pytest.mark.parametrize("n", [1000, 3 * _BLOCK_ROWS + 17])
+    def test_v_resid_matches_the_dense_covariance(self, name, d, n):
+        """V_resid, the covariance of the labeled rows' score differences, walks them in blocks."""
+        theta = np.random.default_rng(n + d).standard_normal(d) * 0.3 + 0.25
+        got = []
+        for workers in (1, 2, 3):
+            loss, labeled, pool, f = self._instance(name, d, 1000, workers, n)
+            got.append(sandwich_covariance(loss, labeled, pool, f, theta).v_resid)
+        xs, fl = labeled.xs, f.on(labeled)
+        dense = _dense_covariance(
+            loss.batch_score(xs, labeled.ys, theta) - loss.batch_score(xs, fl, theta)
+        )
+        assert dense.shape == (d, d)
+        self._assert_near_dense(got, dense, n, 1e-13)
 
     @pytest.mark.parametrize("name, d", CASES)
     def test_one_walk_matches_the_two_pass_sum(self, name, d):
