@@ -30,20 +30,23 @@ of the sandwich's covariances are taken in one walk over their rows
 (``_score_covariance``): per block, its row count, score sum and score
 cross-product centred on the block's own mean, merged in block order.
 The multinomial-choice kernels walk the rows, and check the labels, in
-those blocks, each block's choice probabilities computed into its
-worker's scratch.  Their ``rows`` computes each block's probabilities
-once and sums from them, in one walk, every label vector's loss terms
-and score rows and the Hessian; it holds only those means, which the
-objective, ``mean_score`` and the Hessian read.  Within a block the
-kernels reduce over the K options in column passes, one per option, and
-pick each row's chosen option by its flat index; both give the same bits
-as the row-wise reductions and 2-d gathers they replace.  Below
-``_PAIRWISE_FROM`` options the sum over them runs in column passes too.
-``workers`` runs the blocks on that many threads
-(``core._threaded_blocks``): numpy releases the interpreter lock inside
-them and each block writes its own rows, so every result has the same
-bits for any thread count.  A mean over zero rows raises
-InsufficientDataError naming the loss (``_nonempty``).
+those blocks.  A block's utilities are one matrix-vector product over
+its option rows, and its choice probabilities are computed from them
+into its worker's scratch.  Their ``rows`` computes each block's
+probabilities once and sums from them, in one walk, every label vector's
+loss terms and the Hessian; a label vector's score sum is the column sum
+of the rows g_i = X_i' p_i, which the Hessian forms, less that of the
+chosen options' rows, so the solver builds no score row.  It holds only
+those means, which the objective, ``mean_score`` and the Hessian read.
+Within a block the kernels reduce over the K options in column passes,
+one per option, and pick each row's chosen option by its flat index;
+both give the same bits as the row-wise reductions and 2-d gathers they
+replace.  Below ``_PAIRWISE_FROM`` options the sum over them runs in
+column passes too.  ``workers`` runs the blocks on that many threads
+(``core._threaded_blocks``): numpy releases the interpreter lock in the
+blocks' matrix products and ufuncs, and each block writes its own rows,
+so every result has the same bits for any thread count.  A mean over
+zero rows raises InsufficientDataError naming the loss (``_nonempty``).
 """
 
 from __future__ import annotations
@@ -314,45 +317,57 @@ def _held(xs, ys: np.ndarray, theta, K: int, d: int, workers: int) -> np.ndarray
     return next(means for labels, means in zip(rows.labels, rows.means) if labels is ys)
 
 
-def _block_probabilities(X: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a block's choice probabilities at ``theta`` to ``out``; return its log-sum-exps.
+def _block_probabilities(X: np.ndarray, theta: np.ndarray, out) -> np.ndarray:
+    """Write a block's utilities at ``theta`` to ``out[0]`` and its choice probabilities
+    to ``out[1]``; return its log-sum-exps.
 
-    The utilities are computed, and turned into probabilities, in ``out``.
+    ``out`` is a pair of C-contiguous (rows, K) arrays, or one array twice
+    when the utilities are not needed after.  The utilities are one
+    matrix-vector product over the block's option rows,
+    ``X.reshape(-1, d) @ theta``; the loss terms read the chosen options'
+    utilities from ``out[0]``.
     """
-    u = np.einsum("nkd,d->nk", X, theta, out=out)
+    u, p = out
+    K, d = X.shape[1:]
+    options, utilities = X.reshape(-1, d), u.reshape(-1)
+    # In parts of _BLOCK_ROWS option rows: OpenBLAS's matrix-vector product
+    # touches scratch memory in proportion to its rows, and a row's utility
+    # has the same bits in any part (TestNumpySummationOrder).
+    for lo in range(0, options.shape[0], _BLOCK_ROWS):
+        part = slice(lo, lo + _BLOCK_ROWS)
+        np.matmul(options[part], theta, out=utilities[part])
     # The max and the sum over options run as K - 1 passes over columns:
     # numpy reduces a short trailing axis slowly.  A max is exact in any
     # order, and below _PAIRWISE_FROM options numpy's sum adds them in
     # sequence, as the passes do; from there on it sums them pairwise,
     # which the passes would not reproduce, so the reduction stays.
-    K = u.shape[1]
     top = np.maximum(0.0, u[:, 0])
     for k in range(1, K):
         np.maximum(top, u[:, k], out=top)
-    u -= top[:, None]
-    np.exp(u, out=u)
+    np.subtract(u, top[:, None], out=p)
+    np.exp(p, out=p)
     if K < _PAIRWISE_FROM:
-        denom = u[:, 0].copy()
+        denom = p[:, 0].copy()
         for k in range(1, K):
-            denom += u[:, k]
+            denom += p[:, k]
     else:
-        denom = u.sum(axis=1)
+        denom = p.sum(axis=1)
     # exp(-top) + sum and top + log(denom), in place: addition commutes
     denom += np.exp(-top)
-    u /= denom[:, None]
+    p /= denom[:, None]
     lse = np.log(denom, out=denom)
     lse += top
     return lse
 
 
-def _score_rows(X: np.ndarray, resid: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A block's score rows X_i' (p_i - e_{y_i}) in ``out``.
+def _column_sum(rows: np.ndarray) -> np.ndarray:
+    """The column sums of an (n, d) block, with the bits of numpy's ``sum(axis=0)``.
 
-    ``resid`` holds the block's probabilities; the chosen options'
-    indicators are taken from it in place.
+    For d >= 2 ``einsum`` adds the rows one after another, as numpy's sum
+    does, several times faster; for one column the two group the rows
+    differently (numpy's pairwise), so numpy's sum is taken.
     """
-    resid.reshape(-1)[flat] -= 1.0
-    return np.einsum("nkd,nk->nd", X, resid, out=out)
+    return np.einsum("nd->d", rows) if rows.shape[1] > 1 else rows.sum(axis=0)
 
 
 def _choice_rows(xs, theta, K: int, d: int, workers: int, labels: tuple = ()) -> _ChoiceRows:
@@ -362,11 +377,13 @@ def _choice_rows(xs, theta, K: int, d: int, workers: int, labels: tuple = ()) ->
     A ``_ChoiceRows`` built at this very theta for these very label
     arrays is returned as it is; any other is recomputed from its
     features.  One walk over the blocks, on up to ``workers`` threads,
-    computes each block's probabilities once, into its worker's scratch,
-    and sums from them every label vector's loss terms and score rows,
-    the latter with ``batch_score``'s arithmetic, and the Hessian; the
-    blocks' sums are added in block order (``_block_mean``).  No (n, K)
-    matrix and no per-row column is kept.
+    computes each block's utilities and probabilities once, into its
+    worker's scratch, and sums from them every label vector's loss terms
+    and the Hessian; the blocks' sums are added in block order
+    (``_block_mean``).  A label vector's score sum is the column sum of
+    the rows g_i = X_i' p_i, which the Hessian forms, less the column
+    sum of the chosen options' rows, so no score row is built.  No
+    (n, K) matrix and no per-row column is kept.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if (
@@ -378,33 +395,45 @@ def _choice_rows(xs, theta, K: int, d: int, workers: int, labels: tuple = ()) ->
     xs = _features(xs)
     n = xs.shape[0]
 
-    def partial(span, p, scratch):
+    def partial(span, scratch):
         X = xs[span].reshape(-1, K, d)
         rows = X.shape[0]
-        p = p[:rows]
-        lse = _block_probabilities(X, theta, p)
-        # sum_i X_i' diag(p_i) X_i and sum_i g_i g_i', with g_i = X_i' p_i
-        Xp = np.multiply(X, p[:, :, None], out=scratch[: rows * K * d].reshape(rows, K, d))
-        g = np.einsum("nkd,nk->nd", X, p)
-        hessian = np.stack((Xp.reshape(-1, d).T @ X.reshape(-1, d), g.T @ g))
-        # then the scratch holds each label vector's residuals and score rows in turn
-        resid = scratch[: rows * K].reshape(rows, K)
-        score = scratch[rows * K : rows * (K + d)].reshape(rows, d)
+        options = X.reshape(-1, d)
+        # The scratch holds the products X_i' diag(p_i) feature by feature, as
+        # (d, rows * K): numpy is slow on rows of d values.  The utilities
+        # share its last rows * K values until the loss terms have read them,
+        # and the probabilities follow it.
+        XpT = scratch[: rows * K * d].reshape(d, rows * K)
+        u = scratch[rows * K * (d - 1) : rows * K * d].reshape(rows, K)
+        p = scratch[rows * K * d : rows * K * (d + 1)].reshape(rows, K)
+        lse = _block_probabilities(X, theta, (u, p))
         means = np.empty((len(labels), 1 + d))
+        chosen = []
         for j, ys in enumerate(labels):
             # the loss terms lse_i - u_{i, y_i}, whose chosen utilities sit at
             # the flat indices row * K + label - 1 (``_chosen``)
             chose, flat = _chosen(ys[span], K)
             picked = np.zeros(rows)
-            picked[chose] = np.take(X.reshape(-1, d), flat, axis=0) @ theta
+            picked[chose] = u.reshape(-1)[flat]
             means[j, 0] = np.sum(lse - picked)
-            np.copyto(resid, p)
-            means[j, 1:] = _score_rows(X, resid, flat, score).sum(axis=0)
+            chosen.append(flat)
+        # sum_i X_i' diag(p_i) X_i and sum_i g_i g_i', with g_i = X_i' p_i
+        # added up over the options in K - 1 passes (held as g', (d, rows))
+        np.multiply(options.T, p.reshape(-1), out=XpT)
+        per_option = XpT.reshape(d, rows, K)
+        gT = per_option[:, :, 0].copy()
+        for k in range(1, K):
+            gT += per_option[:, :, k]
+        hessian = np.stack((options.T @ XpT.T, gT @ gT.T))
+        # a score sum: the column sums of the g_i less those of the chosen
+        # options' rows
+        total = gT.sum(axis=1)
+        for j, flat in enumerate(chosen):
+            means[j, 1:] = total - _column_sum(np.take(options, flat, axis=0))
         return np.concatenate((hessian.reshape(-1), means.reshape(-1)))
 
     rows = min(n, _BLOCK_ROWS)
-    scratch = [(rows, K), (rows * max(K * d, K + d),)]
-    sums = _block_mean("mnl", partial, n, workers, scratch)
+    sums = _block_mean("mnl", partial, n, workers, [(rows * K * (d + 1),)])
     full, outer = sums[: 2 * d * d].reshape(2, d, d)
     means = sums[2 * d * d :].reshape(len(labels), 1 + d)
     return _ChoiceRows(xs, theta.tobytes(), tuple(labels), means, full - outer)
@@ -448,6 +477,13 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
     values held.  Anything else runs the same walk (``_choice_rows``) for
     that label vector alone, so nothing of size n is built but the score
     rows that ``batch_score`` returns.
+
+    A block's utilities are one matrix-vector product over its option
+    rows.  A label vector's mean score is the column sum of the rows
+    g_i = X_i' p_i, which the Hessian forms, less that of the chosen
+    options' rows, added over the blocks; ``batch_score`` builds each row
+    X_i' (p_i - e_{y_i}) itself, so the column mean of its rows agrees
+    with ``mean_score`` to rounding, not in every bit.
     """
     K = check_int(n_options, "mnl_loss: n_options", 1)
     d = check_int(dim_per_option, "mnl_loss: dim_per_option", 1)
@@ -462,11 +498,14 @@ def mnl_loss(n_options: int, dim_per_option: int, workers: int = 1) -> LossModel
         n = feats.shape[0]
         out = np.empty((n, d))
 
-        def fill(span, p):
+        def fill(span, scratch):
             X = feats[span].reshape(-1, K, d)
-            resid = p[: X.shape[0]]
-            _block_probabilities(X, theta, resid)
-            _score_rows(X, resid, _chosen(ys[span], K)[1], out[span])
+            resid = scratch[: X.shape[0]]
+            _block_probabilities(X, theta, (resid, resid))
+            # the rows X_i' (p_i - e_{y_i}), the chosen options' indicators
+            # taken from the probabilities in place
+            resid.reshape(-1)[_chosen(ys[span], K)[1]] -= 1.0
+            np.einsum("nkd,nk->nd", X, resid, out=out[span])
 
         _threaded_blocks(fill, _spans(n), workers, [(min(n, _BLOCK_ROWS), K)])
         return out

@@ -59,18 +59,60 @@ def test_regrouped_rectified_mean_is_caught(head, tmp_path):
     assert proc.returncode == 1, proc.stderr
     found = proc.stdout.splitlines()
     # The CLI prints 12 significant digits: the regrouping shows where the
-    # rectified mean cancels a large offset.
-    assert f"estimate-mean ft-ppi offset: stdout differs between {mutant} and {head}" in found
+    # rectified mean cancels a large offset, and the field that moved is
+    # named with both values and their relative difference.
+    at = f"estimate-mean ft-ppi offset: stdout differs between {mutant} and {head} at "
     rounded = [line for line in found if " at full precision " not in line]
-    assert all(line.startswith("estimate-mean ft-ppi offset:") for line in rounded), rounded
+    assert rounded and all(line.startswith(at) for line in rounded), rounded
+    assert all(", relative difference " in line for line in rounded), rounded
+    # the estimate and its interval's ends, not the variance
+    fields = {line[len(at):].split(":")[0] for line in rounded}
+    assert "estimate" in fields and fields <= {"estimate", "ci_low", "ci_high"}, rounded
     # At full precision it shows on the inputs without an offset too.
     exact = [line for line in found if " at full precision " in line]
-    assert (
-        f"estimate-mean ft-ppi: stdout at full precision differs between {mutant} and {head}"
-        in exact
-    )
+    assert any(
+        line.startswith(
+            f"estimate-mean ft-ppi: stdout at full precision differs between {mutant} and {head}"
+            " at estimate: "
+        )
+        for line in exact
+    ), exact
     assert any(not line.startswith("estimate-mean") for line in exact), exact
     assert "allocate" not in proc.stdout  # the allocation never rectifies a mean
+
+
+def test_moved_fields_are_named():
+    """Outputs that parse as JSON, JSON lines or CSV are compared field by
+    field; any other output, and one whose fields all match, is named whole."""
+    sys.path.insert(0, os.path.dirname(TOOL))
+    try:
+        import identity as tool
+    finally:
+        sys.path.remove(os.path.dirname(TOOL))
+    line = "op: stdout differs between A and B"
+    assert tool._described(line, "stdout", b'{"s": [[1, 2.5]], "m": "x"}',
+                           b'{"s": [[1, 2.0]], "m": "y"}') == [
+        f"{line} at s[0][1]: 2.5 vs 2.0, relative difference 0.2",
+        f'{line} at m: "x" vs "y"',
+    ]
+    assert tool._described(line, "stdout", b'{"a": 1}\n{"a": 2}\n', b'{"a": 1}\n{"b": 2}\n') == [
+        f"{line} at [1].a: 2 vs absent", f"{line} at [1].b: absent vs 2",
+    ]
+    assert tool._described(line, "--out files", {"t.csv": b"a,b\n1,x\n4,y\n"},
+                           {"t.csv": b"a,b\n1,x\n5,y\n"}) == [
+        f"{line} in t.csv at [1].a: 4.0 vs 5.0, relative difference 0.2"
+    ]
+    many = [json.dumps(list(range(k, k + 12))).encode() for k in (0, 1)]
+    described = tool._described(line, "stdout", *many)
+    assert len(described) == tool.MAX_FIELDS + 1
+    assert described[-1] == f"{line}: and 2 more fields, in [10], [11]"
+    rest = tool._described(line, "stdout", *(
+        json.dumps({"theta": [k] * 10, "sigma": [[k] * 2] * 2, "nu": k}).encode() for k in (0, 1)
+    ))
+    assert rest[-1] == f"{line}: and 5 more fields, in sigma, nu"
+    for a, b in ((b"Traceback", b"Trace"), (b'{"a": 1}', b'{"a":1}')):
+        assert tool._described(line, "stdout", a, b) == [line]
+    assert tool._described(line, "stderr", b'{"a": 1}', b'{"a": 2}') == [line]
 
 
 def tree_env(tree):

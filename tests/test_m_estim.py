@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import sys
 import warnings
 import threading
@@ -566,78 +567,122 @@ class TestChoiceKernels:
 
 def _blockwise_mean(rows):
     """The mean of ``rows`` by ``m_estim``'s rule: each block's sum, added in block order."""
+    return _ordered_mean(
+        [rows[lo : lo + _BLOCK_ROWS].sum(axis=0) for lo in range(0, rows.shape[0], _BLOCK_ROWS)],
+        rows.shape[0],
+    )
+
+
+def _ordered_mean(sums, n):
+    """The mean of n rows from their blocks' sums ``sums``, added in block order."""
     total = 0.0
-    for lo in range(0, rows.shape[0], _BLOCK_ROWS):
-        total = total + rows[lo : lo + _BLOCK_ROWS].sum(axis=0)
-    return total / rows.shape[0]
+    for part in sums:
+        total = total + part
+    return total / n
 
 
-def _rowwise_choice_probs(xs, theta, K, d):
-    """The choice probabilities as computed before the column passes.
-
-    Per block: a max over the trailing option axis and a fresh
-    temporary for the exponentials.
-    """
-    p = np.empty((xs.shape[0], K))
-    lse = np.empty(xs.shape[0])
-    for lo in range(0, xs.shape[0], _BLOCK_ROWS):
-        span = slice(lo, lo + _BLOCK_ROWS)
-        u = np.einsum("nkd,d->nk", xs[span].reshape(-1, K, d), theta)
-        top = np.maximum(0.0, u.max(axis=1))
-        expu = np.exp(u - top[:, None])
-        denom = np.exp(-top) + expu.sum(axis=1)
-        lse[span] = top + np.log(denom)
-        np.divide(expu, denom[:, None], out=p[span])
-    return p, lse
+def _einsum_utilities(X, theta):
+    return np.einsum("nkd,d->nk", X, theta)
 
 
-def _rowwise_mnl(xs, ys, theta, K, d):
-    """Log-sum-exps, loss terms, score rows and Hessian mean with 2-d (row, option) gathers."""
-    p, lse = _rowwise_choice_probs(xs, theta, K, d)
+def _gemv_utilities(X, theta):
+    return (X.reshape(-1, X.shape[2]) @ theta).reshape(X.shape[:2])
+
+
+def _rowwise_choice_probs(X, theta, utilities):
+    """A block's utilities, choice probabilities and log-sum-exps, as computed
+    before the column passes: a max over the trailing option axis and a
+    fresh temporary for the exponentials."""
+    u = utilities(X, theta)
+    top = np.maximum(0.0, u.max(axis=1))
+    expu = np.exp(u - top[:, None])
+    denom = np.exp(-top) + expu.sum(axis=1)
+    return u, expu / denom[:, None], top + np.log(denom)
+
+
+def _einsum_mnl(xs, ys, theta, K, d):
+    """Log-sum-exps, loss terms, score rows and Hessian mean by the einsum
+    arithmetic the choice kernels had before their utilities were one
+    matrix-vector product: einsum utilities, each chosen option's utility
+    again as its row times theta, and g_i = X_i' p_i and the score rows as
+    einsums, with 2-d (row, option) gathers."""
     labs = np.rint(ys).astype(np.int64)
     n = xs.shape[0]
-    picked = np.zeros(n)
-    score = np.empty((n, d))
-    full = np.zeros((d, d))
-    outer = np.zeros((d, d))
+    lse, picked, score = np.empty(n), np.zeros(n), np.empty((n, d))
+    full, outer = np.zeros((d, d)), np.zeros((d, d))
     for lo in range(0, n, _BLOCK_ROWS):
         span = slice(lo, lo + _BLOCK_ROWS)
         X = xs[span].reshape(-1, K, d)
+        _, p, lse[span] = _rowwise_choice_probs(X, theta, _einsum_utilities)
         lab = labs[span]
         chose = np.flatnonzero(lab)
         picked[lo + chose] = X[chose, lab[chose] - 1] @ theta
-        resid = p[span].copy()
+        resid = p.copy()
         resid[chose, lab[chose] - 1] -= 1.0
         score[span] = np.einsum("nkd,nk->nd", X, resid)
-        pb = p[span]
-        full += (X * pb[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
-        g = np.einsum("nkd,nk->nd", X, pb)
+        full += (X * p[:, :, None]).reshape(-1, d).T @ X.reshape(-1, d)
+        g = np.einsum("nkd,nk->nd", X, p)
         outer += g.T @ g
     return lse, lse - picked, score, full / n - outer / n
 
 
+def _rowwise_mnl(xs, ys, theta, K, d):
+    """Log-sum-exps, loss terms, ``batch_score``'s rows, each block's score
+    sum and the Hessian mean, with 2-d (row, option) gathers.
+
+    A block's utilities are one matrix-vector product, and the chosen
+    options' utilities are read from them.  g_i = X_i' p_i adds the rows
+    of X_i diag(p_i) one option after another, and a block's score sum is
+    the column sum of its g_i less that of its chosen options' rows.  The
+    matrix products take their operands laid out as the kernel lays them
+    out, feature by feature, because a product's bits depend on that.
+    """
+    labs = np.rint(ys).astype(np.int64)
+    n = xs.shape[0]
+    lse, picked, score, sums = np.empty(n), np.zeros(n), np.empty((n, d)), []
+    full, outer = np.zeros((d, d)), np.zeros((d, d))
+    for lo in range(0, n, _BLOCK_ROWS):
+        span = slice(lo, lo + _BLOCK_ROWS)
+        X = xs[span].reshape(-1, K, d)
+        u, p, lse[span] = _rowwise_choice_probs(X, theta, _gemv_utilities)
+        lab = labs[span]
+        chose = np.flatnonzero(lab)
+        picked[lo + chose] = u[chose, lab[chose] - 1]
+        resid = p.copy()
+        resid[chose, lab[chose] - 1] -= 1.0
+        score[span] = np.einsum("nkd,nk->nd", X, resid)
+        Xp = X * p[:, :, None]
+        gT = np.ascontiguousarray(functools.reduce(np.add, Xp.transpose(1, 0, 2)).T)
+        sums.append(gT.sum(axis=1) - X[chose, lab[chose] - 1].sum(axis=0))
+        full += X.reshape(-1, d).T @ np.ascontiguousarray(Xp.reshape(-1, d).T).T
+        outer += gT @ gT.T
+    return lse, lse - picked, score, sums, full / n - outer / n
+
+
 def _rowwise_means(xs, ys, theta, K, d):
     """The loss mean, mean score and mean Hessian from ``_rowwise_mnl``, by the block rule."""
-    _, terms, score, hessian = _rowwise_mnl(xs, ys, theta, K, d)
-    return float(_blockwise_mean(terms)), _blockwise_mean(score), hessian
+    _, terms, _, sums, hessian = _rowwise_mnl(xs, ys, theta, K, d)
+    return float(_blockwise_mean(terms)), _ordered_mean(sums, xs.shape[0]), hessian
+
+
+def _choice_batch(rng, n, K, d):
+    """Features whose utilities reach +-700, with some all-zero rows, and labels."""
+    theta = rng.standard_normal(d)
+    xs = rng.standard_normal((n, K * d))
+    u = np.abs(np.einsum("nkd,d->nk", xs.reshape(n, K, d), theta)).max(axis=1)
+    xs *= (rng.uniform(0.0, 700.0, n) / np.maximum(u, 1e-300))[:, None]
+    xs[rng.random(n) < 0.01] = 0.0
+    return xs, rng.integers(0, K + 1, n).astype(float), theta
+
+
+#: Row counts around the blocks' edges, and one of three blocks.
+_CHOICE_SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
 
 
 class TestChoiceKernelsBitForBit:
     """The column-pass choice kernels give the bits of the row-wise ones,
     on the model's rows, whose means and Hessian are held, and on raw
     features, whose probabilities each block computes for itself."""
-
-    SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
-
-    @staticmethod
-    def _batch(rng, n, K, d):
-        """Features whose utilities reach +-700, with some all-zero rows, and labels."""
-        theta = rng.standard_normal(d)
-        xs = rng.standard_normal((n, K * d))
-        u = np.abs(np.einsum("nkd,d->nk", xs.reshape(n, K, d), theta)).max(axis=1)
-        xs *= (rng.uniform(0.0, 700.0, n) / np.maximum(u, 1e-300))[:, None]
-        xs[rng.random(n) < 0.01] = 0.0
-        return xs, rng.integers(0, K + 1, n).astype(float), theta
 
     @pytest.mark.parametrize("K", range(1, 13))
     def test_matches_rowwise_kernels(self, K):
@@ -652,29 +697,62 @@ class TestChoiceKernelsBitForBit:
         rng = np.random.default_rng(K)
         for d in range(1, 7):
             model = mnl_loss(K, d, workers)
-            for n in self.SIZES:
-                xs, ys, theta = self._batch(rng, n, K, d)
+            for n in _CHOICE_SIZES:
+                xs, ys, theta = _choice_batch(rng, n, K, d)
                 rows = model.rows(xs, theta, (ys,))
-                lse, terms, score, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
-                loss_mean = float(_blockwise_mean(terms))
-                assert np.array_equal(rows.means, [[loss_mean, *_blockwise_mean(score)]])
+                lse, terms, score, sums, hessian_mean = _rowwise_mnl(xs, ys, theta, K, d)
+                loss_mean, mean_score = float(_blockwise_mean(terms)), _ordered_mean(sums, n)
+                assert np.array_equal(rows.means, [[loss_mean, *mean_score]])
                 assert np.array_equal(rows.hessian, hessian_mean)
                 for feats in (rows, xs):
                     assert np.array_equal(model.batch_loss_mean(feats, ys, theta), loss_mean)
                     assert np.array_equal(model.batch_score(feats, ys, theta), score)
-                    assert np.array_equal(
-                        model.mean_score(feats, ys, theta), _blockwise_mean(score)
-                    )
+                    assert np.array_equal(model.mean_score(feats, ys, theta), mean_score)
                     assert np.array_equal(
                         model.batch_hessian_mean(feats, ys, theta), hessian_mean
                     )
             assert np.isfinite(lse).all() and lse.max() > 600.0
 
 
-class TestNumpySummationOrder:
-    """The order of numpy's sum over options that the choice kernels reproduce.
+class TestChoiceKernelsNearEinsum:
+    """The choice kernels against the einsum arithmetic they replaced
+    (``_einsum_mnl``), relative to the size of the terms each result adds:
+    the loss mean within 1e-13 of the mean of each row's largest |utility|,
+    the mean score within 1e-13 of the options' summed |x|, the Hessian
+    within 1e-13 of the largest entry of the mean of sum_k |x_k| |x_k|'.
+    The two compute the utilities in different orders, so they differ in
+    their last bits, and each probability carries that relative rounding
+    of the utilities, which grows with their size.  A score row that
+    cancels (a chosen option of probability near 1) keeps it, so a score
+    row is within 1e-14 of its options' summed |x| times 1 plus its
+    largest |utility|."""
 
-    A numpy release that changes it fails here, instead of silently
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_matches_the_einsum_arithmetic(self, K):
+        rng = np.random.default_rng(100 + K)
+        for d in range(1, 7):
+            model = mnl_loss(K, d)
+            for n in _CHOICE_SIZES:
+                xs, ys, theta = _choice_batch(rng, n, K, d)
+                _, terms, score, hessian = _einsum_mnl(xs, ys, theta, K, d)
+                X = np.abs(xs.reshape(n, K, d))
+                utility = np.abs(_einsum_utilities(xs.reshape(n, K, d), theta)).max(axis=1)
+                size = X.sum(axis=1)
+                loss_mean = model.batch_loss_mean(xs, ys, theta)
+                assert abs(loss_mean - _blockwise_mean(terms)) <= 1e-13 * np.mean(utility)
+                got = model.mean_score(xs, ys, theta) - _blockwise_mean(score)
+                assert np.all(np.abs(got) <= 1e-13 * size.mean(axis=0))
+                bound = 1e-14 * size * (1.0 + utility[:, None])
+                assert np.all(np.abs(model.batch_score(xs, ys, theta) - score) <= bound)
+                got = model.batch_hessian_mean(xs, ys, theta) - hessian
+                assert np.max(np.abs(got)) <= 1e-13 * np.einsum("nkd,nke->de", X, X).max() / n
+
+
+class TestNumpySummationOrder:
+    """The orders of numpy's sums and products that the choice kernels'
+    bits rest on.
+
+    A numpy release that changes one fails here, instead of silently
     changing the kernels' bits.
     """
 
@@ -685,6 +763,56 @@ class TestNumpySummationOrder:
         for k in range(1, K):
             passes += u[:, k]
         assert np.array_equal(passes, u.sum(axis=1)) == (K < m_estim._PAIRWISE_FROM)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_einsum_column_sums_are_the_row_by_row_sums_from_two_columns(self, d):
+        """``_column_sum`` is numpy's column sum for every d.  For d >= 2
+        einsum's and numpy's add the rows one after another; for one column
+        each groups them its own way (numpy's pairwise)."""
+        rng = np.random.default_rng(d)
+        scale = np.exp(3.0 * rng.standard_normal((_BLOCK_ROWS, 1)))
+        rows = rng.standard_normal((_BLOCK_ROWS, d)) * scale
+        assert np.array_equal(np.einsum("nd->d", rows), rows.sum(axis=0)) == (d >= 2)
+        if d >= 2:
+            sequential = rows[0].copy()
+            for row in rows[1:]:
+                sequential += row
+            assert np.array_equal(rows.sum(axis=0), sequential)
+        for n in (_BLOCK_ROWS, 1000, 3):
+            assert np.array_equal(m_estim._column_sum(rows[:n]), rows[:n].sum(axis=0))
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_option_adds_over_the_products_are_einsums_from_two_features(self, K):
+        """g_i = X_i' p_i as K - 1 adds over the rows of X_i diag(p_i) has
+        the bits of ``einsum("nkd,nk->nd")`` for d >= 2; for one feature
+        einsum groups the options otherwise from three of them on."""
+        rng = np.random.default_rng(K)
+        for d in range(1, 7):
+            X = rng.standard_normal((_BLOCK_ROWS, K, d)) * np.exp(
+                3.0 * rng.standard_normal((_BLOCK_ROWS, K, 1))
+            )
+            p = rng.random((_BLOCK_ROWS, K))
+            Xp = X * p[:, :, None]
+            g = Xp[:, 0].copy()
+            for k in range(1, K):
+                g += Xp[:, k]
+            assert np.array_equal(g, np.einsum("nkd,nk->nd", X, p)) == (d >= 2 or K < 3), d
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_utilities_do_not_depend_on_where_a_block_starts(self, d):
+        """The matrix-vector product gives each row the same bits wherever
+        the rows start in a larger array, whatever their count: a block's
+        utilities do not depend on the block's offset or on the alignment
+        of its memory."""
+        rng = np.random.default_rng(d)
+        options = rng.standard_normal((5 * _BLOCK_ROWS + 40, d)) * 100.0
+        theta = rng.standard_normal(d)
+        whole = options @ theta
+        for start in (0, 1, 2, 3, 5, 8, 13, 40):
+            for count in (5 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 3, 7):
+                out = np.empty(count)
+                np.matmul(options[start : start + count], theta, out=out)
+                assert np.array_equal(out, whole[start : start + count]), (start, count)
 
 
 def _reference_mean_callables():

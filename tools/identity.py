@@ -21,7 +21,12 @@ It runs twice, on two legs:
 
 Every difference in exit code, standard output, standard error or the
 files an operation writes under ``--out`` is printed, and the exit
-status is 1; it is 0 when every operation matches on both legs.  If the
+status is 1; it is 0 when every operation matches on both legs.  Where
+standard output or an ``--out`` file differs and both trees' versions
+parse as JSON, JSON lines or CSV, each field that moved is named by its
+path (``sigma_hat[1][0]``, ``[3].estimate`` for a CSV's fourth row),
+with both values and their relative difference, at most ``MAX_FIELDS``
+per output; otherwise the output is named whole.  If the
 launcher cannot find the rounding it replaces in a tree, the check
 stops with status 2.  ``--toy`` shrinks every input, for tests.
 
@@ -46,6 +51,7 @@ outcomes and predictions on an offset of 1e8 that the estimate cancels.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import shutil
@@ -310,10 +316,113 @@ def differences(trees: list[tuple[str, str]], ops, work: str) -> list[str]:
             for t, other in enumerate(runs[1:], 1):
                 for what, value in other.items():
                     if value != runs[0][what]:
-                        found.append(
-                            f"{name}: {what}{tag} differs between {names[0]} and {names[t]}"
-                        )
+                        line = f"{name}: {what}{tag} differs between {names[0]} and {names[t]}"
+                        found += _described(line, what, runs[0][what], value)
     return found
+
+
+#: Differing fields named per output, at most; the rest are counted.
+MAX_FIELDS = 10
+
+
+def _described(line: str, what: str, first, other) -> list[str]:
+    """``line``, or one line per field that moved when ``what`` is standard
+    output or the ``--out`` files and every differing output parses."""
+    if what == "stdout":
+        outputs = [("", first, other)]
+    elif what == "--out files" and first.keys() == other.keys():
+        outputs = [(f" in {path}", first[path], other[path])
+                   for path in sorted(first) if first[path] != other[path]]
+    else:
+        return [line]
+    described = []
+    for where, a, b in outputs:
+        moved = _moved(a, b)
+        if not moved:
+            return [line]
+        for path, x, y in moved[:MAX_FIELDS]:
+            field = f"{line}{where} at {path or '(the whole output)'}: {_shown(x)} vs {_shown(y)}"
+            if _is_number(x) and _is_number(y):
+                field += f", relative difference {abs(x - y) / max(abs(x), abs(y)):.3g}"
+            described.append(field)
+        if len(moved) > MAX_FIELDS:
+            # each of the rest by its top-level name: sigma_hat for sigma_hat[1][0]
+            rest = [path.split(".")[0].split("[")[0] or path.split(".")[0]
+                    for path, _, _ in moved[MAX_FIELDS:]]
+            described.append(f"{line}{where}: and {len(rest)} more fields, "
+                             f"in {', '.join(dict.fromkeys(rest))}")
+    return described
+
+
+#: The value of a field that one output has and the other has not.
+_ABSENT = object()
+
+
+def _moved(a: bytes, b: bytes) -> list:
+    """(path, value in a, value in b) of every field that differs, or [] when
+    either output does not parse as JSON, JSON lines or CSV."""
+    parsed = _parsed(a), _parsed(b)
+    if None in parsed:
+        return []
+    first, other = (dict(_leaves(value)) for value in parsed)
+    moved = []
+    for path in {**first, **other}:
+        x, y = first.get(path, _ABSENT), other.get(path, _ABSENT)
+        if not (x == y or x != x and y != y):  # NaN is the same as NaN
+            moved.append((path, x, y))
+    return moved
+
+
+def _parsed(data: bytes):
+    """``data`` parsed as JSON, JSON lines or CSV (a list of rows keyed by the
+    header, numbers as floats), or None."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    lines = [line for line in text.splitlines() if line.strip()]
+    try:
+        return [json.loads(line) for line in lines]
+    except ValueError:
+        pass
+    rows = list(csv.reader(lines))
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return [dict(zip(rows[0], map(_cell, row))) for row in rows[1:]]
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _leaves(value, path: str = ""):
+    """(path, value) of every number, string, boolean or null in a parsed output."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    if value is _ABSENT:
+        return "absent"
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def extract(ref: str, into: str) -> str:
