@@ -117,8 +117,8 @@ def ppi_mean_estimate(
     return _rectified_mean(labeled_ppi.ys, f.on(labeled_ppi), f.on(unlabeled))
 
 
-def _rectified_mean(ys: np.ndarray, preds_labeled: np.ndarray, preds_pool: np.ndarray) -> float:
-    """mean(ys - preds_labeled) + mean(preds_pool), the rectified estimate on raw arrays."""
+def _rectified_mean(ys: np.ndarray, preds_labeled: np.ndarray, preds_pool) -> float:
+    """mean(ys - preds_labeled) + mean(preds_pool), on raw arrays or the pool's mean."""
     return float(np.mean(ys - preds_labeled) + np.mean(preds_pool))
 
 

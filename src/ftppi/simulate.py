@@ -15,7 +15,7 @@ shrink one error pattern rather than redraw it.  A trainer hands out
 the part that does not depend on s (the mean, signal and bias terms plus
 the unscaled field) through ``SimTrainer.parts``; the Monte-Carlo
 experiments take it once per replicate and rescale it for every size
-they evaluate, instead of predicting afresh at each size.
+they evaluate, and read the pool only through the parts' means.
 
 These worlds make brute-force Monte-Carlo oracles possible: every
 analytic quantity (residual variance, estimator variance, optimal
@@ -266,10 +266,10 @@ def _parts(world: SyntheticWorld, key: int, xs: np.ndarray, base=None, field=Non
     return _base(world, xs, base, field), _gauss_field(xs, key, field)
 
 
-def _checkpoint(parts: _Parts, pseudo_sd: float, out=None) -> np.ndarray:
-    """``base + pseudo_sd * field``: a checkpoint's predictions."""
+def _checkpoint(parts: _Parts, pseudo_sd: float) -> np.ndarray:
+    """``base + pseudo_sd * field``: a checkpoint's predictions, or from the means their mean."""
     base, field = parts
-    out = np.multiply(field, pseudo_sd, out=out)
+    out = field * pseudo_sd
     out += base
     return out
 
@@ -367,16 +367,15 @@ def _base_surrogate(world: SyntheticWorld, seed: RngSeed | int) -> tuple[int, fl
 
 
 def _split_estimate(
-    trainer: SimTrainer, ys: np.ndarray, lab: _Parts, pool: _Parts, perm: np.ndarray, s: int, out
+    trainer: SimTrainer, ys: np.ndarray, lab: _Parts, pool_means, perm: np.ndarray, s: int
 ) -> float:
     """Rectified estimate after fine-tuning on ``perm[:s]`` and rectifying on the rest.
 
-    ``ys`` are the outcomes of the full labeled draw, and ``lab`` and
-    ``pool`` are ``trainer.parts`` of its features and of the pool's.
-    The fine-tuning subset is never built: a simulated trainer reads only
-    its size.  The predictions are the checkpoint's own floats, so this
-    equals ``ppi_mean_estimate`` on the rectification subset.  The pool's
-    go into ``out``.
+    ``ys`` are the outcomes of the full labeled draw, ``lab`` is
+    ``trainer.parts`` of its features and ``pool_means`` the means of the
+    pool's.  The fine-tuning subset is never built: a simulated trainer
+    reads only its size.  The pool enters through its mean, ``mean(base) +
+    pseudo_sd * mean(field)``: within a few ulps of ``ppi_mean_estimate``.
     """
     pseudo_sd = trainer.pseudo_sd(s)
     idx = np.sort(perm[s:])
@@ -384,7 +383,7 @@ def _split_estimate(
     return _rectified_mean(
         ys[idx],
         _checkpoint((lab_base[idx], lab_field[idx]), pseudo_sd),
-        _checkpoint(pool, pseudo_sd, out),
+        _checkpoint(pool_means, pseudo_sd),
     )
 
 
@@ -434,20 +433,20 @@ def brute_force_allocation(
     sizes = [min(max(int(round(f * n)), 1), n - 2) for f in fractions]
 
     pool_xs = seed.child(0).generator().standard_normal((m, world.feature_dim))
-    pool_base = _base(world, pool_xs)
+    base_mean = np.mean(_base(world, pool_xs))
 
-    def replicate(rep: RngSeed, field: np.ndarray, preds: np.ndarray) -> list[float]:
+    def replicate(rep: RngSeed, field: np.ndarray) -> list[float]:
         labeled = _generate_labeled(world, n, rep.child(0))
         trainer = SimTrainer(world, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
         lab = trainer.parts(labeled.xs)
-        pool = pool_base, _gauss_field(pool_xs, trainer._key, field)
-        return [_split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds) for s in sizes]
+        pool = base_mean, np.mean(_gauss_field(pool_xs, trainer._key, field))
+        return [_split_estimate(trainer, labeled.ys, lab, pool, perm, s) for s in sizes]
 
     reps = [seed.child(r + 1) for r in range(replicates)]
     # One contiguous row per fraction: numpy sums a strided axis in another
     # order, which would move the variances' last bits.
-    estimates = np.ascontiguousarray(_forked_rows(replicate, reps, workers, [m, m]).T)
+    estimates = np.ascontiguousarray(_forked_rows(replicate, reps, workers, [m]).T)
     variances = np.var(estimates, axis=1, ddof=1)
     best = int(np.argmin(variances))  # ties resolve to the smaller fraction
     return BruteForceResult(
@@ -517,25 +516,25 @@ def run_estimator_comparison(
     alloc = solve_optimal_allocation(world.law, n)
     s_star = alloc.s_star_int
 
-    def replicate(rep: RngSeed, xs, base, field, preds) -> tuple[float, float, float, float]:
+    def replicate(rep: RngSeed, xs, base, field) -> tuple[float, float, float, float]:
         labeled = _draw(world, n, rep.child(0), xs)
         trainer = SimTrainer(world, rep.child(1))
-        lab, pool = trainer.parts(labeled.xs), trainer.parts(xs, base, field)
-        ft_only = float(np.mean(_checkpoint(pool, trainer.pseudo_sd(n), preds)))
+        lab, pool = trainer.parts(labeled.xs), tuple(map(np.mean, trainer.parts(xs, base, field)))
+        ft_only = float(_checkpoint(pool, trainer.pseudo_sd(n)))
         perm = rep.child(3).generator().permutation(n)
-        ft_ppi = _split_estimate(trainer, labeled.ys, lab, pool, perm, s_star, preds)
+        ft_ppi = _split_estimate(trainer, labeled.ys, lab, pool, perm, s_star)
         # base_predictor's bases are the trainer's; its scale cannot fail if pseudo_sd(n) did not
         key, pseudo_sd = _base_surrogate(world, rep.child(2))
         ppi_only = _rectified_mean(
             labeled.ys,
             _checkpoint((lab[0], _gauss_field(labeled.xs, key)), pseudo_sd),
-            _checkpoint((base, _gauss_field(xs, key, field)), pseudo_sd, preds),
+            _checkpoint((pool[0], np.mean(_gauss_field(xs, key, field))), pseudo_sd),
         )
         return float(np.mean(labeled.ys)), ft_only, ppi_only, ft_ppi
 
     names = ("SampleMean", "FtOnly", "PpiOnly", "FtPpi")
     reps = [seed.child(r) for r in range(replicates)]
-    ws = [(m, world.feature_dim), m, m, m]  # the pool's features, base, field and predictions
+    ws = [(m, world.feature_dim), m, m]  # the pool's features, base and field
     draws = np.ascontiguousarray(_forked_rows(replicate, reps, workers, ws).T)  # as in brute force
 
     rows = []
@@ -785,15 +784,15 @@ def external_ft_experiment(
     alloc_ext = solve_optimal_allocation(law2, n)
     s = alloc_ext.s_star_int
 
-    def replicate(rep: RngSeed, xs, base, field, preds) -> float:
+    def replicate(rep: RngSeed, xs, base, field) -> float:
         labeled = _draw(world2, n, rep.child(0), xs)
         trainer = SimTrainer(world2, rep.child(1))
         perm = rep.child(2).generator().permutation(n)
-        lab, pool = trainer.parts(labeled.xs), trainer.parts(xs, base, field)
-        return _split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds)
+        lab, pool = trainer.parts(labeled.xs), tuple(map(np.mean, trainer.parts(xs, base, field)))
+        return _split_estimate(trainer, labeled.ys, lab, pool, perm, s)
 
     reps = [seed.child(r) for r in range(replicates)]
-    estimates = _forked_rows(replicate, reps, workers, [(m, world.feature_dim), m, m, m])
+    estimates = _forked_rows(replicate, reps, workers, [(m, world.feature_dim), m, m])
 
     mc_mean = float(np.mean(estimates))
     mc_var = float(np.var(estimates, ddof=1))

@@ -299,6 +299,17 @@ def inline_prediction(world, trainer_seed, s, xs):
 
 PART_BIASES = [BiasProfile.zero(), BiasProfile.constant(0.3), BiasProfile.drifting(0.2)]
 
+#: How far, in units in the last place, a simulator estimate may lie from
+#: ``ppi_mean_estimate`` on the same draws: the simulator adds the means of
+#: the pool's parts where ``ppi_mean_estimate`` averages the predictions.
+MAX_ULPS = 8
+
+
+def ulps(got, want) -> float:
+    """The largest |got - want|, in units in the last place of ``want``."""
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))))
+
 
 def count_fields(monkeypatch):
     """Record (rows, key) of every hash field the simulator computes."""
@@ -361,17 +372,22 @@ class TestSharedPartMemo:
     @pytest.mark.parametrize("bias", PART_BIASES, ids=lambda b: b.kind)
     @pytest.mark.parametrize("dim", [1, 3])
     def test_split_kernel_matches_ppi_mean_estimate(self, bias, dim):
+        """The kernel is the restated expression to the bit, and within
+        ``MAX_ULPS`` of ``ppi_mean_estimate``, which averages the pool's
+        predictions instead of adding the means of their parts."""
         w = plain_world(feature_dim=dim, bias=bias)
         n = 300
         labeled, unlabeled = generate_world_data(w, n, 700, 34)
         trainer = SimTrainer(w, RngSeed(35))
         perm = np.random.default_rng(36).permutation(n)
         lab, pool = trainer.parts(labeled.xs), trainer.parts(unlabeled.xs)
+        pool_means = np.mean(pool[0]), np.mean(pool[1])
         for s in (4, 37, 150, 298):
-            preds = np.full(700, np.nan)  # the pool's predictions are written over it
-            kernel = simulate._split_estimate(trainer, labeled.ys, lab, pool, perm, s, preds)
+            kernel = simulate._split_estimate(trainer, labeled.ys, lab, pool_means, perm, s)
+            assert kernel == fresh_split_estimate(trainer, labeled.ys, lab, pool, perm, s)
             ppi = labeled.subset(np.sort(perm[s:]))
-            assert kernel == ppi_mean_estimate(ppi, unlabeled, trainer.train_size(s))
+            want = ppi_mean_estimate(ppi, unlabeled, trainer.train_size(s))
+            assert ulps(kernel, want) <= MAX_ULPS
 
     def test_law_outcome_matches_checkpoint_predictions(self):
         w = plain_world(bias=BiasProfile.drifting(0.2))
@@ -712,19 +728,24 @@ class TestForkedReplicates:
 # ---------------------------------------------------------------------------
 
 
+def pool_mean(pool_base, pool_field, pseudo_sd):
+    """The mean of the pool's predictions as the simulator takes it: from the parts' means."""
+    return np.mean(pool_base) + pseudo_sd * np.mean(pool_field)
+
+
 def fresh_split_estimate(trainer, ys, lab, pool, perm, s):
-    """The split kernel with every prediction array allocated afresh."""
+    """The split kernel with every array allocated afresh."""
     pseudo_sd = trainer.pseudo_sd(s)
     idx = np.sort(perm[s:])
-    (lab_base, lab_field), (pool_base, pool_field) = lab, pool
+    lab_base, lab_field = lab
     return _rectified_mean(
-        ys[idx], lab_base[idx] + pseudo_sd * lab_field[idx], pool_base + pseudo_sd * pool_field
+        ys[idx], lab_base[idx] + pseudo_sd * lab_field[idx], pool_mean(*pool, pseudo_sd)
     )
 
 
 def reference_comparison(world, n, m, replicates, seed):
-    """``run_estimator_comparison``'s draws, each replicate drawing its own data,
-    parts and predictions, and PpiOnly from ``ppi_mean_estimate``."""
+    """``run_estimator_comparison``'s draws, each replicate drawing its own data
+    and parts, and PpiOnly from ``base_predictor``'s labeled predictions."""
     s_star = solve_optimal_allocation(world.law, n).s_star_int
     rows = []
     for r in range(replicates):
@@ -732,8 +753,13 @@ def reference_comparison(world, n, m, replicates, seed):
         labeled, unlabeled = generate_world_data(world, n, m, rep.child(0))
         trainer = SimTrainer(world, rep.child(1))
         pool_base, pool_field = pool = trainer.parts(unlabeled.xs)
-        ft_only = float(np.mean(pool_base + trainer.pseudo_sd(n) * pool_field))
-        ppi_only = ppi_mean_estimate(labeled, unlabeled, base_predictor(world, rep.child(2)))
+        ft_only = float(pool_mean(pool_base, pool_field, trainer.pseudo_sd(n)))
+        key, base_sd = simulate._base_surrogate(world, rep.child(2))
+        ppi_only = _rectified_mean(
+            labeled.ys,
+            base_predictor(world, rep.child(2)).on(labeled),
+            pool_mean(pool_base, simulate._gauss_field(unlabeled.xs, key), base_sd),
+        )
         perm = rep.child(3).generator().permutation(n)
         lab = trainer.parts(labeled.xs)
         ft_ppi = fresh_split_estimate(trainer, labeled.ys, lab, pool, perm, s_star)
@@ -741,10 +767,15 @@ def reference_comparison(world, n, m, replicates, seed):
     return np.array(rows)
 
 
-def reference_external(world, strength, n, m, replicates, seed):
-    world2 = dataclasses.replace(
+def external_world(world, strength):
+    """The world ``external_ft_experiment`` draws from."""
+    return dataclasses.replace(
         world, law=shifted_law(world, strength), noise_floor=world.effective_noise_floor
     )
+
+
+def reference_external(world, strength, n, m, replicates, seed):
+    world2 = external_world(world, strength)
     s = solve_optimal_allocation(world2.law, n).s_star_int
     rows = []
     for r in range(replicates):
@@ -824,6 +855,98 @@ class TestWorkspaceMatchesFreshArrays:
             assert captured_draws.pop().tobytes() == want.tobytes()
 
 
+def public_comparison(world, n, m, replicates, seed):
+    """``run_estimator_comparison``'s draws from the public API: each replicate's
+    data from ``generate_world_data``, every prediction from ``Predictor.on``."""
+    s_star = solve_optimal_allocation(world.law, n).s_star_int
+    rows = []
+    for r in range(replicates):
+        rep = RngSeed(seed).child(r)
+        labeled, unlabeled = generate_world_data(world, n, m, rep.child(0))
+        trainer = SimTrainer(world, rep.child(1))
+        perm = rep.child(3).generator().permutation(n)
+        ppi = labeled.subset(np.sort(perm[s_star:]))
+        rows.append((
+            float(np.mean(labeled.ys)),
+            float(np.mean(trainer.train_size(n).on(unlabeled))),
+            ppi_mean_estimate(labeled, unlabeled, base_predictor(world, rep.child(2))),
+            ppi_mean_estimate(ppi, unlabeled, trainer.train_size(s_star)),
+        ))
+    return np.array(rows)
+
+
+def public_external(world, strength, n, m, replicates, seed):
+    world2 = external_world(world, strength)
+    s = solve_optimal_allocation(world2.law, n).s_star_int
+    rows = []
+    for r in range(replicates):
+        rep = RngSeed(seed).child(r)
+        labeled, unlabeled = generate_world_data(world2, n, m, rep.child(0))
+        trainer = SimTrainer(world2, rep.child(1))
+        perm = rep.child(2).generator().permutation(n)
+        ppi = labeled.subset(np.sort(perm[s:]))
+        rows.append(ppi_mean_estimate(ppi, unlabeled, trainer.train_size(s)))
+    return np.array(rows)
+
+
+def public_brute_force(world, n, m, fractions, replicates, seed):
+    """The oracle's draws from ``ppi_mean_estimate``; its fixed pool and its
+    labeled draws are not ``generate_world_data``'s, so they are drawn here."""
+    sizes = [min(max(int(round(f * n)), 1), n - 2) for f in fractions]
+    pool_xs = RngSeed(seed).child(0).generator().standard_normal((m, world.feature_dim))
+    unlabeled = UnlabeledDataset(pool_xs)
+    rows = []
+    for r in range(replicates):
+        rep = RngSeed(seed).child(r + 1)
+        labeled = simulate._generate_labeled(world, n, rep.child(0))
+        trainer = SimTrainer(world, rep.child(1))
+        perm = rep.child(2).generator().permutation(n)
+        rows.append([
+            ppi_mean_estimate(labeled.subset(np.sort(perm[s:])), unlabeled, trainer.train_size(s))
+            for s in sizes
+        ])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("bias", PART_BIASES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("dim", [1, 3])
+class TestDrawsNearPublicPath:
+    """Every replicate's draws lie within ``MAX_ULPS`` of the same replicate
+    rebuilt from scratch with the public API (``generate_world_data``,
+    ``SimTrainer.train_size(s).on``, ``base_predictor``,
+    ``ppi_mean_estimate``), on a pool that spans two hash-field blocks.
+    The worst measured here, and over 10 seeds per case, is 4 ulps."""
+
+    m = simulate._FIELD_BLOCK + 808
+
+    def test_comparison(self, captured_draws, bias, dim):
+        w = plain_world(feature_dim=dim, bias=bias)
+        run_estimator_comparison(w, 60, self.m, 8, 45)
+        assert ulps(captured_draws.pop(), public_comparison(w, 60, self.m, 8, 45)) <= MAX_ULPS
+
+    def test_external(self, captured_draws, bias, dim):
+        w = plain_world(feature_dim=dim, bias=bias, noise_floor=0.2)
+        external_ft_experiment(w, 0.5, 60, self.m, 8, 46)
+        assert ulps(captured_draws.pop(), public_external(w, 0.5, 60, self.m, 8, 46)) <= MAX_ULPS
+
+    def test_brute_force(self, captured_draws, bias, dim):
+        w = plain_world(feature_dim=dim, bias=bias)
+        result = brute_force_allocation(w, 60, self.m, 0.25, 8, 47)
+        want = public_brute_force(w, 60, self.m, result.fractions, 8, 47)
+        assert ulps(captured_draws.pop(), want) <= MAX_ULPS
+
+
+def traced_peak(run, *args, **kwargs) -> int:
+    """tracemalloc's peak during ``run(*args, **kwargs)`` above what was traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_results_never_alias_the_workspace(self, name, monkeypatch):
@@ -846,20 +969,33 @@ class TestWorkspace:
 
     def test_comparison_peak_memory(self):
         """With one worker the comparison holds its chunk's buffers (the pool's
-        features, base, field and predictions) and no pool-sized temporaries:
-        the tracemalloc peak is 4.2 pool arrays, where fresh arrays in every
-        replicate peaked at 6.0."""
+        features, base and field) and no pool-sized temporaries: the pool
+        enters through the means of its parts, so no prediction array is
+        made.  The tracemalloc peak is 3.2 pool arrays, where a buffer for
+        the pool's predictions peaked at 4.2 and fresh arrays in every
+        replicate at 6.0."""
         w = plain_world(bias=BiasProfile.drifting(0.2))
         m = 200_000
         run_estimator_comparison(w, 200, 500, 2, 44)  # first-call allocations
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            run_estimator_comparison(w, 200, m, 2, 44, workers=1)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * m * 8
+        assert traced_peak(run_estimator_comparison, w, 200, m, 2, 44, workers=1) < 3.5 * m * 8
+
+    def test_brute_force_peak_memory(self):
+        """The oracle holds its fixed pool's features and, per replicate, the
+        field; the base is made once, for its mean.  The peak is 3.0 pool
+        arrays, where a buffer for the pool's predictions and a kept base
+        peaked at 4.2."""
+        w = plain_world(bias=BiasProfile.drifting(0.2))
+        m = 200_000
+        brute_force_allocation(w, 200, 500, 0.25, 2, 44)  # first-call allocations
+        assert traced_peak(brute_force_allocation, w, 200, m, 0.25, 2, 44, workers=1) < 3.5 * m * 8
+
+    def test_external_peak_memory(self):
+        """As the comparison: 3.2 pool arrays, where a buffer for the pool's
+        predictions peaked at 4.2."""
+        w = plain_world(bias=BiasProfile.drifting(0.2), noise_floor=0.2)
+        m = 200_000
+        external_ft_experiment(w, 0.5, 200, 500, 2, 44)  # first-call allocations
+        assert traced_peak(external_ft_experiment, w, 0.5, 200, m, 2, 44, workers=1) < 3.5 * m * 8
 
 
 def ftppi_errors(cls=FtppiError):
